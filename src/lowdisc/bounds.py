@@ -20,6 +20,7 @@ from .digitsum_dist import distribution
 from .discrepancy import (
     DiscrepancyReport,
     extreme_discrepancy_1d,
+    extreme_discrepancy_grid,
     star_discrepancy,
     windowed_uniform_discrepancy,
 )
@@ -210,8 +211,6 @@ def transformed_discrepancy(
             return extreme_discrepancy_1d(values, counts)
         return star_discrepancy(values, counts)
     if mode == "extreme":
-        from .discrepancy import extreme_discrepancy_grid
-
         return extreme_discrepancy_grid(pts, counts)
     return star_discrepancy(pts, counts)
 
@@ -484,8 +483,6 @@ def measured_delta_table(
             if s == 1:
                 rep = extreme_discrepancy_1d([p.coords[0] for p in pts])
             else:
-                from .discrepancy import extreme_discrepancy_grid
-
                 rep = extreme_discrepancy_grid(pts)
             worst = max(worst, rep.value)
         table[m] = float(size * worst)

@@ -2,8 +2,9 @@
 
 Exit codes: 0 when all requested verifications hold, 1 on a verification or
 hypothesis failure (a machine-readable JSON record goes to stderr), 2 on
-usage errors.  Output bytes are identical across runs and worker counts for
-a fixed configuration; LOWDISC_THREADS caps parallelism.
+usage errors, including inputs whose exhaustive scan would exceed its
+budget.  Output bytes are identical across runs and worker counts for a
+fixed configuration; LOWDISC_THREADS caps parallelism.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
-from ._util import as_fraction
+from ._util import BudgetExceededError, as_fraction
 from .bounds import (
     fit_monotone_constant,
     general_sandwich,
@@ -612,7 +613,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ValueError as exc:
+    except (ValueError, BudgetExceededError) as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 2
 

@@ -8,7 +8,7 @@ boxes are reported so each value can be re-checked independently.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -171,6 +171,176 @@ def _unique_axes(pts) -> list[list[Fraction]]:
     return [sorted({pt[i] for pt in pts}) for i in range(dim)]
 
 
+def _weighted_points(points, counts):
+    """Validated points, multiplicities, their total and the sorted axes."""
+    pts = _coerce_points(points)
+    if counts is None:
+        counts = [1] * len(pts)
+    if any(c < 0 for c in counts):
+        raise ValueError("multiplicities must be non-negative")
+    n = sum(counts)
+    if not pts or n < 1:
+        raise ValueError("empty point multiset")
+    for pt in pts:
+        if not all(0 <= x < 1 for x in pt):
+            raise ValueError(f"point {pt} outside [0, 1)^s")
+    return pts, counts, n, _unique_axes(pts)
+
+
+# Candidate boxes are products of per-axis sides.  A side is a tuple
+# (start, end, length, (lower, upper)): the points inside it are those whose
+# coordinate rank r on that axis has start <= r < end, and length is
+# (upper - lower) times the axis denominator D, the lcm of the axis's
+# coordinate denominators.
+
+
+def _axis_ints(ax: list[Fraction]) -> tuple[int, list[int]]:
+    den = math.lcm(*(x.denominator for x in ax))
+    return den, [x.numerator * (den // x.denominator) for x in ax]
+
+
+def _closed_sides(ax: list[Fraction]) -> list[tuple]:
+    """Shrink-wrapped sides [ax[i], ax[j]] for i <= j."""
+    _, ints = _axis_ints(ax)
+    u = len(ax)
+    return [
+        (i, j + 1, ints[j] - ints[i], (ax[i], ax[j]))
+        for i in range(u)
+        for j in range(i, u)
+    ]
+
+
+def _open_sides(ax: list[Fraction]) -> list[tuple]:
+    """Fattened sides (lo, hi) with lo in [0] + ax, hi in ax + [1], lo < hi."""
+    den, ints = _axis_ints(ax)
+    u = len(ax)
+    # walls are strict: the wall at 0 excludes a coordinate 0 (rank 0), and
+    # ax[0] == 0 then repeats that wall as its own (lo, hi) candidates
+    lows = [(1 if ints[0] == 0 else 0, 0, ZERO)]
+    lows += [(i + 1, v, x) for i, (v, x) in enumerate(zip(ints, ax))]
+    highs = [(j, v, x) for j, (v, x) in enumerate(zip(ints, ax))]
+    highs.append((u, den, ONE))
+    return [
+        (start, end, hv - lv, (lx, hx))
+        for start, lv, lx in lows
+        for end, hv, hx in highs
+        if lv < hv
+    ]
+
+
+def _corner_sides(ax: list[Fraction], closed: bool) -> list[tuple]:
+    """Anchored sides [0, c] (closed) or [0, c) for corners c in ax + [1]."""
+    den, ints = _axis_ints(ax)
+    sides = [
+        (0, j + 1 if closed else j, v, (ZERO, x))
+        for j, (v, x) in enumerate(zip(ints, ax))
+    ]
+    sides.append((0, len(ax), den, (ZERO, ONE)))
+    return sides
+
+
+def _open_side_count(ax: list[Fraction]) -> int:
+    """len(_open_sides(ax)), without building the sides (budget checks)."""
+    u = len(ax)
+    return u * (u + 1) // 2 + u + 1 - (ax[0] == 0)
+
+
+_CHUNK_CELLS = 1 << 13
+_INT64_LIMIT = 1 << 62
+
+
+class _BoxKernel:
+    """Exact box deviations from one cumulative count array.
+
+    ``prefix[k_1, ..., k_s]`` is the total weight of the points whose rank on
+    every axis a is below k_a, so a box's count is a difference of prefix
+    entries taken one axis at a time.  Deviations are the integers
+    ``count * scale - n * prod(lengths)`` over the common denominator
+    ``n * scale``, where scale is the product of the axis denominators;
+    int64 holds them whenever that denominator is below 2**62, and exact
+    Python ints (object arrays) are used otherwise.
+    """
+
+    def __init__(self, pts, counts, n, axes):
+        self.n = n
+        self.scale = math.prod(_axis_ints(ax)[0] for ax in axes)
+        self.dtype = np.int64 if n * self.scale < _INT64_LIMIT else object
+        rank = [{x: r + 1 for r, x in enumerate(ax)} for ax in axes]
+        cells = tuple(
+            np.array([rank[a][pt[a]] for pt in pts], dtype=np.intp)
+            for a in range(len(axes))
+        )
+        prefix = np.zeros([len(ax) + 1 for ax in axes], dtype=self.dtype)
+        np.add.at(prefix, cells, np.array(counts, dtype=self.dtype))
+        for axis in range(prefix.ndim):
+            np.cumsum(prefix, axis=axis, out=prefix)
+        self.prefix = prefix
+
+    def excess(self, family, negate: bool = False):
+        """Deviation chunks, first axis outermost, for one attainment family.
+
+        Closed boxes deviate by count/n - volume; open ones, the negation.
+        """
+        arrays = []
+        for sides in family:
+            starts, ends, lengths, _ = zip(*sides)
+            arrays.append(
+                (
+                    np.array(starts, dtype=np.intp),
+                    np.array(ends, dtype=np.intp),
+                    np.array(lengths, dtype=self.dtype),
+                )
+            )
+        rest = math.prod(
+            max(len(starts), self.prefix.shape[a])
+            for a, (starts, _, _) in enumerate(arrays)
+            if a
+        )
+        step = max(1, _CHUNK_CELLS // rest)
+        for row in range(0, len(family[0]), step):
+            dev = self._chunk(arrays, slice(row, row + step))
+            yield -dev if negate else dev
+
+    def _chunk(self, arrays, rows):
+        counts = self.prefix
+        volume = None
+        shape = [1] * counts.ndim
+        for axis, (starts, ends, lengths) in enumerate(arrays):
+            if axis == 0:
+                starts, ends, lengths = starts[rows], ends[rows], lengths[rows]
+            counts = counts.take(ends, axis=axis) - counts.take(starts, axis=axis)
+            shape[axis] = len(lengths)
+            lengths = lengths.reshape(shape)
+            shape[axis] = 1
+            volume = lengths if volume is None else volume * lengths
+        return counts * self.scale - self.n * volume
+
+    def value(self, best: int) -> Fraction:
+        return Fraction(best, self.n * self.scale)
+
+
+def _first_max(chunks) -> tuple[int, int]:
+    """Largest entry over chunks in order and its flat index (first one wins)."""
+    best = where = None
+    offset = 0
+    for chunk in chunks:
+        i = int(chunk.argmax())
+        if best is None or chunk.flat[i] > best:
+            best, where = int(chunk.flat[i]), offset + i
+        offset += chunk.size
+    return best, where
+
+
+def _witness(family, where: int, closed_lower: bool, closed_upper: bool) -> Box:
+    index = np.unravel_index(where, [len(sides) for sides in family])
+    return Box(
+        tuple(
+            BoxSide(*sides[i][3], closed_lower, closed_upper)
+            for sides, i in zip(family, index)
+        )
+    )
+
+
 def extreme_discrepancy_grid(
     points, counts=None, budget: int = DEFAULT_BOX_BUDGET
 ) -> DiscrepancyReport:
@@ -179,76 +349,28 @@ def extreme_discrepancy_grid(
     Positive deviations are maximized by boxes shrink-wrapped onto points
     (all walls closed on coordinate values); negative ones by boxes fattened
     until the walls exclude points (all walls open, or resting on 0/1).  Both
-    attainment families are enumerated; budget is in point-evaluation units.
+    attainment families are enumerated, counted by prefix sums in exact
+    integer arithmetic; budget is in candidate boxes.  The witness is the
+    first maximizer in product order, shrink-wrapped boxes first.
     """
-    pts = _coerce_points(points)
-    if counts is None:
-        counts = [1] * len(pts)
-    n = sum(counts)
-    if n < 1:
-        raise ValueError("empty point multiset")
-    dim = len(pts[0])
-    axes = _unique_axes(pts)
-    closed_boxes = 1
-    open_boxes = 1
-    for ax in axes:
-        u = len(ax)
-        closed_boxes *= u * (u + 1) // 2
-        open_boxes *= (u + 1) * (u + 1)
-    if (closed_boxes + open_boxes) * len(pts) > budget:
+    pts, counts, n, axes = _weighted_points(points, counts)
+    boxes = math.prod(len(ax) * (len(ax) + 1) // 2 for ax in axes)
+    boxes += math.prod(_open_side_count(ax) for ax in axes)
+    if boxes > budget:
+        corners = math.prod(len(ax) + 1 for ax in axes)
         raise BudgetExceededError(
-            f"{closed_boxes + open_boxes} candidate boxes at {len(pts)} points "
-            f"exceed the budget {budget}; consider the star-discrepancy proxy"
+            f"{boxes} candidate boxes exceed the budget of {budget} boxes; "
+            f"consider the star-discrepancy proxy ({corners} corners)"
         )
-
-    best: Fraction | None = None
-    best_box: Box | None = None
-
-    def consider(dev: Fraction, box: Box):
-        nonlocal best, best_box
-        if best is None or dev > best:
-            best, best_box = dev, box
-
-    # shrink-wrapped closed boxes
-    pair_lists = [
-        [(lo, hi) for i, lo in enumerate(ax) for hi in ax[i:]] for ax in axes
-    ]
-    for combo in itertools.product(*pair_lists):
-        vol = ONE
-        for lo, hi in combo:
-            vol *= hi - lo
-        inside = sum(
-            c
-            for pt, c in zip(pts, counts)
-            if all(lo <= x <= hi for x, (lo, hi) in zip(pt, combo))
-        )
-        consider(
-            Fraction(inside, n) - vol,
-            Box(tuple(BoxSide(lo, hi, True, True) for lo, hi in combo)),
-        )
-
-    # fattened open boxes (walls exclude points; 0/1 walls are domain edges)
-    lower_lists = [[ZERO] + ax for ax in axes]
-    upper_lists = [ax + [ONE] for ax in axes]
-    side_lists = [
-        [(lo, hi) for lo in los for hi in his if lo < hi]
-        for los, his in zip(lower_lists, upper_lists)
-    ]
-    for combo in itertools.product(*side_lists):
-        vol = ONE
-        for lo, hi in combo:
-            vol *= hi - lo
-        inside = sum(
-            c
-            for pt, c in zip(pts, counts)
-            if all(lo < x < hi for x, (lo, hi) in zip(pt, combo))
-        )
-        consider(
-            vol - Fraction(inside, n),
-            Box(tuple(BoxSide(lo, hi, False, False) for lo, hi in combo)),
-        )
-
-    return DiscrepancyReport(n, best, best_box, "exact-grid")
+    kernel = _BoxKernel(pts, counts, n, axes)
+    closed = [_closed_sides(ax) for ax in axes]
+    best, where = _first_max(kernel.excess(closed))
+    box = _witness(closed, where, True, True)
+    opened = [_open_sides(ax) for ax in axes]
+    open_best, open_where = _first_max(kernel.excess(opened, negate=True))
+    if open_best > best:
+        best, box = open_best, _witness(opened, open_where, False, False)
+    return DiscrepancyReport(n, kernel.value(best), box, "exact-grid")
 
 
 def star_discrepancy(
@@ -257,45 +379,26 @@ def star_discrepancy(
     """Sup over anchored boxes [0, b): the cheap proxy for extreme discrepancy.
 
     Satisfies star <= extreme <= 2^s * star.  Upper corners run over the
-    coordinate grid (plus 1), each evaluated in both attainment limits.
+    coordinate grid (plus 1), each evaluated in both attainment limits, the
+    closed limit first; budget is in corners.
     """
     pts = _coerce_points(points)
-    if counts is None:
-        counts = [1] * len(pts)
-    dim = len(pts[0])
-    if dim == 1:
+    if pts and len(pts[0]) == 1:
         return _star_1d([pt[0] for pt in pts], counts)
-    n = sum(counts)
-    axes = _unique_axes(pts)
-    corner_lists = [ax + [ONE] for ax in axes]
-    total = 2 * len(pts)
-    for cl in corner_lists:
-        total *= len(cl)
-    if total > budget:
+    pts, counts, n, axes = _weighted_points(pts, counts)
+    corners = math.prod(len(ax) + 1 for ax in axes)
+    if corners > budget:
         raise BudgetExceededError(
-            f"star enumeration needs {total} point evaluations, over budget {budget}"
+            f"{corners} star corners exceed the budget of {budget} corners"
         )
-    best: Fraction | None = None
-    best_box: Box | None = None
-    for corner in itertools.product(*corner_lists):
-        vol = ONE
-        for c in corner:
-            vol *= c
-        closed = sum(
-            c for pt, c in zip(pts, counts) if all(x <= u for x, u in zip(pt, corner))
-        )
-        opened = sum(
-            c for pt, c in zip(pts, counts) if all(x < u for x, u in zip(pt, corner))
-        )
-        dev_p = Fraction(closed, n) - vol
-        dev_m = vol - Fraction(opened, n)
-        if best is None or dev_p > best:
-            best = dev_p
-            best_box = Box(tuple(BoxSide(ZERO, u, True, True) for u in corner))
-        if dev_m > best:
-            best = dev_m
-            best_box = Box(tuple(BoxSide(ZERO, u, True, False) for u in corner))
-    return DiscrepancyReport(n, best, best_box, "star-grid")
+    kernel = _BoxKernel(pts, counts, n, axes)
+    closed = [_corner_sides(ax, True) for ax in axes]
+    opened = [_corner_sides(ax, False) for ax in axes]
+    limits = zip(kernel.excess(closed), kernel.excess(opened, negate=True))
+    best, where = _first_max(np.stack(pair, axis=-1) for pair in limits)
+    corner, limit = divmod(where, 2)
+    box = _witness(opened if limit else closed, corner, True, not limit)
+    return DiscrepancyReport(n, kernel.value(best), box, "star-grid")
 
 
 def _transformed_indices(transform: IndexTransform | None, start: int, n: int):

@@ -148,3 +148,111 @@ def brute_floor_power(n: int, u: int, v: int) -> int:
 
 def brute_multiplicity(u: int, v: int, k: int, scan_limit: int) -> int:
     return sum(1 for n in range(scan_limit) if brute_floor_power(n, u, v) == k)
+
+
+def _oracle_points(points, counts):
+    pts = [
+        tuple(c if isinstance(c, Fraction) else c.as_fraction() for c in p)
+        for p in points
+    ]
+    if counts is None:
+        counts = [1] * len(pts)
+    axes = [sorted({pt[i] for pt in pts}) for i in range(len(pts[0]))]
+    return pts, counts, axes
+
+
+def oracle_grid_enumeration(points, counts=None):
+    """(value, witness) of the per-point grid enumeration the kernel replaced.
+
+    Scans every point for every shrink-wrapped closed box, then every
+    fattened open box, keeping the first strict maximum in product order.
+    """
+    from lowdisc.discrepancy import Box, BoxSide
+
+    ZERO, ONE = Fraction(0), Fraction(1)
+    pts, counts, axes = _oracle_points(points, counts)
+    n = sum(counts)
+
+    best: Fraction | None = None
+    best_box: Box | None = None
+
+    def consider(dev: Fraction, box: Box):
+        nonlocal best, best_box
+        if best is None or dev > best:
+            best, best_box = dev, box
+
+    # shrink-wrapped closed boxes
+    pair_lists = [
+        [(lo, hi) for i, lo in enumerate(ax) for hi in ax[i:]] for ax in axes
+    ]
+    for combo in itertools.product(*pair_lists):
+        vol = ONE
+        for lo, hi in combo:
+            vol *= hi - lo
+        inside = sum(
+            c
+            for pt, c in zip(pts, counts)
+            if all(lo <= x <= hi for x, (lo, hi) in zip(pt, combo))
+        )
+        consider(
+            Fraction(inside, n) - vol,
+            Box(tuple(BoxSide(lo, hi, True, True) for lo, hi in combo)),
+        )
+
+    # fattened open boxes (walls exclude points; 0/1 walls are domain edges)
+    lower_lists = [[ZERO] + ax for ax in axes]
+    upper_lists = [ax + [ONE] for ax in axes]
+    side_lists = [
+        [(lo, hi) for lo in los for hi in his if lo < hi]
+        for los, his in zip(lower_lists, upper_lists)
+    ]
+    for combo in itertools.product(*side_lists):
+        vol = ONE
+        for lo, hi in combo:
+            vol *= hi - lo
+        inside = sum(
+            c
+            for pt, c in zip(pts, counts)
+            if all(lo < x < hi for x, (lo, hi) in zip(pt, combo))
+        )
+        consider(
+            vol - Fraction(inside, n),
+            Box(tuple(BoxSide(lo, hi, False, False) for lo, hi in combo)),
+        )
+
+    return best, best_box
+
+
+def oracle_star_enumeration(points, counts=None):
+    """(value, witness) of the per-point star enumeration the kernel replaced.
+
+    Scans every point at every grid corner, closed limit before open, keeping
+    the first strict maximum in product order.
+    """
+    from lowdisc.discrepancy import Box, BoxSide
+
+    ZERO, ONE = Fraction(0), Fraction(1)
+    pts, counts, axes = _oracle_points(points, counts)
+    n = sum(counts)
+    corner_lists = [ax + [ONE] for ax in axes]
+    best: Fraction | None = None
+    best_box: Box | None = None
+    for corner in itertools.product(*corner_lists):
+        vol = ONE
+        for c in corner:
+            vol *= c
+        closed = sum(
+            c for pt, c in zip(pts, counts) if all(x <= u for x, u in zip(pt, corner))
+        )
+        opened = sum(
+            c for pt, c in zip(pts, counts) if all(x < u for x, u in zip(pt, corner))
+        )
+        dev_p = Fraction(closed, n) - vol
+        dev_m = vol - Fraction(opened, n)
+        if best is None or dev_p > best:
+            best = dev_p
+            best_box = Box(tuple(BoxSide(ZERO, u, True, True) for u in corner))
+        if dev_m > best:
+            best = dev_m
+            best_box = Box(tuple(BoxSide(ZERO, u, True, False) for u in corner))
+    return best, best_box

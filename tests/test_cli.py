@@ -115,6 +115,16 @@ def test_bad_value_exit_two(tmp_path):
     assert code == 2
 
 
+def test_budget_error_exit_two(tmp_path, capsys):
+    out = tmp_path / "F.csv"
+    code = main(["disc", "--spec", "halton:2,3", "--N", "200", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert "budget" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_report_manifest_and_unknown_keys(tmp_path):
     cfg = tmp_path / "cfg"
     cfg.write_text("curve=sod\nspec=vdc:2\nq=2\ndmax=6\nout=%s\n" % (tmp_path / "rep"))

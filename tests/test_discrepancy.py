@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lowdisc import (
     BRational,
@@ -15,11 +18,14 @@ from lowdisc import (
     star_discrepancy,
     windowed_uniform_discrepancy,
 )
+from lowdisc import discrepancy
 from oracles import (
     oracle_extreme_1d,
     oracle_extreme_grid,
     oracle_extreme_grid_flagged,
+    oracle_grid_enumeration,
     oracle_star_1d,
+    oracle_star_enumeration,
 )
 
 F = Fraction
@@ -133,6 +139,86 @@ def test_grid_agrees_with_1d_closed_form():
         pts = [random_badic(rng, base) for _ in range(rng.randint(1, 7))]
         grid_val = extreme_discrepancy_grid([(p,) for p in pts]).value
         assert grid_val == extreme_discrepancy_1d(pts).value
+
+
+@st.composite
+def badic_multisets(draw):
+    """Weighted b-adic point sets with repeated coordinates, zeros and 0 weights."""
+    s = draw(st.integers(1, 3))
+    pools = []
+    for _ in range(s):
+        base = draw(st.sampled_from([2, 3, 5]))
+        pool = []
+        for _ in range(draw(st.integers(1, 3))):
+            prec = draw(st.integers(0, 3))  # prec 0 is the coordinate 0
+            pool.append(BRational(draw(st.integers(0, base**prec - 1)), base, prec))
+        pools.append(pool)
+    size = draw(st.integers(1, 5 if s < 3 else 3))
+    pts = [
+        tuple(draw(st.sampled_from(pool)) for pool in pools) for _ in range(size)
+    ]
+    counts = draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
+    if not any(counts):
+        counts[0] = 1
+    return pts, draw(st.sampled_from([None, counts]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(badic_multisets(), st.sampled_from([None, 1]))
+def test_grid_and_star_match_enumeration_oracles(case, chunk_cells):
+    # chunk_cells=1 puts every first-axis side in its own chunk, so ties
+    # between chunks must still resolve to the first maximizer
+    pts, counts = case
+    cells = chunk_cells or discrepancy._CHUNK_CELLS
+    with mock.patch.object(discrepancy, "_CHUNK_CELLS", cells):
+        got = extreme_discrepancy_grid(pts, counts)
+        value, witness = oracle_grid_enumeration(pts, counts)
+        assert (got.value, str(got.witness)) == (value, str(witness))
+        assert recount(pts, got.witness, counts) == got.value
+        if len(pts[0]) >= 2:
+            got = star_discrepancy(pts, counts)
+            value, witness = oracle_star_enumeration(pts, counts)
+            assert (got.value, str(got.witness)) == (value, str(witness))
+            assert recount(pts, got.witness, counts) == got.value
+
+
+@pytest.mark.parametrize(
+    "den_x, den_y, wide",
+    [(2**30, 3**19, False), (2**40, 3**25, True)],
+)
+def test_grid_and_star_at_int64_boundary(den_x, den_y, wide):
+    # N * D against 2^62 picks int64 (here just below) or exact Python ints;
+    # numerators prime to 2 and 3 keep the denominators unreduced
+    rng = random.Random(62)
+    pts = [
+        (
+            F(2 * rng.randrange(den_x // 2) + 1, den_x),
+            F(3 * rng.randrange(den_y // 3) + 1, den_y),
+        )
+        for _ in range(3)
+    ]
+    assert (len(pts) * den_x * den_y >= 2**62) == wide
+    assert len(pts) * den_x * den_y >= 2**61
+    got = extreme_discrepancy_grid(pts)
+    assert got.value == oracle_extreme_grid_flagged(pts)
+    value, witness = oracle_grid_enumeration(pts)
+    assert (got.value, str(got.witness)) == (value, str(witness))
+    got = star_discrepancy(pts)
+    value, witness = oracle_star_enumeration(pts)
+    assert (got.value, str(got.witness)) == (value, str(witness))
+
+
+def test_grid_budget_counts_candidate_boxes():
+    # 18 Halton points, one at the origin: per axis 18 * 19 / 2 = 171 closed
+    # sides and 171 + 18 open ones, the wall at 0 listed twice
+    pts = [p.as_fractions() for p in points(Halton((2, 3)), 18)]
+    boxes = 171**2 + 189**2
+    extreme_discrepancy_grid(pts, budget=boxes)
+    with pytest.raises(BudgetExceededError, match=f"{boxes} candidate boxes"):
+        extreme_discrepancy_grid(pts, budget=boxes - 1)
+    star_discrepancy(pts, budget=19**2)
+    with pytest.raises(BudgetExceededError, match="361 star corners"):
+        star_discrepancy(pts, budget=19**2 - 1)
 
 
 def test_grid_budget_error_mentions_star():
