@@ -25,7 +25,6 @@ from .generators import (
     check_net,
     check_rank_condition,
     check_sequence_property,
-    generate,
     parse_spec,
     pascal_matrices,
     points,
@@ -77,6 +76,7 @@ from .bounds import (
     DivisibilityChain,
     Envelope,
     alpha_corollary_check,
+    bound_holds,
     fit_monotone_constant,
     general_lower,
     general_sandwich,

@@ -1,12 +1,8 @@
-"""Shared plumbing: scan budgets, deterministic parallel map, integer roots."""
+"""Shared plumbing: scan budgets, integer roots, exact-value coercion."""
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-
-THREADS_ENV = "LOWDISC_THREADS"
 
 
 class BudgetExceededError(RuntimeError):
@@ -22,31 +18,6 @@ class UnimodalityError(RuntimeError):
         super().__init__(
             f"block counts for A={block}, j={level} are not unimodal"
         )
-
-
-def thread_count() -> int:
-    """Worker count, capped by the LOWDISC_THREADS environment variable."""
-    env = os.environ.get(THREADS_ENV)
-    if env is not None:
-        n = int(env)
-        if n < 1:
-            raise ValueError(f"{THREADS_ENV} must be >= 1, got {env!r}")
-        return n
-    return os.cpu_count() or 1
-
-
-def pmap(fn, items):
-    """Map fn over items, preserving input order in the result.
-
-    Uses a thread pool of size thread_count(); results are deterministic and
-    independent of the worker count because reduction order is the input order.
-    """
-    items = list(items)
-    n = thread_count()
-    if n == 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
 
 
 def int_nth_root(x: int, r: int) -> int:
@@ -78,8 +49,3 @@ def as_fraction(x) -> Fraction:
         return x.as_fraction()
     return Fraction(x)
 
-
-def format_fraction(x) -> str:
-    """Serialize an exact value as num/den."""
-    f = as_fraction(x)
-    return f"{f.numerator}/{f.denominator}"

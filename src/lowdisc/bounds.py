@@ -15,15 +15,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from ._util import UnimodalityError, pmap
+from ._util import UnimodalityError
 from .digitsum_dist import distribution
-from .discrepancy import (
-    DiscrepancyReport,
-    extreme_discrepancy_1d,
-    extreme_discrepancy_grid,
-    star_discrepancy,
-    windowed_uniform_discrepancy,
-)
+from .discrepancy import DiscrepancyReport, discrepancy, windowed_uniform_discrepancy
 from .generators import SequenceSpec
 from .transforms import (
     FloorPower,
@@ -36,6 +30,24 @@ from .transforms import (
 )
 
 UPPER_SLACK = 1e-9  # float-comparison slack for fitted upper bounds
+
+
+def _at_most(x, y) -> bool:
+    if x is None or y is None:
+        return True
+    if isinstance(x, (int, Fraction)) and isinstance(y, (int, Fraction)):
+        return x <= y
+    return float(x) <= float(y) * (1 + UPPER_SLACK) + UPPER_SLACK
+
+
+def bound_holds(lower, measured, upper) -> bool:
+    """lower <= measured <= upper: the one rule behind every "holds" verdict.
+
+    Exact sides (int or Fraction) compare with zero tolerance; a float side
+    gets the relative and absolute slack UPPER_SLACK.  A None side is not
+    checked, and a NaN side fails.
+    """
+    return _at_most(lower, measured) and _at_most(measured, upper)
 
 
 @dataclass(frozen=True)
@@ -98,11 +110,6 @@ class Envelope:
                 acc = max(acc, float(table[n]))
             running[n] = acc
         return cls(source, lambda n: running[n], n_max)
-
-    @classmethod
-    def from_log_power(cls, c: float, s: int, source: str = "fitted-log-power"):
-        # max(n, 2) keeps f positive at n = 1, where (log n)^s would vanish
-        return cls(source, lambda n: c * math.log(max(n, 2)) ** s, None)
 
     @classmethod
     def constant(cls, c: float):
@@ -205,14 +212,7 @@ def transformed_discrepancy(
         multiplicity = value_counts_below(transform, n)
         pts = [spec.point(k) for k in multiplicity]
         counts = list(multiplicity.values())
-    if spec.dimension == 1:
-        values = [p.coords[0] for p in pts]
-        if mode == "extreme":
-            return extreme_discrepancy_1d(values, counts)
-        return star_discrepancy(values, counts)
-    if mode == "extreme":
-        return extreme_discrepancy_grid(pts, counts)
-    return star_discrepancy(pts, counts)
+    return discrepancy(pts, counts, mode)
 
 
 @dataclass
@@ -230,9 +230,7 @@ class BoundReport:
     def holds(self) -> bool:
         if not all(self.hypothesis_flags.get(k, True) for k in ("unimodality_verified",)):
             return False
-        lower_ok = self.lower <= self.measured
-        upper_ok = float(self.measured) <= self.upper * (1 + UPPER_SLACK) + UPPER_SLACK
-        return lower_ok and upper_ok
+        return bound_holds(self.lower, self.measured, self.upper)
 
 
 def general_sandwich(
@@ -298,23 +296,25 @@ def sod_envelope_check(
         n = q**d
         value = float(transformed_discrepancy(spec, transform, n, mode).value)
         levels.append((d, n, value))
-    c2 = min(
-        v * math.sqrt(math.log(n)) for d, n, v in levels if d <= calibration_d
-    )
+    calibration = [(n, v) for d, n, v in levels if d <= calibration_d]
     uppers = [
         v * math.sqrt(math.log(n)) / math.log(math.log(n)) ** s
-        for d, n, v in levels
-        if d <= calibration_d and math.log(math.log(n)) > 0
+        for n, v in calibration
+        if math.log(math.log(n)) > 0
     ]
-    c3 = max(uppers) if uppers else float("nan")
+    if not uppers:
+        raise ValueError(
+            f"calibration levels d <= {min(calibration_d, d_max)} have no N with "
+            f"log log N > 0 to fit c3 on; calibrate on a longer prefix"
+        )
+    c2 = min(v * math.sqrt(math.log(n)) for n, v in calibration)
+    c3 = max(uppers)
     rows = []
     for d, n, v in levels:
         lower_fit = c2 / math.sqrt(math.log(n))
         loglog = math.log(math.log(n)) if math.log(n) > 1 else 0.0
         upper_fit = c3 * loglog**s / math.sqrt(math.log(n)) if loglog > 0 else None
-        ok = lower_fit <= v * (1 + UPPER_SLACK)
-        if upper_fit is not None:
-            ok = ok and v <= upper_fit * (1 + UPPER_SLACK)
+        ok = bound_holds(lower_fit, v, upper_fit)
         rows.append(EnvelopeFitRow(d, n, v, v * math.sqrt(math.log(n)), lower_fit, upper_fit, ok))
     fits = {"c2": c2, "c3": c3, "calibration_d": calibration_d, "s": s}
     return rows, fits
@@ -440,8 +440,7 @@ def alpha_corollary_check(
         scaled = measured * n**alpha
         return AlphaRow(n, measured, scaled, scaled / math.log(n) if n > 1 else scaled)
 
-    rows = pmap(one, n_values)
-    return rows, stats
+    return [one(n) for n in n_values], stats
 
 
 def uniform_bound_ts(
@@ -480,11 +479,7 @@ def measured_delta_table(
         worst = Fraction(0)
         for k in range(blocks):
             pts = [spec.point(i) for i in range(k * size, (k + 1) * size)]
-            if s == 1:
-                rep = extreme_discrepancy_1d([p.coords[0] for p in pts])
-            else:
-                rep = extreme_discrepancy_grid(pts)
-            worst = max(worst, rep.value)
+            worst = max(worst, discrepancy(pts).value)
         table[m] = float(size * worst)
     return table
 

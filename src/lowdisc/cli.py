@@ -3,24 +3,28 @@
 Exit codes: 0 when all requested verifications hold, 1 on a verification or
 hypothesis failure (a machine-readable JSON record goes to stderr), 2 on
 usage errors, including inputs whose exhaustive scan would exceed its
-budget.  Output bytes are identical across runs and worker counts for a
-fixed configuration; LOWDISC_THREADS caps parallelism.
+budget and files that cannot be read or written.  A run that stops with an
+error leaves no output file.  Output bytes are identical across runs for a
+fixed configuration.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import json
 import math
+import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import __version__
 from ._util import BudgetExceededError, as_fraction
 from .bounds import (
+    bound_holds,
     fit_monotone_constant,
     general_sandwich,
     halton_uniform_main_term,
@@ -35,7 +39,13 @@ from .bounds import (
 from .digitsum_dist import distribution, gaussian_main_term
 from .discrepancy import windowed_uniform_discrepancy
 from .expsums import hellekalek_bound, hellekalek_resolution, weyl_sum
-from .generators import check_sequence_property, parse_spec, points, write_points_csv
+from .generators import (
+    VanDerCorput,
+    check_sequence_property,
+    parse_spec,
+    points,
+    write_points_csv,
+)
 from .transforms import SumOfDigits, FloorPower, parse_transform, value_counts_below
 
 
@@ -44,10 +54,33 @@ def _fail(record: dict) -> int:
     return 1
 
 
-def _open_out(path: str | None):
+@contextlib.contextmanager
+def _output(path):
+    """The file a command writes its rows to: stdout for None or "-".
+
+    A file path is written through a temporary file in the same directory,
+    renamed onto the path only when the block ends without an exception, so
+    a failed run leaves no partial output behind.
+    """
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", newline=""), True
+        yield sys.stdout
+        return
+    if os.path.exists(path) and not os.path.isfile(path):
+        # a device or pipe (/dev/null, /dev/stdout) cannot be renamed onto
+        with open(path, "w", newline="") as fh:
+            yield fh
+        return
+    target = os.path.realpath(path)  # a symlink keeps pointing at the new file
+    directory, name = os.path.split(target)
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    fh = open(tmp, "x", newline="")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _writer(fh):
@@ -62,41 +95,29 @@ def _frac_cols(x) -> list:
 def cmd_gen(args) -> int:
     spec = parse_spec(args.spec)
     pts = points(spec, args.count, args.start)
-    fh, close = _open_out(args.out)
-    try:
+    with _output(args.out) as fh:
         write_points_csv(fh, pts, args.start)
-    finally:
-        if close:
-            fh.close()
     return 0
 
 
 def cmd_transform(args) -> int:
     transform = parse_transform(args.transform)
-    fh, close = _open_out(args.out)
-    try:
+    with _output(args.out) as fh:
         w = _writer(fh)
         w.writerow(["n", "fn"])
         for n in range(args.start, args.start + args.count):
             w.writerow([n, transform.apply(n)])
-    finally:
-        if close:
-            fh.close()
     return 0
 
 
 def cmd_dist(args) -> int:
     dist = distribution(args.q, args.j)
-    fh, close = _open_out(args.out)
-    try:
+    with _output(args.out) as fh:
         w = _writer(fh)
         w.writerow(["q", "j", "k", "count", "gaussian_main"])
         for k, c in enumerate(dist.counts):
             gauss = repr(gaussian_main_term(args.q, args.j, k)) if args.j >= 1 else ""
             w.writerow([args.q, args.j, k, c, gauss])
-    finally:
-        if close:
-            fh.close()
     return 0
 
 
@@ -109,14 +130,10 @@ def cmd_disc(args) -> int:
         )
     else:
         rep = transformed_discrepancy(spec, transform, args.N, args.mode)
-    fh, close = _open_out(args.out)
-    try:
+    with _output(args.out) as fh:
         w = _writer(fh)
         w.writerow(["N", "value_num", "value_den", "method", "witness"])
         w.writerow([args.N, *_frac_cols(rep.value), rep.method, str(rep.witness)])
-    finally:
-        if close:
-            fh.close()
     return 0
 
 
@@ -124,21 +141,16 @@ def cmd_udisc(args) -> int:
     spec = parse_spec(args.spec)
     transform = parse_transform(args.transform) if args.transform else None
     rep = windowed_uniform_discrepancy(spec, transform, args.N, args.kmax, args.mode)
-    fh, close = _open_out(args.out)
-    try:
+    with _output(args.out) as fh:
         w = _writer(fh)
         w.writerow(["N", "value_num", "value_den", "method", "argmax_shift"])
         w.writerow([args.N, *_frac_cols(rep.value), rep.method, rep.shift])
-    finally:
-        if close:
-            fh.close()
     return 0
 
 
 def cmd_expsum(args) -> int:
     ks = range(args.kmin, args.kmax + 1)
-    fh, close = _open_out(args.out)
-    try:
+    with _output(args.out) as fh:
         w = _writer(fh)
         w.writerow(["b", "q", "k", "N", "re", "im", "abs", "bound"])
         for k in ks:
@@ -146,24 +158,18 @@ def cmd_expsum(args) -> int:
             w.writerow(
                 [args.b, args.q, k, args.N, repr(ws.value.real), repr(ws.value.imag), repr(ws.abs), ""]
             )
-    finally:
-        if close:
-            fh.close()
     return 0
 
 
 def cmd_hkbound(args) -> int:
     b, q, n = args.b, args.q, args.N
     g = args.g if args.g else hellekalek_resolution(b, n)
-    from .generators import VanDerCorput
-
     spec = VanDerCorput(b)
     multiplicity = value_counts_below(SumOfDigits(q), n)
     pts = [spec.point(k).coords[0] for k in multiplicity]
     counts = list(multiplicity.values())
     bound = hellekalek_bound(b, g, pts, counts)
-    fh, close = _open_out(args.out)
-    try:
+    with _output(args.out) as fh:
         w = _writer(fh)
         w.writerow(["b", "q", "k", "N", "re", "im", "abs", "bound"])
         for k in range(1, b**g):
@@ -172,18 +178,14 @@ def cmd_hkbound(args) -> int:
                 [b, q, k, n, repr(ws.value.real), repr(ws.value.imag), repr(ws.abs), ""]
             )
         w.writerow([b, q, "total", n, "", "", "", repr(bound)])
-    finally:
-        if close:
-            fh.close()
     return 0
 
 
 def cmd_genbound(args) -> int:
     spec = parse_spec(args.spec)
     reports = general_sandwich(spec, SumOfDigits(args.q), args.dmax)
-    fh, close = _open_out(args.out)
     failures = []
-    try:
+    with _output(args.out) as fh:
         w = _writer(fh)
         w.writerow(
             [
@@ -212,9 +214,6 @@ def cmd_genbound(args) -> int:
                     int(ok),
                 ]
             )
-    finally:
-        if close:
-            fh.close()
     if failures:
         return _fail({"command": "genbound", "failures": failures})
     return 0
@@ -223,9 +222,8 @@ def cmd_genbound(args) -> int:
 def cmd_sodcheck(args) -> int:
     spec = parse_spec(args.spec)
     rows, fits = sod_envelope_check(spec, args.q, args.dmax, args.cal, args.mode)
-    fh, close = _open_out(args.out)
     failures = []
-    try:
+    with _output(args.out) as fh:
         w = _writer(fh)
         w.writerow(
             ["d", "N", "measured", "scaled", "lower_fit", "upper_fit", "c2", "c3", "holds"]
@@ -246,9 +244,6 @@ def cmd_sodcheck(args) -> int:
                     int(row.holds),
                 ]
             )
-    finally:
-        if close:
-            fh.close()
     if failures:
         return _fail({"command": "sodcheck", "failures": failures})
     return 0
@@ -261,11 +256,10 @@ def cmd_monocheck(args) -> int:
     cal = [n for n in n_values if n <= 2**args.cal_dmax]
     fitted_c = fit_monotone_constant(spec, transform, cal, args.mode)
     hyp = monotone_hypotheses(transform, n_max=min(n_values[-1], 4096), k_max=1000)
-    fh, close = _open_out(args.out)
-    failures = []
     if not hyp["f_monotone_surjective"]:
         return _fail({"command": "monocheck", "failures": [{"check": "hypothesis", **hyp}]})
-    try:
+    failures = []
+    with _output(args.out) as fh:
         w = _writer(fh)
         w.writerow(
             [
@@ -285,7 +279,7 @@ def cmd_monocheck(args) -> int:
             lower = monotone_lower(transform, n)
             measured = transformed_discrepancy(spec, transform, n, args.mode).value
             upper = monotone_upper(transform, n, spec.dimension, fitted_c)
-            ok = lower <= measured and float(measured) <= upper * (1 + 1e-9) + 1e-9
+            ok = bound_holds(lower, measured, upper)
             if not ok:
                 failures.append({"check": "monocheck", "N": n})
             w.writerow(
@@ -300,9 +294,6 @@ def cmd_monocheck(args) -> int:
                     int(ok),
                 ]
             )
-    finally:
-        if close:
-            fh.close()
     if failures:
         return _fail({"command": "monocheck", "failures": failures})
     return 0
@@ -313,9 +304,8 @@ def cmd_ubound(args) -> int:
     b, t, s = args.b, args.t, args.s
     m_top = max(args.dmax, t)
     delta = measured_delta_table(spec, b, t, s, m_top, blocks=args.blocks)
-    fh, close = _open_out(args.out)
     failures = []
-    try:
+    with _output(args.out) as fh:
         w = _writer(fh)
         w.writerow(
             [
@@ -334,15 +324,12 @@ def cmd_ubound(args) -> int:
             scaled = n * rep.value
             bound = uniform_bound_ts(b, t, s, n, delta)
             main = halton_uniform_main_term([b] * s, n) if n >= 2 else 1.0
-            ok = float(scaled) <= bound * (1 + 1e-9)
+            ok = bound_holds(None, scaled, bound)
             if not ok:
                 failures.append({"check": "ubound", "N": n})
             w.writerow(
                 [n, *_frac_cols(scaled), repr(float(scaled)), repr(bound), repr(main), int(ok)]
             )
-    finally:
-        if close:
-            fh.close()
     if failures:
         return _fail({"command": "ubound", "failures": failures})
     return 0
@@ -351,8 +338,7 @@ def cmd_ubound(args) -> int:
 def cmd_netcheck(args) -> int:
     spec = parse_spec(args.spec)
     res = check_sequence_property(spec, args.base, args.t, spec.dimension, args.kmax, args.mmax)
-    fh, close = _open_out(args.out)
-    try:
+    with _output(args.out) as fh:
         w = _writer(fh)
         w.writerow(["base", "t", "s", "mmax", "kmax", "ok", "failed_m", "failed_block", "violation"])
         w.writerow(
@@ -368,9 +354,6 @@ def cmd_netcheck(args) -> int:
                 str(res.violation) if res.violation else "",
             ]
         )
-    finally:
-        if close:
-            fh.close()
     if not res.ok:
         return _fail(
             {
@@ -383,21 +366,6 @@ def cmd_netcheck(args) -> int:
     return 0
 
 
-REPORT_KEYS = {
-    "curve",
-    "spec",
-    "q",
-    "u",
-    "v",
-    "dmax",
-    "nmax",
-    "kmax",
-    "mode",
-    "out",
-    "seed",
-}
-
-
 @dataclass
 class RunConfig:
     curve: str
@@ -406,14 +374,12 @@ class RunConfig:
     u: int = 1
     v: int = 2
     dmax: int = 10
-    nmax: int = 0
-    kmax: int = 0
     mode: str = "extreme"
     out: str = "report"
-    seed: int = 0
 
     @classmethod
     def from_file(cls, path: str) -> RunConfig:
+        known = {f.name for f in fields(cls)}
         raw = {}
         for line in Path(path).read_text().splitlines():
             line = line.strip()
@@ -421,7 +387,7 @@ class RunConfig:
                 continue
             key, _, value = line.partition("=")
             key = key.strip()
-            if key not in REPORT_KEYS:
+            if key not in known:
                 raise ValueError(f"unknown config key {key!r}")
             raw[key] = value.strip()
         if "curve" not in raw or "spec" not in raw:
@@ -440,45 +406,34 @@ class RunConfig:
 def cmd_report(args) -> int:
     cfg = RunConfig.from_file(args.config)
     spec = parse_spec(cfg.spec)
+    if cfg.curve not in ("sod", "alpha", "bound"):
+        raise ValueError(f"unknown curve {cfg.curve!r}")
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     files = []
 
-    def emit(name: str, rows: list[tuple[float, float]]):
-        path = out_dir / name
-        with open(path, "w", newline="") as fh:
+    def emit(name: str, rows):
+        with _output(out_dir / name) as fh:
             for x, y in rows:
                 fh.write(f"{x!r} {y!r}\n")
         files.append(name)
 
+    def measured(transform, n: int) -> float:
+        return float(transformed_discrepancy(spec, transform, n, cfg.mode).value)
+
     if cfg.curve == "sod":
-        rows = []
-        for d in range(1, cfg.dmax + 1):
-            n = cfg.q**d
-            val = float(transformed_discrepancy(spec, SumOfDigits(cfg.q), n, cfg.mode).value)
-            rows.append((float(n), val * math.sqrt(math.log(n))))
-        emit(f"sod_q{cfg.q}.dat", rows)
+        sod = SumOfDigits(cfg.q)
+        ns = [cfg.q**d for d in range(1, cfg.dmax + 1)]
+        emit(f"sod_q{cfg.q}.dat", ((float(n), measured(sod, n) * math.sqrt(math.log(n))) for n in ns))
     elif cfg.curve == "alpha":
-        transform = FloorPower(cfg.u, cfg.v)
+        power = FloorPower(cfg.u, cfg.v)
         alpha = cfg.u / cfg.v
-        rows = []
-        for d in range(1, cfg.dmax + 1):
-            n = 2**d
-            val = float(transformed_discrepancy(spec, transform, n, cfg.mode).value)
-            rows.append((float(n), val * n**alpha))
-        emit(f"alpha_{cfg.u}_{cfg.v}.dat", rows)
-    elif cfg.curve == "bound":
-        reports = general_sandwich(spec, SumOfDigits(cfg.q), cfg.dmax)
-        emit(
-            f"bound_measured_q{cfg.q}.dat",
-            [(float(rep.n), float(rep.measured)) for rep in reports],
-        )
-        emit(
-            f"bound_upper_q{cfg.q}.dat",
-            [(float(rep.n), rep.upper) for rep in reports],
-        )
+        ns = [2**d for d in range(1, cfg.dmax + 1)]
+        emit(f"alpha_{cfg.u}_{cfg.v}.dat", ((float(n), measured(power, n) * n**alpha) for n in ns))
     else:
-        raise ValueError(f"unknown curve {cfg.curve!r}")
+        reports = general_sandwich(spec, SumOfDigits(cfg.q), cfg.dmax)
+        emit(f"bound_measured_q{cfg.q}.dat", ((float(r.n), float(r.measured)) for r in reports))
+        emit(f"bound_upper_q{cfg.q}.dat", ((float(r.n), r.upper) for r in reports))
 
     manifest = {
         "version": __version__,
@@ -486,7 +441,7 @@ def cmd_report(args) -> int:
         "config": cfg.__dict__,
         "files": files,
     }
-    with open(out_dir / "manifest.json", "w") as fh:
+    with _output(out_dir / "manifest.json") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)
         fh.write("\n")
     return 0
@@ -613,7 +568,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, BudgetExceededError) as exc:
+    except (ValueError, BudgetExceededError, OSError) as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 2
 

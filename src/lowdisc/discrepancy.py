@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._util import BudgetExceededError, as_fraction, pmap
+from ._util import BudgetExceededError, as_fraction
 from .generators import Point, SequenceSpec, VanDerCorput
 from .transforms import IndexTransform
 
@@ -401,6 +401,23 @@ def star_discrepancy(
     return DiscrepancyReport(n, kernel.value(best), box, "star-grid")
 
 
+def discrepancy(points, counts=None, mode: str = "extreme") -> DiscrepancyReport:
+    """Exact "extreme" or "star" discrepancy of a (weighted) point multiset.
+
+    The one place that picks the evaluator: the star proxy in any dimension,
+    the 1D closed form for extreme discrepancy of 1D points, and the grid
+    enumeration otherwise.
+    """
+    if mode == "star":
+        return star_discrepancy(points, counts)
+    if mode != "extreme":
+        raise ValueError(f"unknown mode {mode!r}")
+    pts = _coerce_points(points)
+    if pts and len(pts[0]) == 1:
+        return extreme_discrepancy_1d([pt[0] for pt in pts], counts)
+    return extreme_discrepancy_grid(pts, counts)
+
+
 def _transformed_indices(transform: IndexTransform | None, start: int, n: int):
     if transform is None:
         return range(start, start + n)
@@ -455,11 +472,8 @@ def _vdc_window_fast(spec: VanDerCorput, n: int, k_max: int):
         d_minus = int(np.max(w * n - (ranks - 1) * den))
         return d_plus + d_minus
 
-    scaled = pmap(shift_value, range(k_max + 1))
-    best_k = 0
-    for k, v in enumerate(scaled):
-        if v > scaled[best_k]:
-            best_k = k
+    scaled = [shift_value(k) for k in range(k_max + 1)]
+    best_k = max(range(k_max + 1), key=scaled.__getitem__)  # first maximum
     return best_k, Fraction(scaled[best_k], n * den)
 
 
@@ -476,8 +490,6 @@ def windowed_uniform_discrepancy(
     sup ranges over all shifts); the arg-max shift is reported.  The window
     defaults to k_max = 4n.
     """
-    if mode not in ("extreme", "star"):
-        raise ValueError(f"unknown mode {mode!r}")
     if k_max is None:
         k_max = 4 * n
     if n < 1 or k_max < 0:
@@ -499,26 +511,10 @@ def windowed_uniform_discrepancy(
                 )
             return DiscrepancyReport(n, value, report.witness, "windowed-extreme", best_k)
 
-    def one_shift(k: int) -> Fraction:
-        idx = _transformed_indices(transform, k, n)
-        pts = [spec.point(i) for i in idx]
-        if spec.dimension == 1 and mode == "extreme":
-            return extreme_discrepancy_1d([p.coords[0] for p in pts]).value
-        if mode == "extreme":
-            return extreme_discrepancy_grid(pts).value
-        return star_discrepancy(pts).value
-
-    values = pmap(one_shift, range(k_max + 1))
-    best_k = 0
-    for k, v in enumerate(values):
-        if v > values[best_k]:
-            best_k = k
-    idx = _transformed_indices(transform, best_k, n)
-    pts = [spec.point(i) for i in idx]
-    if spec.dimension == 1 and mode == "extreme":
-        rep = extreme_discrepancy_1d([p.coords[0] for p in pts])
-    elif mode == "extreme":
-        rep = extreme_discrepancy_grid(pts)
-    else:
-        rep = star_discrepancy(pts)
+    reports = [
+        discrepancy([spec.point(i) for i in _transformed_indices(transform, k, n)], mode=mode)
+        for k in range(k_max + 1)
+    ]
+    best_k = max(range(k_max + 1), key=lambda k: reports[k].value)  # first maximum
+    rep = reports[best_k]
     return DiscrepancyReport(n, rep.value, rep.witness, f"windowed-{mode}", best_k)

@@ -179,12 +179,6 @@ class DigitalSequence:
 SequenceSpec = VanDerCorput | Halton | DigitalSequence
 
 
-def generate(spec: SequenceSpec, indices: Iterable[int]) -> Iterator[Point]:
-    """Yield the points of the sequence at the given indices."""
-    for n in indices:
-        yield spec.point(n)
-
-
 def points(spec: SequenceSpec, count: int, start: int = 0) -> list[Point]:
     return [spec.point(n) for n in range(start, start + count)]
 

@@ -114,10 +114,6 @@ class TableTransform:
 IndexTransform = SumOfDigits | FloorPower | TableTransform
 
 
-def apply(transform: IndexTransform, n: int) -> int:
-    return transform.apply(n)
-
-
 def multiplicity_F(transform: IndexTransform, k: int) -> int:
     """Number of indices n with f(n) = k, for monotone transforms.
 
@@ -255,14 +251,17 @@ def parse_transform(text: str) -> IndexTransform:
     if text.startswith("{"):
         cfg = json.loads(text)
         kind = cfg.get("kind")
-        if kind == "sod":
-            return SumOfDigits(int(cfg["q"]))
-        if kind == "pow":
-            return FloorPower(int(cfg["u"]), int(cfg["v"]))
-        if kind == "table":
-            with open(cfg["path"]) as fh:
-                values = tuple(int(line) for line in fh if line.strip())
-            return TableTransform(values)
+        try:
+            if kind == "sod":
+                return SumOfDigits(int(cfg["q"]))
+            if kind == "pow":
+                return FloorPower(int(cfg["u"]), int(cfg["v"]))
+            if kind == "table":
+                with open(cfg["path"]) as fh:
+                    values = tuple(int(line) for line in fh if line.strip())
+                return TableTransform(values)
+        except KeyError as exc:
+            raise ValueError(f"transform {kind!r} needs the key {exc.args[0]!r}") from None
         raise ValueError(f"unknown transform kind {kind!r}")
     kind, _, rest = text.partition(":")
     kind = kind.lower()

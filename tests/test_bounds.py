@@ -13,6 +13,7 @@ from lowdisc import (
     UnimodalityError,
     VanDerCorput,
     alpha_corollary_check,
+    bound_holds,
     fit_monotone_constant,
     general_lower,
     general_sandwich,
@@ -27,6 +28,31 @@ from lowdisc import (
     uniform_bound_ts,
     windowed_uniform_discrepancy,
 )
+
+
+def test_bound_holds_exact_sides_have_zero_tolerance():
+    measured = Fraction(1, 3)
+    assert bound_holds(measured, measured, None)
+    assert not bound_holds(measured * (1 + Fraction(1, 10**30)), measured, None)
+
+
+def test_bound_holds_float_side_gets_slack():
+    assert bound_holds(Fraction(0), Fraction(1), 1.0 - 1e-10)
+    assert not bound_holds(Fraction(0), Fraction(1), 1.0 - 1e-8)
+    assert bound_holds(0.5 + 1e-10, 0.5, None)
+
+
+def test_bound_holds_none_side_is_skipped():
+    assert bound_holds(Fraction(1, 2), Fraction(1, 2), None)
+    assert bound_holds(None, 10**9, None)
+
+
+@pytest.mark.parametrize(
+    "lower,measured,upper",
+    [(math.nan, 0.5, 1.0), (0.0, math.nan, 1.0), (0.0, 0.5, math.nan), (None, Fraction(1), math.nan)],
+)
+def test_bound_holds_nan_side_fails(lower, measured, upper):
+    assert not bound_holds(lower, measured, upper)
 
 
 def test_chain_validation():

@@ -1,25 +1,13 @@
 import json
-import os
 
 import pytest
 
 from lowdisc.cli import main
 
 
-def run_cli(args, tmp_path, name="out.csv", threads=None):
+def run_cli(args, tmp_path, name="out.csv"):
     out = tmp_path / name
-    env_key = "LOWDISC_THREADS"
-    old = os.environ.get(env_key)
-    if threads is not None:
-        os.environ[env_key] = str(threads)
-    try:
-        code = main(args + ["--out", str(out)])
-    finally:
-        if threads is not None:
-            if old is None:
-                os.environ.pop(env_key, None)
-            else:
-                os.environ[env_key] = old
+    code = main(args + ["--out", str(out)])
     return code, out.read_bytes() if out.exists() else b""
 
 
@@ -115,14 +103,40 @@ def test_bad_value_exit_two(tmp_path):
     assert code == 2
 
 
-def test_budget_error_exit_two(tmp_path, capsys):
-    out = tmp_path / "F.csv"
-    code = main(["disc", "--spec", "halton:2,3", "--N", "200", "--out", str(out)])
+@pytest.mark.parametrize(
+    "args,out_name,message",
+    [
+        (["disc", "--spec", "halton:2,3", "--N", "200"], "F.csv", "budget"),
+        (["expsum", "--b", "2", "--q", "2", "--kmax", "3", "--N", "0"], "F.csv", "N >= 1"),
+        (["transform", "--transform", '{"kind":"table","path":"/nonexistent"}', "--count", "3"],
+         "F.csv", "No such file"),
+        (["transform", "--transform", '{"kind":"sod"}', "--count", "3"], "F.csv", "'q'"),
+        (["dist", "--q", "2", "--j", "3"], "nonexistent/dir/x.csv", "No such file"),
+        (["sodcheck", "--spec", "vdc:2", "--q", "2", "--dmax", "4", "--cal", "1"],
+         "F.csv", "log log N > 0"),
+    ],
+    ids=["disc-budget", "expsum-N0", "table-missing-path", "sod-missing-q", "out-dir-missing",
+         "sodcheck-no-c3-level"],
+)
+def test_usage_error_leaves_no_output(tmp_path, capsys, args, out_name, message):
+    out = tmp_path / out_name
+    code = main(args + ["--out", str(out)])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and err.count("\n") == 1
-    assert "budget" in err and "Traceback" not in err
+    assert message in err and "Traceback" not in err
     assert not out.exists()
+    assert not out.parent.exists() or list(out.parent.iterdir()) == []  # no temp file left
+
+
+def test_failed_check_still_writes_its_rows(tmp_path, capsys):
+    out = tmp_path / "F.csv"
+    out.write_text("stale\n")
+    code = main(["netcheck", "--spec", "halton:2,3", "--base", "2", "--mmax", "2", "--kmax", "2",
+                 "--out", str(out)])
+    assert code == 1
+    assert out.read_text().startswith("base,t,s,mmax,kmax,ok")
+    assert [p.name for p in tmp_path.iterdir()] == ["F.csv"]
 
 
 def test_report_manifest_and_unknown_keys(tmp_path):
@@ -137,6 +151,14 @@ def test_report_manifest_and_unknown_keys(tmp_path):
     bad = tmp_path / "bad"
     bad.write_text("curve=sod\nspec=vdc:2\nwhat=1\n")
     assert main(["report", "--config", str(bad)]) == 2
+
+
+def test_report_unknown_curve_leaves_no_output(tmp_path, capsys):
+    cfg = tmp_path / "cfg"
+    cfg.write_text("curve=nope\nspec=vdc:2\nout=%s\n" % (tmp_path / "rep"))
+    assert main(["report", "--config", str(cfg)]) == 2
+    assert "unknown curve" in capsys.readouterr().err
+    assert not (tmp_path / "rep").exists()
 
 
 def test_report_alpha_curve(tmp_path):
@@ -159,10 +181,10 @@ def test_report_alpha_curve(tmp_path):
     ],
 )
 def test_outputs_byte_identical_across_thread_counts(tmp_path, args):
-    code1, data1 = run_cli(args, tmp_path, "a.csv", threads=1)
-    code8, data8 = run_cli(args, tmp_path, "b.csv", threads=8)
-    assert code1 == code8 == 0
-    assert data1 == data8
-    # and across repeated runs with the same worker count
-    _, data1b = run_cli(args, tmp_path, "c.csv", threads=8)
-    assert data1b == data8
+    # the library runs single-threaded, so this checks run-to-run determinism
+    code1, data1 = run_cli(args, tmp_path, "a.csv")
+    code2, data2 = run_cli(args, tmp_path, "b.csv")
+    assert code1 == code2 == 0
+    assert data1 == data2
+    _, data3 = run_cli(args, tmp_path, "c.csv")
+    assert data3 == data2

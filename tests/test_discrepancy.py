@@ -313,13 +313,44 @@ def test_windowed_with_transform():
             extreme_discrepancy_1d([v.point(i).coords[0] for i in idx]).value
         )
     assert rep.value == max(by_hand)
+    assert rep.shift == by_hand.index(rep.value)  # the first maximizing shift
 
 
 def test_windowed_star_mode_2d():
     h = Halton((2, 3))
     rep = windowed_uniform_discrepancy(h, None, 4, 3, mode="star")
-    per_shift = [
-        star_discrepancy(points(h, 4, start=k)).value for k in range(4)
-    ]
-    assert rep.value == max(per_shift)
+    per_shift = [star_discrepancy(points(h, 4, start=k)) for k in range(4)]
+    values = [r.value for r in per_shift]
+    assert rep.value == max(values)
+    assert rep.shift == values.index(rep.value)
+    assert str(rep.witness) == str(per_shift[rep.shift].witness)
     assert rep.method == "windowed-star"
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize(
+    "spec,mode,direct",
+    [
+        (VanDerCorput(3), "extreme", extreme_discrepancy_1d),
+        (VanDerCorput(3), "star", star_discrepancy),
+        (Halton((2, 3)), "extreme", extreme_discrepancy_grid),
+        (Halton((2, 3)), "star", star_discrepancy),
+    ],
+    ids=["1d-extreme", "1d-star", "2d-extreme", "2d-star"],
+)
+def test_dispatch_matches_direct_evaluator(spec, mode, direct, weighted):
+    pts = points(spec, 11, start=3)
+    counts = [1 + i % 3 for i in range(len(pts))] if weighted else None
+    rep = discrepancy.discrepancy(pts, counts, mode)
+    arg = [p.coords[0] for p in pts] if spec.dimension == 1 else pts
+    want = direct(arg, counts)
+    assert (rep.value, str(rep.witness), rep.method) == (
+        want.value,
+        str(want.witness),
+        want.method,
+    )
+
+
+def test_dispatch_rejects_unknown_mode():
+    with pytest.raises(ValueError, match="unknown mode"):
+        discrepancy.discrepancy([F(1, 2)], mode="uniform")
