@@ -43,7 +43,6 @@ from .generators import (
     VanDerCorput,
     check_sequence_property,
     parse_spec,
-    points,
     write_points_csv,
 )
 from .transforms import SumOfDigits, FloorPower, parse_transform, value_counts_below
@@ -94,7 +93,9 @@ def _frac_cols(x) -> list:
 
 def cmd_gen(args) -> int:
     spec = parse_spec(args.spec)
-    pts = points(spec, args.count, args.start)
+    if args.count > 0:  # the last index is the largest: fail before any row is written
+        spec.point(args.start + args.count - 1)
+    pts = (spec.point(n) for n in range(args.start, args.start + args.count))
     with _output(args.out) as fh:
         write_points_csv(fh, pts, args.start)
     return 0
@@ -124,12 +125,7 @@ def cmd_dist(args) -> int:
 def cmd_disc(args) -> int:
     spec = parse_spec(args.spec)
     transform = parse_transform(args.transform) if args.transform else None
-    if args.shift_window:
-        rep = windowed_uniform_discrepancy(
-            spec, transform, args.N, args.shift_window, args.mode
-        )
-    else:
-        rep = transformed_discrepancy(spec, transform, args.N, args.mode)
+    rep = transformed_discrepancy(spec, transform, args.N, args.mode)
     with _output(args.out) as fh:
         w = _writer(fh)
         w.writerow(["N", "value_num", "value_den", "method", "witness"])
@@ -148,16 +144,19 @@ def cmd_udisc(args) -> int:
     return 0
 
 
+def _weyl_rows(fh, b: int, q: int, ks, n: int):
+    """Header and one row per Weyl sum; returns the writer for further rows."""
+    w = _writer(fh)
+    w.writerow(["b", "q", "k", "N", "re", "im", "abs", "bound"])
+    for k in ks:
+        ws = weyl_sum(b, q, k, n)
+        w.writerow([b, q, k, n, repr(ws.value.real), repr(ws.value.imag), repr(ws.abs), ""])
+    return w
+
+
 def cmd_expsum(args) -> int:
-    ks = range(args.kmin, args.kmax + 1)
     with _output(args.out) as fh:
-        w = _writer(fh)
-        w.writerow(["b", "q", "k", "N", "re", "im", "abs", "bound"])
-        for k in ks:
-            ws = weyl_sum(args.b, args.q, k, args.N)
-            w.writerow(
-                [args.b, args.q, k, args.N, repr(ws.value.real), repr(ws.value.imag), repr(ws.abs), ""]
-            )
+        _weyl_rows(fh, args.b, args.q, range(args.kmin, args.kmax + 1), args.N)
     return 0
 
 
@@ -170,13 +169,7 @@ def cmd_hkbound(args) -> int:
     counts = list(multiplicity.values())
     bound = hellekalek_bound(b, g, pts, counts)
     with _output(args.out) as fh:
-        w = _writer(fh)
-        w.writerow(["b", "q", "k", "N", "re", "im", "abs", "bound"])
-        for k in range(1, b**g):
-            ws = weyl_sum(b, q, k, n)
-            w.writerow(
-                [b, q, k, n, repr(ws.value.real), repr(ws.value.imag), repr(ws.abs), ""]
-            )
+        w = _weyl_rows(fh, b, q, range(1, b**g), n)
         w.writerow([b, q, "total", n, "", "", "", repr(bound)])
     return 0
 
@@ -277,6 +270,8 @@ def cmd_monocheck(args) -> int:
         )
         for n in n_values:
             lower = monotone_lower(transform, n)
+            if args.mode == "star":  # the floor is for the extreme value, at most 2^s * star
+                lower /= 2**spec.dimension
             measured = transformed_discrepancy(spec, transform, n, args.mode).value
             upper = monotone_upper(transform, n, spec.dimension, fitted_c)
             ok = bound_holds(lower, measured, upper)
@@ -480,7 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--transform")
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--mode", choices=["extreme", "star"], default="extreme")
-    p.add_argument("--shift-window", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_disc)
 

@@ -14,9 +14,10 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ._util import BudgetExceededError, as_fraction
-from .generators import Point, SequenceSpec, VanDerCorput
+from .generators import Point, SequenceSpec
 from .transforms import IndexTransform
 
 DEFAULT_BOX_BUDGET = 1 << 24
@@ -79,30 +80,13 @@ def _coerce_points(points) -> list[tuple[Fraction, ...]]:
     for pt in points:
         if isinstance(pt, Point):
             out.append(pt.as_fractions())
+        elif type(pt) is tuple and all(type(c) is Fraction for c in pt):
+            out.append(pt)  # already exact: a second coercion copies nothing
         elif isinstance(pt, (tuple, list)):
             out.append(tuple(as_fraction(c) for c in pt))
         else:
             out.append((as_fraction(pt),))
     return out
-
-
-def _weighted_1d(values, counts) -> tuple[list[Fraction], list[int]]:
-    """Merge into sorted unique values with positive multiplicities."""
-    vals = [as_fraction(v) for v in values]
-    if counts is None:
-        counts = [1] * len(vals)
-    merged: dict[Fraction, int] = {}
-    for v, c in zip(vals, counts):
-        if c < 0:
-            raise ValueError("multiplicities must be non-negative")
-        if not 0 <= v < 1:
-            raise ValueError(f"point {v} outside [0, 1)")
-        if c:
-            merged[v] = merged.get(v, 0) + c
-    if not merged:
-        raise ValueError("empty point multiset")
-    ys = sorted(merged)
-    return ys, [merged[y] for y in ys]
 
 
 def recount(points, box: Box, counts=None) -> Fraction:
@@ -113,62 +97,6 @@ def recount(points, box: Box, counts=None) -> Fraction:
     n = sum(counts)
     inside = sum(c for pt, c in zip(pts, counts) if box.contains(pt))
     return abs(Fraction(inside, n) - box.volume())
-
-
-def extreme_discrepancy_1d(points, counts=None) -> DiscrepancyReport:
-    """Exact sup over half-open intervals [a, b) of |A/N - (b-a)|.
-
-    Closed form on the sorted multiset: with cumulative counts c_i at the
-    distinct values y_i, the value is max_i(c_i/N - y_i) + max_i(y_i -
-    c_{i-1}/N).  The brute-force interval oracle in the test suite checks
-    this exactly.
-    """
-    ys, cnts = _weighted_1d(points, counts)
-    n = sum(cnts)
-    cum = 0
-    d_plus = None
-    d_minus = None
-    i_plus = i_minus = 0
-    for i, (y, c) in enumerate(zip(ys, cnts)):
-        below = Fraction(cum, n)
-        cum += c
-        at = Fraction(cum, n)
-        dp = at - y
-        dm = y - below
-        if d_plus is None or dp > d_plus:
-            d_plus, i_plus = dp, i
-        if d_minus is None or dm > d_minus:
-            d_minus, i_minus = dm, i
-    value = d_plus + d_minus
-    if ys[i_minus] <= ys[i_plus]:
-        box = Box((BoxSide(ys[i_minus], ys[i_plus], True, True),))
-    else:
-        box = Box((BoxSide(ys[i_plus], ys[i_minus], False, False),))
-    return DiscrepancyReport(n, value, box, "exact-1d")
-
-
-def _star_1d(points, counts=None) -> DiscrepancyReport:
-    ys, cnts = _weighted_1d(points, counts)
-    n = sum(cnts)
-    cum = 0
-    best = ZERO
-    box = Box((BoxSide(ZERO, ys[0], True, False),))
-    for y, c in zip(ys, cnts):
-        dm = y - Fraction(cum, n)
-        cum += c
-        dp = Fraction(cum, n) - y
-        if dm > best:
-            best = dm
-            box = Box((BoxSide(ZERO, y, True, False),))
-        if dp > best:
-            best = dp
-            box = Box((BoxSide(ZERO, y, True, True),))
-    return DiscrepancyReport(n, best, box, "star-1d")
-
-
-def _unique_axes(pts) -> list[list[Fraction]]:
-    dim = len(pts[0])
-    return [sorted({pt[i] for pt in pts}) for i in range(dim)]
 
 
 def _weighted_points(points, counts):
@@ -184,7 +112,7 @@ def _weighted_points(points, counts):
     for pt in pts:
         if not all(0 <= x < 1 for x in pt):
             raise ValueError(f"point {pt} outside [0, 1)^s")
-    return pts, counts, n, _unique_axes(pts)
+    return pts, counts, n, [sorted({pt[i] for pt in pts}) for i in range(len(pts[0]))]
 
 
 # Candidate boxes are products of per-axis sides.  A side is a tuple
@@ -249,6 +177,13 @@ _CHUNK_CELLS = 1 << 13
 _INT64_LIMIT = 1 << 62
 
 
+def _int_dtype(denominator: int):
+    """int64 while the common denominator is below 2**62, else exact Python
+    ints (object arrays): deviations over it are smaller than it, so even a
+    sum of two fits in int64."""
+    return np.int64 if denominator < _INT64_LIMIT else object
+
+
 class _BoxKernel:
     """Exact box deviations from one cumulative count array.
 
@@ -256,15 +191,14 @@ class _BoxKernel:
     every axis a is below k_a, so a box's count is a difference of prefix
     entries taken one axis at a time.  Deviations are the integers
     ``count * scale - n * prod(lengths)`` over the common denominator
-    ``n * scale``, where scale is the product of the axis denominators;
-    int64 holds them whenever that denominator is below 2**62, and exact
-    Python ints (object arrays) are used otherwise.
+    ``n * scale``, where scale is the product of the axis denominators,
+    under the int64-or-exact rule of ``_int_dtype``.
     """
 
     def __init__(self, pts, counts, n, axes):
         self.n = n
         self.scale = math.prod(_axis_ints(ax)[0] for ax in axes)
-        self.dtype = np.int64 if n * self.scale < _INT64_LIMIT else object
+        self.dtype = _int_dtype(n * self.scale)
         rank = [{x: r + 1 for r, x in enumerate(ax)} for ax in axes]
         cells = tuple(
             np.array([rank[a][pt[a]] for pt in pts], dtype=np.intp)
@@ -341,6 +275,56 @@ def _witness(family, where: int, closed_lower: bool, closed_upper: bool) -> Box:
     )
 
 
+def _deviations_1d(values, below, at, den: int, n: int):
+    """Integer D- and D+ deviations at sorted 1D values, over n * den.
+
+    values are the coordinates y times den, below and at the weights
+    strictly below and up to each of them: y - below/n and at/n - y, scaled.
+    A value repeated along the last axis has its largest D- at its first
+    copy and its largest D+ at its last, as if merged into one weighted value.
+    """
+    return n * values - below * den, at * den - n * values
+
+
+def _closed_form_1d(pts, counts, n, axes):
+    """The axis, its kernel and the integer D- and D+ at each axis value."""
+    if len(axes) != 1:
+        raise ValueError("the 1D closed form needs one-dimensional points")
+    kernel = _BoxKernel(pts, counts, n, axes)
+    den, ints = _axis_ints(axes[0])
+    cum = kernel.prefix  # cum[i + 1] is the weight up to the i-th axis value
+    values = np.array(ints, dtype=kernel.dtype)
+    return axes[0], kernel, *_deviations_1d(values, cum[:-1], cum[1:], den, n)
+
+
+def extreme_discrepancy_1d(points, counts=None) -> DiscrepancyReport:
+    """Exact sup over half-open intervals [a, b) of |A/N - (b-a)|.
+
+    Closed form on the sorted multiset: with cumulative counts c_i at the
+    distinct values y_i, the value is max_i(c_i/N - y_i) + max_i(y_i -
+    c_{i-1}/N), each maximum the first one.  The brute-force interval oracle
+    in the test suite checks this exactly.
+    """
+    ax, kernel, minus, plus = _closed_form_1d(*_weighted_points(points, counts))
+    d_minus, i_minus = _first_max([minus])
+    d_plus, i_plus = _first_max([plus])
+    lo, hi = ax[i_minus], ax[i_plus]
+    if lo <= hi:
+        side = BoxSide(lo, hi, True, True)
+    else:
+        side = BoxSide(hi, lo, False, False)
+    return DiscrepancyReport(kernel.n, kernel.value(d_minus + d_plus), Box((side,)), "exact-1d")
+
+
+def _star_1d(pts, counts, n, axes) -> DiscrepancyReport:
+    ax, kernel, minus, plus = _closed_form_1d(pts, counts, n, axes)
+    # D- before D+ at each value, so a tie reports [0, y) before [0, y]
+    best, where = _first_max([np.stack((minus, plus), axis=-1)])
+    i, closed = divmod(where, 2)
+    box = Box((BoxSide(ZERO, ax[i], True, bool(closed)),))
+    return DiscrepancyReport(n, kernel.value(best), box, "star-1d")
+
+
 def extreme_discrepancy_grid(
     points, counts=None, budget: int = DEFAULT_BOX_BUDGET
 ) -> DiscrepancyReport:
@@ -382,10 +366,9 @@ def star_discrepancy(
     coordinate grid (plus 1), each evaluated in both attainment limits, the
     closed limit first; budget is in corners.
     """
-    pts = _coerce_points(points)
-    if pts and len(pts[0]) == 1:
-        return _star_1d([pt[0] for pt in pts], counts)
-    pts, counts, n, axes = _weighted_points(pts, counts)
+    pts, counts, n, axes = _weighted_points(points, counts)
+    if len(axes) == 1:
+        return _star_1d(pts, counts, n, axes)
     corners = math.prod(len(ax) + 1 for ax in axes)
     if corners > budget:
         raise BudgetExceededError(
@@ -414,67 +397,32 @@ def discrepancy(points, counts=None, mode: str = "extreme") -> DiscrepancyReport
         raise ValueError(f"unknown mode {mode!r}")
     pts = _coerce_points(points)
     if pts and len(pts[0]) == 1:
-        return extreme_discrepancy_1d([pt[0] for pt in pts], counts)
+        return extreme_discrepancy_1d(pts, counts)
     return extreme_discrepancy_grid(pts, counts)
 
 
-def _transformed_indices(transform: IndexTransform | None, start: int, n: int):
-    if transform is None:
-        return range(start, start + n)
-    return [transform.apply(i) for i in range(start, start + n)]
+def _window_1d(window, n: int, k_max: int, mode: str) -> tuple[int, Fraction]:
+    """First shift with the largest block discrepancy, and that discrepancy.
 
-
-_VDC_NUM_CACHE: dict[tuple[int, int], np.ndarray] = {}
-
-
-def _vdc_scaled_inverses(b: int, prec: int, top: int) -> np.ndarray:
-    """radical_inverse(i, b) numerators at fixed precision, for i < top."""
-    from .digits import radical_inverse
-
-    key = (b, prec)
-    cached = _VDC_NUM_CACHE.get(key)
-    if cached is not None and len(cached) >= top:
-        return cached[:top]
-    size = b**prec
-    build = size if size <= 1 << 20 else top
-    nums = np.empty(build, dtype=np.int64)
-    for i in range(build):
-        r = radical_inverse(i, b)
-        nums[i] = r.num * b ** (prec - r.prec)
-    nums.setflags(write=False)
-    if build == size and len(_VDC_NUM_CACHE) < 16:
-        _VDC_NUM_CACHE[key] = nums
-    return nums[:top]
-
-
-def _vdc_window_fast(spec: VanDerCorput, n: int, k_max: int):
-    """Scaled integer evaluation of all shifted-block extreme discrepancies.
-
-    All points in the window share the denominator b**prec, so D+ and D- are
-    maxima of integers over the common denominator n * b**prec.
+    One integer table holds the window's coordinates over their common
+    denominator; each block is a sorted slice of it, whose i-th smallest
+    value has i - 1 points below it and i up to it.
     """
-    b = spec.base
-    top = k_max + n
-    prec = 0
-    t = top - 1
-    while t:
-        t //= b
-        prec += 1
-    den = b**prec
-    if den * n >= 1 << 62:
-        return None
-    nums = _vdc_scaled_inverses(b, prec, top)
-    ranks = np.arange(1, n + 1, dtype=np.int64)
+    den, ints = _axis_ints([pt.coords[0].as_fraction() for pt in window])
+    dtype = _int_dtype(n * den)
+    table = np.array(ints, dtype=dtype)
+    at = np.arange(1, n + 1).astype(dtype)
+    step = max(1, _CHUNK_CELLS // n)
 
-    def shift_value(k: int) -> int:
-        w = np.sort(nums[k : k + n])
-        d_plus = int(np.max(ranks * den - w * n))
-        d_minus = int(np.max(w * n - (ranks - 1) * den))
-        return d_plus + d_minus
+    def block_values(start: int) -> np.ndarray:
+        rows = sliding_window_view(table[start : start + step + n - 1], n)
+        minus, plus = _deviations_1d(np.sort(rows, axis=1), at - 1, at, den, n)
+        if mode == "star":
+            return np.maximum(minus, plus).max(axis=1)
+        return minus.max(axis=1) + plus.max(axis=1)
 
-    scaled = [shift_value(k) for k in range(k_max + 1)]
-    best_k = max(range(k_max + 1), key=scaled.__getitem__)  # first maximum
-    return best_k, Fraction(scaled[best_k], n * den)
+    best, best_k = _first_max(block_values(k) for k in range(0, k_max + 1, step))
+    return best_k, Fraction(best, n * den)
 
 
 def windowed_uniform_discrepancy(
@@ -487,34 +435,28 @@ def windowed_uniform_discrepancy(
     """Max over shifts 0 <= k <= k_max of the discrepancy of the shifted block.
 
     This is a certified LOWER estimate of the uniform discrepancy (the true
-    sup ranges over all shifts); the arg-max shift is reported.  The window
-    defaults to k_max = 4n.
+    sup ranges over all shifts); the first arg-max shift is reported.  The
+    window defaults to k_max = 4n.  Each distinct (transformed) index's point
+    is built once.  A 1D sequence has every shift evaluated by the 1D closed
+    form and its witness from ``discrepancy`` on the winning block, which
+    must agree on the value; for s >= 2 ``discrepancy`` evaluates each shift.
     """
     if k_max is None:
         k_max = 4 * n
     if n < 1 or k_max < 0:
         raise ValueError("need n >= 1 and k_max >= 0")
-
-    if (
-        mode == "extreme"
-        and transform is None
-        and isinstance(spec, VanDerCorput)
-    ):
-        fast = _vdc_window_fast(spec, n, k_max)
-        if fast is not None:
-            best_k, value = fast
-            block = [spec.point(i).coords[0] for i in range(best_k, best_k + n)]
-            report = extreme_discrepancy_1d(block)
-            if report.value != value:
-                raise AssertionError(
-                    "fast windowed path disagrees with the exact 1d formula"
-                )
-            return DiscrepancyReport(n, value, report.witness, "windowed-extreme", best_k)
-
-    reports = [
-        discrepancy([spec.point(i) for i in _transformed_indices(transform, k, n)], mode=mode)
-        for k in range(k_max + 1)
-    ]
-    best_k = max(range(k_max + 1), key=lambda k: reports[k].value)  # first maximum
-    rep = reports[best_k]
+    indices = range(k_max + n)
+    if transform is not None:
+        indices = [transform.apply(i) for i in indices]
+    built = {i: spec.point(i) for i in dict.fromkeys(indices)}
+    window = [built[i] for i in indices]
+    if spec.dimension == 1:
+        best_k, value = _window_1d(window, n, k_max, mode)
+        rep = discrepancy(window[best_k : best_k + n], mode=mode)
+        if rep.value != value:
+            raise AssertionError("windowed closed form disagrees with the block's discrepancy")
+    else:
+        reports = [discrepancy(window[k : k + n], mode=mode) for k in range(k_max + 1)]
+        best_k = max(range(k_max + 1), key=lambda k: reports[k].value)  # first maximum
+        rep = reports[best_k]
     return DiscrepancyReport(n, rep.value, rep.witness, f"windowed-{mode}", best_k)

@@ -8,6 +8,7 @@ checks the generator-matrix rank condition over F_p.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
@@ -389,14 +390,16 @@ def csv_header(dimension: int) -> list[str]:
     return cols
 
 
-def write_points_csv(fh, pts: list[Point], start_index: int = 0) -> None:
-    """Write points in the exact CSV format; float columns are advisory."""
-    if not pts:
+def write_points_csv(fh, pts: Iterable[Point], start_index: int = 0) -> None:
+    """Write points in the exact CSV format as they arrive; float columns are advisory."""
+    pts = iter(pts)
+    first = next(pts, None)
+    if first is None:
         raise ValueError("no points to write")
-    dim = pts[0].dimension
+    dim = first.dimension
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(csv_header(dim))
-    for offset, pt in enumerate(pts):
+    for offset, pt in enumerate(itertools.chain([first], pts)):
         row: list = [start_index + offset, dim]
         for c in pt.coords:
             row += [c.base, c.prec, c.num, repr(float(c))]

@@ -114,9 +114,11 @@ def test_bad_value_exit_two(tmp_path):
         (["dist", "--q", "2", "--j", "3"], "nonexistent/dir/x.csv", "No such file"),
         (["sodcheck", "--spec", "vdc:2", "--q", "2", "--dmax", "4", "--cal", "1"],
          "F.csv", "log log N > 0"),
+        (["gen", "--spec", "vdc:2", "--count", "0"], "F.csv", "no points to write"),
+        (["gen", "--spec", "pascal:3,1,2", "--count", "12"], "F.csv", "raise the precision"),
     ],
     ids=["disc-budget", "expsum-N0", "table-missing-path", "sod-missing-q", "out-dir-missing",
-         "sodcheck-no-c3-level"],
+         "sodcheck-no-c3-level", "gen-count-0", "gen-index-out-of-range"],
 )
 def test_usage_error_leaves_no_output(tmp_path, capsys, args, out_name, message):
     out = tmp_path / out_name
@@ -127,6 +129,34 @@ def test_usage_error_leaves_no_output(tmp_path, capsys, args, out_name, message)
     assert message in err and "Traceback" not in err
     assert not out.exists()
     assert not out.parent.exists() or list(out.parent.iterdir()) == []  # no temp file left
+
+
+def test_gen_out_of_range_writes_no_rows(capsys):
+    # points stream to the output, so the largest index is checked first
+    assert main(["gen", "--spec", "pascal:3,1,2", "--count", "12"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "raise the precision" in err
+
+
+def test_disc_has_no_shift_window():
+    # udisc is the one route to the windowed estimate
+    with pytest.raises(SystemExit) as exc:
+        main(["disc", "--spec", "vdc:2", "--N", "4", "--shift-window", "3"])
+    assert exc.value.code == 2
+
+
+def test_monocheck_star_mode_uses_halved_floor(tmp_path):
+    # the repeated-point floor bounds the extreme discrepancy, and
+    # extreme <= 2^s * star, so star mode checks against floor / 2^s
+    args = ["monocheck", "--spec", "vdc:3", "--u", "2", "--v", "3", "--dmax", "6"]
+    code, data = run_cli(args + ["--mode", "star"], tmp_path)
+    assert code == 0
+    rows = [line.split(",") for line in data.decode().splitlines()[1:]]
+    assert len(rows) == 6 and all(row[-1] == "1" for row in rows)
+    assert rows[1][:3] == ["4", "1", "4"]  # the extreme floor at N=4 is 1/2
+    code, data = run_cli(args, tmp_path, "extreme.csv")
+    assert code == 0
+    assert data.decode().splitlines()[2].split(",")[:3] == ["4", "1", "2"]
 
 
 def test_failed_check_still_writes_its_rows(tmp_path, capsys):

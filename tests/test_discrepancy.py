@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from unittest import mock
@@ -9,10 +10,14 @@ from hypothesis import strategies as st
 from lowdisc import (
     BRational,
     BudgetExceededError,
+    DigitalSequence,
+    GeneratorMatrix,
     Halton,
     VanDerCorput,
     extreme_discrepancy_1d,
     extreme_discrepancy_grid,
+    parse_spec,
+    parse_transform,
     points,
     recount,
     star_discrepancy,
@@ -44,6 +49,10 @@ def test_extreme_1d_oracle_frozen_examples():
     assert extreme_discrepancy_1d([F(0), F(1, 2)]).value == F(1, 2)
     vdc4 = [p.coords[0] for p in points(VanDerCorput(2), 4)]
     assert extreme_discrepancy_1d(vdc4).value == F(1, 4)
+    # witnesses: the first maximizers of D+ and D-, closed or open by order
+    assert str(extreme_discrepancy_1d(vdc4).witness) == "[0,0]"
+    assert str(extreme_discrepancy_1d([F(1, 4), F(1, 2), F(3, 4)]).witness) == "[1/4,3/4]"
+    assert str(extreme_discrepancy_1d([F(1, 8), F(7, 8)]).witness) == "(1/8,7/8)"
 
 
 def test_extreme_1d_matches_oracle_randomized():
@@ -175,37 +184,49 @@ def test_grid_and_star_match_enumeration_oracles(case, chunk_cells):
         value, witness = oracle_grid_enumeration(pts, counts)
         assert (got.value, str(got.witness)) == (value, str(witness))
         assert recount(pts, got.witness, counts) == got.value
+        star = star_discrepancy(pts, counts)
+        star_value, star_witness = oracle_star_enumeration(pts, counts)
+        assert recount(pts, star.witness, counts) == star.value == star_value
         if len(pts[0]) >= 2:
-            got = star_discrepancy(pts, counts)
-            value, witness = oracle_star_enumeration(pts, counts)
-            assert (got.value, str(got.witness)) == (value, str(witness))
-            assert recount(pts, got.witness, counts) == got.value
+            assert str(star.witness) == str(star_witness)
+        else:
+            # the 1D closed form breaks ties its own way, so only values match
+            got = extreme_discrepancy_1d(pts, counts)
+            assert recount(pts, got.witness, counts) == got.value == value
 
 
 @pytest.mark.parametrize(
     "den_x, den_y, wide",
-    [(2**30, 3**19, False), (2**40, 3**25, True)],
+    [(2**30, 3**19, False), (2**40, 3**25, True), (2**60, None, False), (2**61, None, True)],
 )
 def test_grid_and_star_at_int64_boundary(den_x, den_y, wide):
     # N * D against 2^62 picks int64 (here just below) or exact Python ints;
-    # numerators prime to 2 and 3 keep the denominators unreduced
+    # numerators prime to 2 and 3 keep the denominators unreduced; without
+    # den_y the points are 1D
     rng = random.Random(62)
-    pts = [
-        (
-            F(2 * rng.randrange(den_x // 2) + 1, den_x),
-            F(3 * rng.randrange(den_y // 3) + 1, den_y),
-        )
-        for _ in range(3)
-    ]
-    assert (len(pts) * den_x * den_y >= 2**62) == wide
-    assert len(pts) * den_x * den_y >= 2**61
+    pts = []
+    for _ in range(3):
+        pt = (F(2 * rng.randrange(den_x // 2) + 1, den_x),)
+        if den_y:
+            pt += (F(3 * rng.randrange(den_y // 3) + 1, den_y),)
+        pts.append(pt)
+    scale = len(pts) * den_x * (den_y or 1)
+    assert (scale >= 2**62) == wide
+    assert scale >= 2**61
     got = extreme_discrepancy_grid(pts)
     assert got.value == oracle_extreme_grid_flagged(pts)
     value, witness = oracle_grid_enumeration(pts)
     assert (got.value, str(got.witness)) == (value, str(witness))
-    got = star_discrepancy(pts)
-    value, witness = oracle_star_enumeration(pts)
-    assert (got.value, str(got.witness)) == (value, str(witness))
+    star = star_discrepancy(pts)
+    star_value, star_witness = oracle_star_enumeration(pts)
+    assert star.value == star_value
+    if den_y:
+        assert str(star.witness) == str(star_witness)
+    else:
+        values = [x for (x,) in pts]
+        assert recount(pts, star.witness) == star.value == oracle_star_1d(values)
+        got = extreme_discrepancy_1d(pts)
+        assert recount(pts, got.witness) == got.value == oracle_extreme_1d(values) == value
 
 
 def test_grid_budget_counts_candidate_boxes():
@@ -231,6 +252,8 @@ def test_star_examples():
     assert star_discrepancy([F(1, 2)]).value == F(1, 2)
     vdc4 = [p.coords[0] for p in points(VanDerCorput(2), 4)]
     assert star_discrepancy(vdc4).value == F(1, 4)
+    assert str(star_discrepancy(vdc4).witness) == "[0,0]"  # the first maximizer
+    assert str(star_discrepancy([F(1, 2)]).witness) == "[0,1/2)"  # [0, y) wins a tie at y
     # a single point close to 1 pushes the anchored deviation toward 1
     assert star_discrepancy([F(63, 64)]).value == F(63, 64)
 
@@ -283,22 +306,50 @@ def test_windowed_examples():
     assert shifted[rep.shift] == rep.value
 
 
-def test_windowed_fast_path_matches_generic():
-    # the integer fast path for plain van der Corput windows must agree with
-    # the Fraction path used for every other configuration
-    from lowdisc.discrepancy import _vdc_window_fast
+def _assert_window_matches_per_shift(spec, transform, n, k_max, mode):
+    """The window against every shift evaluated on its own."""
+    apply = transform.apply if transform else (lambda i: i)
+    per_shift = [
+        discrepancy.discrepancy([spec.point(apply(i)) for i in range(k, k + n)], mode=mode)
+        for k in range(k_max + 1)
+    ]
+    rep = windowed_uniform_discrepancy(spec, transform, n, k_max, mode)
+    values = [r.value for r in per_shift]
+    assert rep.value == max(values)
+    assert rep.shift == values.index(rep.value)  # the first maximizing shift
+    assert str(rep.witness) == str(per_shift[rep.shift].witness)
+    assert rep.method == f"windowed-{mode}"
 
-    for b in (2, 3):
-        v = VanDerCorput(b)
-        for n in (1, 2, 5, 9):
-            for k_max in (0, 3, 17):
-                best_k, value = _vdc_window_fast(v, n, k_max)
-                per_shift = []
-                for k in range(k_max + 1):
-                    block = [v.point(i).coords[0] for i in range(k, k + n)]
-                    per_shift.append(extreme_discrepancy_1d(block).value)
-                assert value == max(per_shift)
-                assert per_shift[best_k] == value
+
+@pytest.mark.parametrize("mode", ["extreme", "star"])
+@pytest.mark.parametrize("transform", [None, "sod:2", "pow:1/2"])
+@pytest.mark.parametrize("spec", ["vdc:2", "vdc:3", "halton:5", "pascal:3,1,6"])
+def test_windowed_1d_matches_per_shift(spec, transform, mode):
+    # every 1D spec, transformed or not, takes the integer closed form; with
+    # 4 cells a chunk holds at most a few shifts, so the scan crosses chunks
+    spec = parse_spec(spec)
+    transform = parse_transform(transform) if transform else None
+    for cells in (discrepancy._CHUNK_CELLS, 4):
+        with mock.patch.object(discrepancy, "_CHUNK_CELLS", cells):
+            for n in (1, 2, 5, 9):
+                for k_max in (0, 3, 17):
+                    _assert_window_matches_per_shift(spec, transform, n, k_max, mode)
+
+
+@pytest.mark.parametrize("mode", ["extreme", "star"])
+@pytest.mark.parametrize("transform", [None, "sod:2"])
+def test_windowed_1d_exact_int_branch(transform, mode):
+    # a dense 40-digit matrix over F_3 gives coordinates over 3^40, so
+    # n * den passes 2^62 and the table holds exact Python ints
+    rng = random.Random(40)
+    rows = tuple(tuple(rng.randrange(3) for _ in range(40)) for _ in range(40))
+    spec = DigitalSequence(3, (GeneratorMatrix(3, rows),), 40)
+    transform = parse_transform(transform) if transform else None
+    window = [transform.apply(i) if transform else i for i in range(6 + 4)]
+    den = math.lcm(*(spec.point(i).coords[0].as_fraction().denominator for i in window))
+    assert den == 3**40 > 2**62
+    for n in (1, 4):
+        _assert_window_matches_per_shift(spec, transform, n, 6, mode)
 
 
 def test_windowed_with_transform():

@@ -142,6 +142,16 @@ def test_point_csv_roundtrip_bit_exact():
             assert (got.num, got.base, got.prec) == (want.num, want.base, want.prec)
 
 
+def test_points_csv_streams_from_any_iterable():
+    pts = points(Halton((2, 3)), 7, start=5)
+    from_list, from_generator = io.StringIO(), io.StringIO()
+    write_points_csv(from_list, pts, 5)
+    write_points_csv(from_generator, (p for p in pts), 5)
+    assert from_generator.getvalue() == from_list.getvalue()
+    with pytest.raises(ValueError, match="no points"):
+        write_points_csv(io.StringIO(), iter([]))
+
+
 def test_parse_spec_roundtrip():
     assert parse_spec("vdc:5") == VanDerCorput(5)
     assert parse_spec("halton:2,3") == Halton((2, 3))
