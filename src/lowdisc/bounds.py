@@ -18,7 +18,7 @@ from typing import Callable, Mapping, Sequence
 from ._util import UnimodalityError
 from .digitsum_dist import distribution
 from .discrepancy import DiscrepancyReport, discrepancy, windowed_uniform_discrepancy
-from .generators import SequenceSpec
+from .generators import SequenceSpec, coordinates, fraction_points
 from .transforms import (
     FloorPower,
     IndexTransform,
@@ -206,13 +206,11 @@ def transformed_discrepancy(
     weighted by their exact multiplicities.
     """
     if transform is None:
-        pts = [spec.point(i) for i in range(n)]
-        counts = None
+        indices, counts = range(n), None
     else:
         multiplicity = value_counts_below(transform, n)
-        pts = [spec.point(k) for k in multiplicity]
-        counts = list(multiplicity.values())
-    return discrepancy(pts, counts, mode)
+        indices, counts = list(multiplicity), list(multiplicity.values())
+    return discrepancy(fraction_points(coordinates(spec, indices)), counts, mode)
 
 
 @dataclass
@@ -473,13 +471,13 @@ def measured_delta_table(
     """Delta(m) = max over the first aligned blocks of b^m * (exact block D)."""
     if spec.dimension != s:
         raise ValueError("spec dimension does not match s")
+    pts = fraction_points(coordinates(spec, range(blocks * b**m_max)))
     table = {}
     for m in range(t, m_max + 1):
         size = b**m
         worst = Fraction(0)
         for k in range(blocks):
-            pts = [spec.point(i) for i in range(k * size, (k + 1) * size)]
-            worst = max(worst, discrepancy(pts).value)
+            worst = max(worst, discrepancy(pts[k * size : (k + 1) * size]).value)
         table[m] = float(size * worst)
     return table
 

@@ -42,6 +42,7 @@ from .expsums import hellekalek_bound, hellekalek_resolution, weyl_sum
 from .generators import (
     VanDerCorput,
     check_sequence_property,
+    coordinates,
     parse_spec,
     write_points_csv,
 )
@@ -91,13 +92,21 @@ def _frac_cols(x) -> list:
     return [f.numerator, f.denominator]
 
 
+# Rows stream to the output in batches this long, so the peak memory of
+# `gen` does not grow with --count.
+GEN_CHUNK = 1024
+
+
 def cmd_gen(args) -> int:
     spec = parse_spec(args.spec)
-    if args.count > 0:  # the last index is the largest: fail before any row is written
-        spec.point(args.start + args.count - 1)
-    pts = (spec.point(n) for n in range(args.start, args.start + args.count))
+    indices = range(args.start, args.start + args.count)
+    if indices:  # the extreme indices: fail before any row is written
+        coordinates(spec, [indices[0], indices[-1]])
+    chunks = (
+        coordinates(spec, indices[i : i + GEN_CHUNK]) for i in range(0, len(indices), GEN_CHUNK)
+    )
     with _output(args.out) as fh:
-        write_points_csv(fh, pts, args.start)
+        write_points_csv(fh, chunks, args.start)
     return 0
 
 
@@ -163,11 +172,9 @@ def cmd_expsum(args) -> int:
 def cmd_hkbound(args) -> int:
     b, q, n = args.b, args.q, args.N
     g = args.g if args.g else hellekalek_resolution(b, n)
-    spec = VanDerCorput(b)
     multiplicity = value_counts_below(SumOfDigits(q), n)
-    pts = [spec.point(k).coords[0] for k in multiplicity]
-    counts = list(multiplicity.values())
-    bound = hellekalek_bound(b, g, pts, counts)
+    (axis,) = coordinates(VanDerCorput(b), list(multiplicity))
+    bound = hellekalek_bound(b, g, axis.brationals(), list(multiplicity.values()))
     with _output(args.out) as fh:
         w = _weyl_rows(fh, b, q, range(1, b**g), n)
         w.writerow([b, q, "total", n, "", "", "", repr(bound)])

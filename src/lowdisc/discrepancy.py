@@ -16,8 +16,8 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._util import BudgetExceededError, as_fraction
-from .generators import Point, SequenceSpec
+from ._util import BudgetExceededError, _int_dtype, as_fraction
+from .generators import Axis, Point, SequenceSpec, coordinates, fraction_points
 from .transforms import IndexTransform
 
 DEFAULT_BOX_BUDGET = 1 << 24
@@ -174,14 +174,6 @@ def _open_side_count(ax: list[Fraction]) -> int:
 
 
 _CHUNK_CELLS = 1 << 13
-_INT64_LIMIT = 1 << 62
-
-
-def _int_dtype(denominator: int):
-    """int64 while the common denominator is below 2**62, else exact Python
-    ints (object arrays): deviations over it are smaller than it, so even a
-    sum of two fits in int64."""
-    return np.int64 if denominator < _INT64_LIMIT else object
 
 
 class _BoxKernel:
@@ -401,16 +393,18 @@ def discrepancy(points, counts=None, mode: str = "extreme") -> DiscrepancyReport
     return extreme_discrepancy_grid(pts, counts)
 
 
-def _window_1d(window, n: int, k_max: int, mode: str) -> tuple[int, Fraction]:
+def _window_1d(axis: Axis, n: int, k_max: int, mode: str) -> tuple[int, Fraction]:
     """First shift with the largest block discrepancy, and that discrepancy.
 
-    One integer table holds the window's coordinates over their common
-    denominator; each block is a sorted slice of it, whose i-th smallest
+    The window's numerators, reduced to the lcm of its denominators, are one
+    integer table; each block is a sorted slice of it, whose i-th smallest
     value has i - 1 points below it and i up to it.
     """
-    den, ints = _axis_ints([pt.coords[0].as_fraction() for pt in window])
+    den = axis.base**axis.width
+    common = math.gcd(den, *axis.nums.tolist())
+    den //= common
     dtype = _int_dtype(n * den)
-    table = np.array(ints, dtype=dtype)
+    table = (axis.nums // common).astype(dtype)
     at = np.arange(1, n + 1).astype(dtype)
     step = max(1, _CHUNK_CELLS // n)
 
@@ -436,27 +430,31 @@ def windowed_uniform_discrepancy(
 
     This is a certified LOWER estimate of the uniform discrepancy (the true
     sup ranges over all shifts); the first arg-max shift is reported.  The
-    window defaults to k_max = 4n.  Each distinct (transformed) index's point
-    is built once.  A 1D sequence has every shift evaluated by the 1D closed
-    form and its witness from ``discrepancy`` on the winning block, which
-    must agree on the value; for s >= 2 ``discrepancy`` evaluates each shift.
+    window defaults to k_max = 4n.  The distinct (transformed) indices'
+    coordinates come from one kernel call.  A 1D sequence has every shift
+    evaluated by the 1D closed form and its witness from ``discrepancy`` on
+    the winning block, which must agree on the value; for s >= 2
+    ``discrepancy`` evaluates each shift.
     """
     if k_max is None:
         k_max = 4 * n
     if n < 1 or k_max < 0:
         raise ValueError("need n >= 1 and k_max >= 0")
-    indices = range(k_max + n)
-    if transform is not None:
-        indices = [transform.apply(i) for i in indices]
-    built = {i: spec.point(i) for i in dict.fromkeys(indices)}
-    window = [built[i] for i in indices]
+    if transform is None:
+        window = coordinates(spec, range(k_max + n))
+    else:
+        values = [transform.apply(i) for i in range(k_max + n)]
+        distinct, rows = np.unique(values, return_inverse=True)
+        window = tuple(axis.take(rows) for axis in coordinates(spec, distinct.tolist()))
     if spec.dimension == 1:
-        best_k, value = _window_1d(window, n, k_max, mode)
-        rep = discrepancy(window[best_k : best_k + n], mode=mode)
+        best_k, value = _window_1d(window[0], n, k_max, mode)
+        block = tuple(axis.take(slice(best_k, best_k + n)) for axis in window)
+        rep = discrepancy(fraction_points(block), mode=mode)
         if rep.value != value:
             raise AssertionError("windowed closed form disagrees with the block's discrepancy")
     else:
-        reports = [discrepancy(window[k : k + n], mode=mode) for k in range(k_max + 1)]
+        pts = fraction_points(window)
+        reports = [discrepancy(pts[k : k + n], mode=mode) for k in range(k_max + 1)]
         best_k = max(range(k_max + 1), key=lambda k: reports[k].value)  # first maximum
         rep = reports[best_k]
     return DiscrepancyReport(n, rep.value, rep.witness, f"windowed-{mode}", best_k)

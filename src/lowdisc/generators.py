@@ -1,8 +1,11 @@
 """Point sequences: van der Corput, Halton, and digital sequences over F_p.
 
-Coordinates are exact BRational values throughout.  The module also certifies
-(t,m,s)-net properties by exhaustive enumeration of elementary intervals and
-checks the generator-matrix rank condition over F_p.
+Every point comes from one integer kernel, :func:`coordinates`, which turns a
+batch of indices into exact numerator arrays over a common power of each
+axis's base.  Exact BRational points are built from them only at the API and
+CSV boundaries.  The module also certifies (t,m,s)-net properties by counting
+points in every elementary interval and checks the generator-matrix rank
+condition over F_p.
 """
 
 from __future__ import annotations
@@ -11,9 +14,13 @@ import csv
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
-from .digits import BRational, expand, radical_inverse
+import numpy as np
+
+from ._util import _int_dtype
+from .digits import BRational
 
 DEFAULT_DIGITAL_PRECISION = 32
 
@@ -60,7 +67,7 @@ class VanDerCorput:
         return 1
 
     def point(self, n: int) -> Point:
-        return Point((radical_inverse(n, self.base),))
+        return to_points(coordinates(self, [n]))[0]
 
     def label(self) -> str:
         return f"vdc:{self.base}"
@@ -93,7 +100,7 @@ class Halton:
         return len(self.bases)
 
     def point(self, n: int) -> Point:
-        return Point(tuple(radical_inverse(n, b) for b in self.bases))
+        return to_points(coordinates(self, [n]))[0]
 
     def label(self) -> str:
         return "halton:" + ",".join(str(b) for b in self.bases)
@@ -157,21 +164,7 @@ class DigitalSequence:
         return len(self.matrices)
 
     def point(self, n: int) -> Point:
-        if n >= self.p**self.precision:
-            raise ValueError(
-                f"index {n} needs more than {self.precision} base-{self.p} "
-                "digits; raise the precision"
-            )
-        digs = list(expand(n, self.p).digits)
-        digs += [0] * (self.precision - len(digs))
-        coords = []
-        for mat in self.matrices:
-            num = 0
-            for row in mat.rows:
-                y = sum(c * d for c, d in zip(row, digs) if d) % self.p
-                num = num * self.p + y
-            coords.append(BRational(num, self.p, self.precision).normalized())
-        return Point(tuple(coords))
+        return to_points(coordinates(self, [n]))[0]
 
     def label(self) -> str:
         return f"digital:{self.p},s={self.dimension},prec={self.precision}"
@@ -180,8 +173,127 @@ class DigitalSequence:
 SequenceSpec = VanDerCorput | Halton | DigitalSequence
 
 
+class Axis(NamedTuple):
+    """One coordinate of a batch of points: the values nums / base**width.
+
+    nums is an int64 array while base**width < 2**62 and an object array of
+    exact Python ints beyond.
+    """
+
+    base: int
+    width: int
+    nums: np.ndarray
+
+    def take(self, rows) -> Axis:
+        return Axis(self.base, self.width, self.nums[rows])
+
+    def normalized(self) -> tuple[list[int], list[int]]:
+        """Numerators and precisions with trailing zero digits dropped (0 is 0/b^0)."""
+        nums = self.nums.copy()
+        precs = np.full(len(nums), self.width, dtype=np.int64)
+        live = nums != 0
+        precs[~live] = 0
+        while True:
+            strip = live & (nums % self.base == 0)
+            if not strip.any():
+                return nums.tolist(), precs.tolist()
+            nums[strip] //= self.base
+            precs[strip] -= 1
+
+    def brationals(self) -> list[BRational]:
+        nums, precs = self.normalized()
+        return [BRational(num, self.base, prec) for num, prec in zip(nums, precs)]
+
+    def fractions(self) -> list[Fraction]:
+        den = self.base**self.width
+        return [Fraction(num, den) for num in self.nums.tolist()]
+
+    def floats(self) -> list[float]:
+        """Each value correctly rounded, as float(Fraction) rounds it."""
+        den = self.base**self.width
+        if den <= 1 << 53:  # numerators and denominator are exact doubles: one rounding
+            return (self.nums.astype(np.float64) / den).tolist()
+        return [num / den for num in self.nums.tolist()]  # int true division rounds once
+
+
+def _index_array(indices) -> np.ndarray:
+    """Non-negative integer indices: int64 below 2**62, exact Python ints beyond."""
+    values = list(indices)
+    for v in values:
+        if not isinstance(v, int) or v < 0:
+            raise ValueError(f"expected a non-negative integer, got {v!r}")
+    return np.array(values, dtype=_int_dtype(max(values, default=0) + 1))
+
+
+def _radical_inverses(idx: np.ndarray, base: int) -> Axis:
+    """The digits of each index mirrored across the radix point, over as many
+    digits as the largest index has."""
+    top, width = int(idx.max(initial=0)), 0
+    while base**width <= top:
+        width += 1
+    rem = idx.copy()
+    nums = np.zeros(len(idx), dtype=_int_dtype(base**width))
+    for _ in range(width):
+        nums = nums * base + rem % base
+        rem //= base
+    return Axis(base, width, nums)
+
+
+def _digital_axes(spec: DigitalSequence, idx: np.ndarray) -> tuple[Axis, ...]:
+    """Digit vectors times each generator matrix over F_p, read as base-p digits."""
+    p, width = spec.p, spec.precision
+    top = int(idx.max(initial=0))
+    if top >= p**width:
+        raise ValueError(
+            f"index {top} needs more than {width} base-{p} digits; raise the precision"
+        )
+    # Each entry of the product sums width terms c*d with c, d < p, so it is
+    # below width*(p-1)**2.  With p**width < 2**62 and width >= 2 that is below
+    # 2**63, as (p-1)**2 < p**2 <= 2**62 / p**(width-2) <= 2**(64-width) and
+    # width * 2**(64-width) <= 2**63; width == 1 has no such bound, so the
+    # sums get their own check.  The numerators are below p**width.
+    sums = np.int64 if width * (p - 1) ** 2 < 1 << 63 else object
+    rem = idx.copy()
+    digits = np.empty((len(idx), width), dtype=sums)
+    for r in range(width):
+        digits[:, r] = rem % p
+        rem //= p
+    nums = _int_dtype(p**width)
+    place = np.array([p**e for e in range(width - 1, -1, -1)], dtype=nums)
+    axes = []
+    for mat in spec.matrices:
+        matrix = np.array(mat.rows, dtype=sums).reshape(width, width)  # (0, 0) at precision 0
+        axes.append(Axis(p, width, (digits @ matrix.T % p).astype(nums) @ place))
+    return tuple(axes)
+
+
+def coordinates(spec: SequenceSpec, indices) -> tuple[Axis, ...]:
+    """The points x_n for n in indices, one integer Axis per coordinate.
+
+    Van der Corput and Halton axes are radical inverses (digit reversal of
+    the index array); a digital sequence multiplies each index's digit vector
+    by its generator matrices mod p.  The arithmetic is int64 while the
+    common denominator base**width is below 2**62 and exact beyond.
+    """
+    idx = _index_array(indices)
+    if isinstance(spec, DigitalSequence):
+        return _digital_axes(spec, idx)
+    bases = spec.bases if isinstance(spec, Halton) else (spec.base,)
+    return tuple(_radical_inverses(idx, b) for b in bases)
+
+
+def to_points(batch: tuple[Axis, ...]) -> list[Point]:
+    """Exact Points with normalized coordinates from a batch of coordinates."""
+    return [Point(coords) for coords in zip(*(axis.brationals() for axis in batch))]
+
+
+def fraction_points(batch: tuple[Axis, ...]) -> list[tuple[Fraction, ...]]:
+    """The batch's points as tuples of Fractions, the discrepancy input type."""
+    return list(zip(*(axis.fractions() for axis in batch)))
+
+
 def points(spec: SequenceSpec, count: int, start: int = 0) -> list[Point]:
-    return [spec.point(n) for n in range(start, start + count)]
+    return to_points(coordinates(spec, range(start, start + count)))
 
 
 def _binom_mod(n: int, k: int, p: int) -> int:
@@ -304,36 +416,39 @@ def check_net(points: list[Point], b: int, t: int, m: int, s: int) -> NetCheck:
         raise ValueError(f"a (t,m,s)-net in base {b} needs exactly {b**m} points")
     if not 0 <= t <= m:
         raise ValueError("need 0 <= t <= m")
+    if any(pt.dimension != s for pt in points):
+        raise ValueError("point dimension does not match s")
+    axes = []
+    for coords in zip(*(pt.coords for pt in points)):
+        base, width = coords[0].base, max(c.prec for c in coords)
+        if any(c.base != base for c in coords):
+            raise ValueError("the points of a net need one base per axis")
+        nums = [c.num * base ** (width - c.prec) for c in coords]
+        axes.append(Axis(base, width, np.array(nums, dtype=_int_dtype(base**width))))
+    return _net_check(tuple(axes), b, t, m)
+
+
+def _net_check(batch: tuple[Axis, ...], b: int, t: int, m: int) -> NetCheck:
+    """Count the batch's points per elementary interval, one shape at a time.
+
+    A point's interval along an axis of resolution b**d is floor(x * b**d),
+    an integer division of its numerator; the cells of a shape are numbered
+    in lexicographic order, so the first wrong count is the first violation.
+    """
     expected = b**t
-    for shape in _compositions(m - t, s):
+    for shape in _compositions(m - t, len(batch)):
         scales = [b**d for d in shape]
-        counts: dict[tuple[int, ...], int] = {}
-        for pt in points:
-            if pt.dimension != s:
-                raise ValueError("point dimension does not match s")
-            key = tuple(
-                (c.num * scale) // c.base**c.prec
-                for c, scale in zip(pt.coords, scales)
-            )
-            counts[key] = counts.get(key, 0) + 1
-        if any(v != expected for v in counts.values()) or len(counts) != b ** (
-            m - t
-        ):
-            for cell in _compositions_cells(scales):
-                got = counts.get(cell, 0)
-                if got != expected:
-                    return NetCheck(False, NetViolation(shape, cell, got, expected))
+        cells = np.zeros(len(batch[0].nums), dtype=np.int64)
+        for axis, scale in zip(batch, scales):
+            den = axis.base**axis.width
+            nums = axis.nums.astype(_int_dtype(den * scale))
+            cells = cells * scale + (nums * scale // den).astype(np.int64)
+        counts = np.bincount(cells, minlength=b ** (m - t))
+        wrong = np.flatnonzero(counts != expected)
+        if len(wrong):
+            cell = tuple(int(i) for i in np.unravel_index(wrong[0], scales))
+            return NetCheck(False, NetViolation(shape, cell, int(counts[wrong[0]]), expected))
     return NetCheck(True, None)
-
-
-def _compositions_cells(scales: list[int]) -> Iterator[tuple[int, ...]]:
-    """Lexicographic cell indices of the grid prod(range(scale))."""
-    if not scales:
-        yield ()
-        return
-    for head in range(scales[0]):
-        for tail in _compositions_cells(scales[1:]):
-            yield (head,) + tail
 
 
 class SequencePropertyCheck(NamedTuple):
@@ -352,11 +467,12 @@ def check_sequence_property(
     """Check that every aligned block (x_n) for k*b^m <= n < (k+1)*b^m is a net."""
     if spec.dimension != s:
         raise ValueError("spec dimension does not match s")
+    if t < 0:
+        raise ValueError("need t >= 0")
     for m in range(t, m_max + 1):
         size = b**m
         for k in range(k_max + 1):
-            block = [spec.point(n) for n in range(k * size, (k + 1) * size)]
-            res = check_net(block, b, t, m, s)
+            res = _net_check(coordinates(spec, range(k * size, (k + 1) * size)), b, t, m)
             if not res.ok:
                 return SequencePropertyCheck(False, m, k, res.violation)
     return SequencePropertyCheck(True, None, None, None)
@@ -390,20 +506,37 @@ def csv_header(dimension: int) -> list[str]:
     return cols
 
 
-def write_points_csv(fh, pts: Iterable[Point], start_index: int = 0) -> None:
-    """Write points in the exact CSV format as they arrive; float columns are advisory."""
-    pts = iter(pts)
-    first = next(pts, None)
-    if first is None:
-        raise ValueError("no points to write")
-    dim = first.dimension
+def _csv_rows(item, n: int) -> tuple[int, int, Iterator[tuple]]:
+    """Dimension, point count and CSV rows, numbered from n, of a Point or
+    of a batch of coordinates."""
+    if isinstance(item, Point):
+        dim, count = item.dimension, 1
+        cols = [[v] for c in item.coords for v in (c.base, c.prec, c.num, float(c))]
+    else:
+        dim, count = len(item), len(item[0].nums)
+        cols = []
+        for axis in item:
+            nums, precs = axis.normalized()
+            cols += [itertools.repeat(axis.base), precs, nums, axis.floats()]
+    return dim, count, zip(itertools.count(n), itertools.repeat(dim), *cols)
+
+
+def write_points_csv(fh, pts: Iterable, start_index: int = 0) -> None:
+    """Write points in the exact CSV format as they arrive; float columns are advisory.
+
+    pts yields Points, or batches of coordinates (as from :func:`coordinates`),
+    which are written a whole batch at a time.
+    """
     writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(csv_header(dim))
-    for offset, pt in enumerate(itertools.chain([first], pts)):
-        row: list = [start_index + offset, dim]
-        for c in pt.coords:
-            row += [c.base, c.prec, c.num, repr(float(c))]
-        writer.writerow(row)
+    n = start_index
+    for item in pts:
+        dim, count, rows = _csv_rows(item, n)
+        if count and n == start_index:
+            writer.writerow(csv_header(dim))
+        writer.writerows(rows)
+        n += count
+    if n == start_index:
+        raise ValueError("no points to write")
 
 
 def read_points_csv(fh) -> list[tuple[int, Point]]:

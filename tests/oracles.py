@@ -8,6 +8,7 @@ for one-sided limits), and counting statistics are recomputed by raw scans.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 
@@ -124,6 +125,53 @@ def oracle_star_1d(values) -> Fraction:
             cnt = sum(1 for x in pts if x < hi or (inc_hi and x == hi))
             best = max(best, abs(Fraction(cnt, n) - hi))
     return best
+
+
+def oracle_digital_point(p: int, matrices, precision: int, n: int) -> tuple:
+    """Normalized (num, prec) per axis of point n of a digital sequence.
+
+    The per-point construction the generation kernel replaced: the base-p
+    digits of n, least significant first, times each generator matrix one
+    row at a time; row v gives the digit of weight p**-(v+1).  ``matrices``
+    holds each matrix's rows.
+    """
+    if n >= p**precision:
+        raise ValueError(f"index {n} needs more than {precision} base-{p} digits")
+    digs = []
+    while n:
+        n, d = divmod(n, p)
+        digs.append(d)
+    digs += [0] * (precision - len(digs))
+    coords = []
+    for rows in matrices:
+        num = 0
+        for row in rows:
+            num = num * p + sum(c * d for c, d in zip(row, digs) if d) % p
+        prec = precision if num else 0
+        while num and num % p == 0:
+            num //= p
+            prec -= 1
+        coords.append((num, prec))
+    return tuple(coords)
+
+
+def oracle_net_violation(points, b: int, t: int, m: int):
+    """First (shape, cell, count, expected) of a wrong elementary-interval
+    count, or None: every interval of volume b**(t-m), shapes and cells in
+    lexicographic order, counted by a scan of the points."""
+    pts = [tuple(c.as_fraction() for c in getattr(p, "coords", p)) for p in points]
+    s = len(pts[0])
+    for shape in itertools.product(range(m - t + 1), repeat=s):
+        if sum(shape) != m - t:
+            continue
+        scales = [b**d for d in shape]
+        for cell in itertools.product(*(range(k) for k in scales)):
+            count = sum(
+                1 for p in pts if all(math.floor(x * k) == c for x, k, c in zip(p, scales, cell))
+            )
+            if count != b**t:
+                return shape, cell, count, b**t
+    return None
 
 
 def brute_digit_sum_counts(q: int, n: int) -> dict[int, int]:

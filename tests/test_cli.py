@@ -115,10 +115,17 @@ def test_bad_value_exit_two(tmp_path):
         (["sodcheck", "--spec", "vdc:2", "--q", "2", "--dmax", "4", "--cal", "1"],
          "F.csv", "log log N > 0"),
         (["gen", "--spec", "vdc:2", "--count", "0"], "F.csv", "no points to write"),
-        (["gen", "--spec", "pascal:3,1,2", "--count", "12"], "F.csv", "raise the precision"),
+        (["gen", "--spec", "pascal:3,1,2", "--count", "12"], "F.csv",
+         "index 11 needs more than 2 base-3 digits; raise the precision"),
+        (["gen", "--spec", "vdc:2", "--count", "3", "--start", "-1"], "F.csv",
+         "expected a non-negative integer, got -1"),
+        (["gen", "--spec", "vdc:2", "--count", "-2"], "F.csv", "no points to write"),
+        (["netcheck", "--spec", "vdc:2", "--base", "2", "--t", "-1", "--mmax", "2", "--kmax", "1"],
+         "F.csv", "need t >= 0"),
     ],
     ids=["disc-budget", "expsum-N0", "table-missing-path", "sod-missing-q", "out-dir-missing",
-         "sodcheck-no-c3-level", "gen-count-0", "gen-index-out-of-range"],
+         "sodcheck-no-c3-level", "gen-count-0", "gen-index-out-of-range", "gen-start-negative",
+         "gen-count-negative", "netcheck-t-negative"],
 )
 def test_usage_error_leaves_no_output(tmp_path, capsys, args, out_name, message):
     out = tmp_path / out_name
@@ -136,6 +143,23 @@ def test_gen_out_of_range_writes_no_rows(capsys):
     assert main(["gen", "--spec", "pascal:3,1,2", "--count", "12"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and "raise the precision" in err
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["--spec", "vdc:2", "--start", "-1", "--count", "3"], "got -1"),
+        (["--spec", "pascal:2,1,11", "--count", "2049"], "index 2048 needs"),
+        (["--spec", "vdc:2", "--count", "0"], "no points"),
+        (["--spec", "vdc:2", "--count", "-2"], "no points"),
+    ],
+)
+def test_gen_usage_errors_write_no_rows(capsys, args, message):
+    # rows stream in batches, so both extreme indices are checked before the first
+    assert main(["gen", *args]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage error: ") and err.count("\n") == 1
+    assert message in err
 
 
 def test_disc_has_no_shift_window():

@@ -1,12 +1,17 @@
 import io
+from functools import lru_cache
 
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lowdisc import (
+    BRational,
     DigitalSequence,
     GeneratorMatrix,
     Halton,
+    Point,
     VanDerCorput,
     check_net,
     check_rank_condition,
@@ -14,8 +19,11 @@ from lowdisc import (
     parse_spec,
     pascal_matrices,
     points,
+    radical_inverse,
 )
-from lowdisc.generators import read_points_csv, write_points_csv
+from lowdisc.cli import main
+from lowdisc.generators import coordinates, read_points_csv, write_points_csv
+from oracles import oracle_digital_point, oracle_net_violation
 
 
 def identity_matrices(p, s, size):
@@ -148,6 +156,10 @@ def test_points_csv_streams_from_any_iterable():
     write_points_csv(from_list, pts, 5)
     write_points_csv(from_generator, (p for p in pts), 5)
     assert from_generator.getvalue() == from_list.getvalue()
+    from_batches = io.StringIO()  # kernel batches write the same rows as their Points
+    spec = Halton((2, 3))
+    write_points_csv(from_batches, (coordinates(spec, r) for r in (range(5, 9), range(9, 12))), 5)
+    assert from_batches.getvalue() == from_list.getvalue()
     with pytest.raises(ValueError, match="no points"):
         write_points_csv(io.StringIO(), iter([]))
 
@@ -159,3 +171,157 @@ def test_parse_spec_roundtrip():
     assert isinstance(dig, DigitalSequence) and dig.precision == 6
     with pytest.raises(ValueError):
         parse_spec("sobol:2")
+
+
+@lru_cache(maxsize=None)
+def pascal(p, s, precision):
+    return DigitalSequence(p, tuple(pascal_matrices(p, s, precision)), precision)
+
+
+def kernel_coords(spec, indices):
+    """Per index, ((num, prec), value, float) per axis from one kernel call."""
+    per_axis = []
+    for axis in coordinates(spec, indices):
+        nums, precs = axis.normalized()
+        per_axis.append(list(zip(zip(nums, precs), axis.fractions(), axis.floats())))
+    return list(zip(*per_axis))
+
+
+def oracle_coords(spec, n):
+    if isinstance(spec, DigitalSequence):
+        pairs = oracle_digital_point(spec.p, [m.rows for m in spec.matrices], spec.precision, n)
+        bases = [spec.p] * spec.dimension
+    else:
+        bases = spec.bases if isinstance(spec, Halton) else (spec.base,)
+        pairs = [(x.num, x.prec) for x in (radical_inverse(n, b) for b in bases)]
+    values = [Fraction(num, b**prec) for (num, prec), b in zip(pairs, bases)]
+    return tuple(zip(pairs, values, (float(v) for v in values)))
+
+
+@st.composite
+def specs_and_indices(draw):
+    kind = draw(st.sampled_from(["vdc", "halton", "pascal"]))
+    if kind == "pascal":
+        p = draw(st.sampled_from([2, 3, 5, 7]))
+        spec = pascal(p, draw(st.integers(1, min(p, 3))), draw(st.integers(1, 40)))
+        top = p**spec.precision
+    else:
+        if kind == "vdc":
+            spec = VanDerCorput(draw(st.integers(2, 7)))
+        else:
+            spec = Halton(draw(st.sampled_from([(2, 3), (3, 2), (2, 3, 5), (4, 7), (7, 5, 6)])))
+        top = draw(st.sampled_from([2**10, 2**62, 10**20]))
+    # like transform outputs: unsorted, repeated, with 0 and the largest index
+    drawn = draw(st.lists(st.integers(0, top - 1), min_size=1, max_size=25))
+    indices = draw(st.permutations(drawn + drawn[:3] + [0, top - 1]))
+    return spec, indices
+
+
+@settings(max_examples=250, deadline=None)
+@given(specs_and_indices())
+def test_kernel_matches_per_point_oracles(case):
+    spec, indices = case
+    got = kernel_coords(spec, indices)
+    assert got == [oracle_coords(spec, n) for n in indices]
+    for n, coords in zip(indices[:3], got):
+        point = spec.point(n)
+        assert [(c.num, c.prec) for c in point.coords] == [pair for pair, _, _ in coords]
+
+
+BIG_P = 3037000507  # a prime with BIG_P < 2**62 but (BIG_P - 1)**2 > 2**63
+
+
+@pytest.mark.parametrize(
+    "spec,indices,exact",
+    [
+        # int64 while p**precision < 2**62: 3**39 and 2**61 are below, 3**40,
+        # 5**32 and 2**62 are not
+        (parse_spec("pascal:3,1,39"), [3**39 - 1, 0, 3**38, 3**39 - 2, 12345, 3**39 - 1, 1], False),
+        (parse_spec("pascal:3,1,40"), [3**40 - 1, 0, 3**39, 3**40 - 2, 12345, 1], True),
+        (parse_spec("pascal:5,1"), [5**32 - 1, 0, 5**31, 5**32 - 2, 12345, 1], True),
+        (parse_spec("pascal:2,2,61"), [2**61 - 1, 0, 2**60, 2**61 - 2, 12345, 1], False),
+        (parse_spec("pascal:2,2,62"), [2**62 - 1, 0, 2**61, 2**62 - 2, 12345, 1], True),
+        # precision 1: int64 numerators, but the products need exact ints
+        (DigitalSequence(BIG_P, (GeneratorMatrix(BIG_P, ((BIG_P - 1,),)),), 1),
+         [BIG_P - 1, BIG_P - 2, 1, 0], False),
+        # indices below 2**62 whose mirrored numerators pass 2**63
+        (VanDerCorput(3), [3**39 + 8, 5, 3**39 + 8], True),
+        # indices across 2**62
+        (Halton((2, 3)), [2**62 - 1, 2**62, 2**62 + 1, 5], True),
+        # precision 0: the one point 0, from empty matrices
+        (parse_spec("pascal:3,2,0"), [0, 0], False),
+    ],
+    ids=["pascal-3-39", "pascal-3-40", "pascal-5-32", "pascal-2-61", "pascal-2-62",
+         "precision-1-big-p", "vdc-3-numerators", "halton-across-2-62", "precision-0"],
+)
+def test_kernel_int64_or_exact_boundary(spec, indices, exact):
+    assert all((axis.nums.dtype == object) == exact for axis in coordinates(spec, indices))
+    assert kernel_coords(spec, indices) == [oracle_coords(spec, n) for n in indices]
+
+
+@pytest.mark.parametrize("precision", [39, 40])
+def test_net_cells_at_int64_boundary(precision):
+    # coordinates over 3**39 (int64) and 3**40 (exact ints); numerator times
+    # 3**d passes 2**63 before the division either way
+    spec = pascal(3, 2, precision)
+    assert check_sequence_property(spec, b=3, t=0, s=2, k_max=2, m_max=3).ok
+
+
+@pytest.mark.parametrize(
+    "args,expected",
+    [
+        (["pascal:3,1,39", "--start", str(3**39 - 3), "--count", "3"],
+         "n,dim,base_1,prec_1,num_1,float_1\n"
+         "4052555153018976264,1,3,39,1350851717672992088,0.3333333333333333\n"
+         "4052555153018976265,1,3,39,2701703435345984177,0.6666666666666666\n"
+         "4052555153018976266,1,3,39,4052555153018976266,1.0\n"),
+        (["pascal:3,1,40", "--start", str(3**40 - 3), "--count", "3"],
+         "n,dim,base_1,prec_1,num_1,float_1\n"
+         "12157665459056928798,1,3,40,4052555153018976266,0.3333333333333333\n"
+         "12157665459056928799,1,3,40,8105110306037952533,0.6666666666666666\n"
+         "12157665459056928800,1,3,40,12157665459056928800,1.0\n"),
+        (["pascal:5,1", "--start", str(5**32 - 2), "--count", "2"],
+         "n,dim,base_1,prec_1,num_1,float_1\n"
+         "23283064365386962890623,1,5,32,18626451492309570312499,0.8\n"
+         "23283064365386962890624,1,5,32,23283064365386962890624,1.0\n"),
+        (["halton:2,3", "--start", "4611686018427387903", "--count", "2"],
+         "n,dim,base_1,prec_1,num_1,float_1,base_2,prec_2,num_2,float_2\n"
+         "4611686018427387903,2,2,62,4611686018427387903,1.0,"
+         "3,40,1880928477073175149,0.15471132047575514\n"
+         "4611686018427387904,2,2,63,1,1.0842021724855044e-19,"
+         "3,40,5933483630092151416,0.48804465380908846\n"),
+    ],
+    ids=["pascal-3-39-int64", "pascal-3-40-exact", "pascal-5-32-exact", "halton-across-2-62"],
+)
+def test_gen_bytes_at_int64_boundary(capsys, args, expected):
+    # the rows the per-point generator wrote; a float column may round up to 1.0
+    assert main(["gen", "--spec", *args]) == 0
+    assert capsys.readouterr().out == expected
+
+
+@st.composite
+def net_candidates(draw):
+    b = draw(st.sampled_from([2, 3]))
+    m = draw(st.integers(0, 3))
+    t = draw(st.integers(0, m))
+    s = draw(st.integers(1, 3))
+    if draw(st.booleans()):  # an aligned block of a sequence: often a net
+        spec = draw(st.sampled_from([VanDerCorput(b), pascal(b, min(s, b), 6), Halton((2, 3))]))
+        pts = points(spec, b**m, start=draw(st.integers(0, 5)) * b**m)
+    else:
+        coord = st.integers(0, 4).flatmap(
+            lambda prec: st.integers(0, b**prec - 1).map(lambda num: BRational(num, b, prec))
+        )
+        pts = [Point(tuple(draw(coord) for _ in range(s))) for _ in range(b**m)]
+    return pts, b, t, m
+
+
+@settings(max_examples=200, deadline=None)
+@given(net_candidates())
+def test_check_net_matches_interval_scan(case):
+    pts, b, t, m = case
+    res = check_net(pts, b, t, m, pts[0].dimension)
+    want = oracle_net_violation(pts, b, t, m)
+    assert res.ok == (want is None)
+    if want is not None:
+        assert tuple(res.violation) == want
