@@ -18,7 +18,7 @@ from typing import Callable, Mapping, Sequence
 from ._util import UnimodalityError
 from .digitsum_dist import distribution
 from .discrepancy import DiscrepancyReport, discrepancy, windowed_uniform_discrepancy
-from .generators import SequenceSpec, coordinates, fraction_points
+from .generators import SequenceSpec, coordinates
 from .transforms import (
     FloorPower,
     IndexTransform,
@@ -210,7 +210,7 @@ def transformed_discrepancy(
     else:
         multiplicity = value_counts_below(transform, n)
         indices, counts = list(multiplicity), list(multiplicity.values())
-    return discrepancy(fraction_points(coordinates(spec, indices)), counts, mode)
+    return discrepancy(coordinates(spec, indices), counts, mode)
 
 
 @dataclass
@@ -471,13 +471,14 @@ def measured_delta_table(
     """Delta(m) = max over the first aligned blocks of b^m * (exact block D)."""
     if spec.dimension != s:
         raise ValueError("spec dimension does not match s")
-    pts = fraction_points(coordinates(spec, range(blocks * b**m_max)))
+    batch = coordinates(spec, range(blocks * b**m_max))
     table = {}
     for m in range(t, m_max + 1):
         size = b**m
         worst = Fraction(0)
         for k in range(blocks):
-            worst = max(worst, discrepancy(pts[k * size : (k + 1) * size]).value)
+            block = tuple(axis.take(slice(k * size, (k + 1) * size)) for axis in batch)
+            worst = max(worst, discrepancy(block).value)
         table[m] = float(size * worst)
     return table
 

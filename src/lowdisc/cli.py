@@ -87,6 +87,12 @@ def _writer(fh):
     return csv.writer(fh, lineterminator="\n")
 
 
+def _need_level(name: str, value: int, least: int = 0) -> None:
+    """A level argument below its least value is a usage error, not an empty run."""
+    if value < least:
+        raise ValueError(f"need --{name} >= {least}, got {value}")
+
+
 def _frac_cols(x) -> list:
     f = as_fraction(x)
     return [f.numerator, f.denominator]
@@ -171,9 +177,10 @@ def cmd_expsum(args) -> int:
 
 def cmd_hkbound(args) -> int:
     b, q, n = args.b, args.q, args.N
+    spec = VanDerCorput(b)  # checks the base before the resolution takes log b
     g = args.g if args.g else hellekalek_resolution(b, n)
     multiplicity = value_counts_below(SumOfDigits(q), n)
-    (axis,) = coordinates(VanDerCorput(b), list(multiplicity))
+    (axis,) = coordinates(spec, list(multiplicity))
     bound = hellekalek_bound(b, g, axis.brationals(), list(multiplicity.values()))
     with _output(args.out) as fh:
         w = _weyl_rows(fh, b, q, range(1, b**g), n)
@@ -182,6 +189,7 @@ def cmd_hkbound(args) -> int:
 
 
 def cmd_genbound(args) -> int:
+    _need_level("dmax", args.dmax)
     spec = parse_spec(args.spec)
     reports = general_sandwich(spec, SumOfDigits(args.q), args.dmax)
     failures = []
@@ -250,6 +258,7 @@ def cmd_sodcheck(args) -> int:
 
 
 def cmd_monocheck(args) -> int:
+    _need_level("dmax", args.dmax, 1)
     spec = parse_spec(args.spec)
     transform = FloorPower(args.u, args.v)
     n_values = [2**d for d in range(1, args.dmax + 1)]
@@ -302,6 +311,7 @@ def cmd_monocheck(args) -> int:
 
 
 def cmd_ubound(args) -> int:
+    _need_level("dmax", args.dmax)
     spec = parse_spec(args.spec)
     b, t, s = args.b, args.t, args.s
     m_top = max(args.dmax, t)
@@ -338,6 +348,7 @@ def cmd_ubound(args) -> int:
 
 
 def cmd_netcheck(args) -> int:
+    _need_level("mmax", args.mmax)
     spec = parse_spec(args.spec)
     res = check_sequence_property(spec, args.base, args.t, spec.dimension, args.kmax, args.mmax)
     with _output(args.out) as fh:

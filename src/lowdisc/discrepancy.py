@@ -4,10 +4,18 @@ All values are exact rationals.  Suprema over half-open boxes are realized
 symbolically: every candidate wall carries a closed/open attainment flag
 standing for a one-sided limit, so no numeric epsilon ever appears.  Witness
 boxes are reported so each value can be re-checked independently.
+
+Every evaluator reads one integer form of its input, built once per call by
+``_integer_form``: per axis a denominator D, the sorted distinct coordinates
+times D and each point's rank among them, plus the multiplicities as an
+array.  A tuple of kernel ``Axis`` columns goes straight in; Point, Fraction
+and BRational inputs are validated and converted.  Only the winning box is
+turned back into Fractions.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,13 +25,10 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ._util import BudgetExceededError, _int_dtype, as_fraction
-from .generators import Axis, Point, SequenceSpec, coordinates, fraction_points
+from .generators import Axis, Point, SequenceSpec, coordinates
 from .transforms import IndexTransform
 
 DEFAULT_BOX_BUDGET = 1 << 24
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -51,7 +56,7 @@ class Box:
     sides: tuple[BoxSide, ...]
 
     def volume(self) -> Fraction:
-        vol = ONE
+        vol = Fraction(1)
         for side in self.sides:
             vol *= side.upper - side.lower
         return vol
@@ -80,8 +85,6 @@ def _coerce_points(points) -> list[tuple[Fraction, ...]]:
     for pt in points:
         if isinstance(pt, Point):
             out.append(pt.as_fractions())
-        elif type(pt) is tuple and all(type(c) is Fraction for c in pt):
-            out.append(pt)  # already exact: a second coercion copies nothing
         elif isinstance(pt, (tuple, list)):
             out.append(tuple(as_fraction(c) for c in pt))
         else:
@@ -99,78 +102,83 @@ def recount(points, box: Box, counts=None) -> Fraction:
     return abs(Fraction(inside, n) - box.volume())
 
 
-def _weighted_points(points, counts):
-    """Validated points, multiplicities, their total and the sorted axes."""
-    pts = _coerce_points(points)
+def _reduced(den: int, nums: np.ndarray) -> tuple[int, np.ndarray]:
+    """nums / den over their least common denominator, den / gcd(den, *nums)."""
+    common = math.gcd(den, int(np.gcd.reduce(nums)))
+    if common > 1:
+        den, nums = den // common, nums // common
+    return den, nums.astype(_int_dtype(den), copy=False)
+
+
+def _integer_form(points, counts):
+    """Per axis (D, values, ranks), then the multiplicities and their total.
+
+    values are the axis's sorted distinct coordinates times D, the least
+    common denominator of the axis, and values[ranks[i]] is point i's.
+    Zero-weight points stay on the axes as walls.
+    """
+    batch = isinstance(points, tuple) and bool(points) and isinstance(points[0], Axis)
+    pts = None if batch else _coerce_points(points)
+    size = len(points[0].nums) if batch else len(pts)
     if counts is None:
-        counts = [1] * len(pts)
-    if any(c < 0 for c in counts):
-        raise ValueError("multiplicities must be non-negative")
-    n = sum(counts)
-    if not pts or n < 1:
+        counts, n = np.broadcast_to(np.int64(1), (size,)), size
+    else:
+        counts = np.array(counts, dtype=object)  # np.asarray may read ints >= 2**63 as floats
+        if (counts < 0).any():
+            raise ValueError("multiplicities must be non-negative")
+        n = int(counts.sum())
+    if not size or n < 1:
         raise ValueError("empty point multiset")
-    for pt in pts:
-        if not all(0 <= x < 1 for x in pt):
-            raise ValueError(f"point {pt} outside [0, 1)^s")
-    return pts, counts, n, [sorted({pt[i] for pt in pts}) for i in range(len(pts[0]))]
+    if batch:
+        columns = [(axis.base**axis.width, axis.nums) for axis in points]
+    else:
+        for pt in pts:
+            if not all(0 <= x < 1 for x in pt):
+                raise ValueError(f"point {pt} outside [0, 1)^s")
+        columns = []
+        for col in zip(*pts):
+            den = math.lcm(*{x.denominator for x in col})
+            nums = [x.numerator * (den // x.denominator) for x in col]
+            columns.append((den, np.array(nums, dtype=_int_dtype(den))))
+    axes = []
+    for den, nums in columns:
+        den, nums = _reduced(den, nums)
+        axes.append((den, *np.unique(nums, return_inverse=True)))
+    return axes, counts, n
 
 
 # Candidate boxes are products of per-axis sides.  A side is a tuple
-# (start, end, length, (lower, upper)): the points inside it are those whose
-# coordinate rank r on that axis has start <= r < end, and length is
-# (upper - lower) times the axis denominator D, the lcm of the axis's
-# coordinate denominators.
+# (start, end, length, walls): the points inside it are those whose
+# coordinate rank r on that axis has start <= r < end, and the length and
+# the two walls are integers over the axis denominator D.
 
 
-def _axis_ints(ax: list[Fraction]) -> tuple[int, list[int]]:
-    den = math.lcm(*(x.denominator for x in ax))
-    return den, [x.numerator * (den // x.denominator) for x in ax]
+def _closed_sides(den: int, ints: list[int]) -> list[tuple]:
+    """Shrink-wrapped sides [ints[i], ints[j]] for i <= j."""
+    pairs = itertools.combinations_with_replacement(range(len(ints)), 2)
+    return [(i, j + 1, ints[j] - ints[i], (ints[i], ints[j])) for i, j in pairs]
 
 
-def _closed_sides(ax: list[Fraction]) -> list[tuple]:
-    """Shrink-wrapped sides [ax[i], ax[j]] for i <= j."""
-    _, ints = _axis_ints(ax)
-    u = len(ax)
-    return [
-        (i, j + 1, ints[j] - ints[i], (ax[i], ax[j]))
-        for i in range(u)
-        for j in range(i, u)
-    ]
-
-
-def _open_sides(ax: list[Fraction]) -> list[tuple]:
-    """Fattened sides (lo, hi) with lo in [0] + ax, hi in ax + [1], lo < hi."""
-    den, ints = _axis_ints(ax)
-    u = len(ax)
+def _open_sides(den: int, ints: list[int]) -> list[tuple]:
+    """Fattened sides (lo, hi) with lo in [0] + ints, hi in ints + [D], lo < hi."""
     # walls are strict: the wall at 0 excludes a coordinate 0 (rank 0), and
-    # ax[0] == 0 then repeats that wall as its own (lo, hi) candidates
-    lows = [(1 if ints[0] == 0 else 0, 0, ZERO)]
-    lows += [(i + 1, v, x) for i, (v, x) in enumerate(zip(ints, ax))]
-    highs = [(j, v, x) for j, (v, x) in enumerate(zip(ints, ax))]
-    highs.append((u, den, ONE))
-    return [
-        (start, end, hv - lv, (lx, hx))
-        for start, lv, lx in lows
-        for end, hv, hx in highs
-        if lv < hv
-    ]
+    # ints[0] == 0 then repeats that wall as its own (lo, hi) candidates
+    lows = [(1 if ints[0] == 0 else 0, 0)] + [(i + 1, v) for i, v in enumerate(ints)]
+    highs = list(enumerate(ints)) + [(len(ints), den)]
+    return [(start, end, hv - lv, (lv, hv)) for start, lv in lows for end, hv in highs if lv < hv]
 
 
-def _corner_sides(ax: list[Fraction], closed: bool) -> list[tuple]:
-    """Anchored sides [0, c] (closed) or [0, c) for corners c in ax + [1]."""
-    den, ints = _axis_ints(ax)
-    sides = [
-        (0, j + 1 if closed else j, v, (ZERO, x))
-        for j, (v, x) in enumerate(zip(ints, ax))
-    ]
-    sides.append((0, len(ax), den, (ZERO, ONE)))
+def _corner_sides(den: int, ints: list[int], closed: bool) -> list[tuple]:
+    """Anchored sides [0, c] (closed) or [0, c) for corners c in ints + [D]."""
+    sides = [(0, j + 1 if closed else j, v, (0, v)) for j, v in enumerate(ints)]
+    sides.append((0, len(ints), den, (0, den)))
     return sides
 
 
-def _open_side_count(ax: list[Fraction]) -> int:
-    """len(_open_sides(ax)), without building the sides (budget checks)."""
-    u = len(ax)
-    return u * (u + 1) // 2 + u + 1 - (ax[0] == 0)
+def _open_side_count(values: np.ndarray) -> int:
+    """len(_open_sides(den, values)), without building the sides (budget checks)."""
+    u = len(values)
+    return u * (u + 1) // 2 + u + 1 - (int(values[0]) == 0)
 
 
 _CHUNK_CELLS = 1 << 13
@@ -187,17 +195,15 @@ class _BoxKernel:
     under the int64-or-exact rule of ``_int_dtype``.
     """
 
-    def __init__(self, pts, counts, n, axes):
+    def __init__(self, axes, counts, n):
         self.n = n
-        self.scale = math.prod(_axis_ints(ax)[0] for ax in axes)
+        self.scale = math.prod(den for den, _, _ in axes)
         self.dtype = _int_dtype(n * self.scale)
-        rank = [{x: r + 1 for r, x in enumerate(ax)} for ax in axes]
-        cells = tuple(
-            np.array([rank[a][pt[a]] for pt in pts], dtype=np.intp)
-            for a in range(len(axes))
-        )
-        prefix = np.zeros([len(ax) + 1 for ax in axes], dtype=self.dtype)
-        np.add.at(prefix, cells, np.array(counts, dtype=self.dtype))
+        prefix = np.zeros([len(values) + 1 for _, values, _ in axes], dtype=self.dtype)
+        # a point of ranks r adds its weight at prefix[r + 1], here through a view
+        cells = prefix[(slice(1, None),) * len(axes)]
+        ranks = tuple(ranks for _, _, ranks in axes)
+        np.add.at(cells, ranks, counts.astype(self.dtype, copy=False))
         for axis in range(prefix.ndim):
             np.cumsum(prefix, axis=axis, out=prefix)
         self.prefix = prefix
@@ -210,18 +216,9 @@ class _BoxKernel:
         arrays = []
         for sides in family:
             starts, ends, lengths, _ = zip(*sides)
-            arrays.append(
-                (
-                    np.array(starts, dtype=np.intp),
-                    np.array(ends, dtype=np.intp),
-                    np.array(lengths, dtype=self.dtype),
-                )
-            )
-        rest = math.prod(
-            max(len(starts), self.prefix.shape[a])
-            for a, (starts, _, _) in enumerate(arrays)
-            if a
-        )
+            bounds = np.array(starts, dtype=np.intp), np.array(ends, dtype=np.intp)
+            arrays.append((*bounds, np.array(lengths, dtype=self.dtype)))
+        rest = math.prod(max(len(a[0]), self.prefix.shape[i]) for i, a in enumerate(arrays) if i)
         step = max(1, _CHUNK_CELLS // rest)
         for row in range(0, len(family[0]), step):
             dev = self._chunk(arrays, slice(row, row + step))
@@ -257,14 +254,15 @@ def _first_max(chunks) -> tuple[int, int]:
     return best, where
 
 
-def _witness(family, where: int, closed_lower: bool, closed_upper: bool) -> Box:
+def _side(den: int, lower, upper, closed_lower: bool, closed_upper: bool) -> BoxSide:
+    """A witness side from integer walls over den: the only Fractions built."""
+    return BoxSide(Fraction(int(lower), den), Fraction(int(upper), den), closed_lower, closed_upper)
+
+
+def _witness(family, axes, where: int, closed_lower: bool, closed_upper: bool) -> Box:
     index = np.unravel_index(where, [len(sides) for sides in family])
-    return Box(
-        tuple(
-            BoxSide(*sides[i][3], closed_lower, closed_upper)
-            for sides, i in zip(family, index)
-        )
-    )
+    walls = [(den, sides[i][3]) for sides, (den, _, _), i in zip(family, axes, index)]
+    return Box(tuple(_side(den, *w, closed_lower, closed_upper) for den, w in walls))
 
 
 def _deviations_1d(values, below, at, den: int, n: int):
@@ -278,15 +276,69 @@ def _deviations_1d(values, below, at, den: int, n: int):
     return n * values - below * den, at * den - n * values
 
 
-def _closed_form_1d(pts, counts, n, axes):
+def _closed_form_1d(axes, counts, n):
     """The axis, its kernel and the integer D- and D+ at each axis value."""
     if len(axes) != 1:
         raise ValueError("the 1D closed form needs one-dimensional points")
-    kernel = _BoxKernel(pts, counts, n, axes)
-    den, ints = _axis_ints(axes[0])
+    kernel = _BoxKernel(axes, counts, n)
+    den, values, _ = axes[0]
     cum = kernel.prefix  # cum[i + 1] is the weight up to the i-th axis value
-    values = np.array(ints, dtype=kernel.dtype)
-    return axes[0], kernel, *_deviations_1d(values, cum[:-1], cum[1:], den, n)
+    scaled = values.astype(kernel.dtype, copy=False)
+    return den, values, kernel, *_deviations_1d(scaled, cum[:-1], cum[1:], den, n)
+
+
+def _extreme_1d(axes, counts, n) -> DiscrepancyReport:
+    den, values, kernel, minus, plus = _closed_form_1d(axes, counts, n)
+    d_minus, i_minus = _first_max([minus])
+    d_plus, i_plus = _first_max([plus])
+    if i_minus <= i_plus:
+        side = _side(den, values[i_minus], values[i_plus], True, True)
+    else:
+        side = _side(den, values[i_plus], values[i_minus], False, False)
+    return DiscrepancyReport(n, kernel.value(d_minus + d_plus), Box((side,)), "exact-1d")
+
+
+def _extreme_grid(axes, counts, n, budget: int = DEFAULT_BOX_BUDGET) -> DiscrepancyReport:
+    boxes = math.prod(len(values) * (len(values) + 1) // 2 for _, values, _ in axes)
+    boxes += math.prod(_open_side_count(values) for _, values, _ in axes)
+    if boxes > budget:
+        corners = math.prod(len(values) + 1 for _, values, _ in axes)
+        raise BudgetExceededError(
+            f"{boxes} candidate boxes exceed the budget of {budget} boxes; "
+            f"consider the star-discrepancy proxy ({corners} corners)"
+        )
+    kernel = _BoxKernel(axes, counts, n)
+    walls = [(den, values.tolist()) for den, values, _ in axes]
+    closed = [_closed_sides(*w) for w in walls]
+    best, where = _first_max(kernel.excess(closed))
+    box = _witness(closed, axes, where, True, True)
+    opened = [_open_sides(*w) for w in walls]
+    open_best, open_where = _first_max(kernel.excess(opened, negate=True))
+    if open_best > best:
+        best, box = open_best, _witness(opened, axes, open_where, False, False)
+    return DiscrepancyReport(n, kernel.value(best), box, "exact-grid")
+
+
+def _star(axes, counts, n, budget: int = DEFAULT_BOX_BUDGET) -> DiscrepancyReport:
+    if len(axes) == 1:
+        den, values, kernel, minus, plus = _closed_form_1d(axes, counts, n)
+        # D- before D+ at each value, so a tie reports [0, y) before [0, y]
+        best, where = _first_max([np.stack((minus, plus), axis=-1)])
+        i, closed = divmod(where, 2)
+        box = Box((_side(den, 0, values[i], True, bool(closed)),))
+        return DiscrepancyReport(n, kernel.value(best), box, "star-1d")
+    corners = math.prod(len(values) + 1 for _, values, _ in axes)
+    if corners > budget:
+        raise BudgetExceededError(f"{corners} star corners exceed the budget of {budget} corners")
+    kernel = _BoxKernel(axes, counts, n)
+    walls = [(den, values.tolist()) for den, values, _ in axes]
+    closed = [_corner_sides(*w, True) for w in walls]
+    opened = [_corner_sides(*w, False) for w in walls]
+    limits = zip(kernel.excess(closed), kernel.excess(opened, negate=True))
+    best, where = _first_max(np.stack(pair, axis=-1) for pair in limits)
+    corner, limit = divmod(where, 2)
+    box = _witness(opened if limit else closed, axes, corner, True, not limit)
+    return DiscrepancyReport(n, kernel.value(best), box, "star-grid")
 
 
 def extreme_discrepancy_1d(points, counts=None) -> DiscrepancyReport:
@@ -297,29 +349,10 @@ def extreme_discrepancy_1d(points, counts=None) -> DiscrepancyReport:
     c_{i-1}/N), each maximum the first one.  The brute-force interval oracle
     in the test suite checks this exactly.
     """
-    ax, kernel, minus, plus = _closed_form_1d(*_weighted_points(points, counts))
-    d_minus, i_minus = _first_max([minus])
-    d_plus, i_plus = _first_max([plus])
-    lo, hi = ax[i_minus], ax[i_plus]
-    if lo <= hi:
-        side = BoxSide(lo, hi, True, True)
-    else:
-        side = BoxSide(hi, lo, False, False)
-    return DiscrepancyReport(kernel.n, kernel.value(d_minus + d_plus), Box((side,)), "exact-1d")
+    return _extreme_1d(*_integer_form(points, counts))
 
 
-def _star_1d(pts, counts, n, axes) -> DiscrepancyReport:
-    ax, kernel, minus, plus = _closed_form_1d(pts, counts, n, axes)
-    # D- before D+ at each value, so a tie reports [0, y) before [0, y]
-    best, where = _first_max([np.stack((minus, plus), axis=-1)])
-    i, closed = divmod(where, 2)
-    box = Box((BoxSide(ZERO, ax[i], True, bool(closed)),))
-    return DiscrepancyReport(n, kernel.value(best), box, "star-1d")
-
-
-def extreme_discrepancy_grid(
-    points, counts=None, budget: int = DEFAULT_BOX_BUDGET
-) -> DiscrepancyReport:
+def extreme_discrepancy_grid(points, counts=None, budget=DEFAULT_BOX_BUDGET) -> DiscrepancyReport:
     """Exact sup over half-open boxes by exhaustive critical-grid enumeration.
 
     Positive deviations are maximized by boxes shrink-wrapped onto points
@@ -329,51 +362,17 @@ def extreme_discrepancy_grid(
     integer arithmetic; budget is in candidate boxes.  The witness is the
     first maximizer in product order, shrink-wrapped boxes first.
     """
-    pts, counts, n, axes = _weighted_points(points, counts)
-    boxes = math.prod(len(ax) * (len(ax) + 1) // 2 for ax in axes)
-    boxes += math.prod(_open_side_count(ax) for ax in axes)
-    if boxes > budget:
-        corners = math.prod(len(ax) + 1 for ax in axes)
-        raise BudgetExceededError(
-            f"{boxes} candidate boxes exceed the budget of {budget} boxes; "
-            f"consider the star-discrepancy proxy ({corners} corners)"
-        )
-    kernel = _BoxKernel(pts, counts, n, axes)
-    closed = [_closed_sides(ax) for ax in axes]
-    best, where = _first_max(kernel.excess(closed))
-    box = _witness(closed, where, True, True)
-    opened = [_open_sides(ax) for ax in axes]
-    open_best, open_where = _first_max(kernel.excess(opened, negate=True))
-    if open_best > best:
-        best, box = open_best, _witness(opened, open_where, False, False)
-    return DiscrepancyReport(n, kernel.value(best), box, "exact-grid")
+    return _extreme_grid(*_integer_form(points, counts), budget)
 
 
-def star_discrepancy(
-    points, counts=None, budget: int = DEFAULT_BOX_BUDGET
-) -> DiscrepancyReport:
+def star_discrepancy(points, counts=None, budget=DEFAULT_BOX_BUDGET) -> DiscrepancyReport:
     """Sup over anchored boxes [0, b): the cheap proxy for extreme discrepancy.
 
     Satisfies star <= extreme <= 2^s * star.  Upper corners run over the
     coordinate grid (plus 1), each evaluated in both attainment limits, the
     closed limit first; budget is in corners.
     """
-    pts, counts, n, axes = _weighted_points(points, counts)
-    if len(axes) == 1:
-        return _star_1d(pts, counts, n, axes)
-    corners = math.prod(len(ax) + 1 for ax in axes)
-    if corners > budget:
-        raise BudgetExceededError(
-            f"{corners} star corners exceed the budget of {budget} corners"
-        )
-    kernel = _BoxKernel(pts, counts, n, axes)
-    closed = [_corner_sides(ax, True) for ax in axes]
-    opened = [_corner_sides(ax, False) for ax in axes]
-    limits = zip(kernel.excess(closed), kernel.excess(opened, negate=True))
-    best, where = _first_max(np.stack(pair, axis=-1) for pair in limits)
-    corner, limit = divmod(where, 2)
-    box = _witness(opened if limit else closed, corner, True, not limit)
-    return DiscrepancyReport(n, kernel.value(best), box, "star-grid")
+    return _star(*_integer_form(points, counts), budget)
 
 
 def discrepancy(points, counts=None, mode: str = "extreme") -> DiscrepancyReport:
@@ -383,28 +382,24 @@ def discrepancy(points, counts=None, mode: str = "extreme") -> DiscrepancyReport
     the 1D closed form for extreme discrepancy of 1D points, and the grid
     enumeration otherwise.
     """
-    if mode == "star":
-        return star_discrepancy(points, counts)
-    if mode != "extreme":
+    if mode not in ("extreme", "star"):
         raise ValueError(f"unknown mode {mode!r}")
-    pts = _coerce_points(points)
-    if pts and len(pts[0]) == 1:
-        return extreme_discrepancy_1d(pts, counts)
-    return extreme_discrepancy_grid(pts, counts)
+    form = _integer_form(points, counts)
+    if mode == "star":
+        return _star(*form)
+    return (_extreme_1d if len(form[0]) == 1 else _extreme_grid)(*form)
 
 
 def _window_1d(axis: Axis, n: int, k_max: int, mode: str) -> tuple[int, Fraction]:
     """First shift with the largest block discrepancy, and that discrepancy.
 
-    The window's numerators, reduced to the lcm of its denominators, are one
+    The window's numerators over their least common denominator are one
     integer table; each block is a sorted slice of it, whose i-th smallest
     value has i - 1 points below it and i up to it.
     """
-    den = axis.base**axis.width
-    common = math.gcd(den, *axis.nums.tolist())
-    den //= common
+    den, table = _reduced(axis.base**axis.width, axis.nums)
     dtype = _int_dtype(n * den)
-    table = (axis.nums // common).astype(dtype)
+    table = table.astype(dtype, copy=False)
     at = np.arange(1, n + 1).astype(dtype)
     step = max(1, _CHUNK_CELLS // n)
 
@@ -446,15 +441,17 @@ def windowed_uniform_discrepancy(
         values = [transform.apply(i) for i in range(k_max + n)]
         distinct, rows = np.unique(values, return_inverse=True)
         window = tuple(axis.take(rows) for axis in coordinates(spec, distinct.tolist()))
+
+    def block(k: int) -> DiscrepancyReport:
+        return discrepancy(tuple(axis.take(slice(k, k + n)) for axis in window), mode=mode)
+
     if spec.dimension == 1:
         best_k, value = _window_1d(window[0], n, k_max, mode)
-        block = tuple(axis.take(slice(best_k, best_k + n)) for axis in window)
-        rep = discrepancy(fraction_points(block), mode=mode)
+        rep = block(best_k)
         if rep.value != value:
             raise AssertionError("windowed closed form disagrees with the block's discrepancy")
     else:
-        pts = fraction_points(window)
-        reports = [discrepancy(pts[k : k + n], mode=mode) for k in range(k_max + 1)]
+        reports = [block(k) for k in range(k_max + 1)]
         best_k = max(range(k_max + 1), key=lambda k: reports[k].value)  # first maximum
         rep = reports[best_k]
     return DiscrepancyReport(n, rep.value, rep.witness, f"windowed-{mode}", best_k)

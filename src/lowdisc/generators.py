@@ -14,7 +14,6 @@ import csv
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -204,10 +203,6 @@ class Axis(NamedTuple):
         nums, precs = self.normalized()
         return [BRational(num, self.base, prec) for num, prec in zip(nums, precs)]
 
-    def fractions(self) -> list[Fraction]:
-        den = self.base**self.width
-        return [Fraction(num, den) for num in self.nums.tolist()]
-
     def floats(self) -> list[float]:
         """Each value correctly rounded, as float(Fraction) rounds it."""
         den = self.base**self.width
@@ -285,11 +280,6 @@ def coordinates(spec: SequenceSpec, indices) -> tuple[Axis, ...]:
 def to_points(batch: tuple[Axis, ...]) -> list[Point]:
     """Exact Points with normalized coordinates from a batch of coordinates."""
     return [Point(coords) for coords in zip(*(axis.brationals() for axis in batch))]
-
-
-def fraction_points(batch: tuple[Axis, ...]) -> list[tuple[Fraction, ...]]:
-    """The batch's points as tuples of Fractions, the discrepancy input type."""
-    return list(zip(*(axis.fractions() for axis in batch)))
 
 
 def points(spec: SequenceSpec, count: int, start: int = 0) -> list[Point]:

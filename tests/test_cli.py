@@ -122,10 +122,20 @@ def test_bad_value_exit_two(tmp_path):
         (["gen", "--spec", "vdc:2", "--count", "-2"], "F.csv", "no points to write"),
         (["netcheck", "--spec", "vdc:2", "--base", "2", "--t", "-1", "--mmax", "2", "--kmax", "1"],
          "F.csv", "need t >= 0"),
+        (["hkbound", "--b", "1", "--q", "3", "--N", "10"], "F.csv", "base must be >= 2"),
+        (["monocheck", "--spec", "vdc:2", "--u", "1", "--v", "2", "--dmax", "0"], "F.csv",
+         "need --dmax >= 1, got 0"),
+        (["genbound", "--spec", "vdc:2", "--q", "2", "--dmax", "-1"], "F.csv",
+         "need --dmax >= 0, got -1"),
+        (["ubound", "--spec", "vdc:2", "--b", "2", "--dmax", "-1", "--kmax", "3"], "F.csv",
+         "need --dmax >= 0, got -1"),
+        (["netcheck", "--spec", "vdc:2", "--base", "2", "--mmax", "-1", "--kmax", "2"], "F.csv",
+         "need --mmax >= 0, got -1"),
     ],
     ids=["disc-budget", "expsum-N0", "table-missing-path", "sod-missing-q", "out-dir-missing",
          "sodcheck-no-c3-level", "gen-count-0", "gen-index-out-of-range", "gen-start-negative",
-         "gen-count-negative", "netcheck-t-negative"],
+         "gen-count-negative", "netcheck-t-negative", "hkbound-base-1", "monocheck-dmax-0",
+         "genbound-dmax-negative", "ubound-dmax-negative", "netcheck-mmax-negative"],
 )
 def test_usage_error_leaves_no_output(tmp_path, capsys, args, out_name, message):
     out = tmp_path / out_name

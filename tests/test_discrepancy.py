@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +25,7 @@ from lowdisc import (
     windowed_uniform_discrepancy,
 )
 from lowdisc import discrepancy
+from lowdisc.generators import Axis, coordinates
 from oracles import (
     oracle_extreme_1d,
     oracle_extreme_grid,
@@ -405,3 +407,100 @@ def test_dispatch_matches_direct_evaluator(spec, mode, direct, weighted):
 def test_dispatch_rejects_unknown_mode():
     with pytest.raises(ValueError, match="unknown mode"):
         discrepancy.discrepancy([F(1, 2)], mode="uniform")
+
+
+def as_fraction_rows(batch):
+    """The points of an Axis batch as tuples of Fractions, built by hand."""
+    cols = [[Fraction(num, a.base**a.width) for num in a.nums.tolist()] for a in batch]
+    return list(zip(*cols))
+
+
+@st.composite
+def axis_batches(draw):
+    """Weighted Axis batches with ties, zeros, zero weights, int64 or object numerators."""
+    s = draw(st.integers(1, 3))
+    size = draw(st.integers(1, 5 if s < 3 else 3))
+    dtype = draw(st.sampled_from([np.int64, object]))
+    batch = []
+    for _ in range(s):
+        base, width = draw(st.sampled_from([2, 3, 5, 6])), draw(st.integers(0, 4))
+        pool = draw(st.lists(st.integers(0, base**width - 1), min_size=1, max_size=3))
+        nums = [draw(st.sampled_from(pool)) for _ in range(size)]
+        batch.append(Axis(base, width, np.array(nums, dtype=dtype)))
+    counts = draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
+    if not any(counts):
+        counts[0] = 1
+    return tuple(batch), draw(st.sampled_from([None, counts]))
+
+
+def assert_integer_input_matches_fractions(batch, counts=None):
+    """Every evaluator gives the same report for the batch and its Fractions."""
+    pts = as_fraction_rows(batch)
+    calls = [
+        lambda p: discrepancy.discrepancy(p, counts),
+        lambda p: discrepancy.discrepancy(p, counts, mode="star"),
+        lambda p: extreme_discrepancy_grid(p, counts),
+        lambda p: star_discrepancy(p, counts),
+    ]
+    if len(batch) == 1:
+        calls.append(lambda p: extreme_discrepancy_1d(p, counts))
+    for call in calls:
+        got, want = call(batch), call(pts)
+        assert (got.n, got.value, str(got.witness), got.method) == (
+            want.n, want.value, str(want.witness), want.method
+        )
+
+
+@settings(max_examples=200, deadline=None)
+@given(axis_batches())
+def test_integer_input_matches_fraction_input(case):
+    assert_integer_input_matches_fractions(*case)
+
+
+@pytest.mark.parametrize(
+    "dens", [(2**60,), (2**61,), (3**40,), (2**30, 3**19), (2**40, 3**25)],
+    ids=["2^60", "2^61", "3^40", "2^30*3^19", "2^40*3^25"],
+)
+def test_integer_input_at_int64_boundary(dens):
+    # numerators prime to the base keep each denominator unreduced, so N * D
+    # straddles 2^62 as in test_grid_and_star_at_int64_boundary
+    rng = random.Random(62)
+    batch = []
+    for den in dens:
+        base = 2 if den % 2 == 0 else 3
+        width = round(math.log(den, base))
+        nums = [base * rng.randrange(den // base) + 1 for _ in range(3)]
+        batch.append(Axis(base, width, np.array(nums, dtype=np.int64 if den < 2**62 else object)))
+    assert_integer_input_matches_fractions(tuple(batch))
+    assert_integer_input_matches_fractions(tuple(batch), [2, 0, 1])
+
+
+def test_integer_input_reduces_its_denominator():
+    # 81 points of a 40-digit sequence are object numerators over 3^40, but
+    # they are multiples of 3^36: reduced to 3^4 the kernel runs in int64, as
+    # it does on the same points given as Fractions
+    batch = coordinates(parse_spec("pascal:3,1,40"), range(81))
+    assert batch[0].nums.dtype == object
+    for points in (batch, as_fraction_rows(batch)):
+        form = discrepancy._integer_form(points, None)
+        assert form[0][0][0] == 3**4
+        assert discrepancy._BoxKernel(*form).dtype is np.int64
+    assert_integer_input_matches_fractions(batch)
+
+
+@pytest.mark.parametrize(
+    "counts", [[2**63 + 1, 1, 3], [2**64 - 1, 2, 0], [10**30, 0, 7]], ids=["2^63", "2^64", "10^30"]
+)
+def test_huge_multiplicities_stay_exact(counts):
+    # numpy reads a list that mixes small ints with ints in [2**63, 2**64) as
+    # floats; digit-sum multiplicities reach that range at N = 5**29
+    pts = [(F(0),), (F(1, 4),), (F(1, 2),)]
+    value, witness = oracle_grid_enumeration(pts, counts)
+    got = extreme_discrepancy_grid(pts, counts)
+    assert (got.value, str(got.witness)) == (value, str(witness))
+    closed_form = extreme_discrepancy_1d(pts, counts)
+    assert recount(pts, closed_form.witness, counts) == closed_form.value == value
+    star = star_discrepancy(pts, counts)
+    star_value, _ = oracle_star_enumeration(pts, counts)
+    assert recount(pts, star.witness, counts) == star.value == star_value
+    assert_integer_input_matches_fractions((Axis(2, 2, np.array([0, 1, 2])),), counts)

@@ -183,7 +183,8 @@ def kernel_coords(spec, indices):
     per_axis = []
     for axis in coordinates(spec, indices):
         nums, precs = axis.normalized()
-        per_axis.append(list(zip(zip(nums, precs), axis.fractions(), axis.floats())))
+        values = [Fraction(num, axis.base**axis.width) for num in axis.nums.tolist()]
+        per_axis.append(list(zip(zip(nums, precs), values, axis.floats())))
     return list(zip(*per_axis))
 
 
