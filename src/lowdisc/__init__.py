@@ -6,6 +6,12 @@ extreme/star discrepancy at desk scale; and evaluates the associated lower
 and upper bound formulas, including character-sum bounds.
 """
 
+import os
+
+# lowdisc makes no BLAS call, so numpy's BLAS thread pool would only cost
+# start-up time and CPU; a value the user set is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from ._util import BudgetExceededError, UnimodalityError
 from .digits import (
     BRational,

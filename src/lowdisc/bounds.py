@@ -390,15 +390,11 @@ def fit_monotone_constant(
     p: int | None = None,
     t: int = 0,
 ) -> float:
-    """Smallest C making the upper-bound shape dominate the measured values."""
-    s = spec.dimension
-    factor = 1 if p is None else p**t
+    """Smallest C making the upper-bound shape (monotone_upper at C = 1) dominate."""
     best = 0.0
     for n in calibration_n:
         measured = float(transformed_discrepancy(spec, transform, n, mode).value)
-        big_f = multiplicity_F(transform, transform.apply(n - 1) + 1)
-        shape = factor * 2 * big_f * math.log(n) ** s / n
-        best = max(best, measured / shape)
+        best = max(best, measured / monotone_upper(transform, n, spec.dimension, 1.0, p, t))
     return best
 
 

@@ -3,9 +3,10 @@
 Exit codes: 0 when all requested verifications hold, 1 on a verification or
 hypothesis failure (a machine-readable JSON record goes to stderr), 2 on
 usage errors, including inputs whose exhaustive scan would exceed its
-budget and files that cannot be read or written.  A run that stops with an
-error leaves no output file.  Output bytes are identical across runs for a
-fixed configuration.
+budget and files that cannot be read or written.  Every command computes
+its rows before it writes any, so a run that stops with an error leaves no
+output file, no row on stdout and no report directory.  Output bytes are
+identical across runs for a fixed configuration.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import contextlib
 import csv
 import hashlib
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -24,6 +24,7 @@ from pathlib import Path
 from . import __version__
 from ._util import BudgetExceededError, as_fraction
 from .bounds import (
+    alpha_corollary_check,
     bound_holds,
     fit_monotone_constant,
     general_sandwich,
@@ -83,8 +84,23 @@ def _output(path):
         raise
 
 
-def _writer(fh):
-    return csv.writer(fh, lineterminator="\n")
+def _table(args, header: str, rows, failure=None, holds: int = -1) -> int:
+    """Write the header and the rows to the output at once; return the exit code.
+
+    Callers build their rows before this opens the output (`transform`
+    streams its rows, and checks its extreme indices first), so a run that
+    stops with an error writes nothing.  With `failure`, each row whose
+    `holds` cell is 0 gives the record failure(row); any record goes to
+    stderr and makes the exit code 1.
+    """
+    with _output(args.out) as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header.split(","))
+        w.writerows(rows)
+    failures = [failure(row) for row in rows if not row[holds]] if failure else []
+    if failures:
+        return _fail({"command": args.command, "failures": failures})
+    return 0
 
 
 def _need_level(name: str, value: int, least: int = 0) -> None:
@@ -118,61 +134,53 @@ def cmd_gen(args) -> int:
 
 def cmd_transform(args) -> int:
     transform = parse_transform(args.transform)
-    with _output(args.out) as fh:
-        w = _writer(fh)
-        w.writerow(["n", "fn"])
-        for n in range(args.start, args.start + args.count):
-            w.writerow([n, transform.apply(n)])
-    return 0
+    indices = range(args.start, args.start + args.count)
+    if indices:  # the extreme indices: fail before any row is written, as gen does
+        for n in (indices[0], indices[-1]):
+            transform.apply(n)
+    return _table(args, "n,fn", ([n, transform.apply(n)] for n in indices))
 
 
 def cmd_dist(args) -> int:
-    dist = distribution(args.q, args.j)
-    with _output(args.out) as fh:
-        w = _writer(fh)
-        w.writerow(["q", "j", "k", "count", "gaussian_main"])
-        for k, c in enumerate(dist.counts):
-            gauss = repr(gaussian_main_term(args.q, args.j, k)) if args.j >= 1 else ""
-            w.writerow([args.q, args.j, k, c, gauss])
-    return 0
+    q, j = args.q, args.j
+    rows = [
+        [q, j, k, c, repr(gaussian_main_term(q, j, k)) if j >= 1 else ""]
+        for k, c in enumerate(distribution(q, j).counts)
+    ]
+    return _table(args, "q,j,k,count,gaussian_main", rows)
 
 
 def cmd_disc(args) -> int:
     spec = parse_spec(args.spec)
     transform = parse_transform(args.transform) if args.transform else None
     rep = transformed_discrepancy(spec, transform, args.N, args.mode)
-    with _output(args.out) as fh:
-        w = _writer(fh)
-        w.writerow(["N", "value_num", "value_den", "method", "witness"])
-        w.writerow([args.N, *_frac_cols(rep.value), rep.method, str(rep.witness)])
-    return 0
+    row = [args.N, *_frac_cols(rep.value), rep.method, str(rep.witness)]
+    return _table(args, "N,value_num,value_den,method,witness", [row])
 
 
 def cmd_udisc(args) -> int:
     spec = parse_spec(args.spec)
     transform = parse_transform(args.transform) if args.transform else None
     rep = windowed_uniform_discrepancy(spec, transform, args.N, args.kmax, args.mode)
-    with _output(args.out) as fh:
-        w = _writer(fh)
-        w.writerow(["N", "value_num", "value_den", "method", "argmax_shift"])
-        w.writerow([args.N, *_frac_cols(rep.value), rep.method, rep.shift])
-    return 0
+    row = [args.N, *_frac_cols(rep.value), rep.method, rep.shift]
+    return _table(args, "N,value_num,value_den,method,argmax_shift", [row])
 
 
-def _weyl_rows(fh, b: int, q: int, ks, n: int):
-    """Header and one row per Weyl sum; returns the writer for further rows."""
-    w = _writer(fh)
-    w.writerow(["b", "q", "k", "N", "re", "im", "abs", "bound"])
+WEYL_HEADER = "b,q,k,N,re,im,abs,bound"
+
+
+def _weyl_rows(b: int, q: int, ks, n: int) -> list:
+    """One row per Weyl sum, with an empty bound column."""
+    rows = []
     for k in ks:
         ws = weyl_sum(b, q, k, n)
-        w.writerow([b, q, k, n, repr(ws.value.real), repr(ws.value.imag), repr(ws.abs), ""])
-    return w
+        rows.append([b, q, k, n, repr(ws.value.real), repr(ws.value.imag), repr(ws.abs), ""])
+    return rows
 
 
 def cmd_expsum(args) -> int:
-    with _output(args.out) as fh:
-        _weyl_rows(fh, args.b, args.q, range(args.kmin, args.kmax + 1), args.N)
-    return 0
+    rows = _weyl_rows(args.b, args.q, range(args.kmin, args.kmax + 1), args.N)
+    return _table(args, WEYL_HEADER, rows)
 
 
 def cmd_hkbound(args) -> int:
@@ -182,79 +190,33 @@ def cmd_hkbound(args) -> int:
     multiplicity = value_counts_below(SumOfDigits(q), n)
     (axis,) = coordinates(spec, list(multiplicity))
     bound = hellekalek_bound(b, g, axis.brationals(), list(multiplicity.values()))
-    with _output(args.out) as fh:
-        w = _weyl_rows(fh, b, q, range(1, b**g), n)
-        w.writerow([b, q, "total", n, "", "", "", repr(bound)])
-    return 0
+    rows = _weyl_rows(b, q, range(1, b**g), n) + [[b, q, "total", n, "", "", "", repr(bound)]]
+    return _table(args, WEYL_HEADER, rows)
 
 
 def cmd_genbound(args) -> int:
     _need_level("dmax", args.dmax)
-    spec = parse_spec(args.spec)
-    reports = general_sandwich(spec, SumOfDigits(args.q), args.dmax)
-    failures = []
-    with _output(args.out) as fh:
-        w = _writer(fh)
-        w.writerow(
-            [
-                "d",
-                "N",
-                "lower",
-                "measured_num",
-                "measured_den",
-                "measured_float",
-                "upper",
-                "holds",
-            ]
-        )
-        for d, rep in enumerate(reports):
-            ok = rep.holds
-            if not ok:
-                failures.append({"check": "genbound", "d": d, "N": rep.n})
-            w.writerow(
-                [
-                    d,
-                    rep.n,
-                    rep.lower.numerator,
-                    *_frac_cols(rep.measured),
-                    repr(float(rep.measured)),
-                    repr(rep.upper),
-                    int(ok),
-                ]
-            )
-    if failures:
-        return _fail({"command": "genbound", "failures": failures})
-    return 0
+    reports = general_sandwich(parse_spec(args.spec), SumOfDigits(args.q), args.dmax)
+    rows = [
+        [d, r.n, r.lower.numerator, *_frac_cols(r.measured), repr(float(r.measured)),
+         repr(r.upper), int(r.holds)]
+        for d, r in enumerate(reports)
+    ]
+    header = "d,N,lower,measured_num,measured_den,measured_float,upper,holds"
+    return _table(args, header, rows, lambda row: {"check": "genbound", "d": row[0], "N": row[1]})
 
 
 def cmd_sodcheck(args) -> int:
     spec = parse_spec(args.spec)
-    rows, fits = sod_envelope_check(spec, args.q, args.dmax, args.cal, args.mode)
-    failures = []
-    with _output(args.out) as fh:
-        w = _writer(fh)
-        w.writerow(
-            ["d", "N", "measured", "scaled", "lower_fit", "upper_fit", "c2", "c3", "holds"]
-        )
-        for row in rows:
-            if not row.holds:
-                failures.append({"check": "sodcheck", "d": row.d})
-            w.writerow(
-                [
-                    row.d,
-                    row.n,
-                    repr(row.measured),
-                    repr(row.scaled),
-                    repr(row.lower_fit),
-                    repr(row.upper_fit) if row.upper_fit is not None else "",
-                    repr(fits["c2"]),
-                    repr(fits["c3"]),
-                    int(row.holds),
-                ]
-            )
-    if failures:
-        return _fail({"command": "sodcheck", "failures": failures})
-    return 0
+    fit_rows, fits = sod_envelope_check(spec, args.q, args.dmax, args.cal, args.mode)
+    rows = [
+        [r.d, r.n, repr(r.measured), repr(r.scaled), repr(r.lower_fit),
+         repr(r.upper_fit) if r.upper_fit is not None else "", repr(fits["c2"]),
+         repr(fits["c3"]), int(r.holds)]
+        for r in fit_rows
+    ]
+    header = "d,N,measured,scaled,lower_fit,upper_fit,c2,c3,holds"
+    return _table(args, header, rows, lambda row: {"check": "sodcheck", "d": row[0]})
 
 
 def cmd_monocheck(args) -> int:
@@ -267,116 +229,52 @@ def cmd_monocheck(args) -> int:
     hyp = monotone_hypotheses(transform, n_max=min(n_values[-1], 4096), k_max=1000)
     if not hyp["f_monotone_surjective"]:
         return _fail({"command": "monocheck", "failures": [{"check": "hypothesis", **hyp}]})
-    failures = []
-    with _output(args.out) as fh:
-        w = _writer(fh)
-        w.writerow(
-            [
-                "N",
-                "lower_num",
-                "lower_den",
-                "measured_num",
-                "measured_den",
-                "measured_float",
-                "upper",
-                "fitted_c",
-                "F_monotonicity",
-                "holds",
-            ]
+    rows = []
+    for n in n_values:
+        lower = monotone_lower(transform, n)
+        if args.mode == "star":  # the floor is for the extreme value, at most 2^s * star
+            lower /= 2**spec.dimension
+        measured = transformed_discrepancy(spec, transform, n, args.mode).value
+        upper = monotone_upper(transform, n, spec.dimension, fitted_c)
+        rows.append(
+            [n, *_frac_cols(lower), *_frac_cols(measured), repr(float(measured)), repr(upper),
+             repr(fitted_c), hyp["F_monotonicity"], int(bound_holds(lower, measured, upper))]
         )
-        for n in n_values:
-            lower = monotone_lower(transform, n)
-            if args.mode == "star":  # the floor is for the extreme value, at most 2^s * star
-                lower /= 2**spec.dimension
-            measured = transformed_discrepancy(spec, transform, n, args.mode).value
-            upper = monotone_upper(transform, n, spec.dimension, fitted_c)
-            ok = bound_holds(lower, measured, upper)
-            if not ok:
-                failures.append({"check": "monocheck", "N": n})
-            w.writerow(
-                [
-                    n,
-                    *_frac_cols(lower),
-                    *_frac_cols(measured),
-                    repr(float(measured)),
-                    repr(upper),
-                    repr(fitted_c),
-                    hyp["F_monotonicity"],
-                    int(ok),
-                ]
-            )
-    if failures:
-        return _fail({"command": "monocheck", "failures": failures})
-    return 0
+    header = (
+        "N,lower_num,lower_den,measured_num,measured_den,measured_float,upper,fitted_c,"
+        "F_monotonicity,holds"
+    )
+    return _table(args, header, rows, lambda row: {"check": "monocheck", "N": row[0]})
 
 
 def cmd_ubound(args) -> int:
     _need_level("dmax", args.dmax)
     spec = parse_spec(args.spec)
     b, t, s = args.b, args.t, args.s
-    m_top = max(args.dmax, t)
-    delta = measured_delta_table(spec, b, t, s, m_top, blocks=args.blocks)
-    failures = []
-    with _output(args.out) as fh:
-        w = _writer(fh)
-        w.writerow(
-            [
-                "N",
-                "windowed_num",
-                "windowed_den",
-                "windowed_float",
-                "bound",
-                "main_term",
-                "holds",
-            ]
+    delta = measured_delta_table(spec, b, t, s, max(args.dmax, t), blocks=args.blocks)
+    rows = []
+    for n in (b**d for d in range(args.dmax + 1)):
+        scaled = n * windowed_uniform_discrepancy(spec, None, n, args.kmax).value
+        bound = uniform_bound_ts(b, t, s, n, delta)
+        main = halton_uniform_main_term([b] * s, n) if n >= 2 else 1.0
+        rows.append(
+            [n, *_frac_cols(scaled), repr(float(scaled)), repr(bound), repr(main),
+             int(bound_holds(None, scaled, bound))]
         )
-        for d in range(args.dmax + 1):
-            n = b**d
-            rep = windowed_uniform_discrepancy(spec, None, n, args.kmax)
-            scaled = n * rep.value
-            bound = uniform_bound_ts(b, t, s, n, delta)
-            main = halton_uniform_main_term([b] * s, n) if n >= 2 else 1.0
-            ok = bound_holds(None, scaled, bound)
-            if not ok:
-                failures.append({"check": "ubound", "N": n})
-            w.writerow(
-                [n, *_frac_cols(scaled), repr(float(scaled)), repr(bound), repr(main), int(ok)]
-            )
-    if failures:
-        return _fail({"command": "ubound", "failures": failures})
-    return 0
+    header = "N,windowed_num,windowed_den,windowed_float,bound,main_term,holds"
+    return _table(args, header, rows, lambda row: {"check": "ubound", "N": row[0]})
 
 
 def cmd_netcheck(args) -> int:
     _need_level("mmax", args.mmax)
     spec = parse_spec(args.spec)
     res = check_sequence_property(spec, args.base, args.t, spec.dimension, args.kmax, args.mmax)
-    with _output(args.out) as fh:
-        w = _writer(fh)
-        w.writerow(["base", "t", "s", "mmax", "kmax", "ok", "failed_m", "failed_block", "violation"])
-        w.writerow(
-            [
-                args.base,
-                args.t,
-                spec.dimension,
-                args.mmax,
-                args.kmax,
-                int(res.ok),
-                res.failed_m if res.failed_m is not None else "",
-                res.failed_block if res.failed_block is not None else "",
-                str(res.violation) if res.violation else "",
-            ]
-        )
-    if not res.ok:
-        return _fail(
-            {
-                "command": "netcheck",
-                "failures": [
-                    {"m": res.failed_m, "block": res.failed_block, "violation": str(res.violation)}
-                ],
-            }
-        )
-    return 0
+    failed = ["", "", ""] if res.ok else [res.failed_m, res.failed_block, str(res.violation)]
+    row = [args.base, args.t, spec.dimension, args.mmax, args.kmax, int(res.ok), *failed]
+    header = "base,t,s,mmax,kmax,ok,failed_m,failed_block,violation"
+    return _table(
+        args, header, [row], lambda row: dict(zip(("m", "block", "violation"), row[6:])), holds=5
+    )
 
 
 @dataclass
@@ -419,40 +317,32 @@ class RunConfig:
 def cmd_report(args) -> int:
     cfg = RunConfig.from_file(args.config)
     spec = parse_spec(cfg.spec)
-    if cfg.curve not in ("sod", "alpha", "bound"):
+    if cfg.curve == "sod":
+        rows, _ = sod_envelope_check(spec, cfg.q, cfg.dmax, mode=cfg.mode)
+        curves = {f"sod_q{cfg.q}.dat": [(float(r.n), r.scaled) for r in rows]}
+    elif cfg.curve == "alpha":
+        ns = [2**d for d in range(1, cfg.dmax + 1)]
+        rows, _ = alpha_corollary_check(spec, FloorPower(cfg.u, cfg.v), ns, mode=cfg.mode)
+        curves = {f"alpha_{cfg.u}_{cfg.v}.dat": [(float(r.n), r.scaled) for r in rows]}
+    elif cfg.curve == "bound":
+        reports = general_sandwich(spec, SumOfDigits(cfg.q), cfg.dmax)
+        curves = {
+            f"bound_measured_q{cfg.q}.dat": [(float(r.n), float(r.measured)) for r in reports],
+            f"bound_upper_q{cfg.q}.dat": [(float(r.n), r.upper) for r in reports],
+        }
+    else:
         raise ValueError(f"unknown curve {cfg.curve!r}")
+    # every curve is built before the directory exists, so an error leaves none
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    files = []
-
-    def emit(name: str, rows):
+    for name, points in curves.items():
         with _output(out_dir / name) as fh:
-            for x, y in rows:
-                fh.write(f"{x!r} {y!r}\n")
-        files.append(name)
-
-    def measured(transform, n: int) -> float:
-        return float(transformed_discrepancy(spec, transform, n, cfg.mode).value)
-
-    if cfg.curve == "sod":
-        sod = SumOfDigits(cfg.q)
-        ns = [cfg.q**d for d in range(1, cfg.dmax + 1)]
-        emit(f"sod_q{cfg.q}.dat", ((float(n), measured(sod, n) * math.sqrt(math.log(n))) for n in ns))
-    elif cfg.curve == "alpha":
-        power = FloorPower(cfg.u, cfg.v)
-        alpha = cfg.u / cfg.v
-        ns = [2**d for d in range(1, cfg.dmax + 1)]
-        emit(f"alpha_{cfg.u}_{cfg.v}.dat", ((float(n), measured(power, n) * n**alpha) for n in ns))
-    else:
-        reports = general_sandwich(spec, SumOfDigits(cfg.q), cfg.dmax)
-        emit(f"bound_measured_q{cfg.q}.dat", ((float(r.n), float(r.measured)) for r in reports))
-        emit(f"bound_upper_q{cfg.q}.dat", ((float(r.n), r.upper) for r in reports))
-
+            fh.writelines(f"{x!r} {y!r}\n" for x, y in points)
     manifest = {
         "version": __version__,
         "config_hash": cfg.content_hash(),
         "config": cfg.__dict__,
-        "files": files,
+        "files": list(curves),
     }
     with _output(out_dir / "manifest.json") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)

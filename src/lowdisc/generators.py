@@ -459,6 +459,11 @@ def check_sequence_property(
         raise ValueError("spec dimension does not match s")
     if t < 0:
         raise ValueError("need t >= 0")
+    if b < 2 or k_max < 0 or m_max < t:  # nothing, or only one-point blocks, to check
+        raise ValueError(
+            f"need base >= 2, k_max >= 0 and m_max >= t; got base {b}, k_max {k_max}, "
+            f"m_max {m_max}, t {t}"
+        )
     for m in range(t, m_max + 1):
         size = b**m
         for k in range(k_max + 1):

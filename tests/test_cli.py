@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -131,11 +135,18 @@ def test_bad_value_exit_two(tmp_path):
          "need --dmax >= 0, got -1"),
         (["netcheck", "--spec", "vdc:2", "--base", "2", "--mmax", "-1", "--kmax", "2"], "F.csv",
          "need --mmax >= 0, got -1"),
+        (["netcheck", "--spec", "vdc:2", "--base", "1", "--mmax", "2", "--kmax", "2"], "F.csv",
+         "got base 1,"),
+        (["netcheck", "--spec", "vdc:2", "--base", "2", "--mmax", "2", "--kmax", "-1"], "F.csv",
+         "k_max -1,"),
+        (["netcheck", "--spec", "vdc:2", "--base", "2", "--t", "3", "--mmax", "1", "--kmax", "2"],
+         "F.csv", "m_max 1, t 3"),
     ],
     ids=["disc-budget", "expsum-N0", "table-missing-path", "sod-missing-q", "out-dir-missing",
          "sodcheck-no-c3-level", "gen-count-0", "gen-index-out-of-range", "gen-start-negative",
          "gen-count-negative", "netcheck-t-negative", "hkbound-base-1", "monocheck-dmax-0",
-         "genbound-dmax-negative", "ubound-dmax-negative", "netcheck-mmax-negative"],
+         "genbound-dmax-negative", "ubound-dmax-negative", "netcheck-mmax-negative",
+         "netcheck-base-1", "netcheck-kmax-negative", "netcheck-mmax-below-t"],
 )
 def test_usage_error_leaves_no_output(tmp_path, capsys, args, out_name, message):
     out = tmp_path / out_name
@@ -158,15 +169,24 @@ def test_gen_out_of_range_writes_no_rows(capsys):
 @pytest.mark.parametrize(
     "args,message",
     [
-        (["--spec", "vdc:2", "--start", "-1", "--count", "3"], "got -1"),
-        (["--spec", "pascal:2,1,11", "--count", "2049"], "index 2048 needs"),
-        (["--spec", "vdc:2", "--count", "0"], "no points"),
-        (["--spec", "vdc:2", "--count", "-2"], "no points"),
+        (["gen", "--spec", "vdc:2", "--start", "-1", "--count", "3"], "got -1"),
+        (["gen", "--spec", "pascal:2,1,11", "--count", "2049"], "index 2048 needs"),
+        (["gen", "--spec", "vdc:2", "--count", "0"], "no points"),
+        (["gen", "--spec", "vdc:2", "--count", "-2"], "no points"),
+        (["ubound", "--spec", "vdc:2", "--b", "2", "--dmax", "2", "--kmax", "-1"], "k_max >= 0"),
+        (["expsum", "--b", "2", "--q", "2", "--kmax", "3", "--N", "0"], "need N >= 1"),
+        (["transform", "--transform", "pow:1/2", "--start", "-2", "--count", "3"],
+         "index must be non-negative"),
+        (["transform", "--transform", "TABLE", "--count", "5"], "index 4 outside table range 0..2"),
     ],
 )
-def test_gen_usage_errors_write_no_rows(capsys, args, message):
-    # rows stream in batches, so both extreme indices are checked before the first
-    assert main(["gen", *args]) == 2
+def test_gen_usage_errors_write_no_rows(tmp_path, capsys, args, message):
+    # every command builds its rows before the first is written; gen and
+    # transform stream theirs, so they check both extreme indices first
+    table = tmp_path / "table.txt"
+    table.write_text("0\n1\n2\n")
+    spec = json.dumps({"kind": "table", "path": str(table)})
+    assert main([spec if a == "TABLE" else a for a in args]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("usage error: ") and err.count("\n") == 1
     assert message in err
@@ -218,11 +238,20 @@ def test_report_manifest_and_unknown_keys(tmp_path):
 
 
 def test_report_unknown_curve_leaves_no_output(tmp_path, capsys):
-    cfg = tmp_path / "cfg"
-    cfg.write_text("curve=nope\nspec=vdc:2\nout=%s\n" % (tmp_path / "rep"))
-    assert main(["report", "--config", str(cfg)]) == 2
-    assert "unknown curve" in capsys.readouterr().err
-    assert not (tmp_path / "rep").exists()
+    # every curve is built before the report directory is made
+    for config, message in [
+        ("curve=nope\nspec=vdc:2\n", "unknown curve"),
+        ("curve=alpha\nspec=halton:2,3\nu=1\nv=2\ndmax=16\n", "exceed the budget"),
+        ("curve=alpha\nspec=vdc:2\nu=3\nv=2\ndmax=3\n", "0 < u < v"),
+        # the sod curve is sodcheck's scaled column, so it needs sodcheck's fit
+        ("curve=sod\nspec=vdc:2\nq=2\ndmax=1\n", "calibrate on a longer prefix"),
+    ]:
+        cfg = tmp_path / "cfg"
+        cfg.write_text(config + "out=%s\n" % (tmp_path / "rep"))
+        assert main(["report", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and message in err
+        assert not (tmp_path / "rep").exists()
 
 
 def test_report_alpha_curve(tmp_path):
@@ -252,3 +281,16 @@ def test_outputs_byte_identical_across_thread_counts(tmp_path, args):
     assert data1 == data2
     _, data3 = run_cli(args, tmp_path, "c.csv")
     assert data3 == data2
+
+
+@pytest.mark.parametrize("preset,expected", [(None, "1"), ("3", "3")])
+def test_import_keeps_one_blas_thread_unless_set(preset, expected):
+    # lowdisc makes no BLAS call, so numpy's BLAS pool gets one thread by default
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    code = "import os, lowdisc; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == expected + "\n"

@@ -5,8 +5,10 @@ Each job runs twice in process: on the integer kernel, and with
 time from the per-point oracles (``radical_inverse`` per index and axis, the
 row-at-a-time digital construction).  Both runs must exit alike and print the
 same bytes, and those bytes must hash to what the per-point implementation
-printed before the kernel replaced it.  The oracle path hands every caller
-exact-int (object) arrays, so it also runs their beyond-int64 branches.
+printed before the kernel replaced it; the check, table and report jobs were
+recorded before the CLI wrote its tables through one helper.  A job that exits
+1 must also print its recorded failure record.  The oracle path hands every
+caller exact-int (object) arrays, so it also runs their beyond-int64 branches.
 """
 
 import hashlib
@@ -85,6 +87,62 @@ GOLDEN = {
         (0, "1d0e327df2b363f6b51a68ef51eaeab42d47edf6af7878f16314ab85746d486a"),
     "hkbound --b 5 --q 3 --N 1000":
         (0, "3106cb60a474a490a1e4a9dd25deefb100096d8d6f805fd5fb8a28161affcf78"),
+    "genbound --spec vdc:2 --q 2 --dmax 8":
+        (0, "7ac2a18a0e2349413a0086e3c628696081baa8cd21addc52a0b4f44d6afd9acb"),
+    "genbound --spec halton:2,3 --q 3 --dmax 4":
+        (0, "636b2aee14b6a32182744e8e96377d446d98c9e6954c488c070756405e4d3f55"),
+    "genbound --spec pascal:3,1,8 --q 3 --dmax 4":
+        (0, "54f029916f4ae1fbf969036b7ca1e9db4f305ac0a4394ab912662a88f70bb72d"),
+    "sodcheck --spec vdc:2 --q 2 --dmax 10":
+        (0, "2b7a86d8f360e575eff96ef96784f8ed8c0d5f377ec1988f8c7d94f22b20397a"),
+    "sodcheck --spec vdc:3 --q 3 --dmax 6 --cal 4":
+        (0, "23a1895234dfb44346b532f588a12ce846bfc82d2843d0b39ec9882f217a681a"),
+    "sodcheck --spec halton:2,3 --q 2 --dmax 8":
+        (0, "37935bab9e2cf7c0efbbf1084e721d6e882bcd706ad92d0eedc9b27bb37de299"),
+    "sodcheck --spec vdc:2 --q 2 --dmax 12 --mode star":
+        (1, "ba024b6032ae2396d7566f76bfef768fe7abf43b0f910a2500450fb140c6abdb"),
+    "monocheck --spec vdc:2 --u 1 --v 2 --dmax 8":
+        (0, "c90aee4448ef33568ffe8c2e5b8a0d7581cf093a8b68b19db51cd02a664b8196"),
+    "monocheck --spec vdc:3 --u 2 --v 3 --dmax 6 --mode star":
+        (0, "13c2d6e4799a1c8197f92996213488033341db2aee3d787bc7ea1dfb540a93c1"),
+    "monocheck --spec halton:2,3 --u 1 --v 3 --dmax 6 --cal-dmax 2":
+        (0, "681318c68389c046f32e67329d373142ed092d2a14484a81de102112aac2b330"),
+    "monocheck --spec vdc:2 --u 1 --v 2 --dmax 8 --cal-dmax 1":
+        (1, "4ae1051c100653c8bbb8a7dd752e66fda11050ed131d34d489da3a7701998816"),
+    "dist --q 3 --j 5":
+        (0, "c40b2cc994b6558b814894fb5fca84ccf0d3a43c30d43fb5810ddc02f1469526"),
+    "expsum --b 2 --q 3 --kmin 1 --kmax 15 --N 1000":
+        (0, "5af6ada3d1ba4382273b9ccda98a5a54378b3a035e7b39e4ffdabcc83d6788f6"),
+    "transform --transform pow:2/3 --count 50 --start 10":
+        (0, "65e964aba4d21190a6f602a89c90ab8837bab4a8e7c525bc338260224f195024"),
+}
+
+# job -> the one stderr line of a job that exits 1
+FAILURE_RECORDS = {
+    "netcheck --spec halton:2,3 --base 2 --mmax 2 --kmax 2":
+        '{"command": "netcheck", "failures": [{"block": 0, "m": 1, "violation": '
+        '"NetViolation(shape=(0, 1), cell=(0, 0), count=2, expected=1)"}]}\n',
+    "sodcheck --spec vdc:2 --q 2 --dmax 12 --mode star":
+        '{"command": "sodcheck", "failures": [{"check": "sodcheck", "d": 10}, '
+        '{"check": "sodcheck", "d": 11}, {"check": "sodcheck", "d": 12}]}\n',
+    "monocheck --spec vdc:2 --u 1 --v 2 --dmax 8 --cal-dmax 1":
+        '{"command": "monocheck", "failures": [{"N": 4, "check": "monocheck"}, '
+        '{"N": 8, "check": "monocheck"}]}\n',
+}
+
+# report config -> SHA-256 of each .dat file it writes (the manifest holds the
+# output path, so it is not pinned)
+REPORT_GOLDEN = {
+    "curve=sod\nspec=vdc:2\nq=2\ndmax=10\n":
+        {"sod_q2.dat": "777ba193154719b504e375649caecf8e3da20a81d7e6ba5e6fe843399b1d73b6"},
+    "curve=sod\nspec=halton:2,3\nq=3\ndmax=4\nmode=star\n":
+        {"sod_q3.dat": "ff8e55d7ea82a716bed4e367f21dde773b8a2a2f37dc25371709a62327dff58b"},
+    "curve=alpha\nspec=vdc:3\nu=2\nv=3\ndmax=8\nmode=star\n":
+        {"alpha_2_3.dat": "c2dff935f4d8b72dac53b412d4eacc83dbfc61bcf1e5e9dbb3ed78343041d1ff"},
+    "curve=bound\nspec=vdc:2\nq=3\ndmax=5\n": {
+        "bound_measured_q3.dat": "6805dc45c9a83cb0f61e16b9d172a0bf04046cb29afd4a3ca257b3346235e93c",
+        "bound_upper_q3.dat": "3722a04ca56bf227d0d7b4365043a523403342cd5c3205dfa109ca051c082517",
+    },
 }
 
 
@@ -119,7 +177,10 @@ def oracle_path(monkeypatch):
 
 def run(job, capsys):
     rc = main(job.split())
-    return rc, hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    out, err = capsys.readouterr()
+    if rc != 2:  # usage errors are checked in test_cli
+        assert err == FAILURE_RECORDS.get(job, "")
+    return rc, hashlib.sha256(out.encode()).hexdigest()
 
 
 @pytest.mark.parametrize("job", list(GOLDEN))
@@ -128,3 +189,18 @@ def test_kernel_output_matches_per_point_path(job, capsys, request):
     assert got == GOLDEN[job]
     request.getfixturevalue("oracle_path")
     assert run(job, capsys) == got
+
+
+def report_hashes(config, tmp_path):
+    tmp_path.mkdir()
+    (tmp_path / "cfg").write_text(config + f"out={tmp_path / 'rep'}\n")
+    assert main(["report", "--config", str(tmp_path / "cfg")]) == 0
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in (tmp_path / "rep").glob("*.dat")}
+
+
+@pytest.mark.parametrize("config", list(REPORT_GOLDEN))
+def test_report_files_match_per_point_path(config, tmp_path, request):
+    assert report_hashes(config, tmp_path / "kernel") == REPORT_GOLDEN[config]
+    request.getfixturevalue("oracle_path")
+    assert report_hashes(config, tmp_path / "oracle") == REPORT_GOLDEN[config]
