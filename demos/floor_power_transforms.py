@@ -30,7 +30,8 @@ for u, v in ((1, 2), (2, 3)):
     hyp = monotone_hypotheses(t, n_max=2000, k_max=300)
     print("hypothesis flags:", hyp["F_monotonicity"], "(ceiling jitter is expected)")
 
-    fitted = fit_monotone_constant(spec, t, [2**d for d in range(1, 7)])
+    calibration = {2**d: transformed_discrepancy(spec, t, 2**d).value for d in range(1, 7)}
+    fitted = fit_monotone_constant(t, 1, calibration)
     print(f"fitted envelope constant: {fitted:.4f}")
     print(f"{'N':>7} {'lower':>12} {'D_N':>12} {'upper':>10} {'D_N*N^a':>9}")
     for d in range(2, 15, 2):

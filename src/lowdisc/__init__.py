@@ -36,7 +36,6 @@ from .generators import (
     points,
 )
 from .transforms import (
-    CountingProfile,
     FloorPower,
     SumOfDigits,
     TableTransform,

@@ -16,7 +16,6 @@ from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from ._util import UnimodalityError
-from .digitsum_dist import distribution
 from .discrepancy import DiscrepancyReport, discrepancy, windowed_uniform_discrepancy
 from .generators import SequenceSpec, coordinates
 from .transforms import (
@@ -154,9 +153,10 @@ def general_upper(
 ) -> GeneralUpper:
     """sum_{j<=d} (N_{j+1}/N_j) G_j f(v_j), after verifying unimodality.
 
-    For the sum-of-digits transform on its geometric chain the shift identity
-    makes G_j and v_j exact (the sup over blocks A equals the block-0 value);
-    other transforms scan blocks A < a_window, a stated approximation.
+    G_j and v_j are the largest count and the value count of the block
+    profiles G_{A,j} over blocks A.  For the sum-of-digits transform on its
+    geometric chain every block is block 0 shifted by s_q(A), so block 0 is
+    exact; other transforms take blocks A < a_window, a stated approximation.
     Raises UnimodalityError on the first non-unimodal block profile.
     """
     if d + 1 >= len(chain):
@@ -167,21 +167,14 @@ def general_upper(
     per_j = []
     total = []
     for j in range(d + 1):
-        if sod_exact:
-            counts = distribution(transform.q, j).counts
-            if not is_unimodal(counts):
-                raise UnimodalityError(0, j)
-            g_j = max(counts)
-            v_j = 1 if j == 0 else j * (transform.q - 1) + 1
-        else:
-            g_j = 0
-            v_j = 0
-            for a in range(a_window):
-                profile = block_counts(transform, a, j, chain)
-                if not is_unimodal(profile):
-                    raise UnimodalityError(a, j)
-                g_j = max(g_j, max(profile.values()))
-                v_j = max(v_j, len(profile))
+        g_j = 0
+        v_j = 0
+        for a in range(1 if sod_exact else a_window):
+            profile = block_counts(transform, a, j, chain)
+            if not is_unimodal(profile):
+                raise UnimodalityError(a, j)
+            g_j = max(g_j, max(profile.values()))
+            v_j = max(v_j, len(profile))
         f_vj = envelope(v_j)
         term = chain.ratio(j) * g_j * f_vj
         per_j.append((j, chain.ratio(j), g_j, v_j, f_vj, term))
@@ -383,19 +376,21 @@ def monotone_upper(
 
 
 def fit_monotone_constant(
-    spec: SequenceSpec,
     transform: IndexTransform,
-    calibration_n: Sequence[int],
-    mode: str = "extreme",
+    s: int,
+    measured: Mapping[int, Fraction],
     p: int | None = None,
     t: int = 0,
 ) -> float:
-    """Smallest C making the upper-bound shape (monotone_upper at C = 1) dominate."""
-    best = 0.0
-    for n in calibration_n:
-        measured = float(transformed_discrepancy(spec, transform, n, mode).value)
-        best = max(best, measured / monotone_upper(transform, n, spec.dimension, 1.0, p, t))
-    return best
+    """Smallest C making the upper-bound shape (monotone_upper at C = 1) dominate.
+
+    ``measured`` maps each calibration N to its exact D_N.
+    """
+    if not measured:
+        raise ValueError("no calibration level to fit C on; calibrate on a longer prefix")
+    return max(
+        float(d_n) / monotone_upper(transform, n, s, 1.0, p, t) for n, d_n in measured.items()
+    )
 
 
 @dataclass
@@ -467,6 +462,8 @@ def measured_delta_table(
     """Delta(m) = max over the first aligned blocks of b^m * (exact block D)."""
     if spec.dimension != s:
         raise ValueError("spec dimension does not match s")
+    if blocks < 1:
+        raise ValueError(f"need blocks >= 1 to measure Delta, got {blocks}")
     batch = coordinates(spec, range(blocks * b**m_max))
     table = {}
     for m in range(t, m_max + 1):

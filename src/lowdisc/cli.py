@@ -223,22 +223,24 @@ def cmd_monocheck(args) -> int:
     _need_level("dmax", args.dmax, 1)
     spec = parse_spec(args.spec)
     transform = FloorPower(args.u, args.v)
-    n_values = [2**d for d in range(1, args.dmax + 1)]
-    cal = [n for n in n_values if n <= 2**args.cal_dmax]
-    fitted_c = fit_monotone_constant(spec, transform, cal, args.mode)
-    hyp = monotone_hypotheses(transform, n_max=min(n_values[-1], 4096), k_max=1000)
+    measured = {
+        2**d: transformed_discrepancy(spec, transform, 2**d, args.mode).value
+        for d in range(1, args.dmax + 1)
+    }
+    cal = {n: d_n for n, d_n in measured.items() if n <= 2**args.cal_dmax}
+    fitted_c = fit_monotone_constant(transform, spec.dimension, cal)
+    hyp = monotone_hypotheses(transform, n_max=min(2**args.dmax, 4096), k_max=1000)
     if not hyp["f_monotone_surjective"]:
         return _fail({"command": "monocheck", "failures": [{"check": "hypothesis", **hyp}]})
     rows = []
-    for n in n_values:
+    for n, d_n in measured.items():
         lower = monotone_lower(transform, n)
         if args.mode == "star":  # the floor is for the extreme value, at most 2^s * star
             lower /= 2**spec.dimension
-        measured = transformed_discrepancy(spec, transform, n, args.mode).value
         upper = monotone_upper(transform, n, spec.dimension, fitted_c)
         rows.append(
-            [n, *_frac_cols(lower), *_frac_cols(measured), repr(float(measured)), repr(upper),
-             repr(fitted_c), hyp["F_monotonicity"], int(bound_holds(lower, measured, upper))]
+            [n, *_frac_cols(lower), *_frac_cols(d_n), repr(float(d_n)), repr(upper),
+             repr(fitted_c), hyp["F_monotonicity"], int(bound_holds(lower, d_n, upper))]
         )
     header = (
         "N,lower_num,lower_den,measured_num,measured_den,measured_float,upper,fitted_c,"

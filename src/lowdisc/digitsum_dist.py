@@ -30,10 +30,6 @@ class DigitSumDistribution:
     def total(self) -> int:
         return self.q**self.j
 
-    @property
-    def max_sum(self) -> int:
-        return self.j * (self.q - 1)
-
 
 @lru_cache(maxsize=4096)
 def _convolution_counts(q: int, j: int) -> tuple[int, ...]:
@@ -80,7 +76,7 @@ def gaussian_main_term(q: int, j: int, k: int) -> float:
     """
     if j < 1:
         raise ValueError("the main term needs j >= 1")
-    sigma = math.sqrt((q * q - 1) / 12.0)
+    sigma = sigma_q(q)
     x = (k - j * (q - 1) / 2.0) / (sigma * math.sqrt(j))
     # log-space keeps q**j out of overflow range for large j
     log_val = j * math.log(q) - math.log(math.sqrt(2 * math.pi * j) * sigma) - x * x / 2.0

@@ -2,7 +2,9 @@
 
 Supported transforms: the q-ary sum-of-digits function, floor(n^(u/v)) for a
 rational exponent 0 < u/v < 1 (kept rational so everything stays exact), and
-explicit non-decreasing tables.
+explicit non-decreasing tables.  Every count comes from one prefix histogram,
+value_counts_below: the block profiles G_{A,j} and the value counts v_j are
+differences of two prefixes, so no count scans a block or needs a budget.
 """
 
 from __future__ import annotations
@@ -10,12 +12,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
-from ._util import BudgetExceededError, int_nth_root
+from ._util import int_nth_root
 from .digits import sum_of_digits
-
-DEFAULT_SCAN_BUDGET = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -129,50 +129,24 @@ def multiplicity_F(transform: IndexTransform, k: int) -> int:
     return sum(1 for v in transform.values if v == k)
 
 
-def block_counts(
-    transform: IndexTransform,
-    block: int,
-    j: int,
-    chain,
-    budget: int = DEFAULT_SCAN_BUDGET,
-) -> dict[int, int]:
-    """Value multiplicities of f on the block [A*N_j, (A+1)*N_j).
+def block_counts(transform: IndexTransform, block: int, j: int, chain) -> dict[int, int]:
+    """Value multiplicities G_{A,j}(k) of f on the block [A*N_j, (A+1)*N_j).
 
     ``chain`` is anything indexable by j (a DivisibilityChain, list, ...).
-    The sum-of-digits transform on the geometric chain N_j = q**j uses the
-    digit-block shift identity G_{A,j}(k) = G_{0,j}(k - s_q(A)); other cases
-    scan the block within the budget.
+    The profile is value_counts_below at (A+1)*N_j minus value_counts_below
+    at A*N_j, with zero entries dropped; keys are ascending.
     """
+    if block < 0:
+        raise ValueError(f"expected a non-negative block, got {block}")
     n_j = chain[j]
-    if isinstance(transform, SumOfDigits) and n_j == transform.q**j:
-        from .digitsum_dist import distribution
-
-        shift = sum_of_digits(block, transform.q)
-        counts = distribution(transform.q, j).counts
-        return {k + shift: c for k, c in enumerate(counts)}
-    if n_j > budget:
-        raise BudgetExceededError(
-            f"block of length {n_j} exceeds the scan budget {budget}"
-        )
-    out: dict[int, int] = {}
-    for n in range(block * n_j, (block + 1) * n_j):
-        k = transform.apply(n)
-        out[k] = out.get(k, 0) + 1
-    return dict(sorted(out.items()))
+    before = value_counts_below(transform, block * n_j)
+    upto = value_counts_below(transform, (block + 1) * n_j)
+    return {k: c - before.get(k, 0) for k, c in upto.items() if c > before.get(k, 0)}
 
 
-def distinct_values(
-    transform: IndexTransform,
-    block: int,
-    j: int,
-    chain,
-    budget: int = DEFAULT_SCAN_BUDGET,
-) -> int:
-    """Number of distinct values of f on the block [A*N_j, (A+1)*N_j)."""
-    n_j = chain[j]
-    if isinstance(transform, SumOfDigits) and n_j == transform.q**j:
-        return 1 if j == 0 else j * (transform.q - 1) + 1
-    return len(block_counts(transform, block, j, chain, budget))
+def distinct_values(transform: IndexTransform, block: int, j: int, chain) -> int:
+    """Number of distinct values v of f on the block [A*N_j, (A+1)*N_j)."""
+    return len(block_counts(transform, block, j, chain))
 
 
 def is_unimodal(counts) -> bool:
@@ -213,36 +187,19 @@ def value_counts_below(transform: IndexTransform, n: int) -> dict[int, int]:
         counts = digit_sum_counts_below(transform.q, n)
         return {k: c for k, c in enumerate(counts) if c}
     if isinstance(transform, FloorPower):
-        top = transform.apply(n - 1)
         out = {}
-        for k in range(top + 1):
-            lo = transform.inverse_ceil(k)
+        lo = 0  # inverse_ceil(0)
+        for k in range(transform.apply(n - 1) + 1):
             hi = min(transform.inverse_ceil(k + 1), n)
             if hi > lo:
                 out[k] = hi - lo
+            lo = hi
         return out
     out: dict[int, int] = {}
     for i in range(n):
         k = transform.apply(i)
         out[k] = out.get(k, 0) + 1
     return dict(sorted(out.items()))
-
-
-@dataclass
-class CountingProfile:
-    """Counting statistics of a transform along a divisibility chain."""
-
-    transform: IndexTransform
-    chain: Sequence[int]
-
-    def F(self, k: int) -> int:
-        return multiplicity_F(self.transform, k)
-
-    def G(self, block: int, j: int) -> dict[int, int]:
-        return block_counts(self.transform, block, j, self.chain)
-
-    def v(self, block: int, j: int) -> int:
-        return distinct_values(self.transform, block, j, self.chain)
 
 
 def parse_transform(text: str) -> IndexTransform:

@@ -14,6 +14,7 @@ from lowdisc import (
     VanDerCorput,
     alpha_corollary_check,
     bound_holds,
+    distribution,
     fit_monotone_constant,
     general_lower,
     general_sandwich,
@@ -83,6 +84,19 @@ def test_general_upper_constant_envelope_example():
     assert res.value == pytest.approx(8.0)
     assert [term[2] for term in res.per_j] == [1, 1, 2]
     assert res.flags["block_window"] == "exact-shift-identity"
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_general_upper_sod_rows_match_closed_form(q):
+    # block 0 of the prefix histogram gives the digit-sum closed forms
+    # G_j = max_k #{n < q^j : s_q(n) = k} and v_j = j(q-1) + 1
+    chain = DivisibilityChain.geometric(q, 13)
+    res = general_upper(SumOfDigits(q), chain, Envelope.constant(1.0), 12)
+    assert [row[0] for row in res.per_j] == list(range(13))
+    for j, ratio, g_j, v_j, _, _ in res.per_j:
+        assert ratio == q
+        assert g_j == max(distribution(q, j).counts)
+        assert v_j == (1 if j == 0 else j * (q - 1) + 1)
 
 
 def test_general_upper_d0_case():
@@ -189,7 +203,7 @@ def test_fitted_monotone_constant_dominates_calibration_and_extension():
     spec = VanDerCorput(2)
     t = FloorPower(1, 2)
     cal = [2**d for d in range(1, 7)]
-    c = fit_monotone_constant(spec, t, cal)
+    c = fit_monotone_constant(t, 1, {n: transformed_discrepancy(spec, t, n).value for n in cal})
     for n in cal + [256, 1024, 4096]:
         measured = float(transformed_discrepancy(spec, t, n).value)
         assert measured <= monotone_upper(t, n, 1, c) * (1 + 1e-9) + 1e-12

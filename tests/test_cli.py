@@ -141,12 +141,19 @@ def test_bad_value_exit_two(tmp_path):
          "k_max -1,"),
         (["netcheck", "--spec", "vdc:2", "--base", "2", "--t", "3", "--mmax", "1", "--kmax", "2"],
          "F.csv", "m_max 1, t 3"),
+        (["monocheck", "--spec", "vdc:2", "--u", "1", "--v", "2", "--dmax", "4", "--cal-dmax",
+          "0"], "F.csv", "calibrate on a longer prefix"),
+        (["monocheck", "--spec", "vdc:2", "--u", "1", "--v", "2", "--dmax", "4", "--cal-dmax",
+          "-3"], "F.csv", "calibrate on a longer prefix"),
+        (["ubound", "--spec", "vdc:2", "--b", "2", "--dmax", "2", "--kmax", "3", "--blocks", "0"],
+         "F.csv", "need blocks >= 1"),
     ],
     ids=["disc-budget", "expsum-N0", "table-missing-path", "sod-missing-q", "out-dir-missing",
          "sodcheck-no-c3-level", "gen-count-0", "gen-index-out-of-range", "gen-start-negative",
          "gen-count-negative", "netcheck-t-negative", "hkbound-base-1", "monocheck-dmax-0",
          "genbound-dmax-negative", "ubound-dmax-negative", "netcheck-mmax-negative",
-         "netcheck-base-1", "netcheck-kmax-negative", "netcheck-mmax-below-t"],
+         "netcheck-base-1", "netcheck-kmax-negative", "netcheck-mmax-below-t",
+         "monocheck-cal-dmax-0", "monocheck-cal-dmax-negative", "ubound-blocks-0"],
 )
 def test_usage_error_leaves_no_output(tmp_path, capsys, args, out_name, message):
     out = tmp_path / out_name
@@ -211,6 +218,21 @@ def test_monocheck_star_mode_uses_halved_floor(tmp_path):
     code, data = run_cli(args, tmp_path, "extreme.csv")
     assert code == 0
     assert data.decode().splitlines()[2].split(",")[:3] == ["4", "1", "2"]
+
+
+def test_monocheck_measures_each_level_once(monkeypatch, capsys):
+    import lowdisc.cli as cli
+
+    measure = cli.transformed_discrepancy
+    calls = []
+
+    def counted(spec, transform, n, mode="extreme"):
+        calls.append(n)
+        return measure(spec, transform, n, mode)
+
+    monkeypatch.setattr(cli, "transformed_discrepancy", counted)
+    assert main(["monocheck", "--spec", "vdc:2", "--u", "1", "--v", "2", "--dmax", "16"]) == 0
+    assert sorted(calls) == [2**d for d in range(1, 17)]
 
 
 def test_failed_check_still_writes_its_rows(tmp_path, capsys):

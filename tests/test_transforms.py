@@ -3,8 +3,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lowdisc import (
-    BudgetExceededError,
-    CountingProfile,
     FloorPower,
     SumOfDigits,
     TableTransform,
@@ -101,13 +99,51 @@ def test_block_counts_shift_identity_vs_scan():
             assert fast == scan
 
 
-def test_block_counts_generic_scan_and_budget():
+def test_block_counts_floor_power():
     t = FloorPower(1, 2)
     counts = block_counts(t, 0, 3, chain2(4))
     assert counts == {0: 1, 1: 3, 2: 4}  # n<8: f = 0,1,1,1,2,2,2,2
     assert sum(counts.values()) == 8
-    with pytest.raises(BudgetExceededError):
-        block_counts(t, 0, 3, chain2(4), budget=4)
+
+
+TABLE = TableTransform(tuple(n * n // 50 for n in range(64)))  # uneven steps, some repeats
+
+
+@st.composite
+def blocks(draw):
+    """A transform, a chain, a level j and a block A the transform covers."""
+    t = draw(st.sampled_from(
+        [SumOfDigits(q) for q in range(2, 6)]
+        + [FloorPower(u, v) for u, v in ((1, 2), (1, 3), (2, 3), (3, 5))]
+        + [TABLE]
+    ))
+    chains = [(1, 6, 12, 36), (1, 4, 8, 24)]
+    if isinstance(t, SumOfDigits):
+        chains.append(tuple(t.q**j for j in range(4)))
+    chain = draw(st.sampled_from(chains))
+    j = draw(st.integers(0, len(chain) - 1))
+    top = len(TABLE.values) // chain[j] - 1 if t is TABLE else 40
+    return t, chain, j, draw(st.integers(0, top))
+
+
+@given(blocks())
+@settings(max_examples=200, deadline=None)
+def test_block_counts_match_direct_scan(case):
+    t, chain, j, a = case
+    scan = {}
+    for k in map(t.apply, range(a * chain[j], (a + 1) * chain[j])):
+        scan[k] = scan.get(k, 0) + 1
+    counts = block_counts(t, a, j, chain)
+    assert counts == scan and list(counts) == sorted(scan)
+    assert distinct_values(t, a, j, chain) == len(scan)
+
+
+@pytest.mark.parametrize("t", [SumOfDigits(2), FloorPower(1, 2), TableTransform((0, 1, 2))])
+def test_negative_block_is_rejected(t):
+    with pytest.raises(ValueError, match="non-negative block"):
+        block_counts(t, -1, 0, chain2(1))
+    with pytest.raises(ValueError, match="non-negative block"):
+        distinct_values(t, -2, 1, chain2(1))
 
 
 @given(st.integers(2, 5), st.integers(0, 5), st.integers(0, 8))
@@ -162,14 +198,6 @@ def test_value_counts_below_matches_scan():
                 k = t.apply(i)
                 scan[k] = scan.get(k, 0) + 1
             assert value_counts_below(t, n) == scan
-
-
-def test_counting_profile_wrappers():
-    prof = CountingProfile(SumOfDigits(2), chain2(5))
-    assert prof.G(0, 4) == {0: 1, 1: 4, 2: 6, 3: 4, 4: 1}
-    assert prof.v(0, 3) == 4
-    prof2 = CountingProfile(FloorPower(1, 2), chain2(5))
-    assert prof2.F(2) == 5
 
 
 def test_parse_transform(tmp_path):
