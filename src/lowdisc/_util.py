@@ -1,20 +1,10 @@
-"""Shared plumbing: scan budgets, integer roots, exact-value coercion, and
-the int64-or-exact rule of the integer kernels."""
+"""Shared plumbing with no third-party import: the scan-budget and
+unimodality errors, integer roots, and exact-value coercion.  Every command
+loads this module, so it stays free of numpy."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-import numpy as np
-
-_INT64_LIMIT = 1 << 62
-
-
-def _int_dtype(bound: int):
-    """int64 for integers below ``bound`` while bound < 2**62, else exact
-    Python ints (object arrays).  Below 2**62 even a sum or difference of
-    two such integers fits in int64."""
-    return np.int64 if bound < _INT64_LIMIT else object
 
 
 class BudgetExceededError(RuntimeError):

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import hashlib
 import json
 import os
 import sys
@@ -23,31 +22,9 @@ from pathlib import Path
 
 from . import __version__
 from ._util import BudgetExceededError, as_fraction
-from .bounds import (
-    alpha_corollary_check,
-    bound_holds,
-    fit_monotone_constant,
-    general_sandwich,
-    halton_uniform_main_term,
-    measured_delta_table,
-    monotone_hypotheses,
-    monotone_lower,
-    monotone_upper,
-    sod_envelope_check,
-    transformed_discrepancy,
-    uniform_bound_ts,
-)
-from .digitsum_dist import distribution, gaussian_main_term
-from .discrepancy import windowed_uniform_discrepancy
-from .expsums import hellekalek_bound, hellekalek_resolution, weyl_sum
-from .generators import (
-    VanDerCorput,
-    check_sequence_property,
-    coordinates,
-    parse_spec,
-    write_points_csv,
-)
-from .transforms import SumOfDigits, FloorPower, parse_transform, value_counts_below
+
+# Each command imports the modules it uses in its own body, so a job loads
+# only those: `dist` and `transform` never import numpy.
 
 
 def _fail(record: dict) -> int:
@@ -120,6 +97,8 @@ GEN_CHUNK = 1024
 
 
 def cmd_gen(args) -> int:
+    from .generators import coordinates, parse_spec, write_points_csv
+
     spec = parse_spec(args.spec)
     indices = range(args.start, args.start + args.count)
     if indices:  # the extreme indices: fail before any row is written
@@ -133,6 +112,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_transform(args) -> int:
+    from .transforms import parse_transform
+
     transform = parse_transform(args.transform)
     indices = range(args.start, args.start + args.count)
     if indices:  # the extreme indices: fail before any row is written, as gen does
@@ -142,6 +123,8 @@ def cmd_transform(args) -> int:
 
 
 def cmd_dist(args) -> int:
+    from .digitsum_dist import distribution, gaussian_main_term
+
     q, j = args.q, args.j
     rows = [
         [q, j, k, c, repr(gaussian_main_term(q, j, k)) if j >= 1 else ""]
@@ -151,6 +134,10 @@ def cmd_dist(args) -> int:
 
 
 def cmd_disc(args) -> int:
+    from .bounds import transformed_discrepancy
+    from .generators import parse_spec
+    from .transforms import parse_transform
+
     spec = parse_spec(args.spec)
     transform = parse_transform(args.transform) if args.transform else None
     rep = transformed_discrepancy(spec, transform, args.N, args.mode)
@@ -159,6 +146,10 @@ def cmd_disc(args) -> int:
 
 
 def cmd_udisc(args) -> int:
+    from .discrepancy import windowed_uniform_discrepancy
+    from .generators import parse_spec
+    from .transforms import parse_transform
+
     spec = parse_spec(args.spec)
     transform = parse_transform(args.transform) if args.transform else None
     rep = windowed_uniform_discrepancy(spec, transform, args.N, args.kmax, args.mode)
@@ -171,6 +162,8 @@ WEYL_HEADER = "b,q,k,N,re,im,abs,bound"
 
 def _weyl_rows(b: int, q: int, ks, n: int) -> list:
     """One row per Weyl sum, with an empty bound column."""
+    from .expsums import weyl_sum
+
     rows = []
     for k in ks:
         ws = weyl_sum(b, q, k, n)
@@ -184,6 +177,10 @@ def cmd_expsum(args) -> int:
 
 
 def cmd_hkbound(args) -> int:
+    from .expsums import hellekalek_bound, hellekalek_resolution
+    from .generators import VanDerCorput, coordinates
+    from .transforms import SumOfDigits, value_counts_below
+
     b, q, n = args.b, args.q, args.N
     spec = VanDerCorput(b)  # checks the base before the resolution takes log b
     g = args.g if args.g else hellekalek_resolution(b, n)
@@ -195,6 +192,10 @@ def cmd_hkbound(args) -> int:
 
 
 def cmd_genbound(args) -> int:
+    from .bounds import general_sandwich
+    from .generators import parse_spec
+    from .transforms import SumOfDigits
+
     _need_level("dmax", args.dmax)
     reports = general_sandwich(parse_spec(args.spec), SumOfDigits(args.q), args.dmax)
     rows = [
@@ -207,6 +208,9 @@ def cmd_genbound(args) -> int:
 
 
 def cmd_sodcheck(args) -> int:
+    from .bounds import sod_envelope_check
+    from .generators import parse_spec
+
     spec = parse_spec(args.spec)
     fit_rows, fits = sod_envelope_check(spec, args.q, args.dmax, args.cal, args.mode)
     rows = [
@@ -220,6 +224,17 @@ def cmd_sodcheck(args) -> int:
 
 
 def cmd_monocheck(args) -> int:
+    from .bounds import (
+        bound_holds,
+        fit_monotone_constant,
+        monotone_hypotheses,
+        monotone_lower,
+        monotone_upper,
+        transformed_discrepancy,
+    )
+    from .generators import parse_spec
+    from .transforms import FloorPower
+
     _need_level("dmax", args.dmax, 1)
     spec = parse_spec(args.spec)
     transform = FloorPower(args.u, args.v)
@@ -250,6 +265,11 @@ def cmd_monocheck(args) -> int:
 
 
 def cmd_ubound(args) -> int:
+    from .bounds import bound_holds, halton_uniform_main_term, measured_delta_table
+    from .bounds import uniform_bound_ts
+    from .discrepancy import windowed_uniform_discrepancy
+    from .generators import parse_spec
+
     _need_level("dmax", args.dmax)
     spec = parse_spec(args.spec)
     b, t, s = args.b, args.t, args.s
@@ -268,6 +288,8 @@ def cmd_ubound(args) -> int:
 
 
 def cmd_netcheck(args) -> int:
+    from .generators import check_sequence_property, parse_spec
+
     _need_level("mmax", args.mmax)
     spec = parse_spec(args.spec)
     res = check_sequence_property(spec, args.base, args.t, spec.dimension, args.kmax, args.mmax)
@@ -312,11 +334,17 @@ class RunConfig:
         return cfg
 
     def content_hash(self) -> str:
+        import hashlib  # only `report` hashes, and hashlib adds 3.6 MiB to a process
+
         blob = json.dumps(self.__dict__, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
 
 
 def cmd_report(args) -> int:
+    from .bounds import alpha_corollary_check, general_sandwich, sod_envelope_check
+    from .generators import parse_spec
+    from .transforms import FloorPower, SumOfDigits
+
     cfg = RunConfig.from_file(args.config)
     spec = parse_spec(cfg.spec)
     if cfg.curve == "sod":

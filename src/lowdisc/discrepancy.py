@@ -24,8 +24,8 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._util import BudgetExceededError, _int_dtype, as_fraction
-from .generators import Axis, Point, SequenceSpec, coordinates
+from ._util import BudgetExceededError, as_fraction
+from .generators import Axis, Point, SequenceSpec, _int_dtype, coordinates
 from .transforms import IndexTransform
 
 DEFAULT_BOX_BUDGET = 1 << 24

@@ -3,8 +3,9 @@ character-based discrepancy bound.
 
 Phases are reduced mod 1 in exact integer arithmetic (every phase is a
 rational with denominator b**(r+1)); the single transcendental call per
-distinct phase happens afterwards.  Sums use exact compensated summation
-(math.fsum), so the summation error is O(eps) independent of N.
+distinct phase happens afterwards.  A Weyl sum's terms depend on n only
+through the digit sum s_q(n), so every sum is one term per digit-sum class,
+weighted by the class's exact count; its cost grows with log N, not N.
 """
 
 from __future__ import annotations
@@ -20,8 +21,10 @@ import numpy as np
 from .digits import BRational, expand, monna_plus, radical_inverse
 from .digitsum_dist import digit_sum_counts_below
 
-# direct fsum cost grows linearly with N while the grouped path stays at
-# O(digit-sum range); the crossover keeps both well inside exact territory
+# Up to this N a Weyl sum is the correctly rounded exact sum of its N terms
+# ("direct"); beyond it each class weight c/N is rounded first ("grouped").
+# Both cost one term per digit-sum class: the budget picks which rounding a
+# row keeps, and published rows pin both.
 DEFAULT_DIRECT_BUDGET = 1 << 14
 
 
@@ -44,26 +47,6 @@ def gamma_k(b: int, k: int, x: BRational) -> complex:
     return e_frac(num * monna_plus(x), den)
 
 
-_DIGIT_SUM_CACHE: dict[tuple[int, int], np.ndarray] = {}
-
-
-def _digit_sums_vector(q: int, n: int) -> np.ndarray:
-    """Digit sums of 0..n-1 (cached, read-only)."""
-    key = (q, n)
-    cached = _DIGIT_SUM_CACHE.get(key)
-    if cached is not None:
-        return cached
-    s = np.zeros(n, dtype=np.int64)
-    rem = np.arange(n, dtype=np.int64)
-    while rem.any():
-        s += rem % q
-        rem //= q
-    s.setflags(write=False)
-    if len(_DIGIT_SUM_CACHE) < 64:
-        _DIGIT_SUM_CACHE[key] = s
-    return s
-
-
 _PHASE_TABLE_CACHE: dict[int, np.ndarray] = {}
 
 
@@ -76,6 +59,15 @@ def _phase_table(den: int) -> np.ndarray:
         if len(_PHASE_TABLE_CACHE) < 256:
             _PHASE_TABLE_CACHE[den] = table
     return table
+
+
+def _exact_dot(counts, values) -> float:
+    """sum c*x over integer counts and floats, rounded once (as math.fsum
+    rounds the same terms repeated c times): every x = p / 2**e goes over
+    one common power of two, and int true division rounds correctly."""
+    ratios = [(c, *x.as_integer_ratio()) for c, x in zip(counts, values) if c]
+    den = max(d for _, _, d in ratios)
+    return sum(c * p * (den // d) for c, p, d in ratios) / den
 
 
 @dataclass(frozen=True)
@@ -97,10 +89,10 @@ def weyl_sum(
 ) -> WeylSum:
     """T_k(N) = (1/N) sum_{n<N} e(s_q(n) phi_b(k)).
 
-    Direct term-by-term evaluation (vectorized phases, fsum reduction) up to
-    the budget; beyond it the terms are grouped exactly by digit-sum value,
-    which is a plain regrouping of the same finite sum with exact integer
-    multiplicities.
+    The N terms take one value x_j = e(j phi_b(k)) per digit sum j, so the
+    sum is sum_j c_j x_j with the exact class counts c_j.  Up to the budget
+    that sum is rounded once, exactly as math.fsum over all N terms rounds
+    it, and then divided by N; beyond it each weight c_j/N is rounded first.
     """
     if n < 1:
         raise ValueError("need N >= 1")
@@ -108,23 +100,21 @@ def weyl_sum(
     if num == 0:
         return WeylSum(b, q, k, n, complex(1.0, 0.0), "trivial")
     table = _phase_table(den)
+    counts = digit_sum_counts_below(q, n)
+    terms = [complex(table[(j * num) % den]) for j in range(len(counts))]
     if n <= direct_budget:
-        phases = (_digit_sums_vector(q, n) * num) % den
-        terms = table[phases]
         value = complex(
-            math.fsum(terms.real) / n,
-            math.fsum(terms.imag) / n,
+            _exact_dot(counts, [z.real for z in terms]) / n,
+            _exact_dot(counts, [z.imag for z in terms]) / n,
         )
         return WeylSum(b, q, k, n, value, "direct")
-    counts = digit_sum_counts_below(q, n)
     small = 1 << 53  # ints below this are exact as floats
     re = []
     im = []
-    for j, c in enumerate(counts):
+    for c, z in zip(counts, terms):
         if not c:
             continue
         w = c / n if (c < small and n < small) else float(Fraction(c, n))
-        z = table[(j * num) % den]
         re.append(w * z.real)
         im.append(w * z.imag)
     return WeylSum(b, q, k, n, complex(math.fsum(re), math.fsum(im)), "grouped")

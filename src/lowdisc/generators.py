@@ -18,10 +18,18 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from ._util import _int_dtype
 from .digits import BRational
 
 DEFAULT_DIGITAL_PRECISION = 32
+
+_INT64_LIMIT = 1 << 62
+
+
+def _int_dtype(bound: int):
+    """int64 for integers below ``bound`` while bound < 2**62, else exact
+    Python ints (object arrays).  Below 2**62 even a sum or difference of
+    two such integers fits in int64."""
+    return np.int64 if bound < _INT64_LIMIT else object
 
 
 @dataclass(frozen=True)
@@ -212,7 +220,15 @@ class Axis(NamedTuple):
 
 
 def _index_array(indices) -> np.ndarray:
-    """Non-negative integer indices: int64 below 2**62, exact Python ints beyond."""
+    """Non-negative integer indices: int64 below 2**62, exact Python ints beyond.
+
+    A range of such int64 indices is built from its bounds, not element by
+    element."""
+    if isinstance(indices, range) and indices:
+        first, last = indices[0], indices[-1]
+        if min(first, last) >= 0 and _int_dtype(max(first, last) + 1) is np.int64:
+            step = indices.step if len(indices) > 1 else 1
+            return np.arange(first, last + step, step, dtype=np.int64)
     values = list(indices)
     for v in values:
         if not isinstance(v, int) or v < 0:
@@ -228,8 +244,9 @@ def _radical_inverses(idx: np.ndarray, base: int) -> Axis:
         width += 1
     rem = idx.copy()
     nums = np.zeros(len(idx), dtype=_int_dtype(base**width))
-    for _ in range(width):
-        nums = nums * base + rem % base
+    for _ in range(width):  # in place: one temporary array at a time
+        nums *= base
+        nums += rem % base
         rem //= base
     return Axis(base, width, nums)
 

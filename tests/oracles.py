@@ -11,6 +11,8 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
+
 
 def oracle_extreme_1d(values) -> Fraction:
     """Sup over half-open intervals by enumerating flagged endpoint pairs."""
@@ -184,6 +186,35 @@ def brute_digit_sum_counts(q: int, n: int) -> dict[int, int]:
             t //= q
         out[s] = out.get(s, 0) + 1
     return out
+
+
+def oracle_digit_sums(q: int, n: int) -> np.ndarray:
+    """s_q(m) for m = 0..n-1, digit by digit over the whole index array."""
+    s = np.zeros(n, dtype=np.int64)
+    rem = np.arange(n, dtype=np.int64)
+    while rem.any():
+        s += rem % q
+        rem //= q
+    return s
+
+
+def oracle_weyl_direct(b: int, q: int, k: int, n: int) -> tuple[complex, str]:
+    """T_k(N) term by term, and the method name weyl_sum reports for it.
+
+    phi_b(k) = num / b**r mirrors the r base-b digits of k; every one of the
+    N terms e(s_q(m) * phi_b(k)) is read from the same unit-circle table as
+    the library's, and math.fsum adds the N real and imaginary parts.
+    """
+    num, r, rem = 0, 0, k
+    while rem:
+        rem, d = divmod(rem, b)
+        num, r = num * b + d, r + 1
+    if num == 0:
+        return complex(1.0, 0.0), "trivial"
+    den = b**r
+    table = np.exp(2j * math.pi * np.arange(den) / den)
+    terms = table[(oracle_digit_sums(q, n) * num) % den]
+    return complex(math.fsum(terms.real) / n, math.fsum(terms.imag) / n), "direct"
 
 
 def brute_floor_power(n: int, u: int, v: int) -> int:

@@ -15,8 +15,8 @@ import numpy as np
 
 import lowdisc as ld
 from lowdisc.cli import main as cli_main
-from lowdisc.expsums import _digit_sums_vector, phi_fraction
-from oracles import oracle_extreme_1d
+from lowdisc.expsums import phi_fraction
+from oracles import oracle_digit_sums, oracle_extreme_1d
 
 
 @contextmanager
@@ -116,7 +116,7 @@ def test_c06_character_sum_lemmas():
         n_max = 10**4
         n_range = np.arange(1, n_max + 1, dtype=np.int64)
         for q in qs:
-            sums = _digit_sums_vector(q, n_max)
+            sums = oracle_digit_sums(q, n_max)
             r_top = 0
             while q ** (r_top + 1) <= n_max:
                 r_top += 1

@@ -221,16 +221,16 @@ def test_monocheck_star_mode_uses_halved_floor(tmp_path):
 
 
 def test_monocheck_measures_each_level_once(monkeypatch, capsys):
-    import lowdisc.cli as cli
+    import lowdisc.bounds as bounds
 
-    measure = cli.transformed_discrepancy
+    measure = bounds.transformed_discrepancy
     calls = []
 
     def counted(spec, transform, n, mode="extreme"):
         calls.append(n)
         return measure(spec, transform, n, mode)
 
-    monkeypatch.setattr(cli, "transformed_discrepancy", counted)
+    monkeypatch.setattr(bounds, "transformed_discrepancy", counted)
     assert main(["monocheck", "--spec", "vdc:2", "--u", "1", "--v", "2", "--dmax", "16"]) == 0
     assert sorted(calls) == [2**d for d in range(1, 17)]
 
@@ -316,3 +316,44 @@ def test_import_keeps_one_blas_thread_unless_set(preset, expected):
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out == expected + "\n"
+
+
+def run_python(code: str) -> str:
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
+def test_cli_start_up_loads_only_the_commands_modules():
+    code = (
+        "import os, sys\n"
+        "import lowdisc.cli as cli\n"
+        "print('numpy' in sys.modules, 'hashlib' in sys.modules)\n"
+        "assert cli.main(['dist', '--q', '3', '--j', '5', '--out', os.devnull]) == 0\n"
+        "assert cli.main(['transform', '--transform', 'pow:1/2', '--count', '50',"
+        " '--out', os.devnull]) == 0\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    assert run_python(code) == "False False\nFalse\n"
+
+
+def test_lazy_package_resolves_every_name():
+    code = (
+        "import sys, lowdisc\n"
+        "print(sorted(m for m in sys.modules if m.startswith('lowdisc')))\n"
+        "print(lowdisc.bounds.__name__)\n"
+        "from lowdisc import generators\n"
+        "print(generators.__name__)\n"
+        "import lowdisc.expsums as expsums\n"
+        "assert lowdisc.weyl_sum is expsums.weyl_sum\n"
+        "missing = [n for n in lowdisc.__all__ if not hasattr(lowdisc, n)]\n"
+        "print(len(lowdisc.__all__), missing, set(lowdisc.__all__) <= set(dir(lowdisc)))\n"
+        "print(hasattr(lowdisc, 'no_such_name'))\n"
+    )
+    assert run_python(code).splitlines() == [
+        "['lowdisc']",
+        "lowdisc.bounds",
+        "lowdisc.generators",
+        "71 [] True",
+        "False",
+    ]

@@ -4,6 +4,8 @@ import random
 
 import pytest
 from fractions import Fraction
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lowdisc import (
     BRational,
@@ -22,6 +24,8 @@ from lowdisc import (
     value_counts_below,
     weyl_sum,
 )
+from lowdisc.expsums import DEFAULT_DIRECT_BUDGET
+from oracles import oracle_weyl_direct
 
 
 def brute_weyl(b, q, k, n):
@@ -71,6 +75,30 @@ def test_weyl_grouped_matches_direct():
             grouped = weyl_sum(b, q, k, n, direct_budget=1)
             assert direct.method == "direct" and grouped.method == "grouped"
             assert abs(direct.value - grouped.value) < 1e-12
+
+
+@st.composite
+def _direct_weyl_cases(draw):
+    b = draw(st.integers(2, 7))
+    q = draw(st.integers(2, 10))
+    k = draw(st.integers(0, b**4 - 1))
+    n = draw(st.integers(1, DEFAULT_DIRECT_BUDGET))
+    return b, q, k, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(_direct_weyl_cases())
+@example((2, 2, 1, 1))
+@example((7, 10, 7**4 - 1, 1))
+@example((2, 2, 255 // 16, DEFAULT_DIRECT_BUDGET))
+@example((5, 3, 5**4 - 1, DEFAULT_DIRECT_BUDGET))
+@example((6, 7, 35, DEFAULT_DIRECT_BUDGET))
+def test_weyl_direct_equals_fsum_over_every_term(case):
+    """One term per digit-sum class rounds exactly as fsum over all N terms."""
+    ws = weyl_sum(*case)
+    value, method = oracle_weyl_direct(*case)
+    assert ws.method == method
+    assert (repr(ws.value.real), repr(ws.value.imag)) == (repr(value.real), repr(value.imag))
 
 
 def test_weyl_modulus_bounded():

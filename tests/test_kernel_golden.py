@@ -113,6 +113,8 @@ GOLDEN = {
         (0, "c40b2cc994b6558b814894fb5fca84ccf0d3a43c30d43fb5810ddc02f1469526"),
     "expsum --b 2 --q 3 --kmin 1 --kmax 15 --N 1000":
         (0, "5af6ada3d1ba4382273b9ccda98a5a54378b3a035e7b39e4ffdabcc83d6788f6"),
+    "expsum --b 2 --q 2 --kmax 255 --N 16384":
+        (0, "d18f349d76faddbc32a3c405d417631129e0652f8dfa514b59876e373d3ed685"),
     "transform --transform pow:2/3 --count 50 --start 10":
         (0, "65e964aba4d21190a6f602a89c90ab8837bab4a8e7c525bc338260224f195024"),
 }
