@@ -23,7 +23,6 @@ from .transforms import (
     IndexTransform,
     SumOfDigits,
     block_counts,
-    counts_between,
     is_unimodal,
     multiplicity_F,
     value_counts_below,
@@ -170,15 +169,12 @@ def general_upper(
     for j in range(d + 1):
         g_j = 0
         v_j = 0
-        before = {}  # the prefix below (a+1)*N_j ends block a and starts block a+1
         for a in range(1 if sod_exact else a_window):
-            upto = value_counts_below(transform, (a + 1) * chain[j])
-            profile = counts_between(before, upto)
+            profile = block_counts(transform, a, j, chain)
             if not is_unimodal(profile):
                 raise UnimodalityError(a, j)
             g_j = max(g_j, max(profile.values()))
             v_j = max(v_j, len(profile))
-            before = upto
         f_vj = envelope(v_j)
         term = chain.ratio(j) * g_j * f_vj
         per_j.append((j, chain.ratio(j), g_j, v_j, f_vj, term))

@@ -20,11 +20,13 @@ import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from . import __version__
+import lowdisc as ld
+
 from ._util import BudgetExceededError, as_fraction
 
-# Each command imports the modules it uses in its own body, so a job loads
-# only those: `dist` and `transform` never import numpy.
+# Library names resolve through `ld`, the lazy package, when a command runs,
+# so a job loads only the modules it uses: `dist` and `transform` never
+# import numpy.
 
 
 def _fail(record: dict) -> int:
@@ -97,24 +99,21 @@ GEN_CHUNK = 1024
 
 
 def cmd_gen(args) -> int:
-    from .generators import coordinates, parse_spec, write_points_csv
-
-    spec = parse_spec(args.spec)
+    spec = ld.parse_spec(args.spec)
     indices = range(args.start, args.start + args.count)
     if indices:  # the extreme indices: fail before any row is written
-        coordinates(spec, [indices[0], indices[-1]])
+        ld.generators.coordinates(spec, [indices[0], indices[-1]])
     chunks = (
-        coordinates(spec, indices[i : i + GEN_CHUNK]) for i in range(0, len(indices), GEN_CHUNK)
+        ld.generators.coordinates(spec, indices[i : i + GEN_CHUNK])
+        for i in range(0, len(indices), GEN_CHUNK)
     )
     with _output(args.out) as fh:
-        write_points_csv(fh, chunks, args.start)
+        ld.generators.write_points_csv(fh, chunks, args.start)
     return 0
 
 
 def cmd_transform(args) -> int:
-    from .transforms import parse_transform
-
-    transform = parse_transform(args.transform)
+    transform = ld.parse_transform(args.transform)
     indices = range(args.start, args.start + args.count)
     if indices:  # the extreme indices: fail before any row is written, as gen does
         for n in (indices[0], indices[-1]):
@@ -123,36 +122,26 @@ def cmd_transform(args) -> int:
 
 
 def cmd_dist(args) -> int:
-    from .digitsum_dist import distribution, gaussian_main_term
-
     q, j = args.q, args.j
     rows = [
-        [q, j, k, c, repr(gaussian_main_term(q, j, k)) if j >= 1 else ""]
-        for k, c in enumerate(distribution(q, j).counts)
+        [q, j, k, c, repr(ld.gaussian_main_term(q, j, k)) if j >= 1 else ""]
+        for k, c in enumerate(ld.distribution(q, j).counts)
     ]
     return _table(args, "q,j,k,count,gaussian_main", rows)
 
 
 def cmd_disc(args) -> int:
-    from .bounds import transformed_discrepancy
-    from .generators import parse_spec
-    from .transforms import parse_transform
-
-    spec = parse_spec(args.spec)
-    transform = parse_transform(args.transform) if args.transform else None
-    rep = transformed_discrepancy(spec, transform, args.N, args.mode)
+    spec = ld.parse_spec(args.spec)
+    transform = ld.parse_transform(args.transform) if args.transform else None
+    rep = ld.transformed_discrepancy(spec, transform, args.N, args.mode)
     row = [args.N, *_frac_cols(rep.value), rep.method, str(rep.witness)]
     return _table(args, "N,value_num,value_den,method,witness", [row])
 
 
 def cmd_udisc(args) -> int:
-    from .discrepancy import windowed_uniform_discrepancy
-    from .generators import parse_spec
-    from .transforms import parse_transform
-
-    spec = parse_spec(args.spec)
-    transform = parse_transform(args.transform) if args.transform else None
-    rep = windowed_uniform_discrepancy(spec, transform, args.N, args.kmax, args.mode)
+    spec = ld.parse_spec(args.spec)
+    transform = ld.parse_transform(args.transform) if args.transform else None
+    rep = ld.windowed_uniform_discrepancy(spec, transform, args.N, args.kmax, args.mode)
     row = [args.N, *_frac_cols(rep.value), rep.method, rep.shift]
     return _table(args, "N,value_num,value_den,method,argmax_shift", [row])
 
@@ -162,11 +151,9 @@ WEYL_HEADER = "b,q,k,N,re,im,abs,bound"
 
 def _weyl_rows(b: int, q: int, ks, n: int) -> list:
     """One row per Weyl sum, with an empty bound column."""
-    from .expsums import weyl_sum
-
     rows = []
     for k in ks:
-        ws = weyl_sum(b, q, k, n)
+        ws = ld.weyl_sum(b, q, k, n)
         rows.append([b, q, k, n, repr(ws.value.real), repr(ws.value.imag), repr(ws.abs), ""])
     return rows
 
@@ -177,27 +164,19 @@ def cmd_expsum(args) -> int:
 
 
 def cmd_hkbound(args) -> int:
-    from .expsums import hellekalek_bound, hellekalek_resolution
-    from .generators import VanDerCorput, coordinates
-    from .transforms import SumOfDigits, value_counts_below
-
     b, q, n = args.b, args.q, args.N
-    spec = VanDerCorput(b)  # checks the base before the resolution takes log b
-    g = args.g if args.g else hellekalek_resolution(b, n)
-    multiplicity = value_counts_below(SumOfDigits(q), n)
-    (axis,) = coordinates(spec, list(multiplicity))
-    bound = hellekalek_bound(b, g, axis.brationals(), list(multiplicity.values()))
+    spec = ld.VanDerCorput(b)  # checks the base before the resolution takes log b
+    g = args.g if args.g else ld.hellekalek_resolution(b, n)
+    multiplicity = ld.value_counts_below(ld.SumOfDigits(q), n)
+    (axis,) = ld.generators.coordinates(spec, list(multiplicity))
+    bound = ld.hellekalek_bound(b, g, axis.brationals(), list(multiplicity.values()))
     rows = _weyl_rows(b, q, range(1, b**g), n) + [[b, q, "total", n, "", "", "", repr(bound)]]
     return _table(args, WEYL_HEADER, rows)
 
 
 def cmd_genbound(args) -> int:
-    from .bounds import general_sandwich
-    from .generators import parse_spec
-    from .transforms import SumOfDigits
-
     _need_level("dmax", args.dmax)
-    reports = general_sandwich(parse_spec(args.spec), SumOfDigits(args.q), args.dmax)
+    reports = ld.general_sandwich(ld.parse_spec(args.spec), ld.SumOfDigits(args.q), args.dmax)
     rows = [
         [d, r.n, r.lower.numerator, *_frac_cols(r.measured), repr(float(r.measured)),
          repr(r.upper), int(r.holds)]
@@ -208,11 +187,8 @@ def cmd_genbound(args) -> int:
 
 
 def cmd_sodcheck(args) -> int:
-    from .bounds import sod_envelope_check
-    from .generators import parse_spec
-
-    spec = parse_spec(args.spec)
-    fit_rows, fits = sod_envelope_check(spec, args.q, args.dmax, args.cal, args.mode)
+    spec = ld.parse_spec(args.spec)
+    fit_rows, fits = ld.sod_envelope_check(spec, args.q, args.dmax, args.cal, args.mode)
     rows = [
         [r.d, r.n, repr(r.measured), repr(r.scaled), repr(r.lower_fit),
          repr(r.upper_fit) if r.upper_fit is not None else "", repr(fits["c2"]),
@@ -224,38 +200,27 @@ def cmd_sodcheck(args) -> int:
 
 
 def cmd_monocheck(args) -> int:
-    from .bounds import (
-        bound_holds,
-        fit_monotone_constant,
-        monotone_hypotheses,
-        monotone_lower,
-        monotone_upper,
-        transformed_discrepancy,
-    )
-    from .generators import parse_spec
-    from .transforms import FloorPower
-
     _need_level("dmax", args.dmax, 1)
-    spec = parse_spec(args.spec)
-    transform = FloorPower(args.u, args.v)
+    spec = ld.parse_spec(args.spec)
+    transform = ld.FloorPower(args.u, args.v)
     measured = {
-        2**d: transformed_discrepancy(spec, transform, 2**d, args.mode).value
+        2**d: ld.transformed_discrepancy(spec, transform, 2**d, args.mode).value
         for d in range(1, args.dmax + 1)
     }
     cal = {n: d_n for n, d_n in measured.items() if n <= 2**args.cal_dmax}
-    fitted_c = fit_monotone_constant(transform, spec.dimension, cal)
-    hyp = monotone_hypotheses(transform, n_max=min(2**args.dmax, 4096), k_max=1000)
+    fitted_c = ld.fit_monotone_constant(transform, spec.dimension, cal)
+    hyp = ld.monotone_hypotheses(transform, n_max=min(2**args.dmax, 4096), k_max=1000)
     if not hyp["f_monotone_surjective"]:
         return _fail({"command": "monocheck", "failures": [{"check": "hypothesis", **hyp}]})
     rows = []
     for n, d_n in measured.items():
-        lower = monotone_lower(transform, n)
+        lower = ld.monotone_lower(transform, n)
         if args.mode == "star":  # the floor is for the extreme value, at most 2^s * star
             lower /= 2**spec.dimension
-        upper = monotone_upper(transform, n, spec.dimension, fitted_c)
+        upper = ld.monotone_upper(transform, n, spec.dimension, fitted_c)
         rows.append(
             [n, *_frac_cols(lower), *_frac_cols(d_n), repr(float(d_n)), repr(upper),
-             repr(fitted_c), hyp["F_monotonicity"], int(bound_holds(lower, d_n, upper))]
+             repr(fitted_c), hyp["F_monotonicity"], int(ld.bound_holds(lower, d_n, upper))]
         )
     header = (
         "N,lower_num,lower_den,measured_num,measured_den,measured_float,upper,fitted_c,"
@@ -265,34 +230,27 @@ def cmd_monocheck(args) -> int:
 
 
 def cmd_ubound(args) -> int:
-    from .bounds import bound_holds, halton_uniform_main_term, measured_delta_table
-    from .bounds import uniform_bound_ts
-    from .discrepancy import windowed_uniform_discrepancy
-    from .generators import parse_spec
-
     _need_level("dmax", args.dmax)
-    spec = parse_spec(args.spec)
+    spec = ld.parse_spec(args.spec)
     b, t, s = args.b, args.t, args.s
-    delta = measured_delta_table(spec, b, t, s, max(args.dmax, t), blocks=args.blocks)
+    delta = ld.measured_delta_table(spec, b, t, s, max(args.dmax, t), blocks=args.blocks)
     rows = []
     for n in (b**d for d in range(args.dmax + 1)):
-        scaled = n * windowed_uniform_discrepancy(spec, None, n, args.kmax).value
-        bound = uniform_bound_ts(b, t, s, n, delta)
-        main = halton_uniform_main_term([b] * s, n) if n >= 2 else 1.0
+        scaled = n * ld.windowed_uniform_discrepancy(spec, None, n, args.kmax).value
+        bound = ld.uniform_bound_ts(b, t, s, n, delta)
+        main = ld.halton_uniform_main_term([b] * s, n) if n >= 2 else 1.0
         rows.append(
             [n, *_frac_cols(scaled), repr(float(scaled)), repr(bound), repr(main),
-             int(bound_holds(None, scaled, bound))]
+             int(ld.bound_holds(None, scaled, bound))]
         )
     header = "N,windowed_num,windowed_den,windowed_float,bound,main_term,holds"
     return _table(args, header, rows, lambda row: {"check": "ubound", "N": row[0]})
 
 
 def cmd_netcheck(args) -> int:
-    from .generators import check_sequence_property, parse_spec
-
     _need_level("mmax", args.mmax)
-    spec = parse_spec(args.spec)
-    res = check_sequence_property(spec, args.base, args.t, spec.dimension, args.kmax, args.mmax)
+    spec = ld.parse_spec(args.spec)
+    res = ld.check_sequence_property(spec, args.base, args.t, spec.dimension, args.kmax, args.mmax)
     failed = ["", "", ""] if res.ok else [res.failed_m, res.failed_block, str(res.violation)]
     row = [args.base, args.t, spec.dimension, args.mmax, args.kmax, int(res.ok), *failed]
     header = "base,t,s,mmax,kmax,ok,failed_m,failed_block,violation"
@@ -341,21 +299,17 @@ class RunConfig:
 
 
 def cmd_report(args) -> int:
-    from .bounds import alpha_corollary_check, general_sandwich, sod_envelope_check
-    from .generators import parse_spec
-    from .transforms import FloorPower, SumOfDigits
-
     cfg = RunConfig.from_file(args.config)
-    spec = parse_spec(cfg.spec)
+    spec = ld.parse_spec(cfg.spec)
     if cfg.curve == "sod":
-        rows, _ = sod_envelope_check(spec, cfg.q, cfg.dmax, mode=cfg.mode)
+        rows, _ = ld.sod_envelope_check(spec, cfg.q, cfg.dmax, mode=cfg.mode)
         curves = {f"sod_q{cfg.q}.dat": [(float(r.n), r.scaled) for r in rows]}
     elif cfg.curve == "alpha":
         ns = [2**d for d in range(1, cfg.dmax + 1)]
-        rows, _ = alpha_corollary_check(spec, FloorPower(cfg.u, cfg.v), ns, mode=cfg.mode)
+        rows, _ = ld.alpha_corollary_check(spec, ld.FloorPower(cfg.u, cfg.v), ns, mode=cfg.mode)
         curves = {f"alpha_{cfg.u}_{cfg.v}.dat": [(float(r.n), r.scaled) for r in rows]}
     elif cfg.curve == "bound":
-        reports = general_sandwich(spec, SumOfDigits(cfg.q), cfg.dmax)
+        reports = ld.general_sandwich(spec, ld.SumOfDigits(cfg.q), cfg.dmax)
         curves = {
             f"bound_measured_q{cfg.q}.dat": [(float(r.n), float(r.measured)) for r in reports],
             f"bound_upper_q{cfg.q}.dat": [(float(r.n), r.upper) for r in reports],
@@ -369,7 +323,7 @@ def cmd_report(args) -> int:
         with _output(out_dir / name) as fh:
             fh.writelines(f"{x!r} {y!r}\n" for x, y in points)
     manifest = {
-        "version": __version__,
+        "version": ld.__version__,
         "config_hash": cfg.content_hash(),
         "config": cfg.__dict__,
         "files": list(curves),
@@ -385,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="lowdisc",
         description="low-discrepancy sequence laboratory (exact arithmetic)",
     )
-    parser.add_argument("--version", action="version", version=__version__)
+    parser.add_argument("--version", action="version", version=ld.__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="emit sequence points as exact CSV")

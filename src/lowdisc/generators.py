@@ -220,15 +220,7 @@ class Axis(NamedTuple):
 
 
 def _index_array(indices) -> np.ndarray:
-    """Non-negative integer indices: int64 below 2**62, exact Python ints beyond.
-
-    A range of such int64 indices is built from its bounds, not element by
-    element."""
-    if isinstance(indices, range) and indices:
-        first, last = indices[0], indices[-1]
-        if min(first, last) >= 0 and _int_dtype(max(first, last) + 1) is np.int64:
-            step = indices.step if len(indices) > 1 else 1
-            return np.arange(first, last + step, step, dtype=np.int64)
+    """Non-negative integer indices: int64 below 2**62, exact Python ints beyond."""
     values = list(indices)
     for v in values:
         if not isinstance(v, int) or v < 0:

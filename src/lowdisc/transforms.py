@@ -140,12 +140,7 @@ def block_counts(transform: IndexTransform, block: int, j: int, chain) -> dict[i
         raise ValueError(f"expected a non-negative block, got {block}")
     n_j = chain[j]
     before = value_counts_below(transform, block * n_j)
-    return counts_between(before, value_counts_below(transform, (block + 1) * n_j))
-
-
-def counts_between(before: Mapping[int, int], upto: Mapping[int, int]) -> dict[int, int]:
-    """The histogram of the indices between two prefixes: upto minus before,
-    zero entries dropped, keys in upto's (ascending) order."""
+    upto = value_counts_below(transform, (block + 1) * n_j)
     return {k: c - before.get(k, 0) for k, c in upto.items() if c > before.get(k, 0)}
 
 

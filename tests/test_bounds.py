@@ -13,7 +13,6 @@ from lowdisc import (
     UnimodalityError,
     VanDerCorput,
     alpha_corollary_check,
-    block_counts,
     bound_holds,
     distribution,
     fit_monotone_constant,
@@ -121,30 +120,6 @@ def test_general_upper_generic_window_flags():
     chain = DivisibilityChain.geometric(2, 4)
     res = general_upper(t, chain, Envelope.constant(1.0), d=2, a_window=4)
     assert res.flags["block_window"] == 4
-
-
-def test_general_upper_builds_each_prefix_histogram_once(monkeypatch):
-    import lowdisc.bounds as bounds
-    import lowdisc.transforms as transforms
-
-    t, chain = FloorPower(1, 2), DivisibilityChain.geometric(2, 21)
-    measure = transforms.value_counts_below
-    calls = []
-
-    def counted(transform, n):
-        calls.append(n)
-        return measure(transform, n)
-
-    for module in (bounds, transforms):  # block_counts reads the transforms binding
-        monkeypatch.setattr(module, "value_counts_below", counted)
-    res = general_upper(t, chain, Envelope.constant(1.0), 20, a_window=16)
-    # 21 levels with blocks A < 16 have 21 * 17 = 357 distinct prefixes
-    assert len(calls) <= 357
-    for j, ratio, g_j, v_j, f_vj, term in res.per_j:
-        profiles = [block_counts(t, a, j, chain) for a in range(16)]
-        assert g_j == max(max(p.values()) for p in profiles)
-        assert v_j == max(len(p) for p in profiles)
-        assert (ratio, f_vj, term) == (2, 1.0, 2 * g_j)
 
 
 def test_measured_envelope_is_nondecreasing():

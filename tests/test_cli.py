@@ -221,16 +221,16 @@ def test_monocheck_star_mode_uses_halved_floor(tmp_path):
 
 
 def test_monocheck_measures_each_level_once(monkeypatch, capsys):
-    import lowdisc.bounds as bounds
+    import lowdisc
 
-    measure = bounds.transformed_discrepancy
+    measure = lowdisc.transformed_discrepancy
     calls = []
 
     def counted(spec, transform, n, mode="extreme"):
         calls.append(n)
         return measure(spec, transform, n, mode)
 
-    monkeypatch.setattr(bounds, "transformed_discrepancy", counted)
+    monkeypatch.setattr(lowdisc, "transformed_discrepancy", counted)
     assert main(["monocheck", "--spec", "vdc:2", "--u", "1", "--v", "2", "--dmax", "16"]) == 0
     assert sorted(calls) == [2**d for d in range(1, 17)]
 

@@ -233,30 +233,6 @@ BIG_P = 3037000507  # a prime with BIG_P < 2**62 but (BIG_P - 1)**2 > 2**63
 
 
 @pytest.mark.parametrize(
-    "indices",
-    [range(0), range(7), range(5, 300, 7), range(40, -1, -3), range(3, 4, 2**70),
-     range(2**62 - 5, 2**62 - 1), range(2**62 - 2, 2**62 + 2), range(2**61, 2**63, 2**61),
-     range(-1, -1)],
-    ids=["empty", "prefix", "stepped", "descending", "one-huge-step", "below-2-62",
-         "across-2-62", "huge-step", "empty-negative"],
-)
-def test_range_indices_match_their_list(indices):
-    for spec in (VanDerCorput(3), Halton((2, 5))):
-        got, want = coordinates(spec, indices), coordinates(spec, list(indices))
-        for axis, expected in zip(got, want):
-            assert axis.width == expected.width and axis.nums.dtype == expected.nums.dtype
-            assert axis.nums.tolist() == expected.nums.tolist()
-
-
-@pytest.mark.parametrize("indices", [range(-1, 5), range(-4, 3, 2), range(3, -3, -1)])
-def test_negative_range_index_rejected_like_a_list(indices):
-    first_negative = next(n for n in indices if n < 0)
-    message = f"expected a non-negative integer, got {first_negative}"
-    with pytest.raises(ValueError, match=message):
-        coordinates(VanDerCorput(2), indices)
-
-
-@pytest.mark.parametrize(
     "spec,indices,exact",
     [
         # int64 while p**precision < 2**62: 3**39 and 2**61 are below, 3**40,
