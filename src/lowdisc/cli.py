@@ -113,11 +113,11 @@ def cmd_gen(args) -> int:
 
 
 def cmd_transform(args) -> int:
+    _need_level("count", args.count, 1)
     transform = ld.parse_transform(args.transform)
     indices = range(args.start, args.start + args.count)
-    if indices:  # the extreme indices: fail before any row is written, as gen does
-        for n in (indices[0], indices[-1]):
-            transform.apply(n)
+    for n in (indices[0], indices[-1]):  # fail before any row is written, as gen does
+        transform.apply(n)
     return _table(args, "n,fn", ([n, transform.apply(n)] for n in indices))
 
 
@@ -159,6 +159,7 @@ def _weyl_rows(b: int, q: int, ks, n: int) -> list:
 
 
 def cmd_expsum(args) -> int:
+    _need_level("kmax", args.kmax, args.kmin)
     rows = _weyl_rows(args.b, args.q, range(args.kmin, args.kmax + 1), args.N)
     return _table(args, WEYL_HEADER, rows)
 
@@ -166,7 +167,7 @@ def cmd_expsum(args) -> int:
 def cmd_hkbound(args) -> int:
     b, q, n = args.b, args.q, args.N
     spec = ld.VanDerCorput(b)  # checks the base before the resolution takes log b
-    g = args.g if args.g else ld.hellekalek_resolution(b, n)
+    g = ld.hellekalek_resolution(b, n) if args.g is None else args.g
     multiplicity = ld.value_counts_below(ld.SumOfDigits(q), n)
     (axis,) = ld.generators.coordinates(spec, list(multiplicity))
     bound = ld.hellekalek_bound(b, g, axis.brationals(), list(multiplicity.values()))
@@ -392,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--N", type=int, required=True)
-    p.add_argument("--g", type=int, default=0)
+    p.add_argument("--g", type=int, default=None)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_hkbound)
 

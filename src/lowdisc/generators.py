@@ -222,18 +222,17 @@ class Axis(NamedTuple):
 def _index_array(indices) -> np.ndarray:
     """Non-negative integer indices: int64 below 2**62, exact Python ints beyond."""
     values = list(indices)
-    for v in values:
-        if not isinstance(v, int) or v < 0:
-            raise ValueError(f"expected a non-negative integer, got {v!r}")
+    if not all(map(isinstance, values, itertools.repeat(int))) or min(values, default=0) < 0:
+        bad = next(v for v in values if not isinstance(v, int) or v < 0)
+        raise ValueError(f"expected a non-negative integer, got {bad!r}")
     return np.array(values, dtype=_int_dtype(max(values, default=0) + 1))
 
 
 def _radical_inverses(idx: np.ndarray, base: int) -> Axis:
     """The digits of each index mirrored across the radix point, over as many
     digits as the largest index has."""
-    top, width = int(idx.max(initial=0)), 0
-    while base**width <= top:
-        width += 1
+    top = int(idx.max(initial=0))
+    width = next(w for w in itertools.count() if base**w > top)
     rem = idx.copy()
     nums = np.zeros(len(idx), dtype=_int_dtype(base**width))
     for _ in range(width):  # in place: one temporary array at a time
@@ -255,11 +254,14 @@ def _digital_axes(spec: DigitalSequence, idx: np.ndarray) -> tuple[Axis, ...]:
     # below width*(p-1)**2.  With p**width < 2**62 and width >= 2 that is below
     # 2**63, as (p-1)**2 < p**2 <= 2**62 / p**(width-2) <= 2**(64-width) and
     # width * 2**(64-width) <= 2**63; width == 1 has no such bound, so the
-    # sums get their own check.  The numerators are below p**width.
+    # sums get their own check.  The numerators are below p**width.  Only the
+    # `used` digits of the largest index can be nonzero, and sums of
+    # used <= width terms obey the same bound.
     sums = np.int64 if width * (p - 1) ** 2 < 1 << 63 else object
+    used = next(u for u in itertools.count() if p**u > top)
     rem = idx.copy()
-    digits = np.empty((len(idx), width), dtype=sums)
-    for r in range(width):
+    digits = np.empty((len(idx), used), dtype=sums)
+    for r in range(used):
         digits[:, r] = rem % p
         rem //= p
     nums = _int_dtype(p**width)
@@ -267,7 +269,7 @@ def _digital_axes(spec: DigitalSequence, idx: np.ndarray) -> tuple[Axis, ...]:
     axes = []
     for mat in spec.matrices:
         matrix = np.array(mat.rows, dtype=sums).reshape(width, width)  # (0, 0) at precision 0
-        axes.append(Axis(p, width, (digits @ matrix.T % p).astype(nums) @ place))
+        axes.append(Axis(p, width, (digits @ matrix[:, :used].T % p).astype(nums) @ place))
     return tuple(axes)
 
 
@@ -510,34 +512,36 @@ def csv_header(dimension: int) -> list[str]:
     return cols
 
 
-def _csv_rows(item, n: int) -> tuple[int, int, Iterator[tuple]]:
-    """Dimension, point count and CSV rows, numbered from n, of a Point or
-    of a batch of coordinates."""
+def _columns(item) -> tuple[list[int], list[list]]:
+    """The bases, and the prec, num and float columns per axis, of a Point
+    (one row, as stored) or of a batch of coordinates (normalized)."""
     if isinstance(item, Point):
-        dim, count = item.dimension, 1
-        cols = [[v] for c in item.coords for v in (c.base, c.prec, c.num, float(c))]
-    else:
-        dim, count = len(item), len(item[0].nums)
-        cols = []
-        for axis in item:
-            nums, precs = axis.normalized()
-            cols += [itertools.repeat(axis.base), precs, nums, axis.floats()]
-    return dim, count, zip(itertools.count(n), itertools.repeat(dim), *cols)
+        cols = [[v] for c in item.coords for v in (c.prec, c.num, float(c))]
+        return [c.base for c in item.coords], cols
+    cols = []
+    for axis in item:
+        nums, precs = axis.normalized()
+        cols += [precs, nums, axis.floats()]
+    return [axis.base for axis in item], cols
 
 
 def write_points_csv(fh, pts: Iterable, start_index: int = 0) -> None:
     """Write points in the exact CSV format as they arrive; float columns are advisory.
 
     pts yields Points, or batches of coordinates (as from :func:`coordinates`),
-    which are written a whole batch at a time.
+    which are written a whole batch at a time, as one string formatted from
+    one row template.  Every field is a number, which a CSV writer never
+    quotes, so the bytes are those of ``csv.writer`` with "\\n" line endings;
+    the float columns hold Python floats, whose %r is their repr.
     """
-    writer = csv.writer(fh, lineterminator="\n")
     n = start_index
     for item in pts:
-        dim, count, rows = _csv_rows(item, n)
+        bases, cols = _columns(item)
+        count = len(cols[0])
         if count and n == start_index:
-            writer.writerow(csv_header(dim))
-        writer.writerows(rows)
+            fh.write(",".join(csv_header(len(bases))) + "\n")
+        line = f"%d,{len(bases)}" + "".join(f",{b},%d,%d,%r" for b in bases) + "\n"
+        fh.write("".join(map(line.__mod__, zip(range(n, n + count), *cols))))
         n += count
     if n == start_index:
         raise ValueError("no points to write")

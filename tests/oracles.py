@@ -7,6 +7,8 @@ for one-sided limits), and counting statistics are recomputed by raw scans.
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import math
 from fractions import Fraction
@@ -155,6 +157,43 @@ def oracle_digital_point(p: int, matrices, precision: int, n: int) -> tuple:
             prec -= 1
         coords.append((num, prec))
     return tuple(coords)
+
+
+def _oracle_csv_fields(base: int, width: int, num: int) -> tuple:
+    """base, prec, num and float of num / base**width with trailing zero digits dropped."""
+    prec = width if num else 0
+    while num and num % base == 0:
+        num //= base
+        prec -= 1
+    return base, prec, num, float(Fraction(num, base**prec))
+
+
+def oracle_points_csv(items, start_index: int = 0) -> str:
+    """The point CSV as ``csv.writer`` writes it, one row at a time.
+
+    items are Points, written as stored, or batches of coordinates (one
+    Axis per coordinate), written normalized; each float is rounded as
+    float(Fraction) rounds it.
+    """
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    n = start_index
+    for item in items:
+        if hasattr(item, "coords"):  # a Point
+            rows = [[(c.base, c.prec, c.num, float(c.as_fraction())) for c in item.coords]]
+        else:
+            rows = list(zip(*(
+                [_oracle_csv_fields(axis.base, axis.width, num) for num in axis.nums.tolist()]
+                for axis in item
+            )))
+        if rows and n == start_index:
+            names = ("base", "prec", "num", "float")
+            writer.writerow(["n", "dim"] + [f"{k}_{i}" for i in range(1, len(rows[0]) + 1)
+                                            for k in names])
+        for fields in rows:
+            writer.writerow([n, len(fields), *itertools.chain.from_iterable(fields)])
+            n += 1
+    return buf.getvalue()
 
 
 def oracle_net_violation(points, b: int, t: int, m: int):

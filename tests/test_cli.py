@@ -147,13 +147,20 @@ def test_bad_value_exit_two(tmp_path):
           "-3"], "F.csv", "calibrate on a longer prefix"),
         (["ubound", "--spec", "vdc:2", "--b", "2", "--dmax", "2", "--kmax", "3", "--blocks", "0"],
          "F.csv", "need blocks >= 1"),
+        (["transform", "--transform", "pow:1/2", "--count", "0"], "F.csv",
+         "need --count >= 1, got 0"),
+        (["expsum", "--b", "2", "--q", "2", "--kmin", "5", "--kmax", "2", "--N", "10"], "F.csv",
+         "need --kmax >= 5, got 2"),
+        (["hkbound", "--b", "2", "--q", "2", "--N", "100", "--g", "0"], "F.csv",
+         "resolution g must be >= 1"),
     ],
     ids=["disc-budget", "expsum-N0", "table-missing-path", "sod-missing-q", "out-dir-missing",
          "sodcheck-no-c3-level", "gen-count-0", "gen-index-out-of-range", "gen-start-negative",
          "gen-count-negative", "netcheck-t-negative", "hkbound-base-1", "monocheck-dmax-0",
          "genbound-dmax-negative", "ubound-dmax-negative", "netcheck-mmax-negative",
          "netcheck-base-1", "netcheck-kmax-negative", "netcheck-mmax-below-t",
-         "monocheck-cal-dmax-0", "monocheck-cal-dmax-negative", "ubound-blocks-0"],
+         "monocheck-cal-dmax-0", "monocheck-cal-dmax-negative", "ubound-blocks-0",
+         "transform-count-0", "expsum-kmax-below-kmin", "hkbound-g-0"],
 )
 def test_usage_error_leaves_no_output(tmp_path, capsys, args, out_name, message):
     out = tmp_path / out_name

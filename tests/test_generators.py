@@ -1,6 +1,8 @@
 import io
+import re
 from functools import lru_cache
 
+import numpy as np
 import pytest
 from fractions import Fraction
 from hypothesis import given, settings
@@ -22,8 +24,8 @@ from lowdisc import (
     radical_inverse,
 )
 from lowdisc.cli import main
-from lowdisc.generators import coordinates, read_points_csv, write_points_csv
-from oracles import oracle_digital_point, oracle_net_violation
+from lowdisc.generators import coordinates, read_points_csv, to_points, write_points_csv
+from oracles import oracle_digital_point, oracle_net_violation, oracle_points_csv
 
 
 def identity_matrices(p, s, size):
@@ -164,6 +166,59 @@ def test_points_csv_streams_from_any_iterable():
         write_points_csv(io.StringIO(), iter([]))
 
 
+# vdC and Halton up to 2**64, and digital specs over int64 and exact ints whose
+# denominators lie on both sides of 2**53 (the two float-column branches)
+WRITER_SPECS = ["vdc:2", "vdc:3", "halton:2,3", "halton:2,3,5,7", "pascal:3,2", "pascal:5,1",
+                "pascal:3,1,40", "pascal:2,1,53", "pascal:2,1,54"]
+
+
+@lru_cache(maxsize=None)
+def parse_spec_cached(text):
+    return parse_spec(text)
+
+
+@st.composite
+def point_streams(draw):
+    """A spec's points from a start index, as a stream that mixes Points
+    (some stored with a trailing zero digit) and kernel batches."""
+    spec = parse_spec_cached(draw(st.sampled_from(WRITER_SPECS)))
+    limit = spec.p**spec.precision if isinstance(spec, DigitalSequence) else 2**64
+    starts = (0, 5, 2**53 - 6, 2**62 - 7, limit - 16)
+    start = draw(st.sampled_from([s for s in starts if s <= limit - 16]))
+    items, n = [], start
+    for size in draw(st.lists(st.integers(0, 4), min_size=1, max_size=4)):
+        batch = coordinates(spec, range(n, n + size))
+        if draw(st.booleans()):
+            items.append(batch)
+        else:
+            for pt in to_points(batch):
+                pad = draw(st.booleans())
+                items.append(Point(tuple(c.padded(c.prec + pad) for c in pt.coords)))
+        n += size
+    return items, start, n - start
+
+
+@settings(max_examples=200, deadline=None)
+@given(point_streams())
+def test_writer_matches_csv_writer_oracle(case):
+    items, start, count = case
+    buf = io.StringIO()
+    if not count:
+        with pytest.raises(ValueError, match="no points"):
+            write_points_csv(buf, items, start)
+        return
+    write_points_csv(buf, items, start)
+    assert buf.getvalue() == oracle_points_csv(items, start)
+
+
+@pytest.mark.parametrize(
+    "indices,bad", [([3, -1, -2], -1), ([1, 2.5, -1], 2.5), ([0, np.int64(3)], np.int64(3))]
+)
+def test_index_validation_names_the_first_bad_index(indices, bad):
+    with pytest.raises(ValueError, match=re.escape(f"got {bad!r}") + "$"):
+        coordinates(VanDerCorput(2), indices)
+
+
 def test_parse_spec_roundtrip():
     assert parse_spec("vdc:5") == VanDerCorput(5)
     assert parse_spec("halton:2,3") == Halton((2, 3))
@@ -258,6 +313,22 @@ BIG_P = 3037000507  # a prime with BIG_P < 2**62 but (BIG_P - 1)**2 > 2**63
 def test_kernel_int64_or_exact_boundary(spec, indices, exact):
     assert all((axis.nums.dtype == object) == exact for axis in coordinates(spec, indices))
     assert kernel_coords(spec, indices) == [oracle_coords(spec, n) for n in indices]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [pascal(3, 2, 32), pascal(5, 2, 4), pascal(3, 2, 0), pascal(2, 2, 62),
+     DigitalSequence(BIG_P, (GeneratorMatrix(BIG_P, ((BIG_P - 1,),)),), 1)],
+    ids=["pascal-3-2", "pascal-5-2-4", "precision-0", "pascal-2-2-62", "precision-1-big-p"],
+)
+def test_digital_kernel_at_digit_count_boundaries(spec):
+    # the largest index sets how many digits the product spans: 0, p**k - 1
+    # and p**k for every k the precision allows
+    p, width = spec.p, spec.precision
+    tops = sorted({0} | {p**k - 1 for k in range(1, width + 1)} | {p**k for k in range(width)})
+    for top in tops:
+        indices = [top, top // 3, 0]
+        assert kernel_coords(spec, indices) == [oracle_coords(spec, n) for n in indices]
 
 
 @pytest.mark.parametrize("precision", [39, 40])

@@ -37,6 +37,13 @@ GOLDEN = {
         (0, "7148c2c12aad673e50f36695567d250bb9cad35279f1e00c2ebf82d0eb5eb2df"),
     "gen --spec pascal:2,1,12 --count 100 --start 3990":
         (0, "224bd66852386c7a5fa3052a52e13e23007c6c17e784f97cb17487b4338f3c73"),
+    # recorded with the kernel while a csv.writer wrote gen's rows one at a time
+    "gen --spec pascal:5,2,4 --count 600":
+        (0, "21abf33667fd4e490bf1deb9e54dddd35a8bd1e1daf97fc813a2f9225c988f08"),
+    "gen --spec halton:2,3,5,7 --count 3000 --start 4095":
+        (0, "9f7034107ce0d7381d380a1d0c5abe16e0298e13941dc3c77b76a4dc0b7b421b"),
+    "gen --spec pascal:3,2,0 --count 1":
+        (0, "fb777f845e77b77898cef9c79d0bb9244a812e8136db801fd7638a6966729fe1"),
     "netcheck --spec vdc:2 --base 2 --mmax 4 --kmax 5":
         (0, "6a83e97752512e4e7871d8890d776a8589e5e4222f3b8fbbe13392f1b63acc76"),
     "netcheck --spec pascal:3,2 --base 3 --mmax 3 --kmax 4":
