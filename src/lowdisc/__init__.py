@@ -32,8 +32,8 @@ _EXPORTS = {
         "points",
     ),
     "transforms": (
-        "FloorPower", "SumOfDigits", "TableTransform", "block_counts", "distinct_values",
-        "is_unimodal", "multiplicity_F", "parse_transform", "value_counts_below",
+        "FloorPower", "SumOfDigits", "TableTransform", "is_unimodal", "multiplicity_F",
+        "parse_transform", "value_counts_below",
     ),
     "digitsum_dist": (
         "DigitSumDistribution", "digit_sum_counts_below", "distribution", "gaussian_main_term",
@@ -48,7 +48,7 @@ _EXPORTS = {
         "lemma_le1_bound", "lemma_le2_bound", "product_identity_check", "rho_weight", "weyl_sum",
     ),
     "bounds": (
-        "BoundReport", "DivisibilityChain", "Envelope", "alpha_corollary_check", "bound_holds",
+        "BoundReport", "Envelope", "alpha_corollary_check", "bound_holds",
         "fit_monotone_constant", "general_lower", "general_sandwich", "general_upper",
         "halton_uniform_main_term", "measured_delta_table", "measured_envelope",
         "monotone_hypotheses", "monotone_lower", "monotone_upper", "sod_envelope_check",

@@ -12,14 +12,11 @@ class BudgetExceededError(RuntimeError):
 
 
 class UnimodalityError(RuntimeError):
-    """A bound hypothesis failed: some block-count profile is not unimodal."""
+    """A bound hypothesis failed: the block-count profile at some level is not unimodal."""
 
-    def __init__(self, block: int, level: int):
-        self.block = block
+    def __init__(self, level: int):
         self.level = level
-        super().__init__(
-            f"block counts for A={block}, j={level} are not unimodal"
-        )
+        super().__init__(f"block counts at level j={level} are not unimodal")
 
 
 def int_nth_root(x: int, r: int) -> int:

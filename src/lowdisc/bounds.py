@@ -6,6 +6,9 @@ constants (the underlying theorems leave those constants unspecified, so the
 artifact fits them on a calibration prefix and reports them).  All logs are
 natural, absorbed by the fitted constants.  Every verification records the
 hypothesis checks it performed and refuses to report success if one failed.
+The general sandwich is computed only where it is exact: the digit-sum
+transform on its q-adic chain, whose block profiles are all shifts of the
+exact digit-sum distribution; floor powers take the monotone bounds.
 """
 
 from __future__ import annotations
@@ -16,13 +19,13 @@ from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from ._util import UnimodalityError
+from .digitsum_dist import distribution, max_count
 from .discrepancy import DiscrepancyReport, discrepancy, windowed_uniform_discrepancy
 from .generators import SequenceSpec, coordinates
 from .transforms import (
     FloorPower,
     IndexTransform,
     SumOfDigits,
-    block_counts,
     is_unimodal,
     multiplicity_F,
     value_counts_below,
@@ -47,36 +50,6 @@ def bound_holds(lower, measured, upper) -> bool:
     checked, and a NaN side fails.
     """
     return _at_most(lower, measured) and _at_most(measured, upper)
-
-
-@dataclass(frozen=True)
-class DivisibilityChain:
-    """Strictly increasing N_0 = 1 | N_1 | N_2 | ... (finite prefix)."""
-
-    values: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
-        if not self.values or self.values[0] != 1:
-            raise ValueError("a divisibility chain starts at N_0 = 1")
-        for a, b in zip(self.values, self.values[1:]):
-            if b <= a or b % a:
-                raise ValueError(
-                    f"chain must be strictly increasing with {a} | {b}"
-                )
-
-    @classmethod
-    def geometric(cls, q: int, d: int) -> DivisibilityChain:
-        return cls(tuple(q**j for j in range(d + 1)))
-
-    def __getitem__(self, j: int) -> int:
-        return self.values[j]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def ratio(self, j: int) -> int:
-        return self.values[j + 1] // self.values[j]
 
 
 @dataclass
@@ -130,11 +103,9 @@ def measured_envelope(
     return Envelope.from_table(table, source="measured-windowed")
 
 
-def general_lower(transform: IndexTransform, chain: DivisibilityChain, d: int) -> int:
-    """max_k G_{0,d}(k): the exact multiplicity floor for N in [N_d, N_{d+1})."""
-    if d >= len(chain):
-        raise ValueError("chain prefix too short for depth d")
-    return max(block_counts(transform, 0, d, chain).values())
+def general_lower(transform: SumOfDigits, d: int) -> int:
+    """max_k G_{0,d}(k): the exact multiplicity floor for N in [q^d, q^(d+1))."""
+    return max_count(transform.q, d)[1]
 
 
 @dataclass
@@ -144,47 +115,25 @@ class GeneralUpper:
     flags: dict
 
 
-def general_upper(
-    transform: IndexTransform,
-    chain: DivisibilityChain,
-    envelope: Envelope,
-    d: int,
-    a_window: int = 16,
-) -> GeneralUpper:
-    """sum_{j<=d} (N_{j+1}/N_j) G_j f(v_j), after verifying unimodality.
+def general_upper(transform: SumOfDigits, envelope: Envelope, d: int) -> GeneralUpper:
+    """sum_{j<=d} (N_{j+1}/N_j) G_j f(v_j) on the q-adic chain N_j = q^j.
 
-    G_j and v_j are the largest count and the value count of the block
-    profiles G_{A,j} over blocks A.  For the sum-of-digits transform on its
-    geometric chain every block is block 0 shifted by s_q(A), so block 0 is
-    exact; other transforms take blocks A < a_window, a stated approximation.
-    Raises UnimodalityError on the first non-unimodal block profile.
+    Every block profile G_{A,j} of the digit sum is the block-0 profile
+    distribution(q, j).counts shifted by s_q(A), so G_j is its largest count
+    and v_j = j(q-1)+1 its length, and one profile per level is exact.
+    Raises UnimodalityError on the first non-unimodal profile.
     """
-    if d + 1 >= len(chain):
-        raise ValueError("chain too short: need N_{d+1}")
-    sod_exact = isinstance(transform, SumOfDigits) and all(
-        chain[j] == transform.q**j for j in range(d + 1)
-    )
+    q = transform.q
     per_j = []
-    total = []
     for j in range(d + 1):
-        g_j = 0
-        v_j = 0
-        for a in range(1 if sod_exact else a_window):
-            profile = block_counts(transform, a, j, chain)
-            if not is_unimodal(profile):
-                raise UnimodalityError(a, j)
-            g_j = max(g_j, max(profile.values()))
-            v_j = max(v_j, len(profile))
+        profile = distribution(q, j).counts
+        if not is_unimodal(profile):
+            raise UnimodalityError(j)
+        g_j, v_j = max(profile), len(profile)
         f_vj = envelope(v_j)
-        term = chain.ratio(j) * g_j * f_vj
-        per_j.append((j, chain.ratio(j), g_j, v_j, f_vj, term))
-        total.append(term)
-    flags = {
-        "unimodality_verified": True,
-        "block_window": "exact-shift-identity" if sod_exact else a_window,
-        "envelope_source": envelope.source,
-    }
-    return GeneralUpper(math.fsum(total), per_j, flags)
+        per_j.append((j, q, g_j, v_j, f_vj, q * g_j * f_vj))
+    flags = {"unimodality_verified": True, "envelope_source": envelope.source}
+    return GeneralUpper(math.fsum(row[-1] for row in per_j), per_j, flags)
 
 
 def transformed_discrepancy(
@@ -219,8 +168,6 @@ class BoundReport:
 
     @property
     def holds(self) -> bool:
-        if not all(self.hypothesis_flags.get(k, True) for k in ("unimodality_verified",)):
-            return False
         return bound_holds(self.lower, self.measured, self.upper)
 
 
@@ -238,16 +185,17 @@ def general_sandwich(
     """
     if not isinstance(transform, SumOfDigits):
         raise ValueError("the sandwich driver currently covers the digit-sum transform")
+    if d_max < 0:
+        raise ValueError(f"need d_max >= 0 for a level to check, got {d_max}")
     q = transform.q
-    chain = DivisibilityChain.geometric(q, d_max + 1)
     if envelope is None:
         envelope = measured_envelope(spec, d_max * (q - 1) + 1)
     reports = []
     for d in range(d_max + 1):
         n = q**d
-        lower = Fraction(general_lower(transform, chain, d))
+        lower = Fraction(general_lower(transform, d))
         measured = n * transformed_discrepancy(spec, transform, n, mode).value
-        upper = general_upper(transform, chain, envelope, d)
+        upper = general_upper(transform, envelope, d)
         reports.append(
             BoundReport(n, lower, measured, upper.value, upper.per_j, upper.flags)
         )
@@ -413,6 +361,8 @@ def alpha_corollary_check(
     Returns per-N rows of D_N * N^alpha (and its log-normalized variant) plus
     the observed F-window; the caller asserts the band it expects.
     """
+    if not n_values:
+        raise ValueError("no N to check; give at least one level")
     alpha = transform.u / transform.v
     ratios = [
         multiplicity_F(transform, k) * k ** (1 - 1 / alpha)
@@ -432,6 +382,11 @@ def alpha_corollary_check(
     return [one(n) for n in n_values], stats
 
 
+def _check_base_and_t(b: int, t: int) -> None:
+    if b < 2 or t < 0:
+        raise ValueError(f"need a base b >= 2 and t >= 0, got b={b}, t={t}")
+
+
 def uniform_bound_ts(
     b: int, t: int, s: int, n: int, delta_table: Mapping[int, float]
 ) -> float:
@@ -441,6 +396,7 @@ def uniform_bound_ts(
     every m up to floor(log_b N); each entry bounds b^m * D for the
     (t,m,s)-nets in play (measured or shape-fitted, per its provenance).
     """
+    _check_base_and_t(b, t)
     if n < b**t:
         return float(n)
     m_top = 0
@@ -460,6 +416,7 @@ def measured_delta_table(
     spec: SequenceSpec, b: int, t: int, s: int, m_max: int, blocks: int = 8
 ) -> dict[int, float]:
     """Delta(m) = max over the first aligned blocks of b^m * (exact block D)."""
+    _check_base_and_t(b, t)
     if spec.dimension != s:
         raise ValueError("spec dimension does not match s")
     if blocks < 1:

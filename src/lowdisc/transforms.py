@@ -2,9 +2,9 @@
 
 Supported transforms: the q-ary sum-of-digits function, floor(n^(u/v)) for a
 rational exponent 0 < u/v < 1 (kept rational so everything stays exact), and
-explicit non-decreasing tables.  Every count comes from one prefix histogram,
-value_counts_below: the block profiles G_{A,j} and the value counts v_j are
-differences of two prefixes, so no count scans a block or needs a budget.
+explicit non-decreasing tables.  The value counts of f(0), ..., f(n-1) come
+from one prefix histogram, value_counts_below: a digit dynamic program for
+digit sums, exact ceilings for floor powers, a scan only for tables.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Sequence
 
 from ._util import int_nth_root
 from .digits import sum_of_digits
@@ -129,41 +129,10 @@ def multiplicity_F(transform: IndexTransform, k: int) -> int:
     return sum(1 for v in transform.values if v == k)
 
 
-def block_counts(transform: IndexTransform, block: int, j: int, chain) -> dict[int, int]:
-    """Value multiplicities G_{A,j}(k) of f on the block [A*N_j, (A+1)*N_j).
-
-    ``chain`` is anything indexable by j (a DivisibilityChain, list, ...).
-    The profile is value_counts_below at (A+1)*N_j minus value_counts_below
-    at A*N_j, with zero entries dropped; keys are ascending.
-    """
-    if block < 0:
-        raise ValueError(f"expected a non-negative block, got {block}")
-    n_j = chain[j]
-    before = value_counts_below(transform, block * n_j)
-    upto = value_counts_below(transform, (block + 1) * n_j)
-    return {k: c - before.get(k, 0) for k, c in upto.items() if c > before.get(k, 0)}
-
-
-def distinct_values(transform: IndexTransform, block: int, j: int, chain) -> int:
-    """Number of distinct values v of f on the block [A*N_j, (A+1)*N_j)."""
-    return len(block_counts(transform, block, j, chain))
-
-
-def is_unimodal(counts) -> bool:
-    """True iff the successive differences change sign at most once.
-
-    Accepts a sequence or a mapping k -> count; gaps inside a mapping's key
-    range count as zeros (which breaks unimodality unless at the ends).
-    """
-    if isinstance(counts, Mapping):
-        if not counts:
-            return True
-        lo, hi = min(counts), max(counts)
-        seq = [counts.get(k, 0) for k in range(lo, hi + 1)]
-    else:
-        seq = list(counts)
+def is_unimodal(counts: Sequence[int]) -> bool:
+    """True iff the successive differences change sign at most once."""
     descending = False
-    for a, b in zip(seq, seq[1:]):
+    for a, b in zip(counts, counts[1:]):
         if b > a and descending:
             return False
         if b < a:

@@ -1,10 +1,10 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from lowdisc import (
-    DivisibilityChain,
     Envelope,
     FloorPower,
     Halton,
@@ -14,7 +14,6 @@ from lowdisc import (
     VanDerCorput,
     alpha_corollary_check,
     bound_holds,
-    distribution,
     fit_monotone_constant,
     general_lower,
     general_sandwich,
@@ -29,6 +28,9 @@ from lowdisc import (
     uniform_bound_ts,
     windowed_uniform_discrepancy,
 )
+from lowdisc import bounds
+from lowdisc.digitsum_dist import DigitSumDistribution
+from oracles import oracle_digit_sums
 
 
 def test_bound_holds_exact_sides_have_zero_tolerance():
@@ -56,70 +58,47 @@ def test_bound_holds_nan_side_fails(lower, measured, upper):
     assert not bound_holds(lower, measured, upper)
 
 
-def test_chain_validation():
-    DivisibilityChain((1, 2, 4, 12))
-    with pytest.raises(ValueError):
-        DivisibilityChain((2, 4))
-    with pytest.raises(ValueError):
-        DivisibilityChain((1, 2, 3))
-    with pytest.raises(ValueError):
-        DivisibilityChain((1, 4, 4))
-    chain = DivisibilityChain.geometric(3, 4)
-    assert chain[2] == 9 and chain.ratio(2) == 3 and len(chain) == 5
-
-
 def test_general_lower_examples():
     t = SumOfDigits(2)
-    chain = DivisibilityChain.geometric(2, 6)
-    assert general_lower(t, chain, 4) == 6  # C(4, 2)
-    assert general_lower(SumOfDigits(3), DivisibilityChain.geometric(3, 3), 2) == 3
-    assert general_lower(t, chain, 0) == 1
+    assert general_lower(t, 4) == 6  # C(4, 2)
+    assert general_lower(SumOfDigits(3), 2) == 3
+    assert general_lower(t, 0) == 1
 
 
 def test_general_upper_constant_envelope_example():
     t = SumOfDigits(2)
-    chain = DivisibilityChain.geometric(2, 4)
-    res = general_upper(t, chain, Envelope.constant(1.0), d=2)
+    res = general_upper(t, Envelope.constant(1.0), d=2)
     # sum_{j<=2} 2 * G_j * 1 = 2 (1 + 1 + 2) = 8
     assert res.value == pytest.approx(8.0)
     assert [term[2] for term in res.per_j] == [1, 1, 2]
-    assert res.flags["block_window"] == "exact-shift-identity"
+    assert res.flags == {"unimodality_verified": True, "envelope_source": "constant"}
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])
 def test_general_upper_sod_rows_match_closed_form(q):
-    # block 0 of the prefix histogram gives the digit-sum closed forms
-    # G_j = max_k #{n < q^j : s_q(n) = k} and v_j = j(q-1) + 1
-    chain = DivisibilityChain.geometric(q, 13)
-    res = general_upper(SumOfDigits(q), chain, Envelope.constant(1.0), 12)
-    assert [row[0] for row in res.per_j] == list(range(13))
+    # G_j = max_k #{n < q^j : s_q(n) = k} and v_j = j(q-1) + 1, counted by brute force
+    res = general_upper(SumOfDigits(q), Envelope.constant(1.0), 8)
+    assert [row[0] for row in res.per_j] == list(range(9))
     for j, ratio, g_j, v_j, _, _ in res.per_j:
+        counts = np.bincount(oracle_digit_sums(q, q**j))
         assert ratio == q
-        assert g_j == max(distribution(q, j).counts)
-        assert v_j == (1 if j == 0 else j * (q - 1) + 1)
+        assert g_j == counts.max()
+        assert v_j == len(counts) == j * (q - 1) + 1
 
 
 def test_general_upper_d0_case():
-    t = SumOfDigits(2)
-    chain = DivisibilityChain.geometric(2, 2)
-    res = general_upper(t, chain, Envelope.constant(3.5), d=0)
+    res = general_upper(SumOfDigits(2), Envelope.constant(3.5), d=0)
     assert res.value == pytest.approx(2 * 1 * 3.5)
 
 
-def test_general_upper_refuses_non_unimodal_blocks():
-    # non-decreasing staircase whose block-0 value counts are 2,1,3,2 (bimodal)
-    t = TableTransform((0, 0, 1, 2, 2, 2, 3, 3) + (3, 3, 3, 3, 4, 4, 4, 4))
-    chain = DivisibilityChain((1, 8, 16))
+def test_general_upper_refuses_non_unimodal_blocks(monkeypatch):
+    # a bimodal profile at level 1 stands in for a digit-sum distribution
+    real = bounds.distribution
+    fake = DigitSumDistribution(2, 1, (2, 1, 3, 2))
+    monkeypatch.setattr(bounds, "distribution", lambda q, j: fake if j == 1 else real(q, j))
     with pytest.raises(UnimodalityError) as err:
-        general_upper(t, chain, Envelope.constant(1.0), d=1, a_window=1)
-    assert err.value.level == 1 and err.value.block == 0
-
-
-def test_general_upper_generic_window_flags():
-    t = FloorPower(1, 2)
-    chain = DivisibilityChain.geometric(2, 4)
-    res = general_upper(t, chain, Envelope.constant(1.0), d=2, a_window=4)
-    assert res.flags["block_window"] == 4
+        general_upper(SumOfDigits(2), Envelope.constant(1.0), d=2)
+    assert err.value.level == 1
 
 
 def test_measured_envelope_is_nondecreasing():
@@ -228,6 +207,10 @@ def test_uniform_bound_examples():
     assert uniform_bound_ts(2, 3, 1, 7, {}) == 7.0
     with pytest.raises(ValueError, match="missing"):
         uniform_bound_ts(2, 0, 1, 64, {0: 1.0})
+    # a base below 2 never reaches N by powers, and t < 0 has no net levels
+    for b, t in ((1, 0), (0, 0), (2, -1)):
+        with pytest.raises(ValueError, match="need a base b >= 2 and t >= 0"):
+            uniform_bound_ts(b, t, 1, 8, {})
 
 
 def test_measured_delta_table_vdc():

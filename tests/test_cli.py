@@ -153,6 +153,14 @@ def test_bad_value_exit_two(tmp_path):
          "need --kmax >= 5, got 2"),
         (["hkbound", "--b", "2", "--q", "2", "--N", "100", "--g", "0"], "F.csv",
          "resolution g must be >= 1"),
+        (["ubound", "--spec", "vdc:2", "--b", "1", "--dmax", "2", "--kmax", "3"], "F.csv",
+         "need a base b >= 2 and t >= 0, got b=1, t=0"),
+        (["ubound", "--spec", "vdc:2", "--b", "0", "--dmax", "2", "--kmax", "3"], "F.csv",
+         "need a base b >= 2 and t >= 0, got b=0, t=0"),
+        (["ubound", "--spec", "vdc:2", "--b", "-2", "--dmax", "2", "--kmax", "3"], "F.csv",
+         "need a base b >= 2 and t >= 0, got b=-2, t=0"),
+        (["ubound", "--spec", "vdc:2", "--b", "2", "--t", "-1", "--dmax", "2", "--kmax", "3"],
+         "F.csv", "need a base b >= 2 and t >= 0, got b=2, t=-1"),
     ],
     ids=["disc-budget", "expsum-N0", "table-missing-path", "sod-missing-q", "out-dir-missing",
          "sodcheck-no-c3-level", "gen-count-0", "gen-index-out-of-range", "gen-start-negative",
@@ -160,7 +168,8 @@ def test_bad_value_exit_two(tmp_path):
          "genbound-dmax-negative", "ubound-dmax-negative", "netcheck-mmax-negative",
          "netcheck-base-1", "netcheck-kmax-negative", "netcheck-mmax-below-t",
          "monocheck-cal-dmax-0", "monocheck-cal-dmax-negative", "ubound-blocks-0",
-         "transform-count-0", "expsum-kmax-below-kmin", "hkbound-g-0"],
+         "transform-count-0", "expsum-kmax-below-kmin", "hkbound-g-0", "ubound-base-1",
+         "ubound-base-0", "ubound-base-negative", "ubound-t-negative"],
 )
 def test_usage_error_leaves_no_output(tmp_path, capsys, args, out_name, message):
     out = tmp_path / out_name
@@ -274,12 +283,16 @@ def test_report_unknown_curve_leaves_no_output(tmp_path, capsys):
         ("curve=alpha\nspec=vdc:2\nu=3\nv=2\ndmax=3\n", "0 < u < v"),
         # the sod curve is sodcheck's scaled column, so it needs sodcheck's fit
         ("curve=sod\nspec=vdc:2\nq=2\ndmax=1\n", "calibrate on a longer prefix"),
+        # a level range with no level checks nothing
+        ("curve=bound\nspec=vdc:2\nq=2\ndmax=-1\n", "need d_max >= 0"),
+        ("curve=alpha\nspec=vdc:2\nu=1\nv=2\ndmax=0\n", "no N to check"),
     ]:
         cfg = tmp_path / "cfg"
         cfg.write_text(config + "out=%s\n" % (tmp_path / "rep"))
         assert main(["report", "--config", str(cfg)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("usage error: ") and message in err
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage error: ") and err.count("\n") == 1
+        assert message in err
         assert not (tmp_path / "rep").exists()
 
 
@@ -361,6 +374,6 @@ def test_lazy_package_resolves_every_name():
         "['lowdisc']",
         "lowdisc.bounds",
         "lowdisc.generators",
-        "71 [] True",
+        "68 [] True",
         "False",
     ]

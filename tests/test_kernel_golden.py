@@ -100,6 +100,13 @@ GOLDEN = {
         (0, "636b2aee14b6a32182744e8e96377d446d98c9e6954c488c070756405e4d3f55"),
     "genbound --spec pascal:3,1,8 --q 3 --dmax 4":
         (0, "54f029916f4ae1fbf969036b7ca1e9db4f305ac0a4394ab912662a88f70bb72d"),
+    # recorded while general_upper still carried a generic block window
+    "genbound --spec vdc:2 --q 2 --dmax 12":
+        (0, "65915f5f96be77564dacc8c3e4ef01abf90c0e2cd73d14e8bb4c6e47d0108b6f"),
+    "genbound --spec vdc:2 --q 3 --dmax 12":
+        (0, "06280650507fd81ad51d2fa86a789f7535d3eec1136a26a2eba74ab29a042b04"),
+    "genbound --spec vdc:2 --q 5 --dmax 12":
+        (0, "c772b50cd32763b74e469ccde8e24fc32ddedfd395e5ac415e290897ff57bfd7"),
     "sodcheck --spec vdc:2 --q 2 --dmax 10":
         (0, "2b7a86d8f360e575eff96ef96784f8ed8c0d5f377ec1988f8c7d94f22b20397a"),
     "sodcheck --spec vdc:3 --q 3 --dmax 6 --cal 4":

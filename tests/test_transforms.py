@@ -6,18 +6,13 @@ from lowdisc import (
     FloorPower,
     SumOfDigits,
     TableTransform,
-    block_counts,
-    distinct_values,
+    distribution,
     is_unimodal,
     multiplicity_F,
     parse_transform,
     value_counts_below,
 )
 from oracles import brute_floor_power, brute_multiplicity
-
-
-def chain2(d):
-    return [2**j for j in range(d + 1)]
 
 
 @pytest.mark.parametrize(
@@ -77,97 +72,91 @@ def test_multiplicity_matches_scan(u, v, top_k):
         assert multiplicity_F(t, k) == counted.get(k, 0), (u, v, k)
 
 
-def test_block_counts_sod_examples():
-    assert block_counts(SumOfDigits(2), 0, 4, chain2(5)) == {0: 1, 1: 4, 2: 6, 3: 4, 4: 1}
-    # A=3, j=1: scan {6, 7} -> digit sums {2, 3}; matches the shift by s_2(3)=2
-    assert block_counts(SumOfDigits(2), 3, 1, chain2(5)) == {2: 1, 3: 1}
-    assert block_counts(SumOfDigits(3), 0, 2, [3**j for j in range(4)]) == {
-        0: 1, 1: 2, 2: 3, 3: 2, 4: 1,
-    }
+def block_counts(t, a, size):
+    """G_{A,j}: the value histogram of t on [a*size, (a+1)*size), from two prefixes."""
+    before = value_counts_below(t, a * size)
+    after = value_counts_below(t, (a + 1) * size)
+    return {k: c - before.get(k, 0) for k, c in after.items() if c > before.get(k, 0)}
+
+
+def scan_counts(t, lo, hi):
+    scan = {}
+    for k in map(t.apply, range(lo, hi)):
+        scan[k] = scan.get(k, 0) + 1
+    return scan
 
 
 def test_block_counts_shift_identity_vs_scan():
+    # every digit-sum block profile is the block-0 profile shifted by s_q(A)
     t = SumOfDigits(3)
-    chain = [3**j for j in range(5)]
     for a in range(6):
         for j in range(4):
-            fast = block_counts(t, a, j, chain)
-            scan = {}
-            for n in range(a * 3**j, (a + 1) * 3**j):
-                k = t.apply(n)
-                scan[k] = scan.get(k, 0) + 1
-            assert fast == scan
-
-
-def test_block_counts_floor_power():
-    t = FloorPower(1, 2)
-    counts = block_counts(t, 0, 3, chain2(4))
-    assert counts == {0: 1, 1: 3, 2: 4}  # n<8: f = 0,1,1,1,2,2,2,2
-    assert sum(counts.values()) == 8
+            shifted = {t.apply(a) + k: c for k, c in enumerate(distribution(3, j).counts)}
+            scan = scan_counts(t, a * 3**j, (a + 1) * 3**j)
+            assert shifted == scan
+            assert block_counts(t, a, 3**j) == scan
 
 
 TABLE = TableTransform(tuple(n * n // 50 for n in range(64)))  # uneven steps, some repeats
+TRANSFORMS = (
+    [SumOfDigits(q) for q in range(2, 6)]
+    + [FloorPower(u, v) for u, v in ((1, 2), (1, 3), (2, 3), (3, 5))]
+    + [TABLE]
+)
+
+
+@st.composite
+def prefixes(draw):
+    """A transform and a prefix length n it covers."""
+    t = draw(st.sampled_from(TRANSFORMS))
+    return t, draw(st.integers(0, len(TABLE.values) if t is TABLE else 2000))
 
 
 @st.composite
 def blocks(draw):
-    """A transform, a chain, a level j and a block A the transform covers."""
-    t = draw(st.sampled_from(
-        [SumOfDigits(q) for q in range(2, 6)]
-        + [FloorPower(u, v) for u, v in ((1, 2), (1, 3), (2, 3), (3, 5))]
-        + [TABLE]
-    ))
-    chains = [(1, 6, 12, 36), (1, 4, 8, 24)]
+    """A transform, a block size and a block A the transform covers."""
+    t = draw(st.sampled_from(TRANSFORMS))
+    sizes = [1, 4, 6, 8, 12, 24, 36]
     if isinstance(t, SumOfDigits):
-        chains.append(tuple(t.q**j for j in range(4)))
-    chain = draw(st.sampled_from(chains))
-    j = draw(st.integers(0, len(chain) - 1))
-    top = len(TABLE.values) // chain[j] - 1 if t is TABLE else 40
-    return t, chain, j, draw(st.integers(0, top))
+        sizes += [t.q**j for j in range(4)]
+    size = draw(st.sampled_from(sizes))
+    top = len(TABLE.values) // size - 1 if t is TABLE else 40
+    return t, size, draw(st.integers(0, top))
+
+
+@given(prefixes())
+@settings(max_examples=200, deadline=None)
+def test_value_counts_below_match_direct_scan(case):
+    t, n = case
+    scan = scan_counts(t, 0, n)
+    counts = value_counts_below(t, n)
+    assert counts == scan and list(counts) == sorted(scan)
+    assert sum(counts.values()) == n
 
 
 @given(blocks())
 @settings(max_examples=200, deadline=None)
 def test_block_counts_match_direct_scan(case):
-    t, chain, j, a = case
-    scan = {}
-    for k in map(t.apply, range(a * chain[j], (a + 1) * chain[j])):
-        scan[k] = scan.get(k, 0) + 1
-    counts = block_counts(t, a, j, chain)
-    assert counts == scan and list(counts) == sorted(scan)
-    assert distinct_values(t, a, j, chain) == len(scan)
-
-
-@pytest.mark.parametrize("t", [SumOfDigits(2), FloorPower(1, 2), TableTransform((0, 1, 2))])
-def test_negative_block_is_rejected(t):
-    with pytest.raises(ValueError, match="non-negative block"):
-        block_counts(t, -1, 0, chain2(1))
-    with pytest.raises(ValueError, match="non-negative block"):
-        distinct_values(t, -2, 1, chain2(1))
+    # a block profile G_{A,j} is the difference of two prefix histograms
+    t, size, a = case
+    assert block_counts(t, a, size) == scan_counts(t, a * size, (a + 1) * size)
 
 
 @given(st.integers(2, 5), st.integers(0, 5), st.integers(0, 8))
 @settings(max_examples=120)
 def test_block_counts_total_mass(q, j, a):
-    chain = [q**i for i in range(j + 1)]
-    assert sum(block_counts(SumOfDigits(q), a, j, chain).values()) == q**j
-
-
-def test_distinct_values_examples():
-    assert distinct_values(SumOfDigits(2), 0, 3, chain2(4)) == 4
-    assert distinct_values(SumOfDigits(3), 1, 2, [3**j for j in range(3)]) == 5
-    assert distinct_values(FloorPower(1, 2), 0, 0, chain2(1)) == 1
-    assert distinct_values(SumOfDigits(2), 5, 0, chain2(1)) == 1
+    assert sum(distribution(q, j).counts) == distribution(q, j).total == q**j
+    assert sum(block_counts(SumOfDigits(q), a, q**j).values()) == q**j
 
 
 @pytest.mark.parametrize(
     "counts,expected",
     [
-        ({0: 1, 1: 4, 2: 6, 3: 4, 4: 1}, True),
-        ({0: 2, 1: 1, 2: 2}, False),
-        ({0: 3, 1: 3, 2: 3}, True),
-        ({}, True),
-        ({0: 1, 2: 1}, False),  # interior gap counts as a zero
+        ((1, 4, 6, 4, 1), True),
+        ((2, 1, 2), False),
+        ((3, 3, 3), True),
+        ((), True),
+        ((1, 0, 1), False),  # an interior zero breaks unimodality
         ([1, 2, 2, 1], True),
     ],
 )
