@@ -25,8 +25,8 @@ import lowdisc as ld
 from ._util import BudgetExceededError, as_fraction
 
 # Library names resolve through `ld`, the lazy package, when a command runs,
-# so a job loads only the modules it uses: `dist` and `transform` never
-# import numpy.
+# so a job loads only the modules it uses: `dist`, `transform`, `expsum` and
+# `hkbound` never import numpy.
 
 
 def _fail(record: dict) -> int:
@@ -166,11 +166,14 @@ def cmd_expsum(args) -> int:
 
 def cmd_hkbound(args) -> int:
     b, q, n = args.b, args.q, args.N
-    spec = ld.VanDerCorput(b)  # checks the base before the resolution takes log b
+    if n < 1:
+        raise ValueError("need N >= 1")
+    if b < 2:  # before the resolution takes log b
+        raise ValueError("van der Corput base must be >= 2")
     g = ld.hellekalek_resolution(b, n) if args.g is None else args.g
     multiplicity = ld.value_counts_below(ld.SumOfDigits(q), n)
-    (axis,) = ld.generators.coordinates(spec, list(multiplicity))
-    bound = ld.hellekalek_bound(b, g, axis.brationals(), list(multiplicity.values()))
+    points = [ld.radical_inverse(k, b) for k in multiplicity]
+    bound = ld.hellekalek_bound(b, g, points, list(multiplicity.values()))
     rows = _weyl_rows(b, q, range(1, b**g), n) + [[b, q, "total", n, "", "", "", repr(bound)]]
     return _table(args, WEYL_HEADER, rows)
 

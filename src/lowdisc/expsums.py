@@ -2,10 +2,12 @@
 character-based discrepancy bound.
 
 Phases are reduced mod 1 in exact integer arithmetic (every phase is a
-rational with denominator b**(r+1)); the single transcendental call per
-distinct phase happens afterwards.  A Weyl sum's terms depend on n only
-through the digit sum s_q(n), so every sum is one term per digit-sum class,
-weighted by the class's exact count; its cost grows with log N, not N.
+rational with denominator b**(r+1)); the transcendental calls happen
+afterwards, on Python floats.  A Weyl sum's terms depend on n only through
+the digit sum s_q(n), so every sum is one term per digit-sum class, weighted
+by the class's exact count, and each class computes its own phase.  No
+table of the circle is built, so memory does not grow with k, and the cost
+grows with log N, not N.
 """
 
 from __future__ import annotations
@@ -15,8 +17,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
-
-import numpy as np
 
 from .digits import BRational, expand, monna_plus, radical_inverse
 from .digitsum_dist import digit_sum_counts_below
@@ -47,18 +47,17 @@ def gamma_k(b: int, k: int, x: BRational) -> complex:
     return e_frac(num * monna_plus(x), den)
 
 
-_PHASE_TABLE_CACHE: dict[int, np.ndarray] = {}
+def _phase(a: int, den: int) -> complex:
+    """e(a/den) for 0 <= a < den, rounded as np.exp(2j*pi*np.arange(den)/den).
 
-
-def _phase_table(den: int) -> np.ndarray:
-    """Unit-circle table e(a/den) for a < den (cached, read-only)."""
-    table = _PHASE_TABLE_CACHE.get(den)
-    if table is None:
-        table = np.exp(2j * math.pi * np.arange(den) / den)
-        table.setflags(write=False)
-        if len(_PHASE_TABLE_CACHE) < 256:
-            _PHASE_TABLE_CACHE[den] = table
-    return table
+    numpy divides a complex by a real through the reciprocal, so the angle
+    is 2*pi*a times 1/den; 2*pi*a/den rounds differently for some a.  Past
+    2**53, where a is no longer an exact double (and past the float range
+    1.0/den overflows), the angle comes from a/den, which int true division
+    rounds once.
+    """
+    t = 2 * math.pi * a * (1.0 / den) if den <= 1 << 53 else 2 * math.pi * (a / den)
+    return complex(math.cos(t), math.sin(t))
 
 
 def _exact_dot(counts, values) -> float:
@@ -99,9 +98,8 @@ def weyl_sum(
     num, den = phi_fraction(b, k)
     if num == 0:
         return WeylSum(b, q, k, n, complex(1.0, 0.0), "trivial")
-    table = _phase_table(den)
     counts = digit_sum_counts_below(q, n)
-    terms = [complex(table[(j * num) % den]) for j in range(len(counts))]
+    terms = [_phase(j * num % den, den) for j in range(len(counts))]
     if n <= direct_budget:
         value = complex(
             _exact_dot(counts, [z.real for z in terms]) / n,

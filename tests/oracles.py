@@ -241,8 +241,10 @@ def oracle_weyl_direct(b: int, q: int, k: int, n: int) -> tuple[complex, str]:
     """T_k(N) term by term, and the method name weyl_sum reports for it.
 
     phi_b(k) = num / b**r mirrors the r base-b digits of k; every one of the
-    N terms e(s_q(m) * phi_b(k)) is read from the same unit-circle table as
-    the library's, and math.fsum adds the N real and imaginary parts.
+    N terms e(s_q(m) * phi_b(k)) is read from the unit-circle table
+    np.exp(2j*pi*np.arange(den)/den) that published rows were computed with,
+    and math.fsum adds the N real and imaginary parts.  This is the reference
+    the library, which computes each phase on its own, must match bit for bit.
     """
     num, r, rem = 0, 0, k
     while rem:

@@ -153,6 +153,7 @@ def test_bad_value_exit_two(tmp_path):
          "need --kmax >= 5, got 2"),
         (["hkbound", "--b", "2", "--q", "2", "--N", "100", "--g", "0"], "F.csv",
          "resolution g must be >= 1"),
+        (["hkbound", "--b", "2", "--q", "2", "--N", "0"], "F.csv", "need N >= 1"),
         (["ubound", "--spec", "vdc:2", "--b", "1", "--dmax", "2", "--kmax", "3"], "F.csv",
          "need a base b >= 2 and t >= 0, got b=1, t=0"),
         (["ubound", "--spec", "vdc:2", "--b", "0", "--dmax", "2", "--kmax", "3"], "F.csv",
@@ -168,8 +169,8 @@ def test_bad_value_exit_two(tmp_path):
          "genbound-dmax-negative", "ubound-dmax-negative", "netcheck-mmax-negative",
          "netcheck-base-1", "netcheck-kmax-negative", "netcheck-mmax-below-t",
          "monocheck-cal-dmax-0", "monocheck-cal-dmax-negative", "ubound-blocks-0",
-         "transform-count-0", "expsum-kmax-below-kmin", "hkbound-g-0", "ubound-base-1",
-         "ubound-base-0", "ubound-base-negative", "ubound-t-negative"],
+         "transform-count-0", "expsum-kmax-below-kmin", "hkbound-g-0", "hkbound-N0",
+         "ubound-base-1", "ubound-base-0", "ubound-base-negative", "ubound-t-negative"],
 )
 def test_usage_error_leaves_no_output(tmp_path, capsys, args, out_name, message):
     out = tmp_path / out_name
@@ -213,6 +214,18 @@ def test_gen_usage_errors_write_no_rows(tmp_path, capsys, args, message):
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("usage error: ") and err.count("\n") == 1
     assert message in err
+
+
+@pytest.mark.parametrize("k", [2**40, 2**1100], ids=["2^40", "2^1100"])
+def test_expsum_at_huge_k_gives_one_row(tmp_path, k):
+    # phi_2(k) = 1/(2k): no table over the denominator, and past the float
+    # range the phase still rounds to a finite angle
+    args = ["expsum", "--b", "2", "--q", "2", "--kmin", str(k), "--kmax", str(k), "--N", "10"]
+    code, data = run_cli(args, tmp_path)
+    assert code == 0
+    header, row = data.decode().splitlines()
+    assert header == "b,q,k,N,re,im,abs,bound"
+    assert row.split(",")[:5] == ["2", "2", str(k), "10", "1.0"]
 
 
 def test_disc_has_no_shift_window():
@@ -352,9 +365,13 @@ def test_cli_start_up_loads_only_the_commands_modules():
         "assert cli.main(['dist', '--q', '3', '--j', '5', '--out', os.devnull]) == 0\n"
         "assert cli.main(['transform', '--transform', 'pow:1/2', '--count', '50',"
         " '--out', os.devnull]) == 0\n"
-        "print('numpy' in sys.modules)\n"
+        "assert cli.main(['expsum', '--b', '2', '--q', '3', '--kmax', '15', '--N', '1000',"
+        " '--out', os.devnull]) == 0\n"
+        "assert cli.main(['hkbound', '--b', '3', '--q', '2', '--N', '5000',"
+        " '--out', os.devnull]) == 0\n"
+        "print('numpy' in sys.modules, 'lowdisc.generators' in sys.modules)\n"
     )
-    assert run_python(code) == "False False\nFalse\n"
+    assert run_python(code) == "False False\nFalse False\n"
 
 
 def test_lazy_package_resolves_every_name():

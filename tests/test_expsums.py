@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 from fractions import Fraction
 from hypothesis import example, given, settings
@@ -24,7 +25,7 @@ from lowdisc import (
     value_counts_below,
     weyl_sum,
 )
-from lowdisc.expsums import DEFAULT_DIRECT_BUDGET
+from lowdisc.expsums import DEFAULT_DIRECT_BUDGET, _phase
 from oracles import oracle_weyl_direct
 
 
@@ -99,6 +100,34 @@ def test_weyl_direct_equals_fsum_over_every_term(case):
     value, method = oracle_weyl_direct(*case)
     assert ws.method == method
     assert (repr(ws.value.real), repr(ws.value.imag)) == (repr(value.real), repr(value.imag))
+
+
+def test_phase_matches_the_numpy_table_bit_for_bit():
+    # Published rows were computed from np.exp(2j*pi*np.arange(den)/den).
+    # numpy divides a complex by a real through the reciprocal, so the angle
+    # is 2*pi*a times 1/den; the plain quotient 2*pi*a/den rounds
+    # differently for some a (den = 6, a = 5 below), so it would change rows.
+    dens = sorted({b**r for b in range(2, 12) for r in range(1, 17) if b**r <= 1 << 16})
+    for den in dens:
+        table = np.exp(2j * math.pi * np.arange(den) / den)
+        got = np.array([_phase(a, den) for a in range(den)])
+        bad = np.flatnonzero(got.view(np.int64) != table.view(np.int64))  # bits, as repr shows
+        assert not bad.size, (den, [(repr(got[i]), repr(table[i])) for i in bad[:3]])
+    t = 2 * math.pi * 5 / 6
+    assert complex(math.cos(t), math.sin(t)) != _phase(5, 6)
+
+
+@pytest.mark.parametrize(
+    "b,q,k",
+    [(2, 2, 2**40), (2, 3, 2**60 + 3), (2, 2, 2**1100), (3, 5, 3**700 + 5)],
+    ids=["2^40", "2^60+3", "2^1100", "3^700+5"],
+)
+def test_weyl_sum_at_huge_k(b, q, k):
+    # phi_b(k) has a denominator of 2**41 (no table over it would fit in
+    # memory), beyond 2**53 (the angle comes from one rounded a/den), or
+    # beyond the float range (1.0/den would overflow)
+    for n in (1, 37, 500):
+        assert abs(weyl_sum(b, q, k, n).value - brute_weyl(b, q, k, n)) < 1e-12
 
 
 def test_weyl_modulus_bounded():
