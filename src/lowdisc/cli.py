@@ -26,7 +26,8 @@ from ._util import BudgetExceededError, as_fraction
 
 # Library names resolve through `ld`, the lazy package, when a command runs,
 # so a job loads only the modules it uses: `dist`, `transform`, `expsum` and
-# `hkbound` never import numpy.
+# `hkbound` never import numpy, nor do `disc`, `sodcheck` and `monocheck` on
+# vdC or one-base Halton specs up to bounds.SCALAR_1D_CUT distinct indices.
 
 
 def _fail(record: dict) -> int:

@@ -5,12 +5,14 @@ symbolically: every candidate wall carries a closed/open attainment flag
 standing for a one-sided limit, so no numeric epsilon ever appears.  Witness
 boxes are reported so each value can be re-checked independently.
 
-Every evaluator reads one integer form of its input, built once per call by
-``_integer_form``: per axis a denominator D, the sorted distinct coordinates
-times D and each point's rank among them, plus the multiplicities as an
+The numpy evaluators read one integer form of their input, built once per
+call by ``_integer_form``: per axis a denominator D, the sorted distinct
+coordinates times D and each point's rank among them, plus the weights as an
 array.  A tuple of kernel ``Axis`` columns goes straight in; Point, Fraction
 and BRational inputs are validated and converted.  Only the winning box is
-turned back into Fractions.
+turned back into Fractions.  numpy is imported inside the kernels, and
+``_scalar_1d`` is the 1D closed form on Python ints for multisets too small
+to repay that import.
 """
 
 from __future__ import annotations
@@ -19,14 +21,14 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
-
-import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from typing import TYPE_CHECKING, Sequence
 
 from ._util import BudgetExceededError, as_fraction
 from .generators import Axis, Point, SequenceSpec, _int_dtype, coordinates
 from .transforms import IndexTransform
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_BOX_BUDGET = 1 << 24
 
@@ -104,6 +106,7 @@ def recount(points, box: Box, counts=None) -> Fraction:
 
 def _reduced(den: int, nums: np.ndarray) -> tuple[int, np.ndarray]:
     """nums / den over their least common denominator, den / gcd(den, *nums)."""
+    import numpy as np
     common = math.gcd(den, int(np.gcd.reduce(nums)))
     if common > 1:
         den, nums = den // common, nums // common
@@ -117,6 +120,7 @@ def _integer_form(points, counts):
     common denominator of the axis, and values[ranks[i]] is point i's.
     Zero-weight points stay on the axes as walls.
     """
+    import numpy as np
     batch = isinstance(points, tuple) and bool(points) and isinstance(points[0], Axis)
     pts = None if batch else _coerce_points(points)
     size = len(points[0].nums) if batch else len(pts)
@@ -196,6 +200,7 @@ class _BoxKernel:
     """
 
     def __init__(self, axes, counts, n):
+        import numpy as np
         self.n = n
         self.scale = math.prod(den for den, _, _ in axes)
         self.dtype = _int_dtype(n * self.scale)
@@ -213,6 +218,7 @@ class _BoxKernel:
 
         Closed boxes deviate by count/n - volume; open ones, the negation.
         """
+        import numpy as np
         arrays = []
         for sides in family:
             starts, ends, lengths, _ = zip(*sides)
@@ -260,6 +266,7 @@ def _side(den: int, lower, upper, closed_lower: bool, closed_upper: bool) -> Box
 
 
 def _witness(family, axes, where: int, closed_lower: bool, closed_upper: bool) -> Box:
+    import numpy as np
     index = np.unravel_index(where, [len(sides) for sides in family])
     walls = [(den, sides[i][3]) for sides, (den, _, _), i in zip(family, axes, index)]
     return Box(tuple(_side(den, *w, closed_lower, closed_upper) for den, w in walls))
@@ -276,26 +283,54 @@ def _deviations_1d(values, below, at, den: int, n: int):
     return n * values - below * den, at * den - n * values
 
 
-def _closed_form_1d(axes, counts, n):
-    """The axis, its kernel and the integer D- and D+ at each axis value."""
+def _report_1d(n: int, den: int, values, minus, plus, mode: str) -> DiscrepancyReport:
+    """The 1D report from the first maxima (d, i) of D- and D+ over sorted values."""
+    (d_minus, i_minus), (d_plus, i_plus) = minus, plus
+    if mode == "star":
+        # D- before D+ at each value, so a tie reports [0, y) before [0, y]
+        closed = (d_plus, -i_plus) > (d_minus, -i_minus)
+        side = _side(den, 0, values[i_plus if closed else i_minus], True, closed)
+        best = max(d_minus, d_plus)
+        return DiscrepancyReport(n, Fraction(best, n * den), Box((side,)), "star-1d")
+    if i_minus <= i_plus:
+        side = _side(den, values[i_minus], values[i_plus], True, True)
+    else:
+        side = _side(den, values[i_plus], values[i_minus], False, False)
+    return DiscrepancyReport(n, Fraction(d_minus + d_plus, n * den), Box((side,)), "exact-1d")
+
+
+def _closed_form_1d(axes, counts, n, mode: str) -> DiscrepancyReport:
+    """The 1D closed form on the arrays of ``_integer_form``."""
     if len(axes) != 1:
         raise ValueError("the 1D closed form needs one-dimensional points")
     kernel = _BoxKernel(axes, counts, n)
     den, values, _ = axes[0]
     cum = kernel.prefix  # cum[i + 1] is the weight up to the i-th axis value
     scaled = values.astype(kernel.dtype, copy=False)
-    return den, values, kernel, *_deviations_1d(scaled, cum[:-1], cum[1:], den, n)
+    minus, plus = _deviations_1d(scaled, cum[:-1], cum[1:], den, n)
+    return _report_1d(n, den, values, _first_max([minus]), _first_max([plus]), mode)
 
 
-def _extreme_1d(axes, counts, n) -> DiscrepancyReport:
-    den, values, kernel, minus, plus = _closed_form_1d(axes, counts, n)
-    d_minus, i_minus = _first_max([minus])
-    d_plus, i_plus = _first_max([plus])
-    if i_minus <= i_plus:
-        side = _side(den, values[i_minus], values[i_plus], True, True)
-    else:
-        side = _side(den, values[i_plus], values[i_minus], False, False)
-    return DiscrepancyReport(n, kernel.value(d_minus + d_plus), Box((side,)), "exact-1d")
+def _scalar_1d(nums, den: int, counts, mode: str) -> DiscrepancyReport:
+    """``discrepancy`` of the 1D multiset nums / den on Python ints: the same
+    integers, witnesses and errors; counts None weighs every value 1."""
+    if mode not in ("extreme", "star"):
+        raise ValueError(f"unknown mode {mode!r}")
+    weights = dict.fromkeys(nums, 0)
+    for num, count in zip(nums, [1] * len(nums) if counts is None else counts):
+        if count < 0:
+            raise ValueError("multiplicities must be non-negative")
+        weights[num] += count
+    n = sum(weights.values())
+    if n < 1:
+        raise ValueError("empty point multiset")
+    values, devs, below = sorted(weights), [], 0
+    for y in values:
+        devs.append(_deviations_1d(y, below, below + weights[y], den, n))
+        below += weights[y]
+    minus, plus = zip(*devs)
+    first_max = [(max(d), d.index(max(d))) for d in (minus, plus)]
+    return _report_1d(n, den, values, *first_max, mode)
 
 
 def _extreme_grid(axes, counts, n, budget: int = DEFAULT_BOX_BUDGET) -> DiscrepancyReport:
@@ -321,12 +356,8 @@ def _extreme_grid(axes, counts, n, budget: int = DEFAULT_BOX_BUDGET) -> Discrepa
 
 def _star(axes, counts, n, budget: int = DEFAULT_BOX_BUDGET) -> DiscrepancyReport:
     if len(axes) == 1:
-        den, values, kernel, minus, plus = _closed_form_1d(axes, counts, n)
-        # D- before D+ at each value, so a tie reports [0, y) before [0, y]
-        best, where = _first_max([np.stack((minus, plus), axis=-1)])
-        i, closed = divmod(where, 2)
-        box = Box((_side(den, 0, values[i], True, bool(closed)),))
-        return DiscrepancyReport(n, kernel.value(best), box, "star-1d")
+        return _closed_form_1d(axes, counts, n, "star")
+    import numpy as np
     corners = math.prod(len(values) + 1 for _, values, _ in axes)
     if corners > budget:
         raise BudgetExceededError(f"{corners} star corners exceed the budget of {budget} corners")
@@ -349,7 +380,7 @@ def extreme_discrepancy_1d(points, counts=None) -> DiscrepancyReport:
     c_{i-1}/N), each maximum the first one.  The brute-force interval oracle
     in the test suite checks this exactly.
     """
-    return _extreme_1d(*_integer_form(points, counts))
+    return _closed_form_1d(*_integer_form(points, counts), "extreme")
 
 
 def extreme_discrepancy_grid(points, counts=None, budget=DEFAULT_BOX_BUDGET) -> DiscrepancyReport:
@@ -385,9 +416,9 @@ def discrepancy(points, counts=None, mode: str = "extreme") -> DiscrepancyReport
     if mode not in ("extreme", "star"):
         raise ValueError(f"unknown mode {mode!r}")
     form = _integer_form(points, counts)
-    if mode == "star":
-        return _star(*form)
-    return (_extreme_1d if len(form[0]) == 1 else _extreme_grid)(*form)
+    if len(form[0]) == 1:
+        return _closed_form_1d(*form, mode)
+    return (_star if mode == "star" else _extreme_grid)(*form)
 
 
 def _window_1d(axis: Axis, n: int, k_max: int, mode: str) -> tuple[int, Fraction]:
@@ -397,6 +428,8 @@ def _window_1d(axis: Axis, n: int, k_max: int, mode: str) -> tuple[int, Fraction
     integer table; each block is a sorted slice of it, whose i-th smallest
     value has i - 1 points below it and i up to it.
     """
+    import numpy as np
+    from numpy.lib.stride_tricks import sliding_window_view
     den, table = _reduced(axis.base**axis.width, axis.nums)
     dtype = _int_dtype(n * den)
     table = table.astype(dtype, copy=False)
@@ -431,6 +464,7 @@ def windowed_uniform_discrepancy(
     the winning block, which must agree on the value; for s >= 2
     ``discrepancy`` evaluates each shift.
     """
+    import numpy as np
     if k_max is None:
         k_max = 4 * n
     if n < 1 or k_max < 0:

@@ -3,7 +3,8 @@
 Every point comes from one integer kernel, :func:`coordinates`, which turns a
 batch of indices into exact numerator arrays over a common power of each
 axis's base.  Exact BRational points are built from them only at the API and
-CSV boundaries.  The module also certifies (t,m,s)-net properties by counting
+CSV boundaries.  numpy is imported inside the kernels, so parsing a spec
+loads none.  The module also certifies (t,m,s)-net properties by counting
 points in every elementary interval and checks the generator-matrix rank
 condition over F_p.
 """
@@ -14,11 +15,12 @@ import csv
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from .digits import BRational
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_DIGITAL_PRECISION = 32
 
@@ -29,6 +31,7 @@ def _int_dtype(bound: int):
     """int64 for integers below ``bound`` while bound < 2**62, else exact
     Python ints (object arrays).  Below 2**62 even a sum or difference of
     two such integers fits in int64."""
+    import numpy as np
     return np.int64 if bound < _INT64_LIMIT else object
 
 
@@ -196,6 +199,7 @@ class Axis(NamedTuple):
 
     def normalized(self) -> tuple[list[int], list[int]]:
         """Numerators and precisions with trailing zero digits dropped (0 is 0/b^0)."""
+        import numpy as np
         nums = self.nums.copy()
         precs = np.full(len(nums), self.width, dtype=np.int64)
         live = nums != 0
@@ -213,6 +217,7 @@ class Axis(NamedTuple):
 
     def floats(self) -> list[float]:
         """Each value correctly rounded, as float(Fraction) rounds it."""
+        import numpy as np
         den = self.base**self.width
         if den <= 1 << 53:  # numerators and denominator are exact doubles: one rounding
             return (self.nums.astype(np.float64) / den).tolist()
@@ -221,6 +226,7 @@ class Axis(NamedTuple):
 
 def _index_array(indices) -> np.ndarray:
     """Non-negative integer indices: int64 below 2**62, exact Python ints beyond."""
+    import numpy as np
     values = list(indices)
     if not all(map(isinstance, values, itertools.repeat(int))) or min(values, default=0) < 0:
         bad = next(v for v in values if not isinstance(v, int) or v < 0)
@@ -231,6 +237,7 @@ def _index_array(indices) -> np.ndarray:
 def _radical_inverses(idx: np.ndarray, base: int) -> Axis:
     """The digits of each index mirrored across the radix point, over as many
     digits as the largest index has."""
+    import numpy as np
     top = int(idx.max(initial=0))
     width = next(w for w in itertools.count() if base**w > top)
     rem = idx.copy()
@@ -244,6 +251,7 @@ def _radical_inverses(idx: np.ndarray, base: int) -> Axis:
 
 def _digital_axes(spec: DigitalSequence, idx: np.ndarray) -> tuple[Axis, ...]:
     """Digit vectors times each generator matrix over F_p, read as base-p digits."""
+    import numpy as np
     p, width = spec.p, spec.precision
     top = int(idx.max(initial=0))
     if top >= p**width:
@@ -413,6 +421,7 @@ def check_net(points: list[Point], b: int, t: int, m: int, s: int) -> NetCheck:
     the points.  Returns the first violating interval on failure (shapes and
     cells in lexicographic order).
     """
+    import numpy as np
     if len(points) != b**m:
         raise ValueError(f"a (t,m,s)-net in base {b} needs exactly {b**m} points")
     if not 0 <= t <= m:
@@ -436,6 +445,7 @@ def _net_check(batch: tuple[Axis, ...], b: int, t: int, m: int) -> NetCheck:
     an integer division of its numerator; the cells of a shape are numbered
     in lexicographic order, so the first wrong count is the first violation.
     """
+    import numpy as np
     expected = b**t
     for shape in _compositions(m - t, len(batch)):
         scales = [b**d for d in shape]

@@ -1,8 +1,12 @@
+import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lowdisc import (
     Envelope,
@@ -28,9 +32,11 @@ from lowdisc import (
     uniform_bound_ts,
     windowed_uniform_discrepancy,
 )
-from lowdisc import bounds
+from lowdisc import bounds, value_counts_below
 from lowdisc.digitsum_dist import DigitSumDistribution
-from oracles import oracle_digit_sums
+from lowdisc.discrepancy import _scalar_1d, discrepancy
+from lowdisc.generators import Axis, coordinates
+from oracles import oracle_digit_sums, oracle_extreme_1d, oracle_star_1d
 
 
 def test_bound_holds_exact_sides_have_zero_tolerance():
@@ -121,6 +127,76 @@ def test_transformed_discrepancy_matches_direct_pointset():
         )
         weighted = transformed_discrepancy(spec, t, n)
         assert weighted.value == direct.value
+
+
+def report_key(rep):
+    return rep.n, rep.value, rep.method, str(rep.witness)
+
+
+@st.composite
+def index_transforms(draw):
+    kind = draw(st.sampled_from(["none", "sod", "pow", "table"]))
+    if kind == "sod":
+        return SumOfDigits(draw(st.integers(2, 7)))
+    if kind == "pow":
+        pairs = [(u, v) for v in range(2, 6) for u in range(1, v) if math.gcd(u, v) == 1]
+        return FloorPower(*draw(st.sampled_from(pairs)))
+    if kind == "table":
+        steps = draw(st.lists(st.integers(0, 3), min_size=1, max_size=80))
+        return TableTransform(tuple(itertools.accumulate(steps)))
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([VanDerCorput(b) for b in range(2, 8)] + [Halton((b,)) for b in range(2, 8)]),
+    index_transforms(),
+    st.integers(1, 3000),
+    st.sampled_from(["extreme", "star"]),
+)
+def test_scalar_1d_matches_the_array_path(spec, transform, n, mode):
+    if isinstance(transform, TableTransform):
+        n = min(n, len(transform.values))
+    if transform is None:
+        indices, counts = list(range(n)), None
+    else:
+        multiplicity = value_counts_below(transform, n)
+        indices, counts = list(multiplicity), list(multiplicity.values())
+    batch = coordinates(spec, indices)
+    want = report_key(discrepancy(batch, counts, mode))
+    (axis,) = batch
+    assert report_key(_scalar_1d(axis.nums.tolist(), axis.base**axis.width, counts, mode)) == want
+    assert report_key(transformed_discrepancy(spec, transform, n, mode)) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 7), st.integers(0, 3), st.data())
+def test_scalar_1d_matches_the_oracles_and_weighted_arrays(b, width, data):
+    den = b**width
+    nums = data.draw(st.lists(st.integers(0, den - 1), min_size=1, max_size=12))
+    points = [Fraction(x, den) for x in nums]
+    assert _scalar_1d(nums, den, None, "extreme").value == oracle_extreme_1d(points)
+    assert _scalar_1d(nums, den, None, "star").value == oracle_star_1d(points)
+    # weighted, with repeated values and zero weights
+    counts = data.draw(st.lists(st.integers(0, 3), min_size=len(nums), max_size=len(nums)))
+    counts[0] += not any(counts)
+    batch = (Axis(b, width, np.array(nums, dtype=np.int64)),)
+    for mode in ("extreme", "star"):
+        want = report_key(discrepancy(batch, counts, mode))
+        assert report_key(_scalar_1d(nums, den, counts, mode)) == want
+
+
+@pytest.mark.parametrize(
+    "nums, counts, mode",
+    [([], None, "extreme"), ([1, 3], [0, 0], "star"), ([1, 3], [2, -1], "extreme"),
+     ([1], None, "both")],
+    ids=["empty", "zero-weight", "negative", "mode"],
+)
+def test_scalar_1d_raises_what_the_array_path_raises(nums, counts, mode):
+    with pytest.raises(ValueError) as want:
+        discrepancy((Axis(2, 2, np.array(nums, dtype=np.int64)),), counts, mode)
+    with pytest.raises(ValueError, match=re.escape(str(want.value))):
+        _scalar_1d(nums, 4, counts, mode)
 
 
 def test_general_sandwich_small():

@@ -370,8 +370,36 @@ def test_cli_start_up_loads_only_the_commands_modules():
         "assert cli.main(['hkbound', '--b', '3', '--q', '2', '--N', '5000',"
         " '--out', os.devnull]) == 0\n"
         "print('numpy' in sys.modules, 'lowdisc.generators' in sys.modules)\n"
+        # small 1D radical-inverse multisets are evaluated on Python ints
+        "assert cli.main(['sodcheck', '--spec', 'vdc:2', '--q', '3', '--dmax', '12',"
+        " '--out', os.devnull]) == 0\n"
+        "assert cli.main(['monocheck', '--spec', 'vdc:2', '--u', '2', '--v', '3', '--dmax', '10',"
+        " '--out', os.devnull]) == 0\n"
+        "assert cli.main(['disc', '--spec', 'vdc:3', '--transform', 'pow:1/2', '--N', '100000',"
+        " '--out', os.devnull]) == 0\n"
+        "print('numpy' in sys.modules)\n"
     )
-    assert run_python(code) == "False False\nFalse False\n"
+    assert run_python(code) == "False False\nFalse False\nFalse\n"
+
+
+@pytest.mark.parametrize(
+    "jobs, loaded",
+    [
+        # 2**14 distinct points on Python ints, one more through the arrays
+        ([["disc", "--spec", "vdc:2", "--N", "16384"], ["disc", "--spec", "vdc:2", "--N", "16385"]],
+         "False True"),
+        # the sandwich measures its envelope with windows, which stay on arrays
+        ([["genbound", "--spec", "vdc:2", "--q", "2", "--dmax", "3"]], "True"),
+    ],
+    ids=["disc-cut", "genbound"],
+)
+def test_cli_loads_numpy_only_past_the_cut_and_for_windows(jobs, loaded):
+    code = "import os, sys\nimport lowdisc.cli as cli\nseen = []\n"
+    for job in jobs:
+        code += f"assert cli.main({job!r} + ['--out', os.devnull]) == 0\n"
+        code += "seen.append('numpy' in sys.modules)\n"
+    code += "print(*seen)\n"
+    assert run_python(code) == loaded + "\n"
 
 
 def test_lazy_package_resolves_every_name():

@@ -88,6 +88,16 @@ GOLDEN = {
         (0, "cae76719b64cc08d4fedcf96a4a2b257bae0852607980aeeb5a359a0cb1a5e90"),
     "disc --spec pascal:3,1,10 --N 1000 --transform pow:1/3":
         (0, "c291f1b16ab522322658cdc1ba742b5061b138b43bc346bc93ba61f2ff19e4e4"),
+    # recorded while every 1D multiset went through the numpy arrays: the two
+    # sides of the Python-int cut, a one-base Halton and a sweep job
+    "disc --spec vdc:2 --N 16384":
+        (0, "ccb1f4151bfb3a4b97cc05f27cc24e848acf1db95186d6279b58d622d34166bb"),
+    "disc --spec vdc:2 --N 16385":
+        (0, "d05ef0a202905564d5670b042f75de64745e927af23e479de7e87c8b7417f44a"),
+    "disc --spec halton:3 --transform sod:2 --N 100000 --mode star":
+        (0, "bb5e0f2a32dbf4b303a29308c143bfa0399014f06ca045ad7f0c45de8d84435d"),
+    "disc --spec vdc:3 --transform pow:2/3 --N 1000000":
+        (0, "714e716ae9956d156fa43885419291b8104294a317c96fbac2e2269a98f528e7"),
     "hkbound --b 2 --q 2 --N 100000":
         (0, "5aed4aabd75970d46fe0ede89abeb0b429fa7e5bee602b2765690a6240161e7e"),
     "hkbound --b 3 --q 2 --N 5000":
