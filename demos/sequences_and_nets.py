@@ -28,7 +28,7 @@ print("  ", [str(p.coords[0].as_fraction()) for p in points(vdc, 8)])
 
 # every aligned block of length 2^m hits each dyadic interval exactly once
 for m in range(5):
-    assert check_net(points(vdc, 2**m), b=2, t=0, m=m, s=1).ok
+    assert check_net(points(vdc, 2**m), b=2, t=0).ok
 print("van der Corput blocks are (0,m,1)-nets for m <= 4: certified")
 
 # --- Halton in co-prime bases: exact mixed-radix coordinates ----------------
@@ -37,7 +37,7 @@ print("\nHalton(2,3) point #5:", halton.point(5).as_fractions())
 
 # the Halton sequence is NOT a (0,2)-sequence in base 2; the checker
 # reports the first elementary interval with the wrong count
-res = check_sequence_property(halton, b=2, t=0, s=2, k_max=2, m_max=2)
+res = check_sequence_property(halton, b=2, t=0, k_max=2, m_max=2)
 print("Halton as a base-2 net sequence:", "ok" if res.ok else f"fails ({res.violation})")
 
 # --- digital sequences: Pascal-matrix construction over F_3 -----------------
@@ -48,7 +48,7 @@ for i, m in enumerate(mats):
 print("rank condition at depth m=3:", check_rank_condition(mats, t=0, m=3))
 
 faure = DigitalSequence(3, tuple(mats), 12)
-res = check_sequence_property(faure, b=3, t=0, s=2, k_max=4, m_max=2)
+res = check_sequence_property(faure, b=3, t=0, k_max=4, m_max=2)
 print("digital (0,2)-sequence block checks:", "all pass" if res.ok else "FAIL")
 
 # --- exact point serialization ----------------------------------------------

@@ -21,7 +21,7 @@ spec = VanDerCorput(2)
 
 # every aligned van der Corput block is a shifted grid, so its scaled
 # discrepancy is exactly 1; that is the measured Delta table
-delta = measured_delta_table(spec, b=2, t=0, s=1, m_max=10, blocks=8)
+delta = measured_delta_table(spec, b=2, t=0, m_max=10, blocks=8)
 print("measured Delta(m) for the first blocks:", {m: round(v, 3) for m, v in list(delta.items())[:5]})
 
 print(f"\n{'N':>6} {'shift*':>7} {'N*D (window)':>13} {'net bound':>10} {'main term':>10}")
@@ -29,7 +29,7 @@ for d in range(0, 11, 2):
     n = 2**d
     rep = windowed_uniform_discrepancy(spec, None, n, k_max=2**12)
     scaled = float(n * rep.value)
-    bound = uniform_bound_ts(2, 0, 1, n, delta)
+    bound = uniform_bound_ts(2, 0, n, delta)
     main = halton_uniform_main_term([2], n) if n >= 2 else 1.0
     print(f"{n:>6} {rep.shift:>7} {scaled:>13.4f} {bound:>10.1f} {main:>10.1f}")
 

@@ -38,6 +38,12 @@ UPPER_SLACK = 1e-9  # float-comparison slack for fitted upper bounds
 # Python ints: below it, numpy's import (0.1 s on a 2-core VM) costs more.
 SCALAR_1D_CUT = 1 << 14
 
+# A measured envelope at N takes the worst of the shifts 0 <= k <= 4N.
+ENVELOPE_WINDOW_FACTOR = 4
+
+# F(k) * k^(1 - 1/alpha) is probed for boundedness on 1 <= k <= this.
+ALPHA_PROBE_K = 1000
+
 
 def _at_most(x, y) -> bool:
     if x is None or y is None:
@@ -62,8 +68,8 @@ class Envelope:
     """Non-decreasing f with N * (uniform discrepancy of the base sequence) <= f(N).
 
     Sources: a measured table (running max of windowed measurements, which
-    are lower estimates of the true uniform discrepancy -- recorded as such)
-    or an analytic C * (log N)^s shape with a fitted constant.
+    are lower estimates of the true uniform discrepancy -- recorded as such,
+    see measured_envelope) or a constant.
     """
 
     source: str
@@ -78,34 +84,21 @@ class Envelope:
         return self._fn(n)
 
     @classmethod
-    def from_table(cls, table: Mapping[int, float], source: str = "measured-table"):
-        n_max = max(table)
-        running = {}
-        acc = 0.0
-        for n in range(1, n_max + 1):
-            if n in table:
-                acc = max(acc, float(table[n]))
-            running[n] = acc
-        return cls(source, lambda n: running[n], n_max)
-
-    @classmethod
     def constant(cls, c: float):
         return cls("constant", lambda n: c, None)
 
 
-def measured_envelope(
-    spec: SequenceSpec, n_max: int, window_factor: int = 4
-) -> Envelope:
-    """Envelope table from windowed uniform-discrepancy measurements.
+def measured_envelope(spec: SequenceSpec, n_max: int) -> Envelope:
+    """Running max of N * (windowed uniform discrepancy) for 1 <= N <= n_max.
 
     The windowed sup is a lower estimate of the true uniform discrepancy, so
     the source tag records that this is a measured stand-in, not a proof.
     """
-    table = {}
+    running = [0.0]  # running[n] is the largest N * D for 1 <= N <= n
     for n in range(1, n_max + 1):
-        rep = windowed_uniform_discrepancy(spec, None, n, window_factor * n)
-        table[n] = float(n * rep.value)
-    return Envelope.from_table(table, source="measured-windowed")
+        rep = windowed_uniform_discrepancy(spec, None, n, ENVELOPE_WINDOW_FACTOR * n)
+        running.append(max(running[-1], float(n * rep.value)))
+    return Envelope("measured-windowed", lambda n: running[n], n_max)
 
 
 def general_lower(transform: SumOfDigits, d: int) -> int:
@@ -185,29 +178,25 @@ class BoundReport:
 
 
 def general_sandwich(
-    spec: SequenceSpec,
-    transform: IndexTransform,
-    d_max: int,
-    envelope: Envelope | None = None,
-    mode: str = "extreme",
+    spec: SequenceSpec, transform: IndexTransform, d_max: int
 ) -> list[BoundReport]:
-    """Per-level sandwich lower <= N_d * D_{N_d} <= upper for the transform.
+    """Per-level sandwich lower <= N_d * D_{N_d} <= upper at N_d = q^d, d <= d_max.
 
-    The default envelope is measured from the base sequence's windowed
-    uniform discrepancy up to the largest v_j needed.
+    The measured value is the exact extreme discrepancy, which the
+    multiplicity floor bounds.  The envelope is measured from the base
+    sequence's windowed uniform discrepancy up to the largest v_j needed.
     """
     if not isinstance(transform, SumOfDigits):
         raise ValueError("the sandwich driver currently covers the digit-sum transform")
     if d_max < 0:
         raise ValueError(f"need d_max >= 0 for a level to check, got {d_max}")
     q = transform.q
-    if envelope is None:
-        envelope = measured_envelope(spec, d_max * (q - 1) + 1)
+    envelope = measured_envelope(spec, d_max * (q - 1) + 1)
     reports = []
     for d in range(d_max + 1):
         n = q**d
         lower = Fraction(general_lower(transform, d))
-        measured = n * transformed_discrepancy(spec, transform, n, mode).value
+        measured = n * transformed_discrepancy(spec, transform, n).value
         upper = general_upper(transform, envelope, d)
         reports.append(
             BoundReport(n, lower, measured, upper.value, upper.per_j, upper.flags)
@@ -320,28 +309,20 @@ def monotone_hypotheses(transform: IndexTransform, n_max: int, k_max: int) -> di
     }
 
 
-def monotone_upper(
-    transform: IndexTransform,
-    n: int,
-    s: int,
-    fitted_c: float,
-    p: int | None = None,
-    t: int = 0,
-) -> float:
-    """C * p^t * 2 F(f(N-1)+1) (log N)^s / N with a caller-fitted constant."""
+def monotone_upper(transform: IndexTransform, n: int, s: int, fitted_c: float) -> float:
+    """C * 2 F(f(N-1)+1) (log N)^s / N with a caller-fitted constant.
+
+    The theorem's p^t factor for digital (t,s)-sequences is a constant, so
+    the fitted C absorbs it.
+    """
     if n < 2:
         raise ValueError("the upper-bound shape needs N >= 2")
-    factor = 1 if p is None else p**t
     big_f = multiplicity_F(transform, transform.apply(n - 1) + 1)
-    return fitted_c * factor * 2 * big_f * math.log(n) ** s / n
+    return fitted_c * 2 * big_f * math.log(n) ** s / n
 
 
 def fit_monotone_constant(
-    transform: IndexTransform,
-    s: int,
-    measured: Mapping[int, Fraction],
-    p: int | None = None,
-    t: int = 0,
+    transform: IndexTransform, s: int, measured: Mapping[int, Fraction]
 ) -> float:
     """Smallest C making the upper-bound shape (monotone_upper at C = 1) dominate.
 
@@ -349,9 +330,7 @@ def fit_monotone_constant(
     """
     if not measured:
         raise ValueError("no calibration level to fit C on; calibrate on a longer prefix")
-    return max(
-        float(d_n) / monotone_upper(transform, n, s, 1.0, p, t) for n, d_n in measured.items()
-    )
+    return max(float(d_n) / monotone_upper(transform, n, s, 1.0) for n, d_n in measured.items())
 
 
 @dataclass
@@ -366,7 +345,6 @@ def alpha_corollary_check(
     spec: SequenceSpec,
     transform: FloorPower,
     n_values: Sequence[int],
-    k_probe: int = 1000,
     mode: str = "extreme",
 ) -> tuple[list[AlphaRow], dict]:
     """Probe F(k) * k^(1 - 1/alpha) for boundedness, then the D_N sandwich scale.
@@ -379,7 +357,7 @@ def alpha_corollary_check(
     alpha = transform.u / transform.v
     ratios = [
         multiplicity_F(transform, k) * k ** (1 - 1 / alpha)
-        for k in range(1, k_probe + 1)
+        for k in range(1, ALPHA_PROBE_K + 1)
     ]
     stats = {
         "f_window_min": min(ratios),
@@ -400,14 +378,13 @@ def _check_base_and_t(b: int, t: int) -> None:
         raise ValueError(f"need a base b >= 2 and t >= 0, got b={b}, t={t}")
 
 
-def uniform_bound_ts(
-    b: int, t: int, s: int, n: int, delta_table: Mapping[int, float]
-) -> float:
+def uniform_bound_ts(b: int, t: int, n: int, delta_table: Mapping[int, float]) -> float:
     """(2b-1) (t b^t + sum_{m=t}^{floor(log_b N)} Delta_b(t,m,s)) on N * uniform D.
 
     For N < b^t the trivial bound N applies.  The delta table must cover
     every m up to floor(log_b N); each entry bounds b^m * D for the
-    (t,m,s)-nets in play (measured or shape-fitted, per its provenance).
+    (t,m,s)-nets in play (measured or shape-fitted, per its provenance), so
+    the dimension s enters only through the table.
     """
     _check_base_and_t(b, t)
     if n < b**t:
@@ -426,12 +403,10 @@ def uniform_bound_ts(
 
 
 def measured_delta_table(
-    spec: SequenceSpec, b: int, t: int, s: int, m_max: int, blocks: int = 8
+    spec: SequenceSpec, b: int, t: int, m_max: int, blocks: int = 8
 ) -> dict[int, float]:
     """Delta(m) = max over the first aligned blocks of b^m * (exact block D)."""
     _check_base_and_t(b, t)
-    if spec.dimension != s:
-        raise ValueError("spec dimension does not match s")
     if blocks < 1:
         raise ValueError(f"need blocks >= 1 to measure Delta, got {blocks}")
     batch = coordinates(spec, range(blocks * b**m_max))

@@ -180,7 +180,6 @@ def cmd_hkbound(args) -> int:
 
 
 def cmd_genbound(args) -> int:
-    _need_level("dmax", args.dmax)
     reports = ld.general_sandwich(ld.parse_spec(args.spec), ld.SumOfDigits(args.q), args.dmax)
     rows = [
         [d, r.n, r.lower.numerator, *_frac_cols(r.measured), repr(float(r.measured)),
@@ -237,13 +236,13 @@ def cmd_monocheck(args) -> int:
 def cmd_ubound(args) -> int:
     _need_level("dmax", args.dmax)
     spec = ld.parse_spec(args.spec)
-    b, t, s = args.b, args.t, args.s
-    delta = ld.measured_delta_table(spec, b, t, s, max(args.dmax, t), blocks=args.blocks)
+    b, t = args.b, args.t
+    delta = ld.measured_delta_table(spec, b, t, max(args.dmax, t), blocks=args.blocks)
     rows = []
     for n in (b**d for d in range(args.dmax + 1)):
         scaled = n * ld.windowed_uniform_discrepancy(spec, None, n, args.kmax).value
-        bound = ld.uniform_bound_ts(b, t, s, n, delta)
-        main = ld.halton_uniform_main_term([b] * s, n) if n >= 2 else 1.0
+        bound = ld.uniform_bound_ts(b, t, n, delta)
+        main = ld.halton_uniform_main_term([b] * spec.dimension, n) if n >= 2 else 1.0
         rows.append(
             [n, *_frac_cols(scaled), repr(float(scaled)), repr(bound), repr(main),
              int(ld.bound_holds(None, scaled, bound))]
@@ -253,9 +252,8 @@ def cmd_ubound(args) -> int:
 
 
 def cmd_netcheck(args) -> int:
-    _need_level("mmax", args.mmax)
     spec = ld.parse_spec(args.spec)
-    res = ld.check_sequence_property(spec, args.base, args.t, spec.dimension, args.kmax, args.mmax)
+    res = ld.check_sequence_property(spec, args.base, args.t, args.kmax, args.mmax)
     failed = ["", "", ""] if res.ok else [res.failed_m, res.failed_block, str(res.violation)]
     row = [args.base, args.t, spec.dimension, args.mmax, args.kmax, int(res.ok), *failed]
     header = "base,t,s,mmax,kmax,ok,failed_m,failed_block,violation"
@@ -314,6 +312,8 @@ def cmd_report(args) -> int:
         rows, _ = ld.alpha_corollary_check(spec, ld.FloorPower(cfg.u, cfg.v), ns, mode=cfg.mode)
         curves = {f"alpha_{cfg.u}_{cfg.v}.dat": [(float(r.n), r.scaled) for r in rows]}
     elif cfg.curve == "bound":
+        if cfg.mode != "extreme":  # the sandwich's floor bounds the extreme value only
+            raise ValueError(f"curve=bound measures mode=extreme, got mode={cfg.mode!r}")
         reports = ld.general_sandwich(spec, ld.SumOfDigits(cfg.q), cfg.dmax)
         curves = {
             f"bound_measured_q{cfg.q}.dat": [(float(r.n), float(r.measured)) for r in reports],
@@ -431,7 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True)
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--t", type=int, default=0)
-    p.add_argument("--s", type=int, default=1)
     p.add_argument("--dmax", type=int, required=True)
     p.add_argument("--kmax", type=int, required=True)
     p.add_argument("--blocks", type=int, default=8)

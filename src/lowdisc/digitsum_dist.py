@@ -43,14 +43,14 @@ def _convolution_counts(q: int, j: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def distribution(q: int, j: int, j_budget: int = DEFAULT_J_BUDGET) -> DigitSumDistribution:
-    """j-fold convolution of the uniform digit distribution (exact)."""
+def distribution(q: int, j: int) -> DigitSumDistribution:
+    """j-fold convolution of the uniform digit distribution (exact), j <= DEFAULT_J_BUDGET."""
     if q < 2:
         raise ValueError("q must be >= 2")
     if j < 0:
         raise ValueError("j must be >= 0")
-    if j > j_budget:
-        raise BudgetExceededError(f"j={j} exceeds the convolution budget {j_budget}")
+    if j > DEFAULT_J_BUDGET:
+        raise BudgetExceededError(f"j={j} exceeds the convolution budget {DEFAULT_J_BUDGET}")
     return DigitSumDistribution(q, j, _convolution_counts(q, j))
 
 

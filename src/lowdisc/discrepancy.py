@@ -333,13 +333,13 @@ def _scalar_1d(nums, den: int, counts, mode: str) -> DiscrepancyReport:
     return _report_1d(n, den, values, *first_max, mode)
 
 
-def _extreme_grid(axes, counts, n, budget: int = DEFAULT_BOX_BUDGET) -> DiscrepancyReport:
+def _extreme_grid(axes, counts, n) -> DiscrepancyReport:
     boxes = math.prod(len(values) * (len(values) + 1) // 2 for _, values, _ in axes)
     boxes += math.prod(_open_side_count(values) for _, values, _ in axes)
-    if boxes > budget:
+    if boxes > DEFAULT_BOX_BUDGET:
         corners = math.prod(len(values) + 1 for _, values, _ in axes)
         raise BudgetExceededError(
-            f"{boxes} candidate boxes exceed the budget of {budget} boxes; "
+            f"{boxes} candidate boxes exceed the budget of {DEFAULT_BOX_BUDGET} boxes; "
             f"consider the star-discrepancy proxy ({corners} corners)"
         )
     kernel = _BoxKernel(axes, counts, n)
@@ -354,13 +354,15 @@ def _extreme_grid(axes, counts, n, budget: int = DEFAULT_BOX_BUDGET) -> Discrepa
     return DiscrepancyReport(n, kernel.value(best), box, "exact-grid")
 
 
-def _star(axes, counts, n, budget: int = DEFAULT_BOX_BUDGET) -> DiscrepancyReport:
+def _star(axes, counts, n) -> DiscrepancyReport:
     if len(axes) == 1:
         return _closed_form_1d(axes, counts, n, "star")
     import numpy as np
     corners = math.prod(len(values) + 1 for _, values, _ in axes)
-    if corners > budget:
-        raise BudgetExceededError(f"{corners} star corners exceed the budget of {budget} corners")
+    if corners > DEFAULT_BOX_BUDGET:
+        raise BudgetExceededError(
+            f"{corners} star corners exceed the budget of {DEFAULT_BOX_BUDGET} corners"
+        )
     kernel = _BoxKernel(axes, counts, n)
     walls = [(den, values.tolist()) for den, values, _ in axes]
     closed = [_corner_sides(*w, True) for w in walls]
@@ -383,27 +385,28 @@ def extreme_discrepancy_1d(points, counts=None) -> DiscrepancyReport:
     return _closed_form_1d(*_integer_form(points, counts), "extreme")
 
 
-def extreme_discrepancy_grid(points, counts=None, budget=DEFAULT_BOX_BUDGET) -> DiscrepancyReport:
+def extreme_discrepancy_grid(points, counts=None) -> DiscrepancyReport:
     """Exact sup over half-open boxes by exhaustive critical-grid enumeration.
 
     Positive deviations are maximized by boxes shrink-wrapped onto points
     (all walls closed on coordinate values); negative ones by boxes fattened
     until the walls exclude points (all walls open, or resting on 0/1).  Both
     attainment families are enumerated, counted by prefix sums in exact
-    integer arithmetic; budget is in candidate boxes.  The witness is the
-    first maximizer in product order, shrink-wrapped boxes first.
+    integer arithmetic, up to DEFAULT_BOX_BUDGET candidate boxes.  The
+    witness is the first maximizer in product order, shrink-wrapped boxes
+    first.
     """
-    return _extreme_grid(*_integer_form(points, counts), budget)
+    return _extreme_grid(*_integer_form(points, counts))
 
 
-def star_discrepancy(points, counts=None, budget=DEFAULT_BOX_BUDGET) -> DiscrepancyReport:
+def star_discrepancy(points, counts=None) -> DiscrepancyReport:
     """Sup over anchored boxes [0, b): the cheap proxy for extreme discrepancy.
 
     Satisfies star <= extreme <= 2^s * star.  Upper corners run over the
     coordinate grid (plus 1), each evaluated in both attainment limits, the
-    closed limit first; budget is in corners.
+    closed limit first, up to DEFAULT_BOX_BUDGET corners.
     """
-    return _star(*_integer_form(points, counts), budget)
+    return _star(*_integer_form(points, counts))
 
 
 def discrepancy(points, counts=None, mode: str = "extreme") -> DiscrepancyReport:
@@ -451,22 +454,19 @@ def windowed_uniform_discrepancy(
     spec: SequenceSpec,
     transform: IndexTransform | None,
     n: int,
-    k_max: int | None = None,
+    k_max: int,
     mode: str = "extreme",
 ) -> DiscrepancyReport:
     """Max over shifts 0 <= k <= k_max of the discrepancy of the shifted block.
 
     This is a certified LOWER estimate of the uniform discrepancy (the true
     sup ranges over all shifts); the first arg-max shift is reported.  The
-    window defaults to k_max = 4n.  The distinct (transformed) indices'
-    coordinates come from one kernel call.  A 1D sequence has every shift
-    evaluated by the 1D closed form and its witness from ``discrepancy`` on
-    the winning block, which must agree on the value; for s >= 2
-    ``discrepancy`` evaluates each shift.
+    distinct (transformed) indices' coordinates come from one kernel call.
+    A 1D sequence has every shift evaluated by the 1D closed form and its
+    witness from ``discrepancy`` on the winning block, which must agree on
+    the value; for s >= 2 ``discrepancy`` evaluates each shift.
     """
     import numpy as np
-    if k_max is None:
-        k_max = 4 * n
     if n < 1 or k_max < 0:
         raise ValueError("need n >= 1 and k_max >= 0")
     if transform is None:

@@ -27,6 +27,9 @@ from .digitsum_dist import digit_sum_counts_below
 # row keeps, and published rows pin both.
 DEFAULT_DIRECT_BUDGET = 1 << 14
 
+# Float slack of the lemma checks |T_k| <= bound.
+LEMMA_SLACK = 1e-12
+
 
 def e_frac(num: int, den: int) -> complex:
     """exp(2 pi i num/den) with the argument already reduced mod den."""
@@ -83,15 +86,14 @@ class WeylSum:
         return abs(self.value)
 
 
-def weyl_sum(
-    b: int, q: int, k: int, n: int, direct_budget: int = DEFAULT_DIRECT_BUDGET
-) -> WeylSum:
+def weyl_sum(b: int, q: int, k: int, n: int) -> WeylSum:
     """T_k(N) = (1/N) sum_{n<N} e(s_q(n) phi_b(k)).
 
     The N terms take one value x_j = e(j phi_b(k)) per digit sum j, so the
-    sum is sum_j c_j x_j with the exact class counts c_j.  Up to the budget
-    that sum is rounded once, exactly as math.fsum over all N terms rounds
-    it, and then divided by N; beyond it each weight c_j/N is rounded first.
+    sum is sum_j c_j x_j with the exact class counts c_j.  Up to N =
+    DEFAULT_DIRECT_BUDGET that sum is rounded once, exactly as math.fsum
+    over all N terms rounds it, and then divided by N ("direct"); beyond it
+    each weight c_j/N is rounded first ("grouped").
     """
     if n < 1:
         raise ValueError("need N >= 1")
@@ -100,7 +102,7 @@ def weyl_sum(
         return WeylSum(b, q, k, n, complex(1.0, 0.0), "trivial")
     counts = digit_sum_counts_below(q, n)
     terms = [_phase(j * num % den, den) for j in range(len(counts))]
-    if n <= direct_budget:
+    if n <= DEFAULT_DIRECT_BUDGET:
         value = complex(
             _exact_dot(counts, [z.real for z in terms]) / n,
             _exact_dot(counts, [z.imag for z in terms]) / n,
@@ -118,13 +120,11 @@ def weyl_sum(
     return WeylSum(b, q, k, n, complex(math.fsum(re), math.fsum(im)), "grouped")
 
 
-def product_identity_check(
-    b: int, q: int, k: int, m: int, tol: float = 1e-10
-) -> bool:
-    """Check |T_k(q**m) - T_k(q)**m| < tol numerically."""
+def product_identity_check(b: int, q: int, k: int, m: int) -> bool:
+    """Check |T_k(q**m) - T_k(q)**m| < 1e-10 numerically."""
     lhs = weyl_sum(b, q, k, q**m).value
     rhs = weyl_sum(b, q, k, q).value ** m
-    return abs(lhs - rhs) < tol
+    return abs(lhs - rhs) < 1e-10
 
 
 class LemmaBound(NamedTuple):
@@ -134,9 +134,7 @@ class LemmaBound(NamedTuple):
     clamped: bool = False
 
 
-def lemma_le1_bound(
-    b: int, q: int, k: int, m: int, slack: float = 1e-12
-) -> LemmaBound:
+def lemma_le1_bound(b: int, q: int, k: int, m: int) -> LemmaBound:
     """|T_k(q**m)| against (1 - 16(q-1)/q^2 ||phi_b(k)||^2)^(m/2).
 
     For q >= 14 the base can go negative (the theorem assumes q < 14); it is
@@ -150,12 +148,10 @@ def lemma_le1_bound(
     if clamped:
         base = Fraction(0)
     rhs = float(base) ** (m / 2.0)
-    return LemmaBound(lhs, rhs, lhs <= rhs + slack, clamped)
+    return LemmaBound(lhs, rhs, lhs <= rhs + LEMMA_SLACK, clamped)
 
 
-def lemma_le2_bound(
-    b: int, q: int, k: int, n: int, slack: float = 1e-12
-) -> LemmaBound:
+def lemma_le2_bound(b: int, q: int, k: int, n: int) -> LemmaBound:
     """|T_k(N)| against (1/N) sum_r a_r q^r |T_k(q^r)| over the digits of N."""
     lhs = abs(weyl_sum(b, q, k, n).value)
     rhs_terms = []
@@ -163,7 +159,7 @@ def lemma_le2_bound(
         if a_r:
             rhs_terms.append(a_r * q**r * abs(weyl_sum(b, q, k, q**r).value))
     rhs = math.fsum(rhs_terms) / n
-    return LemmaBound(lhs, rhs, lhs <= rhs + slack)
+    return LemmaBound(lhs, rhs, lhs <= rhs + LEMMA_SLACK)
 
 
 def rho_weight(b: int, k: int) -> float:
@@ -178,6 +174,8 @@ def rho_weight(b: int, k: int) -> float:
 
 def hellekalek_resolution(b: int, n: int) -> int:
     """The resolution g = floor(log_b sqrt(log N)) used to tune the bound (>= 1)."""
+    if b < 2:
+        raise ValueError(f"character base must be >= 2, got {b}")
     if n < 2:
         return 1
     return max(1, math.floor(math.log(math.sqrt(math.log(n)), b)))

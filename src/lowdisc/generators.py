@@ -414,20 +414,24 @@ class NetCheck(NamedTuple):
         return self.ok
 
 
-def check_net(points: list[Point], b: int, t: int, m: int, s: int) -> NetCheck:
+def check_net(points: list[Point], b: int, t: int) -> NetCheck:
     """Exhaustively verify the (t,m,s)-net property in base b.
 
+    m comes from the point count b**m and s from the points' dimension.
     Every elementary interval of volume b**(t-m) must contain exactly b**t of
     the points.  Returns the first violating interval on failure (shapes and
     cells in lexicographic order).
     """
     import numpy as np
+    if b < 2 or not points:
+        raise ValueError(f"need a base b >= 2 and at least one point, got b={b}")
+    m = next(m for m in itertools.count() if b**m >= len(points))
     if len(points) != b**m:
-        raise ValueError(f"a (t,m,s)-net in base {b} needs exactly {b**m} points")
+        raise ValueError(f"a net in base {b} needs b**m points, got {len(points)}")
     if not 0 <= t <= m:
         raise ValueError("need 0 <= t <= m")
-    if any(pt.dimension != s for pt in points):
-        raise ValueError("point dimension does not match s")
+    if any(pt.dimension != points[0].dimension for pt in points):
+        raise ValueError("the points of a net need one dimension")
     axes = []
     for coords in zip(*(pt.coords for pt in points)):
         base, width = coords[0].base, max(c.prec for c in coords)
@@ -473,11 +477,9 @@ class SequencePropertyCheck(NamedTuple):
 
 
 def check_sequence_property(
-    spec: SequenceSpec, b: int, t: int, s: int, k_max: int, m_max: int
+    spec: SequenceSpec, b: int, t: int, k_max: int, m_max: int
 ) -> SequencePropertyCheck:
     """Check that every aligned block (x_n) for k*b^m <= n < (k+1)*b^m is a net."""
-    if spec.dimension != s:
-        raise ValueError("spec dimension does not match s")
     if t < 0:
         raise ValueError("need t >= 0")
     if b < 2 or k_max < 0 or m_max < t:  # nothing, or only one-point blocks, to check

@@ -50,10 +50,10 @@ def test_c02_net_certification():
         for b in (2, 3, 5):
             spec = ld.VanDerCorput(b)
             for m in range(0, 7):
-                res = ld.check_net(ld.points(spec, b**m), b, t=0, m=m, s=1)
+                res = ld.check_net(ld.points(spec, b**m), b, t=0)
                 assert res.ok, (b, m, res.violation)
         faure = ld.DigitalSequence(3, tuple(ld.pascal_matrices(3, 2, 12)), 12)
-        res = ld.check_sequence_property(faure, b=3, t=0, s=2, k_max=8, m_max=3)
+        res = ld.check_sequence_property(faure, b=3, t=0, k_max=8, m_max=3)
         assert res.ok, res
 
 
@@ -109,7 +109,7 @@ def test_c06_character_sum_lemmas():
             for q in qs:
                 for k in range(1, 101):
                     for m in range(0, 13):
-                        assert ld.product_identity_check(b, q, k, m, tol=1e-10), (b, q, k, m)
+                        assert ld.product_identity_check(b, q, k, m), (b, q, k, m)
                         res = ld.lemma_le1_bound(b, q, k, m)
                         assert res.holds, (b, q, k, m, res)
     with report("criterion 6b: second lemma at every N <= 10^4 (scaled comparison)"):
@@ -218,7 +218,7 @@ def test_c08_monotone_transform_bounds():
 def test_c09_uniform_discrepancy_bound():
     with report("criterion 9: windowed N*D <= chained net bound and main term + slack"):
         spec = ld.VanDerCorput(2)
-        delta = ld.measured_delta_table(spec, 2, 0, 1, m_max=10, blocks=8)
+        delta = ld.measured_delta_table(spec, 2, 0, m_max=10, blocks=8)
         k_window = 2**12
         ladder = [2**d for d in range(0, 11)]
         extras = [3, 23, 100, 321, 777]
@@ -226,7 +226,7 @@ def test_c09_uniform_discrepancy_bound():
         for n in ladder + extras:
             rep = ld.windowed_uniform_discrepancy(spec, None, n, k_window)
             windowed[n] = n * rep.value
-            assert float(windowed[n]) <= ld.uniform_bound_ts(2, 0, 1, n, delta) * (
+            assert float(windowed[n]) <= ld.uniform_bound_ts(2, 0, n, delta) * (
                 1 + 1e-12
             ), n
         # main-term check: fit additive slack on d <= 5, verify through d = 10

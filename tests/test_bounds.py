@@ -250,8 +250,6 @@ def test_monotone_upper_shape():
     assert multiplicity_F(t, t.apply(9) + 1) == 9
     val = monotone_upper(t, 10, s=1, fitted_c=1.0)
     assert val == pytest.approx(2 * 9 * math.log(10) / 10)
-    # digital family with t=0 reduces to the plain shape
-    assert monotone_upper(t, 10, s=1, fitted_c=1.0, p=2, t=0) == pytest.approx(val)
 
 
 def test_fitted_monotone_constant_dominates_calibration_and_extension():
@@ -278,31 +276,31 @@ def test_alpha_corollary_window_and_band():
 def test_uniform_bound_examples():
     delta = {m: 1.0 for m in range(0, 4)}
     # (2b-1)(t b^t + sum Delta) = 3 * (0 + 4) at N=8, b=2
-    assert uniform_bound_ts(2, 0, 1, 8, delta) == pytest.approx(12.0)
+    assert uniform_bound_ts(2, 0, 8, delta) == pytest.approx(12.0)
     # trivial branch N < b^t
-    assert uniform_bound_ts(2, 3, 1, 7, {}) == 7.0
+    assert uniform_bound_ts(2, 3, 7, {}) == 7.0
     with pytest.raises(ValueError, match="missing"):
-        uniform_bound_ts(2, 0, 1, 64, {0: 1.0})
+        uniform_bound_ts(2, 0, 64, {0: 1.0})
     # a base below 2 never reaches N by powers, and t < 0 has no net levels
     for b, t in ((1, 0), (0, 0), (2, -1)):
         with pytest.raises(ValueError, match="need a base b >= 2 and t >= 0"):
-            uniform_bound_ts(b, t, 1, 8, {})
+            uniform_bound_ts(b, t, 8, {})
 
 
 def test_measured_delta_table_vdc():
     # every aligned van der Corput block is a shifted grid: b^m * D = 1 exactly
-    table = measured_delta_table(VanDerCorput(2), 2, 0, 1, m_max=6, blocks=8)
+    table = measured_delta_table(VanDerCorput(2), 2, 0, m_max=6, blocks=8)
     for m, val in table.items():
         assert val == pytest.approx(1.0)
 
 
 def test_windowed_below_uniform_bound():
     spec = VanDerCorput(2)
-    delta = measured_delta_table(spec, 2, 0, 1, m_max=7, blocks=8)
+    delta = measured_delta_table(spec, 2, 0, m_max=7, blocks=8)
     for d in range(0, 8):
         n = 2**d
         rep = windowed_uniform_discrepancy(spec, None, n, 4 * n)
-        assert float(n * rep.value) <= uniform_bound_ts(2, 0, 1, n, delta) + 1e-9
+        assert float(n * rep.value) <= uniform_bound_ts(2, 0, n, delta) + 1e-9
 
 
 def test_halton_main_term_examples():

@@ -130,11 +130,11 @@ def test_bad_value_exit_two(tmp_path):
         (["monocheck", "--spec", "vdc:2", "--u", "1", "--v", "2", "--dmax", "0"], "F.csv",
          "need --dmax >= 1, got 0"),
         (["genbound", "--spec", "vdc:2", "--q", "2", "--dmax", "-1"], "F.csv",
-         "need --dmax >= 0, got -1"),
+         "need d_max >= 0"),
         (["ubound", "--spec", "vdc:2", "--b", "2", "--dmax", "-1", "--kmax", "3"], "F.csv",
          "need --dmax >= 0, got -1"),
         (["netcheck", "--spec", "vdc:2", "--base", "2", "--mmax", "-1", "--kmax", "2"], "F.csv",
-         "need --mmax >= 0, got -1"),
+         "m_max -1, t 0"),
         (["netcheck", "--spec", "vdc:2", "--base", "1", "--mmax", "2", "--kmax", "2"], "F.csv",
          "got base 1,"),
         (["netcheck", "--spec", "vdc:2", "--base", "2", "--mmax", "2", "--kmax", "-1"], "F.csv",
@@ -299,6 +299,9 @@ def test_report_unknown_curve_leaves_no_output(tmp_path, capsys):
         # a level range with no level checks nothing
         ("curve=bound\nspec=vdc:2\nq=2\ndmax=-1\n", "need d_max >= 0"),
         ("curve=alpha\nspec=vdc:2\nu=1\nv=2\ndmax=0\n", "no N to check"),
+        # the sandwich's floor bounds the extreme value, so bound has no other mode
+        ("curve=bound\nspec=vdc:2\nq=2\ndmax=3\nmode=star\n", "got mode='star'"),
+        ("curve=bound\nspec=vdc:2\nq=2\ndmax=3\nmode=bogus\n", "got mode='bogus'"),
     ]:
         cfg = tmp_path / "cfg"
         cfg.write_text(config + "out=%s\n" % (tmp_path / "rep"))

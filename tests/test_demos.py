@@ -1,4 +1,4 @@
-"""Every demo script runs to the end."""
+"""Every demo script, and the README's library tour, runs to the end."""
 
 import os
 import subprocess
@@ -17,3 +17,10 @@ def test_demo_runs(demo):
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], env=env, cwd=ROOT,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_tour_runs():
+    text = (ROOT / "README.md").read_text()
+    blocks = text.split("```python\n")[1:]
+    assert len(blocks) == 1
+    exec(compile(blocks[0].split("```")[0], "README.md", "exec"), {})

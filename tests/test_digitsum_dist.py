@@ -5,6 +5,7 @@ import pytest
 from lowdisc import (
     BudgetExceededError,
     digit_sum_counts_below,
+    digitsum_dist,
     distribution,
     gaussian_main_term,
     max_count,
@@ -25,9 +26,11 @@ def test_distribution_examples(q, j, counts):
     assert distribution(q, j).counts == counts
 
 
-def test_distribution_budget():
+def test_distribution_budget(monkeypatch):
+    monkeypatch.setattr(digitsum_dist, "DEFAULT_J_BUDGET", 5)
+    distribution(2, 5)
     with pytest.raises(BudgetExceededError):
-        distribution(2, 10, j_budget=5)
+        distribution(2, 10)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])

@@ -231,23 +231,28 @@ def test_grid_and_star_at_int64_boundary(den_x, den_y, wide):
         assert recount(pts, got.witness) == got.value == oracle_extreme_1d(values) == value
 
 
-def test_grid_budget_counts_candidate_boxes():
+def test_grid_budget_counts_candidate_boxes(monkeypatch):
     # 18 Halton points, one at the origin: per axis 18 * 19 / 2 = 171 closed
     # sides and 171 + 18 open ones, the wall at 0 listed twice
     pts = [p.as_fractions() for p in points(Halton((2, 3)), 18)]
     boxes = 171**2 + 189**2
-    extreme_discrepancy_grid(pts, budget=boxes)
+    monkeypatch.setattr(discrepancy, "DEFAULT_BOX_BUDGET", boxes)
+    extreme_discrepancy_grid(pts)
+    monkeypatch.setattr(discrepancy, "DEFAULT_BOX_BUDGET", boxes - 1)
     with pytest.raises(BudgetExceededError, match=f"{boxes} candidate boxes"):
-        extreme_discrepancy_grid(pts, budget=boxes - 1)
-    star_discrepancy(pts, budget=19**2)
+        extreme_discrepancy_grid(pts)
+    monkeypatch.setattr(discrepancy, "DEFAULT_BOX_BUDGET", 19**2)
+    star_discrepancy(pts)
+    monkeypatch.setattr(discrepancy, "DEFAULT_BOX_BUDGET", 19**2 - 1)
     with pytest.raises(BudgetExceededError, match="361 star corners"):
-        star_discrepancy(pts, budget=19**2 - 1)
+        star_discrepancy(pts)
 
 
-def test_grid_budget_error_mentions_star():
+def test_grid_budget_error_mentions_star(monkeypatch):
     pts = [p.as_fractions() for p in points(Halton((2, 3)), 40)]
+    monkeypatch.setattr(discrepancy, "DEFAULT_BOX_BUDGET", 1000)
     with pytest.raises(BudgetExceededError, match="star"):
-        extreme_discrepancy_grid(pts, budget=1000)
+        extreme_discrepancy_grid(pts)
 
 
 def test_star_examples():
@@ -284,13 +289,6 @@ def test_star_extreme_sandwich():
         star = star_discrepancy(pts).value
         extreme = extreme_discrepancy_1d(pts).value
         assert star <= extreme <= 2 * star
-
-
-def test_windowed_default_window_is_4n():
-    v = VanDerCorput(2)
-    implicit = windowed_uniform_discrepancy(v, None, 6)
-    explicit = windowed_uniform_discrepancy(v, None, 6, 24)
-    assert implicit.value == explicit.value and implicit.shift == explicit.shift
 
 
 def test_windowed_examples():

@@ -25,6 +25,7 @@ from lowdisc import (
     value_counts_below,
     weyl_sum,
 )
+from lowdisc import expsums
 from lowdisc.expsums import DEFAULT_DIRECT_BUDGET, _phase
 from oracles import oracle_weyl_direct
 
@@ -69,11 +70,13 @@ def test_weyl_matches_brute_force():
         assert abs(got - brute_weyl(b, q, k, n)) < 1e-9
 
 
-def test_weyl_grouped_matches_direct():
+def test_weyl_grouped_matches_direct(monkeypatch):
     for b, q, k in ((2, 2, 3), (3, 2, 5), (2, 3, 17), (10, 5, 99)):
         for n in (37, 1000, 4096):
             direct = weyl_sum(b, q, k, n)
-            grouped = weyl_sum(b, q, k, n, direct_budget=1)
+            with monkeypatch.context() as patch:
+                patch.setattr(expsums, "DEFAULT_DIRECT_BUDGET", 1)
+                grouped = weyl_sum(b, q, k, n)
             assert direct.method == "direct" and grouped.method == "grouped"
             assert abs(direct.value - grouped.value) < 1e-12
 
@@ -265,6 +268,10 @@ def test_hellekalek_resolution_tuning():
     expect = math.floor(math.log(math.sqrt(math.log(n)), 2))
     assert hellekalek_resolution(2, n) == expect
     assert hellekalek_resolution(3, 10) == 1
+    # log base 1 divides by zero, and below it the resolution has no meaning
+    for b in (1, 0, -2):
+        with pytest.raises(ValueError, match="character base must be >= 2"):
+            hellekalek_resolution(b, 100)
 
 
 def test_hellekalek_on_digit_sum_indexed_sequence():

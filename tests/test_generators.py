@@ -87,18 +87,18 @@ def test_rank_condition_cases():
 
 
 def test_check_net_vdc_block():
-    res = check_net(points(VanDerCorput(2), 8), b=2, t=0, m=3, s=1)
+    res = check_net(points(VanDerCorput(2), 8), b=2, t=0)
     assert res.ok and res.violation is None
 
 
 def test_check_net_pascal_block():
     spec = DigitalSequence(3, tuple(pascal_matrices(3, 2, 6)), 6)
-    assert check_net(points(spec, 9), b=3, t=0, m=2, s=2).ok
+    assert check_net(points(spec, 9), b=3, t=0).ok
 
 
 def test_check_net_duplicate_points_fail():
     origin = VanDerCorput(2).point(0)
-    res = check_net([origin] * 8, b=2, t=0, m=3, s=1)
+    res = check_net([origin] * 8, b=2, t=0)
     assert not res.ok
     assert res.violation.count == 8 and res.violation.expected == 1
     assert res.violation.cell == (0,)
@@ -106,20 +106,30 @@ def test_check_net_duplicate_points_fail():
 
 def test_check_net_wrong_count_rejected():
     with pytest.raises(ValueError):
-        check_net(points(VanDerCorput(2), 7), b=2, t=0, m=3, s=1)
+        check_net(points(VanDerCorput(2), 7), b=2, t=0)
+
+
+def test_check_net_needs_a_base_points_and_one_dimension():
+    # m is read off the count b**m, which base 1 (or no point) leaves undefined
+    for pts, b in ((points(VanDerCorput(2), 1), 1), (points(VanDerCorput(2), 1), 0), ([], 2)):
+        with pytest.raises(ValueError, match="need a base b >= 2 and at least one point"):
+            check_net(pts, b, t=0)
+    mixed = points(VanDerCorput(2), 1) + points(Halton((2, 3)), 1, start=1)
+    with pytest.raises(ValueError, match="one dimension"):
+        check_net(mixed, b=2, t=0)
 
 
 def test_vdc_is_01_sequence():
-    assert check_sequence_property(VanDerCorput(2), b=2, t=0, s=1, k_max=3, m_max=4).ok
+    assert check_sequence_property(VanDerCorput(2), b=2, t=0, k_max=3, m_max=4).ok
 
 
 def test_pascal_is_02_sequence():
     spec = DigitalSequence(3, tuple(pascal_matrices(3, 2, 8)), 8)
-    assert check_sequence_property(spec, b=3, t=0, s=2, k_max=2, m_max=2).ok
+    assert check_sequence_property(spec, b=3, t=0, k_max=2, m_max=2).ok
 
 
 def test_halton_is_not_a_net_sequence():
-    res = check_sequence_property(Halton((2, 3)), b=2, t=0, s=2, k_max=2, m_max=2)
+    res = check_sequence_property(Halton((2, 3)), b=2, t=0, k_max=2, m_max=2)
     assert not res.ok
     assert res.violation is not None
 
@@ -128,7 +138,7 @@ def test_rank_condition_implies_block_nets():
     spec = DigitalSequence(3, tuple(pascal_matrices(3, 2, 6)), 6)
     for m in range(0, 3):
         assert check_rank_condition(spec.matrices, t=0, m=m)
-    assert check_sequence_property(spec, b=3, t=0, s=2, k_max=3, m_max=2).ok
+    assert check_sequence_property(spec, b=3, t=0, k_max=3, m_max=2).ok
 
 
 def test_halton_projection_is_vdc():
@@ -336,7 +346,7 @@ def test_net_cells_at_int64_boundary(precision):
     # coordinates over 3**39 (int64) and 3**40 (exact ints); numerator times
     # 3**d passes 2**63 before the division either way
     spec = pascal(3, 2, precision)
-    assert check_sequence_property(spec, b=3, t=0, s=2, k_max=2, m_max=3).ok
+    assert check_sequence_property(spec, b=3, t=0, k_max=2, m_max=3).ok
 
 
 @pytest.mark.parametrize(
@@ -392,7 +402,7 @@ def net_candidates(draw):
 @given(net_candidates())
 def test_check_net_matches_interval_scan(case):
     pts, b, t, m = case
-    res = check_net(pts, b, t, m, pts[0].dimension)
+    res = check_net(pts, b, t)
     want = oracle_net_violation(pts, b, t, m)
     assert res.ok == (want is None)
     if want is not None:

@@ -72,7 +72,7 @@ GOLDEN = {
         (0, "68dbbf9de79a55eedcd783cb8cce599df265a3fbe338d9327f319fab284d80ae"),
     "ubound --spec pascal:3,1,8 --b 3 --dmax 4 --kmax 81":
         (0, "9768867fbb7851b52bb8043bc2760b15ce6cb13081df923e3b8a3ff1bbe1366e"),
-    "ubound --spec halton:2,3 --b 2 --s 2 --dmax 2 --kmax 6 --blocks 2":
+    "ubound --spec halton:2,3 --b 2 --dmax 2 --kmax 6 --blocks 2":
         (0, "045c0993b8270ad479679ad652bc3e9f725d487d33e99663b281e44242d7c169"),
     "disc --spec vdc:2 --N 100":
         (0, "1ff25a276d72cc8b5137700cc182f1efa470857dabd11f65f08e9bd8e4c7adf0"),
