@@ -19,10 +19,14 @@ from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from ._util import UnimodalityError
-from .digits import radical_inverse
 from .digitsum_dist import distribution, max_count
-from .discrepancy import DiscrepancyReport, _scalar_1d, discrepancy, windowed_uniform_discrepancy
-from .generators import SequenceSpec, VanDerCorput, coordinates
+from .discrepancy import (
+    DiscrepancyReport,
+    _spec_discrepancy,
+    discrepancy,
+    windowed_uniform_discrepancy,
+)
+from .generators import SequenceSpec, coordinates
 from .transforms import (
     FloorPower,
     IndexTransform,
@@ -33,10 +37,6 @@ from .transforms import (
 )
 
 UPPER_SLACK = 1e-9  # float-comparison slack for fitted upper bounds
-
-# Distinct indices up to which a 1D radical-inverse multiset is evaluated on
-# Python ints: below it, numpy's import (0.1 s on a 2-core VM) costs more.
-SCALAR_1D_CUT = 1 << 14
 
 # A measured envelope at N takes the worst of the shifts 0 <= k <= 4N.
 ENVELOPE_WINDOW_FACTOR = 4
@@ -143,22 +143,15 @@ def transformed_discrepancy(
     """Exact discrepancy of the first n terms of (x_{f(m)})_m.
 
     Works at large n because only the distinct index values are materialized,
-    weighted by their exact multiplicities; up to SCALAR_1D_CUT of them on
-    one radical-inverse axis (vdC, one-base Halton) are evaluated on Python ints.
+    weighted by their exact multiplicities; ``_spec_discrepancy`` evaluates
+    small multisets on Python ints.
     """
     if transform is None:
         indices, counts = range(n), None
     else:
         multiplicity = value_counts_below(transform, n)
         indices, counts = list(multiplicity), list(multiplicity.values())
-    bases = (spec.base,) if isinstance(spec, VanDerCorput) else getattr(spec, "bases", ())
-    if len(bases) == 1 and len(indices) <= SCALAR_1D_CUT:
-        (base,) = bases
-        points = [radical_inverse(k, base) for k in indices]
-        width = max((x.prec for x in points), default=0)
-        nums = [x.num * base ** (width - x.prec) for x in points]
-        return _scalar_1d(nums, base**width, counts, mode)
-    return discrepancy(coordinates(spec, indices), counts, mode)
+    return _spec_discrepancy(spec, indices, counts, mode)
 
 
 @dataclass

@@ -26,8 +26,9 @@ from ._util import BudgetExceededError, as_fraction
 
 # Library names resolve through `ld`, the lazy package, when a command runs,
 # so a job loads only the modules it uses: `dist`, `transform`, `expsum` and
-# `hkbound` never import numpy, nor do `disc`, `sodcheck` and `monocheck` on
-# vdC or one-base Halton specs up to bounds.SCALAR_1D_CUT distinct indices.
+# `hkbound` never import numpy, nor do `disc`, `sodcheck`, `monocheck` and
+# s >= 2 `udisc` on multisets that discrepancy._on_python_ints finds small
+# (2^14 distinct indices in 1D, 63 for the 2D extreme grid).
 
 
 def _fail(record: dict) -> int:
@@ -169,8 +170,6 @@ def cmd_hkbound(args) -> int:
     b, q, n = args.b, args.q, args.N
     if n < 1:
         raise ValueError("need N >= 1")
-    if b < 2:  # before the resolution takes log b
-        raise ValueError("van der Corput base must be >= 2")
     g = ld.hellekalek_resolution(b, n) if args.g is None else args.g
     multiplicity = ld.value_counts_below(ld.SumOfDigits(q), n)
     points = [ld.radical_inverse(k, b) for k in multiplicity]

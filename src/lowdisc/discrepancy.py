@@ -5,32 +5,49 @@ symbolically: every candidate wall carries a closed/open attainment flag
 standing for a one-sided limit, so no numeric epsilon ever appears.  Witness
 boxes are reported so each value can be re-checked independently.
 
-The numpy evaluators read one integer form of their input, built once per
-call by ``_integer_form``: per axis a denominator D, the sorted distinct
-coordinates times D and each point's rank among them, plus the weights as an
-array.  A tuple of kernel ``Axis`` columns goes straight in; Point, Fraction
-and BRational inputs are validated and converted.  Only the winning box is
-turned back into Fractions.  numpy is imported inside the kernels, and
-``_scalar_1d`` is the 1D closed form on Python ints for multisets too small
-to repay that import.
+Every evaluator reads one integer form of its input: per axis a denominator
+D, the sorted distinct coordinates times D and each point's rank among them,
+plus the weights.  For s >= 2 the weighted ranks fill one prefix-count array.
+The sides of the leading s - 1 axes are enumerated as rows, and along the
+last axis each row's best side comes from a running minimum, the
+maximum-subarray scan: the work is rows times (distinct last coordinates +
+1) scan cells.  The form and the scan are written twice over the same
+integers: on numpy arrays (``_integer_form``, ``_BoxKernel``) and on Python
+ints (``_int_form``, ``_IntKernel``, ``_scalar_1d``) for multisets too small
+to repay importing numpy.  ``_on_python_ints`` picks one from the number of
+points alone; ``discrepancy`` and the public evaluators take the arrays.
+Only the winning box is turned back into Fractions.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
 from ._util import BudgetExceededError, as_fraction
-from .generators import Axis, Point, SequenceSpec, _int_dtype, coordinates
+from .generators import Axis, Point, SequenceSpec, _int_dtype, coordinates, int_coordinates
 from .transforms import IndexTransform
 
 if TYPE_CHECKING:
     import numpy as np
 
-DEFAULT_BOX_BUDGET = 1 << 24
+# Scan cells one s >= 2 evaluation may take: `disc --spec halton:2,3 --N 300`
+# scans 27.2 million.
+DEFAULT_CELL_BUDGET = 1 << 25
+
+# Work, in scan cells, up to which points given by a spec and their indices
+# are evaluated on Python ints.  2^18 cells take 0.1-0.16 s there on a 2-core
+# VM, what importing numpy costs a fresh process: `disc --spec halton:2,3`
+# at N = 63, the last N under the cut, runs 0.28 s end to end either way.
+# A 1D point counts as POINT_CELLS cells, which keeps the 1D cut at 2^14
+# distinct indices; with its coordinates it costs about 2 cells (1.1-1.3 us),
+# so the 1D cut is on the safe side.
+SCALAR_CELL_CUT = 1 << 18
+POINT_CELLS = 16
 
 
 @dataclass(frozen=True)
@@ -151,7 +168,30 @@ def _integer_form(points, counts):
     return axes, counts, n
 
 
-# Candidate boxes are products of per-axis sides.  A side is a tuple
+def _int_form(columns, counts):
+    """``_integer_form`` on Python ints, from per-axis (D, numerators) lists."""
+    size = len(columns[0][1])
+    if counts is None:
+        counts, n = [1] * size, size
+    else:
+        counts = list(counts)
+        if any(c < 0 for c in counts):
+            raise ValueError("multiplicities must be non-negative")
+        n = sum(counts)
+    if not size or n < 1:
+        raise ValueError("empty point multiset")
+    axes = []
+    for den, nums in columns:
+        common = math.gcd(den, *nums)
+        if common > 1:
+            den, nums = den // common, [x // common for x in nums]
+        values = sorted(set(nums))
+        rank = {v: i for i, v in enumerate(values)}
+        axes.append((den, values, [rank[x] for x in nums]))
+    return axes, counts, n
+
+
+# Rows are products of sides on the leading axes.  A side is a tuple
 # (start, end, length, walls): the points inside it are those whose
 # coordinate rank r on that axis has start <= r < end, and the length and
 # the two walls are integers over the axis denominator D.
@@ -179,24 +219,33 @@ def _corner_sides(den: int, ints: list[int], closed: bool) -> list[tuple]:
     return sides
 
 
-def _open_side_count(values: np.ndarray) -> int:
-    """len(_open_sides(den, values)), without building the sides (budget checks)."""
-    u = len(values)
-    return u * (u + 1) // 2 + u + 1 - (int(values[0]) == 0)
+def _grid_cells(sizes: Sequence[int], at_zero: Sequence[bool]) -> int:
+    """Scan cells of the extreme grid: its rows, the closed and the open
+    products of leading-axis sides, times the last axis's distinct values
+    plus one, the entries each row's scan reads.
+
+    sizes are the distinct coordinates per axis, and at_zero tells whether an
+    axis's smallest one is 0, whose wall is then no new open side.
+    """
+    *lead, last = sizes
+    closed = math.prod(u * (u + 1) // 2 for u in lead)
+    opened = math.prod(u * (u + 3) // 2 + 1 - z for u, z in zip(lead, at_zero))
+    return (closed + opened) * (last + 1)
 
 
 _CHUNK_CELLS = 1 << 13
 
 
 class _BoxKernel:
-    """Exact box deviations from one cumulative count array.
+    """The scan on numpy arrays, over one cumulative count array.
 
     ``prefix[k_1, ..., k_s]`` is the total weight of the points whose rank on
-    every axis a is below k_a, so a box's count is a difference of prefix
-    entries taken one axis at a time.  Deviations are the integers
-    ``count * scale - n * prod(lengths)`` over the common denominator
-    ``n * scale``, where scale is the product of the axis denominators,
-    under the int64-or-exact rule of ``_int_dtype``.
+    every axis a is below k_a, so a row's counts along the last axis are a
+    difference of prefix entries taken one leading axis at a time.
+    Deviations are the integers ``count * scale - n * prod(lengths)`` over
+    the common denominator ``n * scale``, where scale is the product of the
+    axis denominators, under the int64-or-exact rule of ``_int_dtype``.
+    Each scan returns its first largest deviation and where it is.
     """
 
     def __init__(self, axes, counts, n):
@@ -213,39 +262,211 @@ class _BoxKernel:
             np.cumsum(prefix, axis=axis, out=prefix)
         self.prefix = prefix
 
-    def excess(self, family, negate: bool = False):
-        """Deviation chunks, first axis outermost, for one attainment family.
-
-        Closed boxes deviate by count/n - volume; open ones, the negation.
-        """
+    def rows(self, family):
+        """Chunks of rows in product order: scale times each row's weight
+        below every last-axis rank, and n times the product of its sides'
+        lengths."""
         import numpy as np
+        scaled = self.prefix * self.scale
+        if not family:
+            yield scaled[np.newaxis], np.full(1, self.n, dtype=self.dtype)
+            return
         arrays = []
         for sides in family:
             starts, ends, lengths, _ = zip(*sides)
             bounds = np.array(starts, dtype=np.intp), np.array(ends, dtype=np.intp)
             arrays.append((*bounds, np.array(lengths, dtype=self.dtype)))
-        rest = math.prod(max(len(a[0]), self.prefix.shape[i]) for i, a in enumerate(arrays) if i)
+        rest = math.prod(len(a[0]) for a in arrays[1:]) * self.prefix.shape[-1]
         step = max(1, _CHUNK_CELLS // rest)
         for row in range(0, len(family[0]), step):
-            dev = self._chunk(arrays, slice(row, row + step))
-            yield -dev if negate else dev
+            counts, volume = scaled, None
+            for axis, (starts, ends, lengths) in enumerate(arrays):
+                if axis == 0:
+                    chunk = slice(row, row + step)
+                    starts, ends, lengths = starts[chunk], ends[chunk], lengths[chunk]
+                counts = counts.take(ends, axis=axis) - counts.take(starts, axis=axis)
+                volume = lengths if volume is None else np.multiply.outer(volume, lengths)
+            yield counts.reshape(-1, counts.shape[-1]), volume.reshape(-1) * self.n
 
-    def _chunk(self, arrays, rows):
-        counts = self.prefix
-        volume = None
-        shape = [1] * counts.ndim
-        for axis, (starts, ends, lengths) in enumerate(arrays):
-            if axis == 0:
-                starts, ends, lengths = starts[rows], ends[rows], lengths[rows]
-            counts = counts.take(ends, axis=axis) - counts.take(starts, axis=axis)
-            shape[axis] = len(lengths)
-            lengths = lengths.reshape(shape)
-            shape[axis] = 1
-            volume = lengths if volume is None else volume * lengths
-        return counts * self.scale - self.n * volume
+    def _scan(self, family, deviations):
+        """First largest entry over the rows' deviation chunks, with its
+        (row, column) and whatever `deviations` reports for them."""
+        best = where = None
+        offset = 0
+        for scaled, nl in self.rows(family):
+            dev, locate = deviations(scaled, nl)
+            k = int(dev.argmax())
+            if best is None or dev.flat[k] > best:
+                row, col = divmod(k, dev.shape[1])
+                best, where = int(dev.flat[k]), (offset + row, *locate(row, col))
+            offset += len(dev)
+        return best, where
 
-    def value(self, best: int) -> Fraction:
-        return Fraction(best, self.n * self.scale)
+    def closed(self, family, ints):
+        """Closed last-axis sides [y_i, y_j]: (value, (row, i, j))."""
+        import numpy as np
+        y = np.array(ints, dtype=self.dtype)
+
+        def deviations(scaled, nl):
+            volume = np.multiply.outer(nl, y)
+            low = scaled[:, :-1] - volume
+            dev = scaled[:, 1:] - volume - np.minimum.accumulate(low, axis=1)
+            return dev, lambda row, j: (int(low[row, : j + 1].argmin()), j)
+
+        return self._scan(family, deviations)
+
+    def opened(self, family, den, ints):
+        """Open last-axis sides: (value, (row, l, h)) for walls l of [0] + ints, h of ints + [D]."""
+        import numpy as np
+        first = int(ints[0] == 0)
+        lows = np.array([0] + ints, dtype=self.dtype)
+        highs = np.array(ints + [den], dtype=self.dtype)
+
+        def deviations(scaled, nl):
+            below = np.concatenate((scaled[:, first : first + 1], scaled[:, 1:]), axis=1)
+            low = np.multiply.outer(nl, lows) - below
+            dev = np.multiply.outer(nl, highs) - scaled - np.minimum.accumulate(low, axis=1)
+
+            def locate(row, h):
+                return int(low[row, : first + h + 1].argmin()), first + h
+
+            return dev[:, first:], locate
+
+        return self._scan(family, deviations)
+
+    def star(self, closed, opened, den, ints):
+        """Anchored corners: (value, (row, j, limit)), limit 0 closed and 1 open."""
+        import numpy as np
+        u = len(ints)
+        ends = np.append(np.arange(1, u + 1), u)
+        corners = np.array(ints + [den], dtype=self.dtype)
+        best = where = None
+        offset = 0
+        for (inside, nl), (below, _) in zip(self.rows(closed), self.rows(opened)):
+            volume = np.multiply.outer(nl, corners)
+            dev = np.stack((inside[:, ends] - volume, volume - below), axis=-1)
+            k = int(dev.argmax())
+            if best is None or dev.flat[k] > best:
+                row, j, limit = (int(i) for i in np.unravel_index(k, dev.shape))
+                best, where = int(dev.flat[k]), (offset + row, j, limit)
+            offset += len(dev)
+        return best, where
+
+
+def _nested_prefix(axes, counts) -> list:
+    """``_BoxKernel.prefix`` as nested lists of Python ints."""
+    shape = [len(values) + 1 for _, values, _ in axes]
+    strides = [math.prod(shape[a + 1 :]) for a in range(len(shape))]
+    flat = [0] * math.prod(shape)
+    for weight, *ranks in zip(counts, *(ranks for _, _, ranks in axes)):
+        flat[sum((r + 1) * stride for r, stride in zip(ranks, strides))] += weight
+    for size, stride in zip(shape, strides):  # cumulative sums, one axis at a time
+        block = size * stride
+        for first in range(0, len(flat), block):
+            if stride == 1:
+                flat[first : first + block] = itertools.accumulate(flat[first : first + block])
+                continue
+            for k in range(first + stride, first + block, stride):
+                flat[k : k + stride] = map(operator.add, flat[k : k + stride], flat[k - stride : k])
+    for size in reversed(shape[1:]):
+        flat = [flat[i : i + size] for i in range(0, len(flat), size)]
+    return flat
+
+
+def _difference(a: list, b: list) -> list:
+    if a and isinstance(a[0], list):
+        return [_difference(x, y) for x, y in zip(a, b)]
+    return list(map(operator.sub, a, b))
+
+
+class _IntKernel:
+    """The scan of ``_BoxKernel`` on Python ints, one row at a time.
+
+    The prefix holds the weights times the scale, and the products of a
+    row's length with the last axis's walls are kept per length, which rows
+    share often: the lengths are differences of a few grid values.
+    """
+
+    def __init__(self, axes, counts, n):
+        self.n = n
+        self.scale = math.prod(den for den, _, _ in axes)
+        self.prefix = _nested_prefix(axes, [c * self.scale for c in counts])
+        self.volumes = {}
+
+    def rows(self, family, prefix=None):
+        """Per row in product order: scale times its weight below every
+        last-axis rank, and n times the product of its sides' lengths."""
+        prefix = self.prefix if prefix is None else prefix
+        if not family:
+            yield prefix, self.n
+            return
+        for start, end, length, _ in family[0]:
+            for scaled, nl in self.rows(family[1:], _difference(prefix[end], prefix[start])):
+                yield scaled, nl * length
+
+    def _volume(self, nl: int, ints: list[int]) -> list[int]:
+        volume = self.volumes.get(nl)
+        if volume is None:
+            volume = self.volumes[nl] = list(map(nl.__mul__, ints))
+        return volume
+
+    @staticmethod
+    def _scan(rows, first: int = 0):
+        """First largest high[h] - min(low[:h + 1]) over the rows in order,
+        h >= first: (value, (row, l, h)) with l the first smallest low."""
+        best = found = None
+        for row, (high, low) in enumerate(rows):
+            dev = map(operator.sub, high, itertools.accumulate(low, min))
+            if first:
+                next(dev)
+            top = max(dev)
+            if best is None or top > best:
+                best, found = top, (row, high, low)
+        row, high, low = found
+        dev = list(map(operator.sub, high, itertools.accumulate(low, min)))
+        h = dev.index(best, first)
+        return best, (row, low.index(min(low[: h + 1])), h)
+
+    def closed(self, family, ints):
+        def rows():
+            for scaled, nl in self.rows(family):
+                volume = self._volume(nl, ints)
+                high = list(map(operator.sub, itertools.islice(scaled, 1, None), volume))
+                yield high, list(map(operator.sub, scaled, volume))
+
+        return self._scan(rows())
+
+    def opened(self, family, den, ints):
+        first = int(ints[0] == 0)
+
+        def rows():
+            for scaled, nl in self.rows(family):
+                volume = self._volume(nl, ints)
+                low = [-scaled[first]]
+                low += map(operator.sub, volume, itertools.islice(scaled, 1, None))
+                high = list(map(operator.sub, volume, scaled))
+                high.append(nl * den - scaled[-1])
+                yield high, low
+
+        return self._scan(rows(), first)
+
+    def star(self, closed, opened, den, ints):
+        best = where = None
+        rows = zip(self.rows(closed), self.rows(opened))
+        for row, ((inside, nl), (below, _)) in enumerate(rows):
+            volume = self._volume(nl, ints)
+            # the closed corner j counts ranks up to j, the one at 1 every rank
+            upper = list(map(operator.sub, itertools.islice(inside, 1, None), volume))
+            upper.append(inside[-1] - nl * den)
+            lower = list(map(operator.sub, volume, below))
+            lower.append(nl * den - below[-1])
+            top = max(max(upper), max(lower))
+            if best is None or top > best:
+                # the closed limit comes first at each corner
+                j, limit = min((dev.index(top), limit) for limit, dev in enumerate((upper, lower))
+                               if top in dev)
+                best, where = top, (row, j, limit)
+        return best, where
 
 
 def _first_max(chunks) -> tuple[int, int]:
@@ -265,11 +486,57 @@ def _side(den: int, lower, upper, closed_lower: bool, closed_upper: bool) -> Box
     return BoxSide(Fraction(int(lower), den), Fraction(int(upper), den), closed_lower, closed_upper)
 
 
-def _witness(family, axes, where: int, closed_lower: bool, closed_upper: bool) -> Box:
-    import numpy as np
-    index = np.unravel_index(where, [len(sides) for sides in family])
-    walls = [(den, sides[i][3]) for sides, (den, _, _), i in zip(family, axes, index)]
-    return Box(tuple(_side(den, *w, closed_lower, closed_upper) for den, w in walls))
+def _witness(family, lead, row: int, closed_lower: bool, closed_upper: bool, last) -> Box:
+    """The box of a scanned row: the row's leading sides, then the last
+    axis's walls `last` = (den, lower, upper)."""
+    sides = []
+    for choices, (den, _) in zip(reversed(family), reversed(lead)):
+        row, i = divmod(row, len(choices))
+        sides.append(_side(den, *choices[i][3], closed_lower, closed_upper))
+    return Box((*reversed(sides), _side(*last, closed_lower, closed_upper)))
+
+
+def _walls(axes) -> list[tuple[int, list[int]]]:
+    """Each axis's denominator and distinct values as Python ints."""
+    return [(den, v if isinstance(v, list) else v.tolist()) for den, v, _ in axes]
+
+
+def _extreme_grid(kernel_type, axes, counts, n) -> DiscrepancyReport:
+    sizes = [len(values) for _, values, _ in axes]
+    cells = _grid_cells(sizes, [int(values[0]) == 0 for _, values, _ in axes])
+    if cells > DEFAULT_CELL_BUDGET:
+        corners = math.prod(u + 1 for u in sizes)
+        raise BudgetExceededError(
+            f"{cells} scan cells exceed the budget of {DEFAULT_CELL_BUDGET} cells; "
+            f"consider the star-discrepancy proxy ({corners} corners)"
+        )
+    kernel = kernel_type(axes, counts, n)
+    *lead, (den, ints) = _walls(axes)
+    closed = [_closed_sides(*w) for w in lead]
+    best, (row, i, j) = kernel.closed(closed, ints)
+    box = _witness(closed, lead, row, True, True, (den, ints[i], ints[j]))
+    opened = [_open_sides(*w) for w in lead]
+    open_best, (row, low, high) = kernel.opened(opened, den, ints)
+    if open_best > best:
+        walls = (den, ([0] + ints)[low], (ints + [den])[high])
+        best, box = open_best, _witness(opened, lead, row, False, False, walls)
+    return DiscrepancyReport(n, Fraction(best, n * kernel.scale), box, "exact-grid")
+
+
+def _star(kernel_type, axes, counts, n) -> DiscrepancyReport:
+    corners = math.prod(len(values) + 1 for _, values, _ in axes)
+    if corners > DEFAULT_CELL_BUDGET:
+        raise BudgetExceededError(
+            f"{corners} star corners exceed the budget of {DEFAULT_CELL_BUDGET} cells"
+        )
+    kernel = kernel_type(axes, counts, n)
+    *lead, (den, ints) = _walls(axes)
+    closed = [_corner_sides(*w, True) for w in lead]
+    opened = [_corner_sides(*w, False) for w in lead]
+    best, (row, j, limit) = kernel.star(closed, opened, den, ints)
+    last = (den, 0, (ints + [den])[j])
+    box = _witness(opened if limit else closed, lead, row, True, not limit, last)
+    return DiscrepancyReport(n, Fraction(best, n * kernel.scale), box, "star-grid")
 
 
 def _deviations_1d(values, below, at, den: int, n: int):
@@ -333,45 +600,15 @@ def _scalar_1d(nums, den: int, counts, mode: str) -> DiscrepancyReport:
     return _report_1d(n, den, values, *first_max, mode)
 
 
-def _extreme_grid(axes, counts, n) -> DiscrepancyReport:
-    boxes = math.prod(len(values) * (len(values) + 1) // 2 for _, values, _ in axes)
-    boxes += math.prod(_open_side_count(values) for _, values, _ in axes)
-    if boxes > DEFAULT_BOX_BUDGET:
-        corners = math.prod(len(values) + 1 for _, values, _ in axes)
-        raise BudgetExceededError(
-            f"{boxes} candidate boxes exceed the budget of {DEFAULT_BOX_BUDGET} boxes; "
-            f"consider the star-discrepancy proxy ({corners} corners)"
-        )
-    kernel = _BoxKernel(axes, counts, n)
-    walls = [(den, values.tolist()) for den, values, _ in axes]
-    closed = [_closed_sides(*w) for w in walls]
-    best, where = _first_max(kernel.excess(closed))
-    box = _witness(closed, axes, where, True, True)
-    opened = [_open_sides(*w) for w in walls]
-    open_best, open_where = _first_max(kernel.excess(opened, negate=True))
-    if open_best > best:
-        best, box = open_best, _witness(opened, axes, open_where, False, False)
-    return DiscrepancyReport(n, kernel.value(best), box, "exact-grid")
-
-
-def _star(axes, counts, n) -> DiscrepancyReport:
-    if len(axes) == 1:
-        return _closed_form_1d(axes, counts, n, "star")
-    import numpy as np
-    corners = math.prod(len(values) + 1 for _, values, _ in axes)
-    if corners > DEFAULT_BOX_BUDGET:
-        raise BudgetExceededError(
-            f"{corners} star corners exceed the budget of {DEFAULT_BOX_BUDGET} corners"
-        )
-    kernel = _BoxKernel(axes, counts, n)
-    walls = [(den, values.tolist()) for den, values, _ in axes]
-    closed = [_corner_sides(*w, True) for w in walls]
-    opened = [_corner_sides(*w, False) for w in walls]
-    limits = zip(kernel.excess(closed), kernel.excess(opened, negate=True))
-    best, where = _first_max(np.stack(pair, axis=-1) for pair in limits)
-    corner, limit = divmod(where, 2)
-    box = _witness(opened if limit else closed, axes, corner, True, not limit)
-    return DiscrepancyReport(n, kernel.value(best), box, "star-grid")
+def _discrepancy_ints(columns, counts, mode: str) -> DiscrepancyReport:
+    """``discrepancy`` of the points given by per-axis (D, numerators) lists,
+    on Python ints: the same integers, witnesses and errors."""
+    if mode not in ("extreme", "star"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if len(columns) == 1:
+        ((den, nums),) = columns
+        return _scalar_1d(nums, den, counts, mode)
+    return (_star if mode == "star" else _extreme_grid)(_IntKernel, *_int_form(columns, counts))
 
 
 def extreme_discrepancy_1d(points, counts=None) -> DiscrepancyReport:
@@ -386,42 +623,72 @@ def extreme_discrepancy_1d(points, counts=None) -> DiscrepancyReport:
 
 
 def extreme_discrepancy_grid(points, counts=None) -> DiscrepancyReport:
-    """Exact sup over half-open boxes by exhaustive critical-grid enumeration.
+    """Exact sup over half-open boxes over the critical grid.
 
     Positive deviations are maximized by boxes shrink-wrapped onto points
     (all walls closed on coordinate values); negative ones by boxes fattened
-    until the walls exclude points (all walls open, or resting on 0/1).  Both
-    attainment families are enumerated, counted by prefix sums in exact
-    integer arithmetic, up to DEFAULT_BOX_BUDGET candidate boxes.  The
-    witness is the first maximizer in product order, shrink-wrapped boxes
-    first.
+    until the walls exclude points (all walls open, or resting on 0/1).  For
+    each product of leading-axis sides (a row), a closed last-axis side
+    [y_i, y_j] deviates by A(j) - B(i) with A(j) = C(j+1) S - n L y_j and
+    B(i) = C(i) S - n L y_i, where C counts the row's weight below each rank,
+    L is the row's length and S the scale; so the row's best side is
+    max_j (A(j) - min_{i <= j} B(i)), one running minimum.  An open side's
+    valid low walls form a prefix of the sorted lows, so the same scan
+    applies.  Counts come from prefix sums in exact integer arithmetic, up to
+    DEFAULT_CELL_BUDGET scan cells (rows times last-axis values plus one).
+    The witness is the first maximizer in product order, (i, j) lexicographic
+    within a row, shrink-wrapped boxes first.
     """
-    return _extreme_grid(*_integer_form(points, counts))
+    return _extreme_grid(_BoxKernel, *_integer_form(points, counts))
 
 
 def star_discrepancy(points, counts=None) -> DiscrepancyReport:
     """Sup over anchored boxes [0, b): the cheap proxy for extreme discrepancy.
 
     Satisfies star <= extreme <= 2^s * star.  Upper corners run over the
-    coordinate grid (plus 1), each evaluated in both attainment limits, the
-    closed limit first, up to DEFAULT_BOX_BUDGET corners.
+    coordinate grid (plus 1) in product order, each evaluated in both
+    attainment limits, the closed limit first, up to DEFAULT_CELL_BUDGET
+    corners; in 1D the closed form takes them all at once.
     """
-    return _star(*_integer_form(points, counts))
+    return discrepancy(points, counts, "star")
 
 
 def discrepancy(points, counts=None, mode: str = "extreme") -> DiscrepancyReport:
     """Exact "extreme" or "star" discrepancy of a (weighted) point multiset.
 
-    The one place that picks the evaluator: the star proxy in any dimension,
-    the 1D closed form for extreme discrepancy of 1D points, and the grid
-    enumeration otherwise.
+    The one place that picks the evaluator on the arrays: the 1D closed form
+    for 1D points, the star corners or the extreme grid scan otherwise.
     """
     if mode not in ("extreme", "star"):
         raise ValueError(f"unknown mode {mode!r}")
     form = _integer_form(points, counts)
     if len(form[0]) == 1:
         return _closed_form_1d(*form, mode)
-    return (_star if mode == "star" else _extreme_grid)(*form)
+    return (_star if mode == "star" else _extreme_grid)(_BoxKernel, *form)
+
+
+def _on_python_ints(size: int, s: int, mode: str, blocks: int = 1) -> bool:
+    """Whether `blocks` multisets of `size` points in dimension s are cheaper
+    on Python ints than numpy's import; the work is counted in scan cells
+    for `size` distinct values per axis, an upper bound."""
+    if s == 1:
+        cells = POINT_CELLS * size
+    elif mode == "star":
+        cells = (size + 1) ** s
+    else:
+        cells = _grid_cells([size] * s, [False] * s)
+    return blocks * cells <= SCALAR_CELL_CUT
+
+
+def _spec_discrepancy(spec: SequenceSpec, indices, counts, mode: str) -> DiscrepancyReport:
+    """Exact discrepancy of the points x_i for i in indices, weighted by counts.
+
+    The one place that picks Python ints or numpy arrays for a multiset;
+    both give the same report.
+    """
+    if _on_python_ints(len(indices), spec.dimension, mode):
+        return _discrepancy_ints(int_coordinates(spec, indices), counts, mode)
+    return discrepancy(coordinates(spec, indices), counts, mode)
 
 
 def _window_1d(axis: Axis, n: int, k_max: int, mode: str) -> tuple[int, Fraction]:
@@ -461,23 +728,33 @@ def windowed_uniform_discrepancy(
 
     This is a certified LOWER estimate of the uniform discrepancy (the true
     sup ranges over all shifts); the first arg-max shift is reported.  The
-    distinct (transformed) indices' coordinates come from one kernel call.
-    A 1D sequence has every shift evaluated by the 1D closed form and its
-    witness from ``discrepancy`` on the winning block, which must agree on
-    the value; for s >= 2 ``discrepancy`` evaluates each shift.
+    (transformed) indices' coordinates come from one kernel call.  A 1D
+    sequence has every shift evaluated by the 1D closed form on the arrays
+    and its witness from ``discrepancy`` on the winning block, which must
+    agree on the value.  For s >= 2 each shift is evaluated on its own, on
+    Python ints while ``_on_python_ints`` says all of them are cheap enough.
     """
-    import numpy as np
     if n < 1 or k_max < 0:
         raise ValueError("need n >= 1 and k_max >= 0")
-    if transform is None:
-        window = coordinates(spec, range(k_max + n))
-    else:
-        values = [transform.apply(i) for i in range(k_max + n)]
-        distinct, rows = np.unique(values, return_inverse=True)
-        window = tuple(axis.take(rows) for axis in coordinates(spec, distinct.tolist()))
+    indices = range(k_max + n)
+    if transform is not None:
+        indices = [transform.apply(i) for i in indices]
+    if spec.dimension > 1 and _on_python_ints(n, spec.dimension, mode, k_max + 1):
+        window = int_coordinates(spec, indices)
 
-    def block(k: int) -> DiscrepancyReport:
-        return discrepancy(tuple(axis.take(slice(k, k + n)) for axis in window), mode=mode)
+        def block(k: int) -> DiscrepancyReport:
+            return _discrepancy_ints([(den, nums[k : k + n]) for den, nums in window], None, mode)
+
+    else:
+        import numpy as np
+        if transform is None:
+            window = coordinates(spec, indices)
+        else:
+            distinct, rows = np.unique(indices, return_inverse=True)
+            window = tuple(axis.take(rows) for axis in coordinates(spec, distinct.tolist()))
+
+        def block(k: int) -> DiscrepancyReport:
+            return discrepancy(tuple(axis.take(slice(k, k + n)) for axis in window), mode=mode)
 
     if spec.dimension == 1:
         best_k, value = _window_1d(window[0], n, k_max, mode)

@@ -4,7 +4,8 @@ Every point comes from one integer kernel, :func:`coordinates`, which turns a
 batch of indices into exact numerator arrays over a common power of each
 axis's base.  Exact BRational points are built from them only at the API and
 CSV boundaries.  numpy is imported inside the kernels, so parsing a spec
-loads none.  The module also certifies (t,m,s)-net properties by counting
+loads none, and :func:`int_coordinates` gives the same integers as Python
+lists for batches too small to repay that import.  The module also certifies (t,m,s)-net properties by counting
 points in every elementary interval and checks the generator-matrix rank
 condition over F_p.
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
@@ -224,13 +226,26 @@ class Axis(NamedTuple):
         return [num / den for num in self.nums.tolist()]  # int true division rounds once
 
 
-def _index_array(indices) -> np.ndarray:
-    """Non-negative integer indices: int64 below 2**62, exact Python ints beyond."""
-    import numpy as np
+def _checked_indices(indices) -> list[int]:
+    """The indices as a list, each a non-negative int."""
     values = list(indices)
     if not all(map(isinstance, values, itertools.repeat(int))) or min(values, default=0) < 0:
         bad = next(v for v in values if not isinstance(v, int) or v < 0)
         raise ValueError(f"expected a non-negative integer, got {bad!r}")
+    return values
+
+
+def _index_array(indices) -> np.ndarray:
+    """Non-negative integer indices: int64 below 2**62, exact Python ints beyond."""
+    import numpy as np
+    if isinstance(indices, range):  # built in place: no list of 10**7 ints
+        ends = (indices[0], indices[-1]) if indices else (0, 0)  # a range is monotone
+        if min(ends) < 0:
+            bad = next(v for v in indices if v < 0)
+            raise ValueError(f"expected a non-negative integer, got {bad!r}")
+        dtype = _int_dtype(max(ends) + 1)
+        return np.arange(indices.start, indices.stop, indices.step, dtype=dtype)
+    values = _checked_indices(indices)
     return np.array(values, dtype=_int_dtype(max(values, default=0) + 1))
 
 
@@ -239,7 +254,7 @@ def _radical_inverses(idx: np.ndarray, base: int) -> Axis:
     digits as the largest index has."""
     import numpy as np
     top = int(idx.max(initial=0))
-    width = next(w for w in itertools.count() if base**w > top)
+    width = _digits_used(base, top)
     rem = idx.copy()
     nums = np.zeros(len(idx), dtype=_int_dtype(base**width))
     for _ in range(width):  # in place: one temporary array at a time
@@ -266,7 +281,7 @@ def _digital_axes(spec: DigitalSequence, idx: np.ndarray) -> tuple[Axis, ...]:
     # `used` digits of the largest index can be nonzero, and sums of
     # used <= width terms obey the same bound.
     sums = np.int64 if width * (p - 1) ** 2 < 1 << 63 else object
-    used = next(u for u in itertools.count() if p**u > top)
+    used = _digits_used(p, top)
     rem = idx.copy()
     digits = np.empty((len(idx), used), dtype=sums)
     for r in range(used):
@@ -294,6 +309,71 @@ def coordinates(spec: SequenceSpec, indices) -> tuple[Axis, ...]:
         return _digital_axes(spec, idx)
     bases = spec.bases if isinstance(spec, Halton) else (spec.base,)
     return tuple(_radical_inverses(idx, b) for b in bases)
+
+
+def _digits_used(base: int, top: int) -> int:
+    """The number of base-b digits of top (0 for top 0)."""
+    return next(w for w in itertools.count() if base**w > top)
+
+
+def _reversed_digits(indices: list[int], base: int, width: int) -> list[int]:
+    """Each index's `width` base-b digits mirrored: its radical inverse times b**width.
+
+    The digits are reversed a block of `chunk` at a time through a table of
+    the b**chunk block values, so an index costs a few divisions, not one
+    per digit, and each step maps over every index at once.
+    """
+    chunk = 1
+    while chunk < width and base ** (chunk + 1) <= 1 << 10:
+        chunk += 1
+    size, high = base**chunk, base ** (chunk - 1)
+    table = [0] * size
+    for x in range(1, size):  # x's last digit goes first, then x // b's digits
+        table[x] = x % base * high + table[x // base] // base
+    blocks = -(-width // chunk)
+    nums, rest = [0] * len(indices), indices
+    for _ in range(blocks):  # one block of digits of every index at a time
+        digits = map(table.__getitem__, map(size.__rmod__, rest))
+        nums = list(map(operator.add, map(size.__mul__, nums), digits))
+        rest = list(map(size.__rfloordiv__, rest))
+    pad = base ** (blocks * chunk - width)  # the zero digits above the width end up last
+    return nums if pad == 1 else list(map(pad.__rfloordiv__, nums))
+
+
+def int_coordinates(spec: SequenceSpec, indices) -> list[tuple[int, list[int]]]:
+    """:func:`coordinates` on Python ints: per axis the denominator base**width
+    and the list of numerators, the same integers, and the same errors.
+
+    For multisets too small to repay importing numpy.
+    """
+    idx = _checked_indices(indices)
+    top = max(idx, default=0)
+    if isinstance(spec, DigitalSequence):
+        p, width = spec.p, spec.precision
+        if top >= p**width:
+            raise ValueError(
+                f"index {top} needs more than {width} base-{p} digits; raise the precision"
+            )
+        used = _digits_used(p, top)
+        digits = []
+        for n in idx:
+            row = []
+            for _ in range(used):
+                n, d = divmod(n, p)
+                row.append(d)
+            digits.append(row)
+        columns = []
+        for mat in spec.matrices:
+            # digit v of x_n has weight p**-(v+1); rows zero on the used columns add nothing
+            live = [(p ** (width - 1 - v), row[:used]) for v, row in enumerate(mat.rows)
+                    if any(row[:used])]
+            nums = [sum(w * (sum(map(operator.mul, row, d)) % p) for w, row in live)
+                    for d in digits]
+            columns.append((p**width, nums))
+        return columns
+    bases = spec.bases if isinstance(spec, Halton) else (spec.base,)
+    widths = [_digits_used(b, top) for b in bases]
+    return [(b**w, _reversed_digits(idx, b, w)) for b, w in zip(bases, widths)]
 
 
 def to_points(batch: tuple[Axis, ...]) -> list[Point]:

@@ -110,7 +110,7 @@ def test_bad_value_exit_two(tmp_path):
 @pytest.mark.parametrize(
     "args,out_name,message",
     [
-        (["disc", "--spec", "halton:2,3", "--N", "200"], "F.csv", "budget"),
+        (["disc", "--spec", "halton:2,3", "--N", "400"], "F.csv", "budget"),
         (["expsum", "--b", "2", "--q", "2", "--kmax", "3", "--N", "0"], "F.csv", "N >= 1"),
         (["transform", "--transform", '{"kind":"table","path":"/nonexistent"}', "--count", "3"],
          "F.csv", "No such file"),
@@ -126,7 +126,9 @@ def test_bad_value_exit_two(tmp_path):
         (["gen", "--spec", "vdc:2", "--count", "-2"], "F.csv", "no points to write"),
         (["netcheck", "--spec", "vdc:2", "--base", "2", "--t", "-1", "--mmax", "2", "--kmax", "1"],
          "F.csv", "need t >= 0"),
-        (["hkbound", "--b", "1", "--q", "3", "--N", "10"], "F.csv", "base must be >= 2"),
+        (["hkbound", "--b", "1", "--q", "3", "--N", "10"], "F.csv", "character base must be >= 2"),
+        (["hkbound", "--b", "1", "--q", "3", "--N", "10", "--g", "2"], "F.csv",
+         "base must be an integer >= 2, got 1"),
         (["monocheck", "--spec", "vdc:2", "--u", "1", "--v", "2", "--dmax", "0"], "F.csv",
          "need --dmax >= 1, got 0"),
         (["genbound", "--spec", "vdc:2", "--q", "2", "--dmax", "-1"], "F.csv",
@@ -165,7 +167,8 @@ def test_bad_value_exit_two(tmp_path):
     ],
     ids=["disc-budget", "expsum-N0", "table-missing-path", "sod-missing-q", "out-dir-missing",
          "sodcheck-no-c3-level", "gen-count-0", "gen-index-out-of-range", "gen-start-negative",
-         "gen-count-negative", "netcheck-t-negative", "hkbound-base-1", "monocheck-dmax-0",
+         "gen-count-negative", "netcheck-t-negative", "hkbound-base-1", "hkbound-base-1-g-2",
+         "monocheck-dmax-0",
          "genbound-dmax-negative", "ubound-dmax-negative", "netcheck-mmax-negative",
          "netcheck-base-1", "netcheck-kmax-negative", "netcheck-mmax-below-t",
          "monocheck-cal-dmax-0", "monocheck-cal-dmax-negative", "ubound-blocks-0",
@@ -292,7 +295,7 @@ def test_report_unknown_curve_leaves_no_output(tmp_path, capsys):
     # every curve is built before the report directory is made
     for config, message in [
         ("curve=nope\nspec=vdc:2\n", "unknown curve"),
-        ("curve=alpha\nspec=halton:2,3\nu=1\nv=2\ndmax=16\n", "exceed the budget"),
+        ("curve=alpha\nspec=halton:2,3\nu=1\nv=2\ndmax=17\n", "exceed the budget"),
         ("curve=alpha\nspec=vdc:2\nu=3\nv=2\ndmax=3\n", "0 < u < v"),
         # the sod curve is sodcheck's scaled column, so it needs sodcheck's fit
         ("curve=sod\nspec=vdc:2\nq=2\ndmax=1\n", "calibrate on a longer prefix"),
@@ -391,10 +394,19 @@ def test_cli_start_up_loads_only_the_commands_modules():
         # 2**14 distinct points on Python ints, one more through the arrays
         ([["disc", "--spec", "vdc:2", "--N", "16384"], ["disc", "--spec", "vdc:2", "--N", "16385"]],
          "False True"),
-        # the sandwich measures its envelope with windows, which stay on arrays
+        # the sandwich measures its envelope with 1D windows, which stay on arrays
         ([["genbound", "--spec", "vdc:2", "--q", "2", "--dmax", "3"]], "True"),
+        # the benchmark's grid jobs, on every Halton pair it draws
+        ([job for pair in ("2,3", "3,2", "2,5", "5,2") for job in (
+            ["disc", "--spec", f"halton:{pair}", "--N", "18"],
+            ["disc", "--spec", "pascal:3,2,12", "--N", "81", "--mode", "star"],
+            ["udisc", "--spec", f"halton:{pair}", "--N", "8", "--kmax", "16"],
+            ["disc", "--spec", f"halton:{pair}", "--transform", "sod:2", "--N", "65536"],
+        )], " ".join(["False"] * 16)),
+        # 63 distinct points are 2^18 scan cells on Python ints, 64 go to the arrays
+        ([["disc", "--spec", "halton:2,3", "--N", n] for n in ("63", "64")], "False True"),
     ],
-    ids=["disc-cut", "genbound"],
+    ids=["disc-cut", "genbound", "grid-jobs", "grid-cut"],
 )
 def test_cli_loads_numpy_only_past_the_cut_and_for_windows(jobs, loaded):
     code = "import os, sys\nimport lowdisc.cli as cli\nseen = []\n"

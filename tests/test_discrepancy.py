@@ -231,26 +231,98 @@ def test_grid_and_star_at_int64_boundary(den_x, den_y, wide):
         assert recount(pts, got.witness) == got.value == oracle_extreme_1d(values) == value
 
 
-def test_grid_budget_counts_candidate_boxes(monkeypatch):
-    # 18 Halton points, one at the origin: per axis 18 * 19 / 2 = 171 closed
-    # sides and 171 + 18 open ones, the wall at 0 listed twice
+@st.composite
+def scan_cases(draw):
+    """Weighted 2D and 3D sets as per-axis (base, width, numerators), with
+    ties, zero weights, and denominators that put n * D on both sides of 2^62."""
+    s = draw(st.integers(2, 3))
+    size = draw(st.integers(1, 6 if s == 2 else 4))
+    columns = []
+    for _ in range(s):
+        base, width = draw(st.sampled_from([(2, 2), (3, 1), (5, 2), (6, 1), (2, 30), (3, 19),
+                                            (2, 62), (3, 40)]))
+        pool = draw(st.lists(st.integers(0, base**width - 1), min_size=1, max_size=size))
+        columns.append((base, width, [draw(st.sampled_from(pool)) for _ in range(size)]))
+    counts = draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
+    if not any(counts):
+        counts[0] = 1
+    return columns, draw(st.sampled_from([None, counts]))
+
+
+def assert_both_scans_match_the_oracles(columns, counts):
+    """The Python-int and the numpy scan, each called directly, give the
+    enumeration oracles' value and witness, grid and star."""
+    pts = list(zip(*([F(num, base**width) for num in nums] for base, width, nums in columns)))
+    ints = discrepancy._int_form([(base**width, nums) for base, width, nums in columns], counts)
+    batch = tuple(Axis(base, width, np.array(nums, dtype=object)) for base, width, nums in columns)
+    arrays = discrepancy._integer_form(batch, counts)
+    for evaluate, oracle in [(discrepancy._extreme_grid, oracle_grid_enumeration),
+                             (discrepancy._star, oracle_star_enumeration)]:
+        value, witness = oracle(pts, counts)
+        for kernel, form in [(discrepancy._IntKernel, ints), (discrepancy._BoxKernel, arrays)]:
+            got = evaluate(kernel, *form)
+            assert (got.value, str(got.witness)) == (value, str(witness)), kernel
+
+
+@settings(max_examples=200, deadline=None)
+@given(scan_cases(), st.sampled_from([None, 1]))
+def test_both_scans_match_the_enumeration_oracles(case, chunk_cells):
+    # chunk_cells=1 gives the numpy scan one leading side per chunk
+    with mock.patch.object(discrepancy, "_CHUNK_CELLS", chunk_cells or discrepancy._CHUNK_CELLS):
+        assert_both_scans_match_the_oracles(*case)
+
+
+@pytest.mark.parametrize(
+    "dens, wide",
+    [((2**30, 3**19), False), ((2**40, 3**25), True), ((2**20, 3**12, 5**9), False),
+     ((2**21, 3**12, 5**9), True)],
+)
+def test_both_scans_at_int64_boundary(dens, wide):
+    # numerators prime to the base keep each denominator unreduced, so with 3
+    # points n * D lands just below 2^62 (int64) or past it (exact ints)
+    rng = random.Random(62)
+    columns = []
+    for den in dens:
+        base = next(b for b in (2, 3, 5) if den % b == 0)
+        width = round(math.log(den, base))
+        columns.append((base, width, [base * rng.randrange(den // base) + 1 for _ in range(3)]))
+    assert (3 * math.prod(dens) >= 2**62) == wide
+    assert discrepancy._BoxKernel(*discrepancy._integer_form(
+        tuple(Axis(b, w, np.array(nums, dtype=object)) for b, w, nums in columns), None
+    )).dtype == (object if wide else np.int64)
+    assert_both_scans_match_the_oracles(columns, None)
+    assert_both_scans_match_the_oracles(columns, [2, 0, 1])
+
+
+def test_grid_budget_counts_scan_cells(monkeypatch):
+    # 18 Halton points, one at the origin: the first axis has 18 * 19 / 2 = 171
+    # closed sides and 171 + 18 open ones, the wall at 0 listed twice; each of
+    # these rows scans the 18 last-axis values plus one
     pts = [p.as_fractions() for p in points(Halton((2, 3)), 18)]
-    boxes = 171**2 + 189**2
-    monkeypatch.setattr(discrepancy, "DEFAULT_BOX_BUDGET", boxes)
+    cells = (171 + 189) * 19
+    monkeypatch.setattr(discrepancy, "DEFAULT_CELL_BUDGET", cells)
     extreme_discrepancy_grid(pts)
-    monkeypatch.setattr(discrepancy, "DEFAULT_BOX_BUDGET", boxes - 1)
-    with pytest.raises(BudgetExceededError, match=f"{boxes} candidate boxes"):
+    monkeypatch.setattr(discrepancy, "DEFAULT_CELL_BUDGET", cells - 1)
+    with pytest.raises(BudgetExceededError, match=f"{cells} scan cells"):
         extreme_discrepancy_grid(pts)
-    monkeypatch.setattr(discrepancy, "DEFAULT_BOX_BUDGET", 19**2)
+    monkeypatch.setattr(discrepancy, "DEFAULT_CELL_BUDGET", 19**2)
     star_discrepancy(pts)
-    monkeypatch.setattr(discrepancy, "DEFAULT_BOX_BUDGET", 19**2 - 1)
+    monkeypatch.setattr(discrepancy, "DEFAULT_CELL_BUDGET", 19**2 - 1)
     with pytest.raises(BudgetExceededError, match="361 star corners"):
         star_discrepancy(pts)
 
 
+def test_grid_budget_at_its_default():
+    # 300 points are 27.2 million cells, 400 are 64.5 million, over 2^25
+    pts = [p.as_fractions() for p in points(Halton((2, 3)), 400)]
+    with pytest.raises(BudgetExceededError, match="64480800 scan cells exceed the budget of "
+                       "33554432 cells; consider the star-discrepancy proxy"):
+        extreme_discrepancy_grid(pts)
+
+
 def test_grid_budget_error_mentions_star(monkeypatch):
     pts = [p.as_fractions() for p in points(Halton((2, 3)), 40)]
-    monkeypatch.setattr(discrepancy, "DEFAULT_BOX_BUDGET", 1000)
+    monkeypatch.setattr(discrepancy, "DEFAULT_CELL_BUDGET", 1000)
     with pytest.raises(BudgetExceededError, match="star"):
         extreme_discrepancy_grid(pts)
 

@@ -24,7 +24,14 @@ from lowdisc import (
     radical_inverse,
 )
 from lowdisc.cli import main
-from lowdisc.generators import coordinates, read_points_csv, to_points, write_points_csv
+from lowdisc import generators
+from lowdisc.generators import (
+    coordinates,
+    int_coordinates,
+    read_points_csv,
+    to_points,
+    write_points_csv,
+)
 from oracles import oracle_digital_point, oracle_net_violation, oracle_points_csv
 
 
@@ -339,6 +346,64 @@ def test_digital_kernel_at_digit_count_boundaries(spec):
     for top in tops:
         indices = [top, top // 3, 0]
         assert kernel_coords(spec, indices) == [oracle_coords(spec, n) for n in indices]
+
+
+# indices at and next to 2**62 and 2**63, where the array kernel's dtypes change
+NEAR_INT64 = [c + d for c in (2**62, 2**63) for d in (-2, -1, 0, 1)]
+
+
+@st.composite
+def int_coordinate_cases(draw):
+    spec, indices = draw(specs_and_indices())
+    top = spec.p**spec.precision if isinstance(spec, DigitalSequence) else 10**20
+    near = [n for n in NEAR_INT64 if n < top]
+    if near:
+        indices = indices + draw(st.lists(st.sampled_from(near), max_size=4))
+    return spec, indices
+
+
+@settings(max_examples=250, deadline=None)
+@given(int_coordinate_cases())
+def test_int_coordinates_match_the_kernel_and_the_oracles(case):
+    # the Python-int coordinates of the small discrepancy jobs, which the
+    # golden CLI test's per-point path does not replace
+    spec, indices = case
+    columns = int_coordinates(spec, indices)
+    assert columns == [(a.base**a.width, a.nums.tolist()) for a in coordinates(spec, indices)]
+    want = [oracle_coords(spec, n) for n in indices]
+    for a, (den, nums) in enumerate(columns):
+        assert [Fraction(num, den) for num in nums] == [point[a][1] for point in want]
+
+
+@pytest.mark.parametrize(
+    "spec,indices",
+    [(pascal(3, 1, 2), [0, 9, 3]), (pascal(2, 2, 62), [2**62]), (VanDerCorput(2), [3, -1, -2]),
+     (Halton((2, 3)), [1, 2.5]), (VanDerCorput(2), [0, np.int64(3)])],
+    ids=["needs-more-digits", "needs-more-digits-2-62", "negative", "float", "numpy-int"],
+)
+def test_int_coordinates_raise_what_the_kernel_raises(spec, indices):
+    with pytest.raises(ValueError) as want:
+        coordinates(spec, indices)
+    with pytest.raises(ValueError, match=re.escape(str(want.value)) + "$"):
+        int_coordinates(spec, indices)
+
+
+@pytest.mark.parametrize(
+    "indices",
+    [range(10), range(7, 0, -2), range(3, 3), range(2**62 - 2, 2**62 + 2),
+     range(2**63 + 5, 2**63 - 5, -3), range(-1, 3), range(4, -3, -2)],
+)
+def test_index_range_is_the_index_list(indices):
+    # a range is built by np.arange: the same array, dtype and error as its list
+    try:
+        want = generators._index_array(list(indices))
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc)) + "$"):
+            generators._index_array(indices)
+        return
+    got = generators._index_array(indices)
+    assert got.dtype == want.dtype and got.tolist() == want.tolist()
+    assert all(type(n) is int for n in got.tolist())
 
 
 @pytest.mark.parametrize("precision", [39, 40])

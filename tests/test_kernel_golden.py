@@ -9,6 +9,9 @@ printed before the kernel replaced it; the check, table and report jobs were
 recorded before the CLI wrote its tables through one helper.  A job that exits
 1 must also print its recorded failure record.  The oracle path hands every
 caller exact-int (object) arrays, so it also runs their beyond-int64 branches.
+Multisets small enough for the Python-int discrepancy take their points from
+``int_coordinates``, which the oracle path leaves in place; test_generators
+checks it against the same per-point oracles.
 """
 
 import hashlib
@@ -88,6 +91,12 @@ GOLDEN = {
         (0, "cae76719b64cc08d4fedcf96a4a2b257bae0852607980aeeb5a359a0cb1a5e90"),
     "disc --spec pascal:3,1,10 --N 1000 --transform pow:1/3":
         (0, "c291f1b16ab522322658cdc1ba742b5061b138b43bc346bc93ba61f2ff19e4e4"),
+    # recorded with the running-minimum grid scan: each exited 2 over the
+    # 2^24-box budget of the box enumeration it replaced, which gave the same
+    # value and witness on the levels d <= 24 and at N = 150 and 200 with that
+    # budget lifted
+    "disc --spec halton:2,3 --N 300":
+        (0, "b81df35b68acf890807da5b71cec647c5ab7f95a4f9fe2430a13a6da9cc3f374"),
     # recorded while every 1D multiset went through the numpy arrays: the two
     # sides of the Python-int cut, a one-base Halton and a sweep job
     "disc --spec vdc:2 --N 16384":
@@ -123,6 +132,11 @@ GOLDEN = {
         (0, "23a1895234dfb44346b532f588a12ce846bfc82d2843d0b39ec9882f217a681a"),
     "sodcheck --spec halton:2,3 --q 2 --dmax 8":
         (0, "37935bab9e2cf7c0efbbf1084e721d6e882bcd706ad92d0eedc9b27bb37de299"),
+    # recorded with the running-minimum grid scan; over the box budget before
+    "sodcheck --spec halton:2,3 --q 5 --dmax 30":
+        (0, "11b9bbb13bfcbfb6bdedd300b418d8f29c0beb18b391aecda4375a4e172616e2"),
+    "sodcheck --spec pascal:3,2 --q 5 --dmax 30":
+        (0, "cfea5ba818f79fc41c0ce8cbda91a2bef0770f30ebde7b146cde367e1231c0dd"),
     "sodcheck --spec vdc:2 --q 2 --dmax 12 --mode star":
         (1, "ba024b6032ae2396d7566f76bfef768fe7abf43b0f910a2500450fb140c6abdb"),
     "monocheck --spec vdc:2 --u 1 --v 2 --dmax 8":
