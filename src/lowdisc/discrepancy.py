@@ -39,15 +39,13 @@ if TYPE_CHECKING:
 # scans 27.2 million.
 DEFAULT_CELL_BUDGET = 1 << 25
 
-# Work, in scan cells, up to which points given by a spec and their indices
-# are evaluated on Python ints.  2^18 cells take 0.1-0.16 s there on a 2-core
-# VM, what importing numpy costs a fresh process: `disc --spec halton:2,3`
-# at N = 63, the last N under the cut, runs 0.28 s end to end either way.
-# A 1D point counts as POINT_CELLS cells, which keeps the 1D cut at 2^14
-# distinct indices; with its coordinates it costs about 2 cells (1.1-1.3 us),
-# so the 1D cut is on the safe side.
+# Points given by a spec and their indices are evaluated on Python ints up
+# to SCALAR_1D_CUT indices in 1D and, for s >= 2, up to SCALAR_CELL_CUT scan
+# cells.  2^18 cells take 0.1-0.16 s there on a 2-core VM, what importing
+# numpy costs a fresh process: `disc --spec halton:2,3` at N = 63, the last
+# N under the cut, runs 0.28 s end to end either way.
+SCALAR_1D_CUT = 1 << 14
 SCALAR_CELL_CUT = 1 << 18
-POINT_CELLS = 16
 
 
 @dataclass(frozen=True)
@@ -669,11 +667,11 @@ def discrepancy(points, counts=None, mode: str = "extreme") -> DiscrepancyReport
 
 def _on_python_ints(size: int, s: int, mode: str, blocks: int = 1) -> bool:
     """Whether `blocks` multisets of `size` points in dimension s are cheaper
-    on Python ints than numpy's import; the work is counted in scan cells
-    for `size` distinct values per axis, an upper bound."""
+    on Python ints than numpy's import; for s >= 2 the work is counted in
+    scan cells for `size` distinct values per axis, an upper bound."""
     if s == 1:
-        cells = POINT_CELLS * size
-    elif mode == "star":
+        return blocks * size <= SCALAR_1D_CUT
+    if mode == "star":
         cells = (size + 1) ** s
     else:
         cells = _grid_cells([size] * s, [False] * s)

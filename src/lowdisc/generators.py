@@ -320,20 +320,25 @@ def _reversed_digits(indices: list[int], base: int, width: int) -> list[int]:
     """Each index's `width` base-b digits mirrored: its radical inverse times b**width.
 
     The digits are reversed a block of `chunk` at a time through a table of
-    the b**chunk block values, so an index costs a few divisions, not one
-    per digit, and each step maps over every index at once.
+    the b**chunk <= 1024 block values, so an index costs a few divisions, not
+    one per digit, and each step maps over every index at once.  A block of
+    one digit is its own reversal and needs no table, so any base works.
     """
     chunk = 1
     while chunk < width and base ** (chunk + 1) <= 1 << 10:
         chunk += 1
     size, high = base**chunk, base ** (chunk - 1)
-    table = [0] * size
-    for x in range(1, size):  # x's last digit goes first, then x // b's digits
-        table[x] = x % base * high + table[x // base] // base
+    table = None
+    if chunk > 1:
+        table = [0] * size
+        for x in range(1, size):  # x's last digit goes first, then x // b's digits
+            table[x] = x % base * high + table[x // base] // base
     blocks = -(-width // chunk)
     nums, rest = [0] * len(indices), indices
     for _ in range(blocks):  # one block of digits of every index at a time
-        digits = map(table.__getitem__, map(size.__rmod__, rest))
+        digits = map(size.__rmod__, rest)
+        if table is not None:
+            digits = map(table.__getitem__, digits)
         nums = list(map(operator.add, map(size.__mul__, nums), digits))
         rest = list(map(size.__rfloordiv__, rest))
     pad = base ** (blocks * chunk - width)  # the zero digits above the width end up last

@@ -169,6 +169,24 @@ def test_scalar_1d_matches_the_array_path(spec, transform, n, mode):
     assert report_key(transformed_discrepancy(spec, transform, n, mode)) == want
 
 
+@pytest.mark.parametrize("mode", ["extreme", "star"])
+@pytest.mark.parametrize(
+    "spec,transform,n",
+    [(VanDerCorput(10**9 + 7), None, 3), (VanDerCorput(10**6 + 3), SumOfDigits(2), 200),
+     (Halton((2, 10**6 + 3)), None, 20), (Halton((10**9 + 7, 3)), SumOfDigits(3), 60)],
+    ids=["vdc-1e9+7", "vdc-1e6+3-sod", "halton-2-1e6+3", "halton-1e9+7-3-sod"],
+)
+def test_large_bases_on_python_ints_match_the_arrays(spec, transform, n, mode):
+    # small multisets with a base far above the digit-reversal table's 1024
+    if transform is None:
+        indices, counts = list(range(n)), None
+    else:
+        multiplicity = value_counts_below(transform, n)
+        indices, counts = list(multiplicity), list(multiplicity.values())
+    want = report_key(discrepancy(coordinates(spec, indices), counts, mode))
+    assert report_key(transformed_discrepancy(spec, transform, n, mode)) == want
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(2, 7), st.integers(0, 3), st.data())
 def test_scalar_1d_matches_the_oracles_and_weighted_arrays(b, width, data):

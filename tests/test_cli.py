@@ -405,8 +405,11 @@ def test_cli_start_up_loads_only_the_commands_modules():
         )], " ".join(["False"] * 16)),
         # 63 distinct points are 2^18 scan cells on Python ints, 64 go to the arrays
         ([["disc", "--spec", "halton:2,3", "--N", n] for n in ("63", "64")], "False True"),
+        # a base far past the digit-reversal table's 1024 entries costs nothing extra
+        ([["disc", "--spec", "vdc:1000000007", "--N", "3"],
+          ["disc", "--spec", "halton:2,1000003", "--N", "20", "--mode", "star"]], "False False"),
     ],
-    ids=["disc-cut", "genbound", "grid-jobs", "grid-cut"],
+    ids=["disc-cut", "genbound", "grid-jobs", "grid-cut", "large-base"],
 )
 def test_cli_loads_numpy_only_past_the_cut_and_for_windows(jobs, loaded):
     code = "import os, sys\nimport lowdisc.cli as cli\nseen = []\n"

@@ -389,6 +389,21 @@ def test_int_coordinates_raise_what_the_kernel_raises(spec, indices):
 
 
 @pytest.mark.parametrize(
+    "spec,indices",
+    [(VanDerCorput(10**9 + 7), [0, 1, 2]), (VanDerCorput(1031), [5, 1031**3 + 7, 0]),
+     (Halton((2, 10**6 + 3)), [0, 5, 2**40, 2**63 + 1]), (Halton((10**9 + 7, 3)), list(range(20)))],
+    ids=["vdc-1e9+7", "vdc-1031", "halton-2-1e6+3", "halton-1e9+7-3"],
+)
+def test_int_coordinates_large_bases(spec, indices):
+    # bases past 32 reverse one digit at a time, with no table of base entries
+    want = [oracle_coords(spec, n) for n in indices]
+    columns = int_coordinates(spec, indices)
+    assert columns == [(a.base**a.width, a.nums.tolist()) for a in coordinates(spec, indices)]
+    for a, (den, nums) in enumerate(columns):
+        assert [Fraction(num, den) for num in nums] == [point[a][1] for point in want]
+
+
+@pytest.mark.parametrize(
     "indices",
     [range(10), range(7, 0, -2), range(3, 3), range(2**62 - 2, 2**62 + 2),
      range(2**63 + 5, 2**63 - 5, -3), range(-1, 3), range(4, -3, -2)],
