@@ -23,8 +23,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "_util": ("BudgetExceededError", "UnimodalityError"),
     "digits": (
-        "BRational", "DigitVector", "expand", "monna_plus", "nearest_int_distance",
-        "radical_inverse", "sum_of_digits",
+        "BRational", "expand", "monna_plus", "radical_inverse", "sum_of_digits",
     ),
     "generators": (
         "DigitalSequence", "GeneratorMatrix", "Halton", "Point", "VanDerCorput", "check_net",

@@ -28,7 +28,8 @@ from ._util import BudgetExceededError, as_fraction
 # so a job loads only the modules it uses: `dist`, `transform`, `expsum` and
 # `hkbound` never import numpy, nor do `disc`, `sodcheck`, `monocheck` and
 # s >= 2 `udisc` on multisets that discrepancy._on_python_ints finds small
-# (2^14 distinct indices in 1D, 63 for the 2D extreme grid).
+# (2^14 distinct indices in 1D, 63 for the 2D extreme grid): their points
+# come from generators.int_coordinates and discrepancy() scans them as lists.
 
 
 def _fail(record: dict) -> int:
@@ -459,6 +460,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (ValueError, BudgetExceededError, OSError) as exc:
         sys.stderr.write(f"usage error: {exc}\n")
+        return 2
+    except MemoryError as exc:  # a request larger than the memory there is, such as a huge --kmax
+        sys.stderr.write(f"usage error: {str(exc) or 'out of memory'}\n")
         return 2
 
 

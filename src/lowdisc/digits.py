@@ -1,7 +1,6 @@
 """Base-b digit arithmetic: expansions, digit sums, radical inverses, Monna map.
 
-Everything here is exact integer arithmetic on arbitrary-precision ints; the
-one floating-point routine is :func:`nearest_int_distance`.
+Everything here is exact integer arithmetic on arbitrary-precision ints.
 """
 
 from __future__ import annotations
@@ -19,37 +18,6 @@ def _check_base(base: int) -> None:
 def _check_nonneg(n: int) -> None:
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"expected a non-negative integer, got {n!r}")
-
-
-@dataclass(frozen=True)
-class DigitVector:
-    """Base-b expansion of a non-negative integer, least-significant digit first.
-
-    The most significant stored digit is nonzero; the value 0 has no digits.
-    """
-
-    base: int
-    digits: tuple[int, ...]
-
-    def __post_init__(self):
-        _check_base(self.base)
-        for d in self.digits:
-            if not (isinstance(d, int) and 0 <= d < self.base):
-                raise ValueError(f"digit {d!r} out of range for base {self.base}")
-        if self.digits and self.digits[-1] == 0:
-            raise ValueError("most significant stored digit must be nonzero")
-
-    def value(self) -> int:
-        acc = 0
-        for d in reversed(self.digits):
-            acc = acc * self.base + d
-        return acc
-
-    def __len__(self) -> int:
-        return len(self.digits)
-
-    def __iter__(self):
-        return iter(self.digits)
 
 
 @total_ordering
@@ -75,28 +43,6 @@ class BRational:
             raise ValueError(
                 f"{self.num}/{self.base}^{self.prec} does not lie in [0, 1)"
             )
-
-    @property
-    def is_normalized(self) -> bool:
-        if self.num == 0:
-            return self.prec == 0
-        return self.num % self.base != 0
-
-    def normalized(self) -> BRational:
-        """Drop trailing zero digits so that prec is minimal."""
-        if self.num == 0:
-            return BRational(0, self.base, 0)
-        num, prec = self.num, self.prec
-        while num % self.base == 0:
-            num //= self.base
-            prec -= 1
-        return BRational(num, self.base, prec)
-
-    def padded(self, prec: int) -> BRational:
-        """Re-express with precision ``prec`` >= current prec."""
-        if prec < self.prec:
-            raise ValueError("cannot pad to a smaller precision")
-        return BRational(self.num * self.base ** (prec - self.prec), self.base, prec)
 
     def as_fraction(self) -> Fraction:
         return Fraction(self.num, self.base**self.prec)
@@ -134,7 +80,7 @@ class BRational:
         return f"BRational({self.num}/{self.base}^{self.prec})"
 
 
-def expand(n: int, base: int) -> DigitVector:
+def expand(n: int, base: int) -> tuple[int, ...]:
     """Base-b digits of n, least-significant first (empty for n = 0)."""
     _check_nonneg(n)
     _check_base(base)
@@ -142,7 +88,7 @@ def expand(n: int, base: int) -> DigitVector:
     while n:
         n, d = divmod(n, base)
         digits.append(d)
-    return DigitVector(base, tuple(digits))
+    return tuple(digits)
 
 
 def sum_of_digits(n: int, q: int) -> int:
@@ -182,9 +128,3 @@ def monna_plus(x: BRational) -> int:
         num, d = divmod(num, x.base)
         out = out * x.base + d
     return out
-
-
-def nearest_int_distance(x: float) -> float:
-    """Distance of a real number to the nearest integer, in [0, 1/2]."""
-    frac = x % 1.0
-    return min(frac, 1.0 - frac)

@@ -109,7 +109,7 @@ def digit_sum_counts_below(q: int, n: int) -> list[int]:
         raise ValueError("n must be non-negative")
     if n == 0:
         return []
-    digs = expand(n, q).digits
+    digs = expand(n, q)
     top = len(digs) - 1
     counts = [0] * (len(digs) * (q - 1) + 1)
     prefix_sum = 0

@@ -14,9 +14,11 @@ maximum-subarray scan: the work is rows times (distinct last coordinates +
 1) scan cells.  The form and the scan are written twice over the same
 integers: on numpy arrays (``_integer_form``, ``_BoxKernel``) and on Python
 ints (``_int_form``, ``_IntKernel``, ``_scalar_1d``) for multisets too small
-to repay importing numpy.  ``_on_python_ints`` picks one from the number of
-points alone; ``discrepancy`` and the public evaluators take the arrays.
-Only the winning box is turned back into Fractions.
+to repay importing numpy.  ``discrepancy`` is the one entry to both: a batch
+whose numerators are lists, from ``int_coordinates``, goes to the Python
+ints, any other input to the arrays.  For points given by a spec,
+``_on_python_ints`` picks the coordinate kernel from the number of points
+alone.  Only the winning box is turned back into Fractions.
 """
 
 from __future__ import annotations
@@ -112,11 +114,29 @@ def _coerce_points(points) -> list[tuple[Fraction, ...]]:
 def recount(points, box: Box, counts=None) -> Fraction:
     """|A(box)/N - vol(box)| recomputed from scratch (witness verification)."""
     pts = _coerce_points(points)
-    if counts is None:
-        counts = [1] * len(pts)
-    n = sum(counts)
-    inside = sum(c for pt, c in zip(pts, counts) if box.contains(pt))
+    counts, n = _multiplicities(counts, len(pts))
+    weights = itertools.repeat(1) if counts is None else counts
+    inside = sum(c for pt, c in zip(pts, weights) if box.contains(pt))
     return abs(Fraction(inside, n) - box.volume())
+
+
+def _multiplicities(counts, size: int) -> tuple[list[int] | None, int]:
+    """The multiplicities of `size` points, None for one each, and their total."""
+    if counts is not None:
+        counts = list(map(operator.index, counts))
+        if len(counts) != size:
+            raise ValueError("one multiplicity per point")
+        if any(c < 0 for c in counts):
+            raise ValueError("multiplicities must be non-negative")
+    n = size if counts is None else sum(counts)
+    if not size or n < 1:
+        raise ValueError("empty point multiset")
+    return counts, n
+
+
+def _is_batch(points) -> bool:
+    """Whether points is a batch of coordinates, one Axis per dimension."""
+    return isinstance(points, tuple) and bool(points) and isinstance(points[0], Axis)
 
 
 def _reduced(den: int, nums: np.ndarray) -> tuple[int, np.ndarray]:
@@ -136,18 +156,14 @@ def _integer_form(points, counts):
     Zero-weight points stay on the axes as walls.
     """
     import numpy as np
-    batch = isinstance(points, tuple) and bool(points) and isinstance(points[0], Axis)
+    batch = _is_batch(points)
     pts = None if batch else _coerce_points(points)
     size = len(points[0].nums) if batch else len(pts)
+    counts, n = _multiplicities(counts, size)
     if counts is None:
-        counts, n = np.broadcast_to(np.int64(1), (size,)), size
+        counts = np.broadcast_to(np.int64(1), (size,))
     else:
         counts = np.array(counts, dtype=object)  # np.asarray may read ints >= 2**63 as floats
-        if (counts < 0).any():
-            raise ValueError("multiplicities must be non-negative")
-        n = int(counts.sum())
-    if not size or n < 1:
-        raise ValueError("empty point multiset")
     if batch:
         columns = [(axis.base**axis.width, axis.nums) for axis in points]
     else:
@@ -166,27 +182,20 @@ def _integer_form(points, counts):
     return axes, counts, n
 
 
-def _int_form(columns, counts):
-    """``_integer_form`` on Python ints, from per-axis (D, numerators) lists."""
-    size = len(columns[0][1])
-    if counts is None:
-        counts, n = [1] * size, size
-    else:
-        counts = list(counts)
-        if any(c < 0 for c in counts):
-            raise ValueError("multiplicities must be non-negative")
-        n = sum(counts)
-    if not size or n < 1:
-        raise ValueError("empty point multiset")
+def _int_form(batch, counts):
+    """``_integer_form`` on Python ints, from a batch with list numerators."""
+    size = len(batch[0].nums)
+    counts, n = _multiplicities(counts, size)
     axes = []
-    for den, nums in columns:
+    for axis in batch:
+        den, nums = axis.base**axis.width, axis.nums
         common = math.gcd(den, *nums)
         if common > 1:
             den, nums = den // common, [x // common for x in nums]
         values = sorted(set(nums))
         rank = {v: i for i, v in enumerate(values)}
         axes.append((den, values, [rank[x] for x in nums]))
-    return axes, counts, n
+    return axes, [1] * size if counts is None else counts, n
 
 
 # Rows are products of sides on the leading axes.  A side is a tuple
@@ -576,19 +585,14 @@ def _closed_form_1d(axes, counts, n, mode: str) -> DiscrepancyReport:
     return _report_1d(n, den, values, _first_max([minus]), _first_max([plus]), mode)
 
 
-def _scalar_1d(nums, den: int, counts, mode: str) -> DiscrepancyReport:
-    """``discrepancy`` of the 1D multiset nums / den on Python ints: the same
-    integers, witnesses and errors; counts None weighs every value 1."""
-    if mode not in ("extreme", "star"):
-        raise ValueError(f"unknown mode {mode!r}")
+def _scalar_1d(axis: Axis, counts, mode: str) -> DiscrepancyReport:
+    """The 1D closed form on Python ints, from an Axis with list numerators:
+    the integers and witness of ``_closed_form_1d``."""
+    nums, den = axis.nums, axis.base**axis.width
+    counts, n = _multiplicities(counts, len(nums))
     weights = dict.fromkeys(nums, 0)
-    for num, count in zip(nums, [1] * len(nums) if counts is None else counts):
-        if count < 0:
-            raise ValueError("multiplicities must be non-negative")
+    for num, count in zip(nums, itertools.repeat(1) if counts is None else counts):
         weights[num] += count
-    n = sum(weights.values())
-    if n < 1:
-        raise ValueError("empty point multiset")
     values, devs, below = sorted(weights), [], 0
     for y in values:
         devs.append(_deviations_1d(y, below, below + weights[y], den, n))
@@ -596,17 +600,6 @@ def _scalar_1d(nums, den: int, counts, mode: str) -> DiscrepancyReport:
     minus, plus = zip(*devs)
     first_max = [(max(d), d.index(max(d))) for d in (minus, plus)]
     return _report_1d(n, den, values, *first_max, mode)
-
-
-def _discrepancy_ints(columns, counts, mode: str) -> DiscrepancyReport:
-    """``discrepancy`` of the points given by per-axis (D, numerators) lists,
-    on Python ints: the same integers, witnesses and errors."""
-    if mode not in ("extreme", "star"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if len(columns) == 1:
-        ((den, nums),) = columns
-        return _scalar_1d(nums, den, counts, mode)
-    return (_star if mode == "star" else _extreme_grid)(_IntKernel, *_int_form(columns, counts))
 
 
 def extreme_discrepancy_1d(points, counts=None) -> DiscrepancyReport:
@@ -654,15 +647,22 @@ def star_discrepancy(points, counts=None) -> DiscrepancyReport:
 def discrepancy(points, counts=None, mode: str = "extreme") -> DiscrepancyReport:
     """Exact "extreme" or "star" discrepancy of a (weighted) point multiset.
 
-    The one place that picks the evaluator on the arrays: the 1D closed form
-    for 1D points, the star corners or the extreme grid scan otherwise.
+    The one entry to the evaluators.  A batch with list numerators, from
+    ``int_coordinates``, is evaluated on Python ints, any other input on
+    numpy arrays; either way 1D points take the 1D closed form, and the rest
+    the star corners or the extreme grid scan.
     """
     if mode not in ("extreme", "star"):
         raise ValueError(f"unknown mode {mode!r}")
-    form = _integer_form(points, counts)
-    if len(form[0]) == 1:
-        return _closed_form_1d(*form, mode)
-    return (_star if mode == "star" else _extreme_grid)(_BoxKernel, *form)
+    if _is_batch(points) and isinstance(points[0].nums, list):
+        if len(points) == 1:
+            return _scalar_1d(points[0], counts, mode)
+        kernel, form = _IntKernel, _int_form(points, counts)
+    else:
+        kernel, form = _BoxKernel, _integer_form(points, counts)
+        if len(form[0]) == 1:
+            return _closed_form_1d(*form, mode)
+    return (_star if mode == "star" else _extreme_grid)(kernel, *form)
 
 
 def _on_python_ints(size: int, s: int, mode: str, blocks: int = 1) -> bool:
@@ -681,12 +681,11 @@ def _on_python_ints(size: int, s: int, mode: str, blocks: int = 1) -> bool:
 def _spec_discrepancy(spec: SequenceSpec, indices, counts, mode: str) -> DiscrepancyReport:
     """Exact discrepancy of the points x_i for i in indices, weighted by counts.
 
-    The one place that picks Python ints or numpy arrays for a multiset;
-    both give the same report.
+    Python ints or numpy arrays, as ``_on_python_ints`` picks them, give
+    the same report.
     """
-    if _on_python_ints(len(indices), spec.dimension, mode):
-        return _discrepancy_ints(int_coordinates(spec, indices), counts, mode)
-    return discrepancy(coordinates(spec, indices), counts, mode)
+    kernel = int_coordinates if _on_python_ints(len(indices), spec.dimension, mode) else coordinates
+    return discrepancy(kernel(spec, indices), counts, mode)
 
 
 def _window_1d(axis: Axis, n: int, k_max: int, mode: str) -> tuple[int, Fraction]:
@@ -737,22 +736,11 @@ def windowed_uniform_discrepancy(
     indices = range(k_max + n)
     if transform is not None:
         indices = [transform.apply(i) for i in indices]
-    if spec.dimension > 1 and _on_python_ints(n, spec.dimension, mode, k_max + 1):
-        window = int_coordinates(spec, indices)
+    on_ints = spec.dimension > 1 and _on_python_ints(n, spec.dimension, mode, k_max + 1)
+    window = (int_coordinates if on_ints else coordinates)(spec, indices)
 
-        def block(k: int) -> DiscrepancyReport:
-            return _discrepancy_ints([(den, nums[k : k + n]) for den, nums in window], None, mode)
-
-    else:
-        import numpy as np
-        if transform is None:
-            window = coordinates(spec, indices)
-        else:
-            distinct, rows = np.unique(indices, return_inverse=True)
-            window = tuple(axis.take(rows) for axis in coordinates(spec, distinct.tolist()))
-
-        def block(k: int) -> DiscrepancyReport:
-            return discrepancy(tuple(axis.take(slice(k, k + n)) for axis in window), mode=mode)
+    def block(k: int) -> DiscrepancyReport:
+        return discrepancy(tuple(axis.take(slice(k, k + n)) for axis in window), mode=mode)
 
     if spec.dimension == 1:
         best_k, value = _window_1d(window[0], n, k_max, mode)

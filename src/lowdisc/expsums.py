@@ -155,7 +155,7 @@ def lemma_le2_bound(b: int, q: int, k: int, n: int) -> LemmaBound:
     """|T_k(N)| against (1/N) sum_r a_r q^r |T_k(q^r)| over the digits of N."""
     lhs = abs(weyl_sum(b, q, k, n).value)
     rhs_terms = []
-    for r, a_r in enumerate(expand(n, q).digits):
+    for r, a_r in enumerate(expand(n, q)):
         if a_r:
             rhs_terms.append(a_r * q**r * abs(weyl_sum(b, q, k, q**r).value))
     rhs = math.fsum(rhs_terms) / n
@@ -166,7 +166,7 @@ def rho_weight(b: int, k: int) -> float:
     """Decay weight of the k-th character: 2 / (b**(r+1) sin(pi kappa_r / b))."""
     if k == 0:
         return 1.0
-    digs = expand(k, b).digits
+    digs = expand(k, b)
     r = len(digs) - 1
     kappa = digs[-1]
     return 2.0 / (b ** (r + 1) * math.sin(math.pi * kappa / b))
@@ -193,6 +193,8 @@ def hellekalek_star_bound(b: int, g: int, points, counts=None) -> float:
     pts = list(points)
     if counts is None:
         counts = [1] * len(pts)
+    elif len(counts) != len(pts):
+        raise ValueError("one multiplicity per point")
     n = sum(counts)
     if n < 1:
         raise ValueError("empty point multiset")

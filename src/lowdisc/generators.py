@@ -4,15 +4,14 @@ Every point comes from one integer kernel, :func:`coordinates`, which turns a
 batch of indices into exact numerator arrays over a common power of each
 axis's base.  Exact BRational points are built from them only at the API and
 CSV boundaries.  numpy is imported inside the kernels, so parsing a spec
-loads none, and :func:`int_coordinates` gives the same integers as Python
-lists for batches too small to repay that import.  The module also certifies (t,m,s)-net properties by counting
-points in every elementary interval and checks the generator-matrix rank
-condition over F_p.
+loads none, and :func:`int_coordinates` gives the same Axis batch with its
+numerators as Python lists, for batches too small to repay that import.
+The module also certifies (t,m,s)-net properties by counting points in every
+elementary interval and checks the generator-matrix rank condition over F_p.
 """
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 import operator
@@ -81,9 +80,6 @@ class VanDerCorput:
     def point(self, n: int) -> Point:
         return to_points(coordinates(self, [n]))[0]
 
-    def label(self) -> str:
-        return f"vdc:{self.base}"
-
 
 @dataclass(frozen=True)
 class Halton:
@@ -113,9 +109,6 @@ class Halton:
 
     def point(self, n: int) -> Point:
         return to_points(coordinates(self, [n]))[0]
-
-    def label(self) -> str:
-        return "halton:" + ",".join(str(b) for b in self.bases)
 
 
 @dataclass(frozen=True)
@@ -178,9 +171,6 @@ class DigitalSequence:
     def point(self, n: int) -> Point:
         return to_points(coordinates(self, [n]))[0]
 
-    def label(self) -> str:
-        return f"digital:{self.p},s={self.dimension},prec={self.precision}"
-
 
 SequenceSpec = VanDerCorput | Halton | DigitalSequence
 
@@ -188,15 +178,17 @@ SequenceSpec = VanDerCorput | Halton | DigitalSequence
 class Axis(NamedTuple):
     """One coordinate of a batch of points: the values nums / base**width.
 
-    nums is an int64 array while base**width < 2**62 and an object array of
-    exact Python ints beyond.
+    From :func:`coordinates`, nums is an int64 array while base**width < 2**62
+    and an object array of exact Python ints beyond; from
+    :func:`int_coordinates` it is a list of Python ints.
     """
 
     base: int
     width: int
-    nums: np.ndarray
+    nums: np.ndarray | list[int]
 
     def take(self, rows) -> Axis:
+        """The points at rows: a slice, or for arrays any numpy index."""
         return Axis(self.base, self.width, self.nums[rows])
 
     def normalized(self) -> tuple[list[int], list[int]]:
@@ -345,9 +337,9 @@ def _reversed_digits(indices: list[int], base: int, width: int) -> list[int]:
     return nums if pad == 1 else list(map(pad.__rfloordiv__, nums))
 
 
-def int_coordinates(spec: SequenceSpec, indices) -> list[tuple[int, list[int]]]:
-    """:func:`coordinates` on Python ints: per axis the denominator base**width
-    and the list of numerators, the same integers, and the same errors.
+def int_coordinates(spec: SequenceSpec, indices) -> tuple[Axis, ...]:
+    """:func:`coordinates` on Python ints: the same Axis batch with its
+    numerators as lists, and the same errors.
 
     For multisets too small to repay importing numpy.
     """
@@ -374,11 +366,11 @@ def int_coordinates(spec: SequenceSpec, indices) -> list[tuple[int, list[int]]]:
                     if any(row[:used])]
             nums = [sum(w * (sum(map(operator.mul, row, d)) % p) for w, row in live)
                     for d in digits]
-            columns.append((p**width, nums))
-        return columns
+            columns.append(Axis(p, width, nums))
+        return tuple(columns)
     bases = spec.bases if isinstance(spec, Halton) else (spec.base,)
     widths = [_digits_used(b, top) for b in bases]
-    return [(b**w, _reversed_digits(idx, b, w)) for b, w in zip(bases, widths)]
+    return tuple(Axis(b, w, _reversed_digits(idx, b, w)) for b, w in zip(bases, widths))
 
 
 def to_points(batch: tuple[Axis, ...]) -> list[Point]:
@@ -642,20 +634,3 @@ def write_points_csv(fh, pts: Iterable, start_index: int = 0) -> None:
         n += count
     if n == start_index:
         raise ValueError("no points to write")
-
-
-def read_points_csv(fh) -> list[tuple[int, Point]]:
-    """Read points back, trusting only the exact fields."""
-    reader = csv.reader(fh)
-    header = next(reader)
-    if not header or header[0] != "n":
-        raise ValueError("not a point CSV (missing header)")
-    out = []
-    for row in reader:
-        n, dim = int(row[0]), int(row[1])
-        coords = []
-        for i in range(dim):
-            base, prec, num = (int(row[2 + 4 * i + j]) for j in range(3))
-            coords.append(BRational(num, base, prec))
-        out.append((n, Point(tuple(coords))))
-    return out

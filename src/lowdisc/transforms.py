@@ -35,9 +35,6 @@ class SumOfDigits:
     def monotone(self) -> bool:
         return False
 
-    def label(self) -> str:
-        return f"sod:{self.q}"
-
 
 @dataclass(frozen=True)
 class FloorPower:
@@ -57,10 +54,6 @@ class FloorPower:
         if math.gcd(self.u, self.v) != 1:
             raise ValueError("u/v must be in lowest terms")
 
-    @property
-    def alpha(self) -> float:
-        return self.u / self.v
-
     def apply(self, n: int) -> int:
         if n < 0:
             raise ValueError("index must be non-negative")
@@ -79,9 +72,6 @@ class FloorPower:
     @property
     def monotone(self) -> bool:
         return True
-
-    def label(self) -> str:
-        return f"pow:{self.u}/{self.v}"
 
 
 @dataclass(frozen=True)
@@ -106,9 +96,6 @@ class TableTransform:
     @property
     def monotone(self) -> bool:
         return True
-
-    def label(self) -> str:
-        return f"table[{len(self.values)}]"
 
 
 IndexTransform = SumOfDigits | FloorPower | TableTransform

@@ -196,6 +196,24 @@ def oracle_points_csv(items, start_index: int = 0) -> str:
     return buf.getvalue()
 
 
+def read_points_csv(fh) -> list:
+    """(n, Point) per row of a point CSV, built from the exact fields only."""
+    from lowdisc import BRational, Point
+    reader = csv.reader(fh)
+    header = next(reader)
+    if not header or header[0] != "n":
+        raise ValueError("not a point CSV (missing header)")
+    out = []
+    for row in reader:
+        n, dim = int(row[0]), int(row[1])
+        coords = []
+        for i in range(dim):
+            base, prec, num = (int(row[2 + 4 * i + j]) for j in range(3))
+            coords.append(BRational(num, base, prec))
+        out.append((n, Point(tuple(coords))))
+    return out
+
+
 def oracle_net_violation(points, b: int, t: int, m: int):
     """First (shape, cell, count, expected) of a wrong elementary-interval
     count, or None: every interval of volume b**(t-m), shapes and cells in

@@ -34,7 +34,7 @@ from lowdisc import (
 )
 from lowdisc import bounds, value_counts_below
 from lowdisc.digitsum_dist import DigitSumDistribution
-from lowdisc.discrepancy import _scalar_1d, discrepancy
+from lowdisc.discrepancy import discrepancy
 from lowdisc.generators import Axis, coordinates
 from oracles import oracle_digit_sums, oracle_extreme_1d, oracle_star_1d
 
@@ -165,7 +165,8 @@ def test_scalar_1d_matches_the_array_path(spec, transform, n, mode):
     batch = coordinates(spec, indices)
     want = report_key(discrepancy(batch, counts, mode))
     (axis,) = batch
-    assert report_key(_scalar_1d(axis.nums.tolist(), axis.base**axis.width, counts, mode)) == want
+    listed = (axis._replace(nums=axis.nums.tolist()),)  # evaluated by the scalar 1D form
+    assert report_key(discrepancy(listed, counts, mode)) == want
     assert report_key(transformed_discrepancy(spec, transform, n, mode)) == want
 
 
@@ -193,28 +194,29 @@ def test_scalar_1d_matches_the_oracles_and_weighted_arrays(b, width, data):
     den = b**width
     nums = data.draw(st.lists(st.integers(0, den - 1), min_size=1, max_size=12))
     points = [Fraction(x, den) for x in nums]
-    assert _scalar_1d(nums, den, None, "extreme").value == oracle_extreme_1d(points)
-    assert _scalar_1d(nums, den, None, "star").value == oracle_star_1d(points)
+    listed = (Axis(b, width, nums),)  # evaluated by the scalar 1D form
+    assert discrepancy(listed, None, "extreme").value == oracle_extreme_1d(points)
+    assert discrepancy(listed, None, "star").value == oracle_star_1d(points)
     # weighted, with repeated values and zero weights
     counts = data.draw(st.lists(st.integers(0, 3), min_size=len(nums), max_size=len(nums)))
     counts[0] += not any(counts)
     batch = (Axis(b, width, np.array(nums, dtype=np.int64)),)
     for mode in ("extreme", "star"):
         want = report_key(discrepancy(batch, counts, mode))
-        assert report_key(_scalar_1d(nums, den, counts, mode)) == want
+        assert report_key(discrepancy(listed, counts, mode)) == want
 
 
 @pytest.mark.parametrize(
     "nums, counts, mode",
     [([], None, "extreme"), ([1, 3], [0, 0], "star"), ([1, 3], [2, -1], "extreme"),
-     ([1], None, "both")],
-    ids=["empty", "zero-weight", "negative", "mode"],
+     ([1], None, "both"), ([1, 3], [1], "extreme"), ([1, 3], [1, 1, 1], "star")],
+    ids=["empty", "zero-weight", "negative", "mode", "short-counts", "long-counts"],
 )
 def test_scalar_1d_raises_what_the_array_path_raises(nums, counts, mode):
     with pytest.raises(ValueError) as want:
         discrepancy((Axis(2, 2, np.array(nums, dtype=np.int64)),), counts, mode)
     with pytest.raises(ValueError, match=re.escape(str(want.value))):
-        _scalar_1d(nums, 4, counts, mode)
+        discrepancy((Axis(2, 2, nums),), counts, mode)
 
 
 def test_general_sandwich_small():

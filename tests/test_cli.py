@@ -357,6 +357,28 @@ def test_import_keeps_one_blas_thread_unless_set(preset, expected):
     assert out == expected + "\n"
 
 
+@pytest.mark.parametrize(
+    "args",
+    [["udisc", "--spec", "vdc:2", "--N", "2", "--kmax", "1000000000000"],
+     ["ubound", "--spec", "vdc:2", "--b", "2", "--dmax", "3", "--kmax", "1000000000000"]],
+    ids=["udisc", "ubound"],
+)
+def test_window_past_memory_is_a_usage_error(args, tmp_path):
+    # a 2 GiB address space keeps the failed allocation from taking real memory
+    out = tmp_path / "out.csv"
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+        "from lowdisc.cli import main\n"
+        f"sys.exit(main({args + ['--out', str(out)]!r}))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("usage error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 def run_python(code: str) -> str:
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
@@ -437,6 +459,6 @@ def test_lazy_package_resolves_every_name():
         "['lowdisc']",
         "lowdisc.bounds",
         "lowdisc.generators",
-        "68 [] True",
+        "66 [] True",
         "False",
     ]

@@ -7,7 +7,6 @@ from lowdisc import (
     BRational,
     expand,
     monna_plus,
-    nearest_int_distance,
     radical_inverse,
     sum_of_digits,
 )
@@ -18,9 +17,7 @@ from lowdisc import (
     [(0, 2, ()), (5, 2, (1, 0, 1)), (10, 3, (1, 0, 1)), (255, 16, (15, 15))],
 )
 def test_expand_examples(n, b, digits):
-    dv = expand(n, b)
-    assert dv.digits == digits
-    assert dv.value() == n
+    assert expand(n, b) == digits
 
 
 def test_expand_rejects_bad_base():
@@ -58,18 +55,13 @@ def test_monna_plus_examples(x, expected):
 
 def test_monna_plus_ignores_padding():
     x = radical_inverse(6, 2)
-    assert monna_plus(x.padded(x.prec + 3)) == 6
-
-
-@pytest.mark.parametrize("x,d", [(0.75, 0.25), (2.0, 0.0), (0.5, 0.5), (-0.25, 0.25)])
-def test_nearest_int_distance(x, d):
-    assert nearest_int_distance(x) == pytest.approx(d, abs=1e-15)
+    assert monna_plus(BRational(x.num * 2**3, 2, x.prec + 3)) == 6
 
 
 @given(st.integers(0, 10**6 - 1), st.integers(2, 16))
 @settings(max_examples=400)
 def test_round_trips(n, b):
-    assert expand(n, b).value() == n
+    assert sum(d * b**r for r, d in enumerate(expand(n, b))) == n
     assert monna_plus(radical_inverse(n, b)) == n
 
 
@@ -96,9 +88,6 @@ def test_brational_value_semantics():
     assert BRational(1, 2, 1) == BRational(2, 4, 1) == Fraction(1, 2)
     assert BRational(1, 2, 2) < BRational(1, 3, 1) < BRational(1, 2, 1)
     assert hash(BRational(1, 2, 1)) == hash(Fraction(1, 2))
-    assert not BRational(2, 2, 2).is_normalized
-    norm = BRational(2, 2, 2).normalized()
-    assert (norm.num, norm.prec) == (1, 1) and norm.is_normalized
 
 
 def test_brational_range_validation():

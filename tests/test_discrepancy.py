@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lowdisc import (
@@ -25,7 +25,7 @@ from lowdisc import (
     windowed_uniform_discrepancy,
 )
 from lowdisc import discrepancy
-from lowdisc.generators import Axis, coordinates
+from lowdisc.generators import Axis, _int_dtype, coordinates
 from oracles import (
     oracle_extreme_1d,
     oracle_extreme_grid,
@@ -232,11 +232,11 @@ def test_grid_and_star_at_int64_boundary(den_x, den_y, wide):
 
 
 @st.composite
-def scan_cases(draw):
-    """Weighted 2D and 3D sets as per-axis (base, width, numerators), with
-    ties, zero weights, and denominators that put n * D on both sides of 2^62."""
-    s = draw(st.integers(2, 3))
-    size = draw(st.integers(1, 6 if s == 2 else 4))
+def scan_cases(draw, low=2):
+    """Weighted sets of dimension low to 3 as per-axis (base, width, numerators),
+    with ties, zero weights, and denominators that put n * D on both sides of 2^62."""
+    s = draw(st.integers(low, 3))
+    size = draw(st.integers(1, 6 if s <= 2 else 4))
     columns = []
     for _ in range(s):
         base, width = draw(st.sampled_from([(2, 2), (3, 1), (5, 2), (6, 1), (2, 30), (3, 19),
@@ -253,7 +253,7 @@ def assert_both_scans_match_the_oracles(columns, counts):
     """The Python-int and the numpy scan, each called directly, give the
     enumeration oracles' value and witness, grid and star."""
     pts = list(zip(*([F(num, base**width) for num in nums] for base, width, nums in columns)))
-    ints = discrepancy._int_form([(base**width, nums) for base, width, nums in columns], counts)
+    ints = discrepancy._int_form(tuple(Axis(*column) for column in columns), counts)
     batch = tuple(Axis(base, width, np.array(nums, dtype=object)) for base, width, nums in columns)
     arrays = discrepancy._integer_form(batch, counts)
     for evaluate, oracle in [(discrepancy._extreme_grid, oracle_grid_enumeration),
@@ -270,6 +270,44 @@ def test_both_scans_match_the_enumeration_oracles(case, chunk_cells):
     # chunk_cells=1 gives the numpy scan one leading side per chunk
     with mock.patch.object(discrepancy, "_CHUNK_CELLS", chunk_cells or discrepancy._CHUNK_CELLS):
         assert_both_scans_match_the_oracles(*case)
+
+
+@settings(max_examples=300, deadline=None)
+@given(scan_cases(low=1), st.sampled_from(["extreme", "star"]), st.booleans())
+@example(([(2, 1, [0, 1])], None), "extreme", False)  # D+ and D- each tie at 0 and 1/2
+@example(([(2, 1, [0, 1])], [1, 1]), "star", True)
+def test_entry_point_gives_one_report_on_both_backends(case, mode, wide):
+    # list numerators, as int_coordinates gives them, against the arrays of
+    # coordinates (int64 where the denominator allows) or all-object arrays
+    columns, counts = case
+    listed = tuple(Axis(*column) for column in columns)
+    batch = tuple(Axis(base, width, np.array(nums, dtype=object if wide else _int_dtype(base**width)))
+                  for base, width, nums in columns)
+    want = discrepancy.discrepancy(batch, counts, mode)
+    got = discrepancy.discrepancy(listed, counts, mode)
+    assert (got.value, str(got.witness), got.method) == (want.value, str(want.witness), want.method)
+
+
+@pytest.mark.parametrize("counts", [[1], [1, 1, 1, 1]], ids=["short", "long"])
+def test_one_multiplicity_per_point_on_every_route(counts):
+    pts = [F(1, 2), F(1, 4), F(3, 4)]
+    rows = [(x, x) for x in pts]
+    listed = (Axis(2, 2, [2, 1, 3]),)
+    arrays = (Axis(2, 2, np.array([2, 1, 3])),)
+    calls = [
+        lambda: extreme_discrepancy_1d(pts, counts),
+        lambda: star_discrepancy(pts, counts),
+        lambda: extreme_discrepancy_grid(rows, counts),
+        lambda: star_discrepancy(rows, counts),
+        lambda: discrepancy.discrepancy(listed, counts),
+        lambda: discrepancy.discrepancy(listed * 2, counts, "star"),
+        lambda: discrepancy.discrepancy(arrays * 2, counts),
+        lambda: recount(pts, discrepancy.Box((discrepancy.BoxSide(F(0), F(1), True, False),)),
+                        counts),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="one multiplicity per point"):
+            call()
 
 
 @pytest.mark.parametrize(

@@ -20,6 +20,7 @@ from lowdisc import (
     lemma_le1_bound,
     lemma_le2_bound,
     product_identity_check,
+    radical_inverse,
     rho_weight,
     star_discrepancy,
     value_counts_below,
@@ -215,6 +216,14 @@ def test_rho_weights():
     assert rho_weight(2, 1) == pytest.approx(1.0)  # 2/(2 sin(pi/2))
     assert rho_weight(2, 2) == pytest.approx(0.5)  # r=1, kappa=1 -> 2/4
     assert rho_weight(3, 5) == pytest.approx(2 / (9 * math.sin(math.pi / 3)))
+
+
+def test_hellekalek_bounds_need_one_multiplicity_per_point():
+    pts = [radical_inverse(n, 2) for n in range(4)]
+    for bound in (hellekalek_star_bound, hellekalek_bound):
+        for counts in ([1], [1] * 5):
+            with pytest.raises(ValueError, match="one multiplicity per point"):
+                bound(2, 2, pts, counts)
 
 
 def test_hellekalek_constant_sequence():

@@ -28,11 +28,10 @@ from lowdisc import generators
 from lowdisc.generators import (
     coordinates,
     int_coordinates,
-    read_points_csv,
     to_points,
     write_points_csv,
 )
-from oracles import oracle_digital_point, oracle_net_violation, oracle_points_csv
+from oracles import oracle_digital_point, oracle_net_violation, oracle_points_csv, read_points_csv
 
 
 def identity_matrices(p, s, size):
@@ -210,7 +209,8 @@ def point_streams(draw):
         else:
             for pt in to_points(batch):
                 pad = draw(st.booleans())
-                items.append(Point(tuple(c.padded(c.prec + pad) for c in pt.coords)))
+                coords = (BRational(c.num * c.base**pad, c.base, c.prec + pad) for c in pt.coords)
+                items.append(Point(tuple(coords)))
         n += size
     return items, start, n - start
 
@@ -369,10 +369,10 @@ def test_int_coordinates_match_the_kernel_and_the_oracles(case):
     # golden CLI test's per-point path does not replace
     spec, indices = case
     columns = int_coordinates(spec, indices)
-    assert columns == [(a.base**a.width, a.nums.tolist()) for a in coordinates(spec, indices)]
+    assert columns == tuple(a._replace(nums=a.nums.tolist()) for a in coordinates(spec, indices))
     want = [oracle_coords(spec, n) for n in indices]
-    for a, (den, nums) in enumerate(columns):
-        assert [Fraction(num, den) for num in nums] == [point[a][1] for point in want]
+    for a, (base, width, nums) in enumerate(columns):
+        assert [Fraction(num, base**width) for num in nums] == [point[a][1] for point in want]
 
 
 @pytest.mark.parametrize(
@@ -398,9 +398,9 @@ def test_int_coordinates_large_bases(spec, indices):
     # bases past 32 reverse one digit at a time, with no table of base entries
     want = [oracle_coords(spec, n) for n in indices]
     columns = int_coordinates(spec, indices)
-    assert columns == [(a.base**a.width, a.nums.tolist()) for a in coordinates(spec, indices)]
-    for a, (den, nums) in enumerate(columns):
-        assert [Fraction(num, den) for num in nums] == [point[a][1] for point in want]
+    assert columns == tuple(a._replace(nums=a.nums.tolist()) for a in coordinates(spec, indices))
+    for a, (base, width, nums) in enumerate(columns):
+        assert [Fraction(num, base**width) for num in nums] == [point[a][1] for point in want]
 
 
 @pytest.mark.parametrize(
