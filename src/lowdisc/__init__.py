@@ -40,7 +40,8 @@ _EXPORTS = {
     ),
     "discrepancy": (
         "Box", "BoxSide", "DiscrepancyReport", "extreme_discrepancy_1d",
-        "extreme_discrepancy_grid", "recount", "star_discrepancy", "windowed_uniform_discrepancy",
+        "extreme_discrepancy_grid", "recount", "star_discrepancy", "transformed_discrepancy",
+        "windowed_uniform_discrepancy",
     ),
     "expsums": (
         "WeylSum", "gamma_k", "hellekalek_bound", "hellekalek_resolution", "hellekalek_star_bound",
@@ -51,7 +52,7 @@ _EXPORTS = {
         "fit_monotone_constant", "general_lower", "general_sandwich", "general_upper",
         "halton_uniform_main_term", "measured_delta_table", "measured_envelope",
         "monotone_hypotheses", "monotone_lower", "monotone_upper", "sod_envelope_check",
-        "transformed_discrepancy", "uniform_bound_ts",
+        "uniform_bound_ts",
     ),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}

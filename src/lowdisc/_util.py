@@ -1,6 +1,7 @@
 """Shared plumbing with no third-party import: the scan-budget and
-unimodality errors, integer roots, and exact-value coercion.  Every command
-loads this module, so it stays free of numpy."""
+unimodality errors, the base of the validating value types, integer roots,
+and exact-value coercion.  Every command loads this module, so it stays free
+of numpy."""
 
 from __future__ import annotations
 
@@ -17,6 +18,37 @@ class UnimodalityError(RuntimeError):
     def __init__(self, level: int):
         self.level = level
         super().__init__(f"block counts at level j={level} are not unimodal")
+
+
+class Value:
+    """Base of the value types that validate their input.
+
+    A subclass's ``__init__`` checks its arguments and stores them with
+    ``_set``, in field order.  The fields are read-only; two values are equal,
+    and hash alike, when they have one type and equal fields; the repr is
+    ``Type(field=value, ...)``.
+    """
+
+    def _set(self, **fields) -> None:
+        self.__dict__.update(fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.__dict__ == other.__dict__
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in self.__dict__.items())
+        return f"{type(self).__qualname__}({fields})"
 
 
 def int_nth_root(x: int, r: int) -> int:

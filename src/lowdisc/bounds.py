@@ -8,33 +8,24 @@ natural, absorbed by the fitted constants.  Every verification records the
 hypothesis checks it performed and refuses to report success if one failed.
 The general sandwich is computed only where it is exact: the digit-sum
 transform on its q-adic chain, whose block profiles are all shifts of the
-exact digit-sum distribution; floor powers take the monotone bounds.
+exact digit-sum distribution; floor powers take the monotone bounds.  The
+discrepancies the checks measure come from ``discrepancy``
+(``transformed_discrepancy`` and the windowed uniform discrepancy), so a
+job that only measures, such as ``disc``, never loads this module.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple, Sequence
 
-from ._util import UnimodalityError
+from ._util import UnimodalityError, Value
 from .digitsum_dist import distribution, max_count
-from .discrepancy import (
-    DiscrepancyReport,
-    _spec_discrepancy,
-    discrepancy,
-    windowed_uniform_discrepancy,
-)
+from .discrepancy import discrepancy, transformed_discrepancy, windowed_uniform_discrepancy
 from .generators import SequenceSpec, coordinates
-from .transforms import (
-    FloorPower,
-    IndexTransform,
-    SumOfDigits,
-    is_unimodal,
-    multiplicity_F,
-    value_counts_below,
-)
+from .transforms import FloorPower, IndexTransform, SumOfDigits, is_unimodal, multiplicity_F
 
 UPPER_SLACK = 1e-9  # float-comparison slack for fitted upper bounds
 
@@ -63,8 +54,7 @@ def bound_holds(lower, measured, upper) -> bool:
     return _at_most(lower, measured) and _at_most(measured, upper)
 
 
-@dataclass
-class Envelope:
+class Envelope(Value):
     """Non-decreasing f with N * (uniform discrepancy of the base sequence) <= f(N).
 
     Sources: a measured table (running max of windowed measurements, which
@@ -72,9 +62,8 @@ class Envelope:
     see measured_envelope) or a constant.
     """
 
-    source: str
-    _fn: Callable[[int], float]
-    n_max: int | None = None
+    def __init__(self, source: str, _fn: Callable[[int], float], n_max: int | None = None):
+        self._set(source=source, _fn=_fn, n_max=n_max)
 
     def __call__(self, n: int) -> float:
         if n < 1:
@@ -106,8 +95,7 @@ def general_lower(transform: SumOfDigits, d: int) -> int:
     return max_count(transform.q, d)[1]
 
 
-@dataclass
-class GeneralUpper:
+class GeneralUpper(NamedTuple):
     value: float
     per_j: list[tuple[int, int, int, int, float, float]]  # j, ratio, G_j, v_j, f(v_j), term
     flags: dict
@@ -134,36 +122,15 @@ def general_upper(transform: SumOfDigits, envelope: Envelope, d: int) -> General
     return GeneralUpper(math.fsum(row[-1] for row in per_j), per_j, flags)
 
 
-def transformed_discrepancy(
-    spec: SequenceSpec,
-    transform: IndexTransform | None,
-    n: int,
-    mode: str = "extreme",
-) -> DiscrepancyReport:
-    """Exact discrepancy of the first n terms of (x_{f(m)})_m.
-
-    Works at large n because only the distinct index values are materialized,
-    weighted by their exact multiplicities; ``_spec_discrepancy`` evaluates
-    small multisets on Python ints.
-    """
-    if transform is None:
-        indices, counts = range(n), None
-    else:
-        multiplicity = value_counts_below(transform, n)
-        indices, counts = list(multiplicity), list(multiplicity.values())
-    return _spec_discrepancy(spec, indices, counts, mode)
-
-
-@dataclass
-class BoundReport:
+class BoundReport(NamedTuple):
     """One sandwich check: lower <= N * D_N <= upper, with provenance."""
 
     n: int
     lower: Fraction
     measured: Fraction  # N * D_N, exact
     upper: float
-    per_j_terms: list = field(default_factory=list)
-    hypothesis_flags: dict = field(default_factory=dict)
+    per_j_terms: Sequence = ()
+    hypothesis_flags: Mapping = MappingProxyType({})
 
     @property
     def holds(self) -> bool:
@@ -197,8 +164,7 @@ def general_sandwich(
     return reports
 
 
-@dataclass
-class EnvelopeFitRow:
+class EnvelopeFitRow(NamedTuple):
     d: int
     n: int
     measured: float  # D_N as a float (exact value available upstream)
@@ -326,8 +292,7 @@ def fit_monotone_constant(
     return max(float(d_n) / monotone_upper(transform, n, s, 1.0) for n, d_n in measured.items())
 
 
-@dataclass
-class AlphaRow:
+class AlphaRow(NamedTuple):
     n: int
     measured: float
     scaled: float  # D_N * N^alpha

@@ -14,11 +14,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import json
 import os
 import sys
-from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import NamedTuple
 
 import lowdisc as ld
 
@@ -30,9 +29,14 @@ from ._util import BudgetExceededError, as_fraction
 # s >= 2 `udisc` on multisets that discrepancy._on_python_ints finds small
 # (2^14 distinct indices in 1D, 63 for the 2D extreme grid): their points
 # come from generators.int_coordinates and discrepancy() scans them as lists.
+# Records are NamedTuples or plain classes on _util.Value, which keeps
+# inspect out of a job without numpy; json loads only to write a failure
+# record or a report, and `disc` and `udisc` never load the bound checks.
 
 
 def _fail(record: dict) -> int:
+    import json  # only a failed check writes JSON
+
     sys.stderr.write(json.dumps(record, sort_keys=True) + "\n")
     return 1
 
@@ -262,8 +266,7 @@ def cmd_netcheck(args) -> int:
     )
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     curve: str
     spec: str
     q: int = 2
@@ -275,7 +278,6 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path: str) -> RunConfig:
-        known = {f.name for f in fields(cls)}
         raw = {}
         for line in Path(path).read_text().splitlines():
             line = line.strip()
@@ -283,25 +285,25 @@ class RunConfig:
                 continue
             key, _, value = line.partition("=")
             key = key.strip()
-            if key not in known:
+            if key not in cls._fields:
                 raise ValueError(f"unknown config key {key!r}")
             raw[key] = value.strip()
         if "curve" not in raw or "spec" not in raw:
             raise ValueError("config needs at least curve= and spec=")
-        cfg = cls(curve=raw.pop("curve"), spec=raw.pop("spec"))
-        for key, value in raw.items():
-            current = getattr(cfg, key)
-            setattr(cfg, key, type(current)(value))
-        return cfg
+        curve, spec = raw.pop("curve"), raw.pop("spec")
+        return cls(curve, spec, **{k: type(cls._field_defaults[k])(v) for k, v in raw.items()})
 
     def content_hash(self) -> str:
         import hashlib  # only `report` hashes, and hashlib adds 3.6 MiB to a process
+        import json
 
-        blob = json.dumps(self.__dict__, sort_keys=True).encode()
+        blob = json.dumps(self._asdict(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
 
 
 def cmd_report(args) -> int:
+    import json
+
     cfg = RunConfig.from_file(args.config)
     spec = ld.parse_spec(cfg.spec)
     if cfg.curve == "sod":
@@ -330,7 +332,7 @@ def cmd_report(args) -> int:
     manifest = {
         "version": ld.__version__,
         "config_hash": cfg.content_hash(),
-        "config": cfg.__dict__,
+        "config": cfg._asdict(),
         "files": list(curves),
     }
     with _output(out_dir / "manifest.json") as fh:

@@ -5,9 +5,10 @@ Everything here is exact integer arithmetic on arbitrary-precision ints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
+
+from ._util import Value
 
 
 def _check_base(base: int) -> None:
@@ -21,28 +22,22 @@ def _check_nonneg(n: int) -> None:
 
 
 @total_ordering
-@dataclass(frozen=True, eq=False)
-class BRational:
+class BRational(Value):
     """Exact value num / base**prec in [0, 1) with the base kept explicit.
 
     Comparisons (also across bases) cross-multiply arbitrary-precision
     integers; no floating point is involved.  Instances compare and hash by
-    value, so ``BRational(1, 2, 1) == BRational(2, 4, 2) == Fraction(1, 2)``.
+    value, so ``BRational(1, 2, 1) == BRational(2, 4, 1) == Fraction(1, 2)``.
     """
 
-    num: int
-    base: int
-    prec: int
-
-    def __post_init__(self):
-        _check_base(self.base)
-        _check_nonneg(self.num)
-        if self.prec < 0:
+    def __init__(self, num: int, base: int, prec: int):
+        _check_base(base)
+        _check_nonneg(num)
+        if prec < 0:
             raise ValueError("prec must be >= 0")
-        if self.num >= self.base**self.prec:
-            raise ValueError(
-                f"{self.num}/{self.base}^{self.prec} does not lie in [0, 1)"
-            )
+        if num >= base**prec:
+            raise ValueError(f"{num}/{base}^{prec} does not lie in [0, 1)")
+        self._set(num=num, base=base, prec=prec)
 
     def as_fraction(self) -> Fraction:
         return Fraction(self.num, self.base**self.prec)

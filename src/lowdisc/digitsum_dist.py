@@ -8,8 +8,8 @@ main term with sigma_q = sqrt((q^2 - 1)/12).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from ._util import BudgetExceededError
 from .digits import expand
@@ -18,8 +18,7 @@ from .transforms import is_unimodal
 DEFAULT_J_BUDGET = 256
 
 
-@dataclass(frozen=True)
-class DigitSumDistribution:
+class DigitSumDistribution(NamedTuple):
     """counts[k] = #{0 <= n < q**j : s_q(n) = k}, exact integers."""
 
     q: int

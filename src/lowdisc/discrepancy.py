@@ -18,7 +18,9 @@ to repay importing numpy.  ``discrepancy`` is the one entry to both: a batch
 whose numerators are lists, from ``int_coordinates``, goes to the Python
 ints, any other input to the arrays.  For points given by a spec,
 ``_on_python_ints`` picks the coordinate kernel from the number of points
-alone.  Only the winning box is turned back into Fractions.
+alone; ``transformed_discrepancy`` gives it an index-transformed prefix as
+its distinct indices and their multiplicities.  Only the winning box is
+turned back into Fractions.
 """
 
 from __future__ import annotations
@@ -26,13 +28,14 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from ._util import BudgetExceededError, as_fraction
-from .generators import Axis, Point, SequenceSpec, _int_dtype, coordinates, int_coordinates
-from .transforms import IndexTransform
+from .generators import (
+    Axis, Point, SequenceSpec, _index_array, _int_dtype, coordinates, int_coordinates,
+)
+from .transforms import IndexTransform, value_counts_below
 
 if TYPE_CHECKING:
     import numpy as np
@@ -50,8 +53,7 @@ SCALAR_1D_CUT = 1 << 14
 SCALAR_CELL_CUT = 1 << 18
 
 
-@dataclass(frozen=True)
-class BoxSide:
+class BoxSide(NamedTuple):
     """One axis of a witness box; closed flags mark which walls touch points."""
 
     lower: Fraction
@@ -70,8 +72,7 @@ class BoxSide:
         return f"{lb}{self.lower},{self.upper}{rb}"
 
 
-@dataclass(frozen=True)
-class Box:
+class Box(NamedTuple):
     sides: tuple[BoxSide, ...]
 
     def volume(self) -> Fraction:
@@ -87,8 +88,7 @@ class Box:
         return "x".join(str(s) for s in self.sides)
 
 
-@dataclass(frozen=True)
-class DiscrepancyReport:
+class DiscrepancyReport(NamedTuple):
     n: int
     value: Fraction
     witness: Box | None
@@ -688,6 +688,26 @@ def _spec_discrepancy(spec: SequenceSpec, indices, counts, mode: str) -> Discrep
     return discrepancy(kernel(spec, indices), counts, mode)
 
 
+def transformed_discrepancy(
+    spec: SequenceSpec,
+    transform: IndexTransform | None,
+    n: int,
+    mode: str = "extreme",
+) -> DiscrepancyReport:
+    """Exact discrepancy of the first n terms of (x_{f(m)})_m.
+
+    Works at large n because only the distinct index values are materialized,
+    weighted by their exact multiplicities; ``_spec_discrepancy`` evaluates
+    small multisets on Python ints.
+    """
+    if transform is None:
+        indices, counts = range(n), None
+    else:
+        multiplicity = value_counts_below(transform, n)
+        indices, counts = list(multiplicity), list(multiplicity.values())
+    return _spec_discrepancy(spec, indices, counts, mode)
+
+
 def _window_1d(axis: Axis, n: int, k_max: int, mode: str) -> tuple[int, Fraction]:
     """First shift with the largest block discrepancy, and that discrepancy.
 
@@ -734,9 +754,11 @@ def windowed_uniform_discrepancy(
     if n < 1 or k_max < 0:
         raise ValueError("need n >= 1 and k_max >= 0")
     indices = range(k_max + n)
-    if transform is not None:
-        indices = [transform.apply(i) for i in indices]
     on_ints = spec.dimension > 1 and _on_python_ints(n, spec.dimension, mode, k_max + 1)
+    if transform is not None:
+        if not on_ints:  # a window past memory fails here, as it does untransformed
+            indices = _index_array(indices).tolist()
+        indices = [transform.apply(i) for i in indices]
     window = (int_coordinates if on_ints else coordinates)(spec, indices)
 
     def block(k: int) -> DiscrepancyReport:

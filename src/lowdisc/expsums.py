@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -72,8 +71,7 @@ def _exact_dot(counts, values) -> float:
     return sum(c * p * (den // d) for c, p, d in ratios) / den
 
 
-@dataclass(frozen=True)
-class WeylSum:
+class WeylSum(NamedTuple):
     b: int
     q: int
     k: int

@@ -15,9 +15,9 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
+from ._util import Value
 from .digits import BRational
 
 if TYPE_CHECKING:
@@ -36,8 +36,7 @@ def _int_dtype(bound: int):
     return np.int64 if bound < _INT64_LIMIT else object
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(NamedTuple):
     """A point of [0,1)^s with exact coordinates (bases may differ per axis)."""
 
     coords: tuple[BRational, ...]
@@ -63,15 +62,13 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class VanDerCorput:
+class VanDerCorput(Value):
     """One-dimensional radical-inverse sequence in a fixed base."""
 
-    base: int
-
-    def __post_init__(self):
-        if self.base < 2:
+    def __init__(self, base: int):
+        if base < 2:
             raise ValueError("van der Corput base must be >= 2")
+        self._set(base=base)
 
     @property
     def dimension(self) -> int:
@@ -81,15 +78,11 @@ class VanDerCorput:
         return to_points(coordinates(self, [n]))[0]
 
 
-@dataclass(frozen=True)
-class Halton:
+class Halton(Value):
     """Coordinate-wise radical inverses in pairwise co-prime bases."""
 
-    bases: tuple[int, ...]
-
-    def __post_init__(self):
-        bases = tuple(self.bases)
-        object.__setattr__(self, "bases", bases)
+    def __init__(self, bases: Iterable[int]):
+        bases = tuple(bases)
         if not bases:
             raise ValueError("need at least one base")
         for b in bases:
@@ -102,6 +95,7 @@ class Halton:
                         f"Halton bases must be pairwise co-prime; "
                         f"gcd({bases[i]}, {bases[j]}) != 1"
                     )
+        self._set(bases=bases)
 
     @property
     def dimension(self) -> int:
@@ -111,58 +105,50 @@ class Halton:
         return to_points(coordinates(self, [n]))[0]
 
 
-@dataclass(frozen=True)
-class GeneratorMatrix:
+class GeneratorMatrix(Value):
     """Square generator matrix over F_p, rows indexed from the top.
 
     The finite size means every column has only finitely many nonzero entries,
     so all generated coordinates stay strictly below 1.
     """
 
-    p: int
-    rows: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if not _is_prime(self.p):
-            raise ValueError(f"matrix modulus must be prime, got {self.p}")
-        size = len(self.rows)
-        for row in self.rows:
+    def __init__(self, p: int, rows: tuple[tuple[int, ...], ...]):
+        if not _is_prime(p):
+            raise ValueError(f"matrix modulus must be prime, got {p}")
+        size = len(rows)
+        for row in rows:
             if len(row) != size:
                 raise ValueError("generator matrix must be square")
             for e in row:
-                if not 0 <= e < self.p:
-                    raise ValueError(f"entry {e} not reduced mod {self.p}")
+                if not 0 <= e < p:
+                    raise ValueError(f"entry {e} not reduced mod {p}")
+        self._set(p=p, rows=rows)
 
     @property
     def size(self) -> int:
         return len(self.rows)
 
 
-@dataclass(frozen=True)
-class DigitalSequence:
+class DigitalSequence(Value):
     """Digital sequence over F_p given by one generator matrix per axis.
 
     Indices must stay below p**precision: digits beyond the matrix width
     would otherwise be dropped silently, so they are rejected instead.
     """
 
-    p: int
-    matrices: tuple[GeneratorMatrix, ...]
-    precision: int = DEFAULT_DIGITAL_PRECISION
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrices", tuple(self.matrices))
-        if not _is_prime(self.p):
-            raise ValueError(f"digital base must be prime, got {self.p}")
-        if not self.matrices:
+    def __init__(self, p: int, matrices: Iterable[GeneratorMatrix],
+                 precision: int = DEFAULT_DIGITAL_PRECISION):
+        matrices = tuple(matrices)
+        if not _is_prime(p):
+            raise ValueError(f"digital base must be prime, got {p}")
+        if not matrices:
             raise ValueError("need at least one generator matrix")
-        for mat in self.matrices:
-            if mat.p != self.p:
+        for mat in matrices:
+            if mat.p != p:
                 raise ValueError("matrix modulus differs from sequence base")
-            if mat.size != self.precision:
-                raise ValueError(
-                    f"matrix size {mat.size} != precision {self.precision}"
-                )
+            if mat.size != precision:
+                raise ValueError(f"matrix size {mat.size} != precision {precision}")
+        self._set(p=p, matrices=matrices, precision=precision)
 
     @property
     def dimension(self) -> int:
@@ -193,6 +179,16 @@ class Axis(NamedTuple):
 
     def normalized(self) -> tuple[list[int], list[int]]:
         """Numerators and precisions with trailing zero digits dropped (0 is 0/b^0)."""
+        if isinstance(self.nums, list):
+            nums, precs = [], []
+            for num in self.nums:
+                prec = self.width if num else 0
+                while num and num % self.base == 0:
+                    num //= self.base
+                    prec -= 1
+                nums.append(num)
+                precs.append(prec)
+            return nums, precs
         import numpy as np
         nums = self.nums.copy()
         precs = np.full(len(nums), self.width, dtype=np.int64)
@@ -211,11 +207,12 @@ class Axis(NamedTuple):
 
     def floats(self) -> list[float]:
         """Each value correctly rounded, as float(Fraction) rounds it."""
-        import numpy as np
-        den = self.base**self.width
-        if den <= 1 << 53:  # numerators and denominator are exact doubles: one rounding
-            return (self.nums.astype(np.float64) / den).tolist()
-        return [num / den for num in self.nums.tolist()]  # int true division rounds once
+        den, nums = self.base**self.width, self.nums
+        if not isinstance(nums, list):
+            if den <= 1 << 53:  # numerators and denominator are exact doubles: one rounding
+                return (nums.astype(float) / den).tolist()
+            nums = nums.tolist()
+        return [num / den for num in nums]  # int true division rounds once
 
 
 def _checked_indices(indices) -> list[int]:

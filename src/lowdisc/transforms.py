@@ -9,24 +9,20 @@ digit sums, exact ceilings for floor powers, a scan only for tables.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from ._util import int_nth_root
+from ._util import Value, int_nth_root
 from .digits import sum_of_digits
 
 
-@dataclass(frozen=True)
-class SumOfDigits:
+class SumOfDigits(Value):
     """f(n) = s_q(n).  Every value is attained infinitely often."""
 
-    q: int
-
-    def __post_init__(self):
-        if self.q < 2:
+    def __init__(self, q: int):
+        if q < 2:
             raise ValueError("digit-sum base must be >= 2")
+        self._set(q=q)
 
     def apply(self, n: int) -> int:
         return sum_of_digits(n, self.q)
@@ -36,8 +32,7 @@ class SumOfDigits:
         return False
 
 
-@dataclass(frozen=True)
-class FloorPower:
+class FloorPower(Value):
     """f(n) = floor(n**(u/v)) with 0 < u < v and gcd(u, v) = 1.
 
     Evaluated by exact integer root bracketing k**v <= n**u < (k+1)**v; no
@@ -45,14 +40,12 @@ class FloorPower:
     rational by the caller.
     """
 
-    u: int
-    v: int
-
-    def __post_init__(self):
-        if not (0 < self.u < self.v):
+    def __init__(self, u: int, v: int):
+        if not (0 < u < v):
             raise ValueError("need 0 < u < v so that 0 < alpha < 1")
-        if math.gcd(self.u, self.v) != 1:
+        if math.gcd(u, v) != 1:
             raise ValueError("u/v must be in lowest terms")
+        self._set(u=u, v=v)
 
     def apply(self, n: int) -> int:
         if n < 0:
@@ -74,19 +67,17 @@ class FloorPower:
         return True
 
 
-@dataclass(frozen=True)
-class TableTransform:
+class TableTransform(Value):
     """Explicit non-decreasing map on 0..n_max."""
 
-    values: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
-        if not self.values:
+    def __init__(self, values: Iterable[int]):
+        values = tuple(values)
+        if not values:
             raise ValueError("table must not be empty")
-        for a, b in zip(self.values, self.values[1:]):
+        for a, b in zip(values, values[1:]):
             if b < a:
                 raise ValueError("table transform must be non-decreasing")
+        self._set(values=values)
 
     def apply(self, n: int) -> int:
         if not 0 <= n < len(self.values):
@@ -162,6 +153,8 @@ def parse_transform(text: str) -> IndexTransform:
     """Parse transform specs: JSON objects or the compact sod:Q / pow:U/V forms."""
     text = text.strip()
     if text.startswith("{"):
+        import json  # only a JSON spec needs the parser
+
         cfg = json.loads(text)
         kind = cfg.get("kind")
         try:

@@ -291,6 +291,19 @@ def test_report_manifest_and_unknown_keys(tmp_path):
     assert main(["report", "--config", str(bad)]) == 2
 
 
+def test_report_manifest_bytes(tmp_path, monkeypatch):
+    # the manifest holds the config as given, so a relative out= pins every byte
+    monkeypatch.chdir(tmp_path)
+    Path("cfg").write_text("curve=alpha\nspec=vdc:3\nu=2\nv=3\ndmax=6\nmode=star\nout=rep\n")
+    assert main(["report", "--config", "cfg"]) == 0
+    assert Path("rep/manifest.json").read_text() == (
+        '{\n  "config": {\n    "curve": "alpha",\n    "dmax": 6,\n    "mode": "star",\n'
+        '    "out": "rep",\n    "q": 2,\n    "spec": "vdc:3",\n    "u": 2,\n    "v": 3\n  },\n'
+        '  "config_hash": "a3f0120d5b3e4e3af9baf3a27d880f71ca59d437f8e038feed3afca99109e6cf",\n'
+        '  "files": [\n    "alpha_2_3.dat"\n  ],\n  "version": "0.1.0"\n}\n'
+    )
+
+
 def test_report_unknown_curve_leaves_no_output(tmp_path, capsys):
     # every curve is built before the report directory is made
     for config, message in [
@@ -360,8 +373,10 @@ def test_import_keeps_one_blas_thread_unless_set(preset, expected):
 @pytest.mark.parametrize(
     "args",
     [["udisc", "--spec", "vdc:2", "--N", "2", "--kmax", "1000000000000"],
-     ["ubound", "--spec", "vdc:2", "--b", "2", "--dmax", "3", "--kmax", "1000000000000"]],
-    ids=["udisc", "ubound"],
+     ["ubound", "--spec", "vdc:2", "--b", "2", "--dmax", "3", "--kmax", "1000000000000"],
+     # the transformed window allocates its indices before it maps any of them
+     ["udisc", "--spec", "vdc:2", "--transform", "sod:2", "--N", "2", "--kmax", "1000000000000"]],
+    ids=["udisc", "ubound", "udisc-transform"],
 )
 def test_window_past_memory_is_a_usage_error(args, tmp_path):
     # a 2 GiB address space keeps the failed allocation from taking real memory
@@ -373,7 +388,8 @@ def test_window_past_memory_is_a_usage_error(args, tmp_path):
         f"sys.exit(main({args + ['--out', str(out)]!r}))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("usage error: ") and proc.stderr.count("\n") == 1, proc.stderr
     assert list(tmp_path.iterdir()) == []
@@ -385,29 +401,55 @@ def run_python(code: str) -> str:
                           text=True, check=True).stdout
 
 
+# Modules a numpy-free job does not load: records are NamedTuples or plain
+# classes, and JSON is imported only where it is written or parsed.
+LEAN = ("dataclasses", "inspect", "json")
+
+
 def test_cli_start_up_loads_only_the_commands_modules():
     code = (
-        "import os, sys\n"
+        "import contextlib, io, os, sys\n"
         "import lowdisc.cli as cli\n"
+        f"def lean(): print(*(m in sys.modules for m in {LEAN!r}))\n"
         "print('numpy' in sys.modules, 'hashlib' in sys.modules)\n"
+        "lean()\n"
         "assert cli.main(['dist', '--q', '3', '--j', '5', '--out', os.devnull]) == 0\n"
+        "lean()\n"
         "assert cli.main(['transform', '--transform', 'pow:1/2', '--count', '50',"
         " '--out', os.devnull]) == 0\n"
+        "lean()\n"
         "assert cli.main(['expsum', '--b', '2', '--q', '3', '--kmax', '15', '--N', '1000',"
         " '--out', os.devnull]) == 0\n"
+        "lean()\n"
         "assert cli.main(['hkbound', '--b', '3', '--q', '2', '--N', '5000',"
         " '--out', os.devnull]) == 0\n"
+        "lean()\n"
         "print('numpy' in sys.modules, 'lowdisc.generators' in sys.modules)\n"
         # small 1D radical-inverse multisets are evaluated on Python ints
         "assert cli.main(['sodcheck', '--spec', 'vdc:2', '--q', '3', '--dmax', '12',"
         " '--out', os.devnull]) == 0\n"
+        "lean()\n"
         "assert cli.main(['monocheck', '--spec', 'vdc:2', '--u', '2', '--v', '3', '--dmax', '10',"
         " '--out', os.devnull]) == 0\n"
+        "lean()\n"
         "assert cli.main(['disc', '--spec', 'vdc:3', '--transform', 'pow:1/2', '--N', '100000',"
         " '--out', os.devnull]) == 0\n"
+        "lean()\n"
         "print('numpy' in sys.modules)\n"
+        # a failed check still writes its JSON record, importing json to do so
+        "err = io.StringIO()\n"
+        "with contextlib.redirect_stderr(err):\n"
+        "    rc = cli.main(['monocheck', '--spec', 'vdc:2', '--u', '1', '--v', '2', '--dmax', '8',"
+        " '--cal-dmax', '1', '--out', os.devnull])\n"
+        "print(rc, 'json' in sys.modules, 'numpy' in sys.modules)\n"
+        "print(err.getvalue(), end='')\n"
     )
-    assert run_python(code) == "False False\nFalse False\nFalse\n"
+    lines = run_python(code).splitlines()
+    assert lines[:-2] == (["False False"] + ["False False False"] * 5 + ["False False"]
+                          + ["False False False"] * 3 + ["False"])
+    assert lines[-2] == "1 True False"
+    assert json.loads(lines[-1]) == {"command": "monocheck", "failures": [
+        {"N": 4, "check": "monocheck"}, {"N": 8, "check": "monocheck"}]}
 
 
 @pytest.mark.parametrize(
@@ -434,12 +476,16 @@ def test_cli_start_up_loads_only_the_commands_modules():
     ids=["disc-cut", "genbound", "grid-jobs", "grid-cut", "large-base"],
 )
 def test_cli_loads_numpy_only_past_the_cut_and_for_windows(jobs, loaded):
-    code = "import os, sys\nimport lowdisc.cli as cli\nseen = []\n"
+    # a job that does not load numpy loads none of LEAN either; nor does
+    # `disc` or `udisc` load the bound checks
+    watched = (*LEAN, "lowdisc.bounds")
+    code = "import os, sys\nimport lowdisc.cli as cli\nseen, lean = [], set()\n"
     for job in jobs:
         code += f"assert cli.main({job!r} + ['--out', os.devnull]) == 0\n"
         code += "seen.append('numpy' in sys.modules)\n"
-    code += "print(*seen)\n"
-    assert run_python(code) == loaded + "\n"
+        code += f"lean |= set() if seen[-1] else {{m for m in {watched!r} if m in sys.modules}}\n"
+    code += "print(*seen)\nprint(sorted(lean))\n"
+    assert run_python(code) == loaded + "\n[]\n"
 
 
 def test_lazy_package_resolves_every_name():

@@ -5,7 +5,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 from fractions import Fraction
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lowdisc import (
@@ -373,6 +373,26 @@ def test_int_coordinates_match_the_kernel_and_the_oracles(case):
     want = [oracle_coords(spec, n) for n in indices]
     for a, (base, width, nums) in enumerate(columns):
         assert [Fraction(num, base**width) for num in nums] == [point[a][1] for point in want]
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_coordinate_cases())
+@example((Halton((2, 3)), list(range(5))))
+# denominators past 2**53, where floats() divides Python ints: below and past 2**62
+@example((VanDerCorput(2), [2**54 + 3, 0, 2**53, 6]))
+@example((Halton((2, 3)), [2**62 + 1, 5, 0, 3**40]))
+@example((pascal(2, 2, 60), [2**59 + 7, 1, 0]))
+@example((pascal(3, 2, 40), [3**39 + 2, 3, 0]))
+def test_int_coordinates_give_the_kernels_points_and_csv(case):
+    # normalized(), brationals() and floats() read list numerators too
+    spec, indices = case
+    arrays, lists = coordinates(spec, indices), int_coordinates(spec, indices)
+    assert to_points(lists) == to_points(arrays)
+    assert [a.floats() for a in lists] == [a.floats() for a in arrays]
+    want, got = io.StringIO(), io.StringIO()
+    write_points_csv(want, [arrays])
+    write_points_csv(got, [lists])
+    assert got.getvalue() == want.getvalue()
 
 
 @pytest.mark.parametrize(
