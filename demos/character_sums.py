@@ -17,17 +17,16 @@ from lowdisc import (
     BRational,
     SumOfDigits,
     VanDerCorput,
-    extreme_discrepancy_1d,
     hellekalek_bound,
     hellekalek_resolution,
     hellekalek_star_bound,
     lemma_le1_bound,
     lemma_le2_bound,
     rho_weight,
-    star_discrepancy,
     value_counts_below,
     weyl_sum,
 )
+from lowdisc.discrepancy import discrepancy
 
 b, q = 2, 2
 
@@ -58,7 +57,7 @@ for d in (6, 10, 14, 18):
     mult = value_counts_below(SumOfDigits(q), n)
     pts = [spec.point(k).coords[0] for k in mult]
     counts = list(mult.values())
-    exact = float(extreme_discrepancy_1d(pts, counts).value)
+    exact = float(discrepancy(pts, counts).value)
     g = hellekalek_resolution(b, n)
     bound = hellekalek_bound(b, g, pts, counts)
     print(f"{n:>8} {g:>2} {exact:>10.5f} {bound:>8.4f} {exact * math.sqrt(math.log(n)):>13.4f}")
@@ -67,6 +66,6 @@ for d in (6, 10, 14, 18):
 # be beaten by the extreme discrepancy
 pts = [BRational(0, 2, 0)] * 3 + [BRational(3, 2, 2), BRational(13, 2, 4), BRational(7, 2, 3)]
 print("\nstar/extreme gap on a worst-case multiset:")
-print("  star D* =", star_discrepancy(pts).value, "  extreme D =", extreme_discrepancy_1d(pts).value)
+print("  star D* =", discrepancy(pts, mode="star").value, "  extreme D =", discrepancy(pts).value)
 print("  display =", round(hellekalek_star_bound(2, 1, pts), 4),
       "  doubled bound =", round(hellekalek_bound(2, 1, pts), 4))

@@ -39,8 +39,7 @@ _EXPORTS = {
         "max_count", "unimodality_onset",
     ),
     "discrepancy": (
-        "Box", "BoxSide", "DiscrepancyReport", "extreme_discrepancy_1d",
-        "extreme_discrepancy_grid", "recount", "star_discrepancy", "transformed_discrepancy",
+        "Box", "BoxSide", "DiscrepancyReport", "recount", "transformed_discrepancy",
         "windowed_uniform_discrepancy",
     ),
     "expsums": (

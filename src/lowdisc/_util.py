@@ -1,10 +1,11 @@
 """Shared plumbing with no third-party import: the scan-budget and
 unimodality errors, the base of the validating value types, integer roots,
-and exact-value coercion.  Every command loads this module, so it stays free
-of numpy."""
+exact-value coercion and the multiset check.  Every command loads this
+module, so it stays free of numpy."""
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 
@@ -80,3 +81,17 @@ def as_fraction(x) -> Fraction:
         return x.as_fraction()
     return Fraction(x)
 
+
+
+def multiplicities(counts, size: int) -> tuple[list[int] | None, int]:
+    """The multiplicities of `size` points, None for one each, and their total."""
+    if counts is not None:
+        counts = list(map(operator.index, counts))
+        if len(counts) != size:
+            raise ValueError("one multiplicity per point")
+        if any(c < 0 for c in counts):
+            raise ValueError("multiplicities must be non-negative")
+    n = size if counts is None else sum(counts)
+    if not size or n < 1:
+        raise ValueError("empty point multiset")
+    return counts, n

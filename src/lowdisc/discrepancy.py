@@ -3,9 +3,10 @@
 All values are exact rationals.  Suprema over half-open boxes are realized
 symbolically: every candidate wall carries a closed/open attainment flag
 standing for a one-sided limit, so no numeric epsilon ever appears.  Witness
-boxes are reported so each value can be re-checked independently.
+boxes are reported so each value can be re-checked independently: ``recount``
+takes every input that ``discrepancy``, the only evaluator, takes.
 
-Every evaluator reads one integer form of its input: per axis a denominator
+The evaluator reads one integer form of its input: per axis a denominator
 D, the sorted distinct coordinates times D and each point's rank among them,
 plus the weights.  For s >= 2 the weighted ranks fill one prefix-count array.
 The sides of the leading s - 1 axes are enumerated as rows, and along the
@@ -31,7 +32,7 @@ import operator
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from ._util import BudgetExceededError, as_fraction
+from ._util import BudgetExceededError, as_fraction, multiplicities
 from .generators import (
     Axis, Point, SequenceSpec, _index_array, _int_dtype, coordinates, int_coordinates,
 )
@@ -100,6 +101,8 @@ class DiscrepancyReport(NamedTuple):
 
 
 def _coerce_points(points) -> list[tuple[Fraction, ...]]:
+    if _is_batch(points):
+        return list(zip(*([Fraction(int(x), a.base**a.width) for x in a.nums] for a in points)))
     out = []
     for pt in points:
         if isinstance(pt, Point):
@@ -112,26 +115,13 @@ def _coerce_points(points) -> list[tuple[Fraction, ...]]:
 
 
 def recount(points, box: Box, counts=None) -> Fraction:
-    """|A(box)/N - vol(box)| recomputed from scratch (witness verification)."""
+    """|A(box)/N - vol(box)| recomputed from scratch (witness verification),
+    from any points that ``discrepancy`` takes."""
     pts = _coerce_points(points)
-    counts, n = _multiplicities(counts, len(pts))
+    counts, n = multiplicities(counts, len(pts))
     weights = itertools.repeat(1) if counts is None else counts
     inside = sum(c for pt, c in zip(pts, weights) if box.contains(pt))
     return abs(Fraction(inside, n) - box.volume())
-
-
-def _multiplicities(counts, size: int) -> tuple[list[int] | None, int]:
-    """The multiplicities of `size` points, None for one each, and their total."""
-    if counts is not None:
-        counts = list(map(operator.index, counts))
-        if len(counts) != size:
-            raise ValueError("one multiplicity per point")
-        if any(c < 0 for c in counts):
-            raise ValueError("multiplicities must be non-negative")
-    n = size if counts is None else sum(counts)
-    if not size or n < 1:
-        raise ValueError("empty point multiset")
-    return counts, n
 
 
 def _is_batch(points) -> bool:
@@ -159,7 +149,7 @@ def _integer_form(points, counts):
     batch = _is_batch(points)
     pts = None if batch else _coerce_points(points)
     size = len(points[0].nums) if batch else len(pts)
-    counts, n = _multiplicities(counts, size)
+    counts, n = multiplicities(counts, size)
     if counts is None:
         counts = np.broadcast_to(np.int64(1), (size,))
     else:
@@ -185,7 +175,7 @@ def _integer_form(points, counts):
 def _int_form(batch, counts):
     """``_integer_form`` on Python ints, from a batch with list numerators."""
     size = len(batch[0].nums)
-    counts, n = _multiplicities(counts, size)
+    counts, n = multiplicities(counts, size)
     axes = []
     for axis in batch:
         den, nums = axis.base**axis.width, axis.nums
@@ -275,9 +265,6 @@ class _BoxKernel:
         lengths."""
         import numpy as np
         scaled = self.prefix * self.scale
-        if not family:
-            yield scaled[np.newaxis], np.full(1, self.n, dtype=self.dtype)
-            return
         arrays = []
         for sides in family:
             starts, ends, lengths, _ = zip(*sides)
@@ -509,6 +496,20 @@ def _walls(axes) -> list[tuple[int, list[int]]]:
 
 
 def _extreme_grid(kernel_type, axes, counts, n) -> DiscrepancyReport:
+    """Exact sup over half-open boxes, s >= 2, over the critical grid.
+
+    Positive deviations are maximized by boxes shrink-wrapped onto points
+    (all walls closed on coordinate values); negative ones by boxes fattened
+    until the walls exclude points (all walls open, or resting on 0/1).  For
+    each row, a closed last-axis side [y_i, y_j] deviates by A(j) - B(i)
+    with A(j) = C(j+1) S - n L y_j and B(i) = C(i) S - n L y_i, where C
+    counts the row's weight below each rank, L is the row's length and S the
+    scale; so the row's best side is max_j (A(j) - min_{i <= j} B(i)), one
+    running minimum.  An open side's valid low walls form a prefix of the
+    sorted lows, so the same scan applies.  The witness is the first
+    maximizer in product order, (i, j) lexicographic within a row,
+    shrink-wrapped boxes first.
+    """
     sizes = [len(values) for _, values, _ in axes]
     cells = _grid_cells(sizes, [int(values[0]) == 0 for _, values, _ in axes])
     if cells > DEFAULT_CELL_BUDGET:
@@ -531,6 +532,8 @@ def _extreme_grid(kernel_type, axes, counts, n) -> DiscrepancyReport:
 
 
 def _star(kernel_type, axes, counts, n) -> DiscrepancyReport:
+    """Sup over anchored boxes [0, b), s >= 2: upper corners on the coordinate
+    grid plus 1, in product order, each closed limit before its open one."""
     corners = math.prod(len(values) + 1 for _, values, _ in axes)
     if corners > DEFAULT_CELL_BUDGET:
         raise BudgetExceededError(
@@ -574,9 +577,13 @@ def _report_1d(n: int, den: int, values, minus, plus, mode: str) -> DiscrepancyR
 
 
 def _closed_form_1d(axes, counts, n, mode: str) -> DiscrepancyReport:
-    """The 1D closed form on the arrays of ``_integer_form``."""
-    if len(axes) != 1:
-        raise ValueError("the 1D closed form needs one-dimensional points")
+    """The 1D closed form on the arrays of ``_integer_form``.
+
+    With C_i the weight up to the i-th smallest distinct value y_i, the sup
+    over half-open intervals [a, b) is max_i(y_i - C_{i-1}/N) +
+    max_i(C_i/N - y_i), and the star discrepancy the larger of the two; the
+    witness comes from the first maximum of each.
+    """
     kernel = _BoxKernel(axes, counts, n)
     den, values, _ = axes[0]
     cum = kernel.prefix  # cum[i + 1] is the weight up to the i-th axis value
@@ -589,7 +596,7 @@ def _scalar_1d(axis: Axis, counts, mode: str) -> DiscrepancyReport:
     """The 1D closed form on Python ints, from an Axis with list numerators:
     the integers and witness of ``_closed_form_1d``."""
     nums, den = axis.nums, axis.base**axis.width
-    counts, n = _multiplicities(counts, len(nums))
+    counts, n = multiplicities(counts, len(nums))
     weights = dict.fromkeys(nums, 0)
     for num, count in zip(nums, itertools.repeat(1) if counts is None else counts):
         weights[num] += count
@@ -602,55 +609,18 @@ def _scalar_1d(axis: Axis, counts, mode: str) -> DiscrepancyReport:
     return _report_1d(n, den, values, *first_max, mode)
 
 
-def extreme_discrepancy_1d(points, counts=None) -> DiscrepancyReport:
-    """Exact sup over half-open intervals [a, b) of |A/N - (b-a)|.
-
-    Closed form on the sorted multiset: with cumulative counts c_i at the
-    distinct values y_i, the value is max_i(c_i/N - y_i) + max_i(y_i -
-    c_{i-1}/N), each maximum the first one.  The brute-force interval oracle
-    in the test suite checks this exactly.
-    """
-    return _closed_form_1d(*_integer_form(points, counts), "extreme")
-
-
-def extreme_discrepancy_grid(points, counts=None) -> DiscrepancyReport:
-    """Exact sup over half-open boxes over the critical grid.
-
-    Positive deviations are maximized by boxes shrink-wrapped onto points
-    (all walls closed on coordinate values); negative ones by boxes fattened
-    until the walls exclude points (all walls open, or resting on 0/1).  For
-    each product of leading-axis sides (a row), a closed last-axis side
-    [y_i, y_j] deviates by A(j) - B(i) with A(j) = C(j+1) S - n L y_j and
-    B(i) = C(i) S - n L y_i, where C counts the row's weight below each rank,
-    L is the row's length and S the scale; so the row's best side is
-    max_j (A(j) - min_{i <= j} B(i)), one running minimum.  An open side's
-    valid low walls form a prefix of the sorted lows, so the same scan
-    applies.  Counts come from prefix sums in exact integer arithmetic, up to
-    DEFAULT_CELL_BUDGET scan cells (rows times last-axis values plus one).
-    The witness is the first maximizer in product order, (i, j) lexicographic
-    within a row, shrink-wrapped boxes first.
-    """
-    return _extreme_grid(_BoxKernel, *_integer_form(points, counts))
-
-
-def star_discrepancy(points, counts=None) -> DiscrepancyReport:
-    """Sup over anchored boxes [0, b): the cheap proxy for extreme discrepancy.
-
-    Satisfies star <= extreme <= 2^s * star.  Upper corners run over the
-    coordinate grid (plus 1) in product order, each evaluated in both
-    attainment limits, the closed limit first, up to DEFAULT_CELL_BUDGET
-    corners; in 1D the closed form takes them all at once.
-    """
-    return discrepancy(points, counts, "star")
-
-
 def discrepancy(points, counts=None, mode: str = "extreme") -> DiscrepancyReport:
     """Exact "extreme" or "star" discrepancy of a (weighted) point multiset.
 
-    The one entry to the evaluators.  A batch with list numerators, from
+    points are rows of coordinates, ``Point``s, 1D scalars (Fractions or
+    BRationals) or a batch of ``Axis`` coordinates; counts are their
+    multiplicities.  "extreme" is the sup over half-open boxes of |A/N -
+    vol|, "star" the sup over anchored boxes [0, b), and star <= extreme <=
+    2^s * star.  1D points take the closed form, the rest the star corners
+    or the running-minimum scan of the extreme grid, up to
+    DEFAULT_CELL_BUDGET cells.  A batch with list numerators, from
     ``int_coordinates``, is evaluated on Python ints, any other input on
-    numpy arrays; either way 1D points take the 1D closed form, and the rest
-    the star corners or the extreme grid scan.
+    numpy arrays, to the same report.
     """
     if mode not in ("extreme", "star"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -678,16 +648,6 @@ def _on_python_ints(size: int, s: int, mode: str, blocks: int = 1) -> bool:
     return blocks * cells <= SCALAR_CELL_CUT
 
 
-def _spec_discrepancy(spec: SequenceSpec, indices, counts, mode: str) -> DiscrepancyReport:
-    """Exact discrepancy of the points x_i for i in indices, weighted by counts.
-
-    Python ints or numpy arrays, as ``_on_python_ints`` picks them, give
-    the same report.
-    """
-    kernel = int_coordinates if _on_python_ints(len(indices), spec.dimension, mode) else coordinates
-    return discrepancy(kernel(spec, indices), counts, mode)
-
-
 def transformed_discrepancy(
     spec: SequenceSpec,
     transform: IndexTransform | None,
@@ -697,15 +657,16 @@ def transformed_discrepancy(
     """Exact discrepancy of the first n terms of (x_{f(m)})_m.
 
     Works at large n because only the distinct index values are materialized,
-    weighted by their exact multiplicities; ``_spec_discrepancy`` evaluates
-    small multisets on Python ints.
+    weighted by their exact multiplicities; small multisets are evaluated on
+    Python ints, as ``_on_python_ints`` picks them, to the same report.
     """
     if transform is None:
         indices, counts = range(n), None
     else:
         multiplicity = value_counts_below(transform, n)
         indices, counts = list(multiplicity), list(multiplicity.values())
-    return _spec_discrepancy(spec, indices, counts, mode)
+    kernel = int_coordinates if _on_python_ints(len(indices), spec.dimension, mode) else coordinates
+    return discrepancy(kernel(spec, indices), counts, mode)
 
 
 def _window_1d(axis: Axis, n: int, k_max: int, mode: str) -> tuple[int, Fraction]:
@@ -770,7 +731,6 @@ def windowed_uniform_discrepancy(
         if rep.value != value:
             raise AssertionError("windowed closed form disagrees with the block's discrepancy")
     else:
-        reports = [block(k) for k in range(k_max + 1)]
-        best_k = max(range(k_max + 1), key=lambda k: reports[k].value)  # first maximum
-        rep = reports[best_k]
+        shifts = ((k, block(k)) for k in range(k_max + 1))
+        best_k, rep = max(shifts, key=lambda shift: shift[1].value)  # first maximum
     return DiscrepancyReport(n, rep.value, rep.witness, f"windowed-{mode}", best_k)

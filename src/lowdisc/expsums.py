@@ -17,6 +17,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
+from ._util import multiplicities
 from .digits import BRational, expand, monna_plus, radical_inverse
 from .digitsum_dist import digit_sum_counts_below
 
@@ -189,13 +190,9 @@ def hellekalek_star_bound(b: int, g: int, points, counts=None) -> float:
     if g < 1:
         raise ValueError("resolution g must be >= 1")
     pts = list(points)
+    counts, n = multiplicities(counts, len(pts))
     if counts is None:
         counts = [1] * len(pts)
-    elif len(counts) != len(pts):
-        raise ValueError("one multiplicity per point")
-    n = sum(counts)
-    if n < 1:
-        raise ValueError("empty point multiset")
     zs = []
     for x in pts:
         if not isinstance(x, BRational):

@@ -379,38 +379,27 @@ def points(spec: SequenceSpec, count: int, start: int = 0) -> list[Point]:
     return to_points(coordinates(spec, range(start, start + count)))
 
 
-def _binom_mod(n: int, k: int, p: int) -> int:
-    return math.comb(n, k) % p
-
-
 def pascal_matrices(
     p: int, s: int, precision: int = DEFAULT_DIGITAL_PRECISION
 ) -> list[GeneratorMatrix]:
     """Powers of the upper-triangular Pascal matrix mod p (Faure construction).
 
     Matrix j is the (j-1)-th power, so the first one is the identity and the
-    resulting digital sequence is a (0,s)-sequence for s <= p.
+    resulting digital sequence is a (0,s)-sequence for s <= p.  The a-th
+    power has entry C(w, v) * a^(w - v) mod p at (v, w) for w >= v, and 0
+    below the diagonal.
     """
     if not _is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     if s > p:
         raise ValueError(f"the Faure construction needs s <= p (got s={s}, p={p})")
-    pascal = [
-        [_binom_mod(w, v, p) if w >= v else 0 for w in range(precision)]
-        for v in range(precision)
-    ]
-    power = [[1 if v == w else 0 for w in range(precision)] for v in range(precision)]
-    out = []
-    for _ in range(s):
-        out.append(GeneratorMatrix(p, tuple(tuple(row) for row in power)))
-        power = [
-            [
-                sum(power[v][i] * pascal[i][w] for i in range(v, w + 1)) % p
-                for w in range(precision)
-            ]
+    return [
+        GeneratorMatrix(p, tuple(
+            tuple(math.comb(w, v) * pow(a, w - v, p) % p if w >= v else 0 for w in range(precision))
             for v in range(precision)
-        ]
-    return out
+        ))
+        for a in range(s)
+    ]
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:

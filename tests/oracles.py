@@ -77,44 +77,41 @@ def oracle_extreme_grid(points, grid_den: int) -> Fraction:
     return best
 
 
-def oracle_extreme_grid_flagged(points) -> Fraction:
+def oracle_extreme_grid_flagged(points, counts=None) -> Fraction:
     """Sup over boxes with per-dimension flagged walls on {0} u coords u {1}.
 
     Enumerates every in/out flag combination per wall (a superset of the
     attainment families the library considers), so it would expose a missed
-    mixed-attainment optimum.
+    mixed-attainment optimum.  Each axis lists its distinct candidate sides
+    once, as their lengths and the points they admit; a box admits the
+    points that all of its sides admit.
     """
     pts = [tuple(c if isinstance(c, Fraction) else c.as_fraction() for c in p) for p in points]
-    n = len(pts)
-    s = len(pts[0])
-    axes = [sorted({p[i] for p in pts}) for i in range(s)]
+    weights = [1] * len(pts) if counts is None else list(counts)
+    n = sum(weights)
     side_cands = []
-    for ax in axes:
-        cands = []
+    for i in range(len(pts[0])):
+        ax = sorted({p[i] for p in pts})
+        cands = set()
         for lo in [Fraction(0)] + ax:
             for hi in ax + [Fraction(1)]:
                 if hi < lo:
                     continue
                 for inc_lo in (True, False):
                     for inc_hi in (True, False):
-                        cands.append((lo, hi, inc_lo, inc_hi))
+                        inside = frozenset(
+                            k for k, p in enumerate(pts)
+                            if (p[i] > lo or (inc_lo and p[i] == lo))
+                            and (p[i] < hi or (inc_hi and p[i] == hi))
+                        )
+                        cands.add((hi - lo, inside))
         side_cands.append(cands)
     best = Fraction(0)
     for combo in itertools.product(*side_cands):
         vol = Fraction(1)
-        for lo, hi, _, _ in combo:
-            vol *= hi - lo
-        cnt = 0
-        for p in pts:
-            inside = True
-            for x, (lo, hi, inc_lo, inc_hi) in zip(p, combo):
-                ok_lo = x > lo or (inc_lo and x == lo)
-                ok_hi = x < hi or (inc_hi and x == hi)
-                if not (ok_lo and ok_hi):
-                    inside = False
-                    break
-            if inside:
-                cnt += 1
+        for length, _ in combo:
+            vol *= length
+        cnt = sum(weights[k] for k in frozenset.intersection(*(inside for _, inside in combo)))
         best = max(best, abs(Fraction(cnt, n) - vol))
     return best
 
@@ -166,6 +163,20 @@ def _oracle_csv_fields(base: int, width: int, num: int) -> tuple:
         num //= base
         prec -= 1
     return base, prec, num, float(Fraction(num, base**prec))
+
+
+def oracle_pascal_matrices(p: int, s: int, precision: int) -> list[tuple]:
+    """Rows of the first s powers of the upper-triangular Pascal matrix mod
+    p, each the product of the one before it and the Pascal matrix."""
+    pascal = [[math.comb(w, v) % p if w >= v else 0 for w in range(precision)]
+              for v in range(precision)]
+    power = [[int(v == w) for w in range(precision)] for v in range(precision)]
+    out = []
+    for _ in range(s):
+        out.append(tuple(tuple(row) for row in power))
+        power = [[sum(power[v][i] * pascal[i][w] for i in range(v, w + 1)) % p
+                  for w in range(precision)] for v in range(precision)]
+    return out
 
 
 def oracle_points_csv(items, start_index: int = 0) -> str:

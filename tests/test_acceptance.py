@@ -15,6 +15,7 @@ import numpy as np
 
 import lowdisc as ld
 from lowdisc.cli import main as cli_main
+from lowdisc.discrepancy import discrepancy
 from lowdisc.expsums import phi_fraction
 from oracles import oracle_digit_sums, oracle_extreme_1d
 
@@ -40,7 +41,7 @@ def test_c01_exact_oracle_equivalence():
             for _ in range(n):
                 prec = rng.randint(0, 4)
                 pts.append(ld.BRational(rng.randrange(base**prec), base, prec))
-            closed = ld.extreme_discrepancy_1d(pts)
+            closed = discrepancy(pts)
             assert closed.value == oracle_extreme_1d(pts), (trial, base, pts)
             assert ld.recount(pts, closed.witness) == closed.value
 
@@ -157,7 +158,7 @@ def test_c07_hellekalek_bound_soundness():
             for _ in range(n):
                 prec = rng.randint(0, 4)
                 pts.append(ld.BRational(rng.randrange(b**prec), b, prec))
-            exact = float(ld.extreme_discrepancy_1d(pts).value)
+            exact = float(discrepancy(pts).value)
             for g in range(1, 5):
                 bound = ld.hellekalek_bound(b, g, pts)
                 assert bound >= exact - 1e-12, (trial, b, g)

@@ -119,12 +119,8 @@ def test_measured_envelope_is_nondecreasing():
 def test_transformed_discrepancy_matches_direct_pointset():
     spec = VanDerCorput(2)
     t = SumOfDigits(2)
-    from lowdisc import extreme_discrepancy_1d
-
     for n in (1, 5, 16, 100):
-        direct = extreme_discrepancy_1d(
-            [spec.point(t.apply(i)).coords[0] for i in range(n)]
-        )
+        direct = discrepancy([spec.point(t.apply(i)).coords[0] for i in range(n)])
         weighted = transformed_discrepancy(spec, t, n)
         assert weighted.value == direct.value
 

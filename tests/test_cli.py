@@ -505,6 +505,6 @@ def test_lazy_package_resolves_every_name():
         "['lowdisc']",
         "lowdisc.bounds",
         "lowdisc.generators",
-        "66 [] True",
+        "63 [] True",
         "False",
     ]

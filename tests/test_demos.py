@@ -1,5 +1,7 @@
-"""Every demo script, and the README's library tour, runs to the end."""
+"""Every demo script prints its pinned bytes, and the README's library tour
+runs to the end."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -9,14 +11,29 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
+# SHA-256 of each demo's stdout: a change to what a demo prints shows here
+DEMO_STDOUT = {
+    "character_sums.py": "b2710f0770513aa8f0d08879afa3e840b88e47b92cac0ab5d98d27845a69f48a",
+    "digit_sum_discrepancy.py": "2cf789da0aa2a68ea9ac738f8f25ec8920e138baa33902810ca990d7ec9c63d6",
+    "digit_sum_distribution.py": "094a5c9c1929bcb5d74750e91f8abf224d810a425bff2a686d1cf70c2679f01f",
+    "floor_power_transforms.py": "76aee5660898faaa1aa227a3b530f24693ae95f3be4a68cad6467513936448fb",
+    "sequences_and_nets.py": "e9384ad87c2ff2a5f1a94e068a257530a41d2cd3534b2aafd22cc66e00e46ba5",
+    "uniform_discrepancy.py": "6e66152e7e76f8e872aea9ebc7f9078d223cb1547c6a6af4479e1ecc24affac0",
+}
 
-@pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
+
+def test_every_demo_is_pinned():
+    assert sorted(DEMO_STDOUT) == sorted(p.name for p in (ROOT / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", sorted(DEMO_STDOUT))
 def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], env=env, cwd=ROOT,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+                          capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert hashlib.sha256(proc.stdout).hexdigest() == DEMO_STDOUT[demo]
 
 
 def test_readme_tour_runs():

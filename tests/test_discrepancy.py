@@ -15,17 +15,14 @@ from lowdisc import (
     GeneratorMatrix,
     Halton,
     VanDerCorput,
-    extreme_discrepancy_1d,
-    extreme_discrepancy_grid,
     parse_spec,
     parse_transform,
     points,
     recount,
-    star_discrepancy,
     windowed_uniform_discrepancy,
 )
 from lowdisc import discrepancy
-from lowdisc.generators import Axis, _int_dtype, coordinates
+from lowdisc.generators import Axis, _int_dtype, coordinates, int_coordinates
 from oracles import (
     oracle_extreme_1d,
     oracle_extreme_grid,
@@ -47,14 +44,14 @@ def test_extreme_1d_oracle_frozen_examples():
     # values computed with the flagged-interval oracle before implementing
     # the closed form; a lone point has discrepancy 1 (tiny interval around it)
     assert oracle_extreme_1d([F(1, 2)]) == 1
-    assert extreme_discrepancy_1d([F(1, 2)]).value == 1
-    assert extreme_discrepancy_1d([F(0), F(1, 2)]).value == F(1, 2)
+    assert discrepancy.discrepancy([F(1, 2)]).value == 1
+    assert discrepancy.discrepancy([F(0), F(1, 2)]).value == F(1, 2)
     vdc4 = [p.coords[0] for p in points(VanDerCorput(2), 4)]
-    assert extreme_discrepancy_1d(vdc4).value == F(1, 4)
+    assert discrepancy.discrepancy(vdc4).value == F(1, 4)
     # witnesses: the first maximizers of D+ and D-, closed or open by order
-    assert str(extreme_discrepancy_1d(vdc4).witness) == "[0,0]"
-    assert str(extreme_discrepancy_1d([F(1, 4), F(1, 2), F(3, 4)]).witness) == "[1/4,3/4]"
-    assert str(extreme_discrepancy_1d([F(1, 8), F(7, 8)]).witness) == "(1/8,7/8)"
+    assert str(discrepancy.discrepancy(vdc4).witness) == "[0,0]"
+    assert str(discrepancy.discrepancy([F(1, 4), F(1, 2), F(3, 4)]).witness) == "[1/4,3/4]"
+    assert str(discrepancy.discrepancy([F(1, 8), F(7, 8)]).witness) == "(1/8,7/8)"
 
 
 def test_extreme_1d_matches_oracle_randomized():
@@ -63,7 +60,7 @@ def test_extreme_1d_matches_oracle_randomized():
         base = rng.choice([2, 3, 5])
         n = rng.randint(1, 12)
         pts = [random_badic(rng, base) for _ in range(n)]
-        got = extreme_discrepancy_1d(pts)
+        got = discrepancy.discrepancy(pts)
         want = oracle_extreme_1d(pts)
         assert got.value == want, (base, pts)
         # the witness reproduces the reported deviation exactly
@@ -78,14 +75,14 @@ def test_extreme_1d_weighted_equals_expanded():
         counts = [rng.randint(1, 4) for _ in vals]
         flat = [v for v, c in zip(vals, counts) for _ in range(c)]
         assert (
-            extreme_discrepancy_1d(vals, counts).value
-            == extreme_discrepancy_1d(flat).value
+            discrepancy.discrepancy(vals, counts).value
+            == discrepancy.discrepancy(flat).value
         )
 
 
 def test_extreme_1d_rejects_empty():
     with pytest.raises(ValueError):
-        extreme_discrepancy_1d([])
+        discrepancy.discrepancy([])
 
 
 def test_duplicate_point_lower_bound():
@@ -95,7 +92,7 @@ def test_duplicate_point_lower_bound():
         pts = [random_badic(rng, base) for _ in range(rng.randint(1, 8))]
         pts += [pts[0]] * rng.randint(0, 4)  # force multiplicity
         mult = max(pts.count(p) for p in pts)
-        assert extreme_discrepancy_1d(pts).value >= F(mult, len(pts))
+        assert discrepancy.discrepancy(pts).value >= F(mult, len(pts))
 
 
 def test_triangle_inequality_on_random_splits():
@@ -106,14 +103,14 @@ def test_triangle_inequality_on_random_splits():
         k = rng.randint(1, 8)
         first = [random_badic(rng, base) for _ in range(m)]
         second = [random_badic(rng, base) for _ in range(k)]
-        d_all = extreme_discrepancy_1d(first + second).value
-        d1 = extreme_discrepancy_1d(first).value
-        d2 = extreme_discrepancy_1d(second).value
+        d_all = discrepancy.discrepancy(first + second).value
+        d1 = discrepancy.discrepancy(first).value
+        d2 = discrepancy.discrepancy(second).value
         assert (m + k) * d_all <= m * d1 + k * d2
 
 
 def test_grid_single_point_at_origin():
-    rep = extreme_discrepancy_grid([(F(0), F(0))])
+    rep = discrepancy.discrepancy([(F(0), F(0))])
     assert rep.value == 1
     assert recount([(F(0), F(0))], rep.witness) == 1
 
@@ -121,7 +118,7 @@ def test_grid_single_point_at_origin():
 def test_grid_matches_oracle_centered_lattice():
     pts = [(F(a, 4), F(b, 4)) for a in (1, 3) for b in (1, 3)]
     want = oracle_extreme_grid(pts, grid_den=8)  # 9x9 rational grid oracle
-    got = extreme_discrepancy_grid(pts)
+    got = discrepancy.discrepancy(pts)
     assert got.value == want
     assert recount(pts, got.witness) == got.value
 
@@ -129,7 +126,7 @@ def test_grid_matches_oracle_centered_lattice():
 def test_grid_matches_flagged_oracle_halton():
     pts = [p.as_fractions() for p in points(Halton((2, 3)), 9)]
     want = oracle_extreme_grid_flagged(pts)
-    got = extreme_discrepancy_grid(pts)
+    got = discrepancy.discrepancy(pts)
     assert got.value == want
 
 
@@ -140,16 +137,17 @@ def test_grid_matches_flagged_oracle_random():
             (random_badic(rng, 2, 3), random_badic(rng, 3, 2))
             for _ in range(rng.randint(1, 5))
         ]
-        assert extreme_discrepancy_grid(pts).value == oracle_extreme_grid_flagged(pts)
+        assert discrepancy.discrepancy(pts).value == oracle_extreme_grid_flagged(pts)
 
 
-def test_grid_agrees_with_1d_closed_form():
+def test_1d_rows_match_the_1d_oracle():
+    # one-coordinate rows and bare scalars both take the 1D closed form
     rng = random.Random(11)
     for _ in range(25):
         base = rng.choice([2, 3])
         pts = [random_badic(rng, base) for _ in range(rng.randint(1, 7))]
-        grid_val = extreme_discrepancy_grid([(p,) for p in pts]).value
-        assert grid_val == extreme_discrepancy_1d(pts).value
+        rows_val = discrepancy.discrepancy([(p,) for p in pts]).value
+        assert rows_val == discrepancy.discrepancy(pts).value == oracle_extreme_1d(pts)
 
 
 @st.composite
@@ -182,19 +180,16 @@ def test_grid_and_star_match_enumeration_oracles(case, chunk_cells):
     pts, counts = case
     cells = chunk_cells or discrepancy._CHUNK_CELLS
     with mock.patch.object(discrepancy, "_CHUNK_CELLS", cells):
-        got = extreme_discrepancy_grid(pts, counts)
+        got = discrepancy.discrepancy(pts, counts)
         value, witness = oracle_grid_enumeration(pts, counts)
-        assert (got.value, str(got.witness)) == (value, str(witness))
-        assert recount(pts, got.witness, counts) == got.value
-        star = star_discrepancy(pts, counts)
+        assert recount(pts, got.witness, counts) == got.value == value
+        star = discrepancy.discrepancy(pts, counts, mode="star")
         star_value, star_witness = oracle_star_enumeration(pts, counts)
         assert recount(pts, star.witness, counts) == star.value == star_value
         if len(pts[0]) >= 2:
+            # the 1D closed form breaks ties its own way, so there only values match
+            assert str(got.witness) == str(witness)
             assert str(star.witness) == str(star_witness)
-        else:
-            # the 1D closed form breaks ties its own way, so only values match
-            got = extreme_discrepancy_1d(pts, counts)
-            assert recount(pts, got.witness, counts) == got.value == value
 
 
 @pytest.mark.parametrize(
@@ -215,20 +210,20 @@ def test_grid_and_star_at_int64_boundary(den_x, den_y, wide):
     scale = len(pts) * den_x * (den_y or 1)
     assert (scale >= 2**62) == wide
     assert scale >= 2**61
-    got = extreme_discrepancy_grid(pts)
+    got = discrepancy.discrepancy(pts)
     assert got.value == oracle_extreme_grid_flagged(pts)
     value, witness = oracle_grid_enumeration(pts)
-    assert (got.value, str(got.witness)) == (value, str(witness))
-    star = star_discrepancy(pts)
+    assert recount(pts, got.witness) == got.value == value
+    star = discrepancy.discrepancy(pts, mode="star")
     star_value, star_witness = oracle_star_enumeration(pts)
     assert star.value == star_value
     if den_y:
+        assert str(got.witness) == str(witness)
         assert str(star.witness) == str(star_witness)
     else:
         values = [x for (x,) in pts]
         assert recount(pts, star.witness) == star.value == oracle_star_1d(values)
-        got = extreme_discrepancy_1d(pts)
-        assert recount(pts, got.witness) == got.value == oracle_extreme_1d(values) == value
+        assert got.value == oracle_extreme_1d(values)
 
 
 @st.composite
@@ -294,16 +289,18 @@ def test_one_multiplicity_per_point_on_every_route(counts):
     rows = [(x, x) for x in pts]
     listed = (Axis(2, 2, [2, 1, 3]),)
     arrays = (Axis(2, 2, np.array([2, 1, 3])),)
+    box = discrepancy.Box((discrepancy.BoxSide(F(0), F(1), True, False),))
     calls = [
-        lambda: extreme_discrepancy_1d(pts, counts),
-        lambda: star_discrepancy(pts, counts),
-        lambda: extreme_discrepancy_grid(rows, counts),
-        lambda: star_discrepancy(rows, counts),
+        lambda: discrepancy.discrepancy(pts, counts),
+        lambda: discrepancy.discrepancy(pts, counts, mode="star"),
+        lambda: discrepancy.discrepancy(rows, counts),
+        lambda: discrepancy.discrepancy(rows, counts, mode="star"),
         lambda: discrepancy.discrepancy(listed, counts),
         lambda: discrepancy.discrepancy(listed * 2, counts, "star"),
         lambda: discrepancy.discrepancy(arrays * 2, counts),
-        lambda: recount(pts, discrepancy.Box((discrepancy.BoxSide(F(0), F(1), True, False),)),
-                        counts),
+        lambda: recount(pts, box, counts),
+        lambda: recount(arrays, box, counts),
+        lambda: recount(listed, box, counts),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="one multiplicity per point"):
@@ -339,15 +336,15 @@ def test_grid_budget_counts_scan_cells(monkeypatch):
     pts = [p.as_fractions() for p in points(Halton((2, 3)), 18)]
     cells = (171 + 189) * 19
     monkeypatch.setattr(discrepancy, "DEFAULT_CELL_BUDGET", cells)
-    extreme_discrepancy_grid(pts)
+    discrepancy.discrepancy(pts)
     monkeypatch.setattr(discrepancy, "DEFAULT_CELL_BUDGET", cells - 1)
     with pytest.raises(BudgetExceededError, match=f"{cells} scan cells"):
-        extreme_discrepancy_grid(pts)
+        discrepancy.discrepancy(pts)
     monkeypatch.setattr(discrepancy, "DEFAULT_CELL_BUDGET", 19**2)
-    star_discrepancy(pts)
+    discrepancy.discrepancy(pts, mode="star")
     monkeypatch.setattr(discrepancy, "DEFAULT_CELL_BUDGET", 19**2 - 1)
     with pytest.raises(BudgetExceededError, match="361 star corners"):
-        star_discrepancy(pts)
+        discrepancy.discrepancy(pts, mode="star")
 
 
 def test_grid_budget_at_its_default():
@@ -355,24 +352,26 @@ def test_grid_budget_at_its_default():
     pts = [p.as_fractions() for p in points(Halton((2, 3)), 400)]
     with pytest.raises(BudgetExceededError, match="64480800 scan cells exceed the budget of "
                        "33554432 cells; consider the star-discrepancy proxy"):
-        extreme_discrepancy_grid(pts)
+        discrepancy.discrepancy(pts)
 
 
 def test_grid_budget_error_mentions_star(monkeypatch):
     pts = [p.as_fractions() for p in points(Halton((2, 3)), 40)]
     monkeypatch.setattr(discrepancy, "DEFAULT_CELL_BUDGET", 1000)
     with pytest.raises(BudgetExceededError, match="star"):
-        extreme_discrepancy_grid(pts)
+        discrepancy.discrepancy(pts)
 
 
 def test_star_examples():
-    assert star_discrepancy([F(1, 2)]).value == F(1, 2)
+    half = discrepancy.discrepancy([F(1, 2)], mode="star")
+    assert half.value == F(1, 2)
     vdc4 = [p.coords[0] for p in points(VanDerCorput(2), 4)]
-    assert star_discrepancy(vdc4).value == F(1, 4)
-    assert str(star_discrepancy(vdc4).witness) == "[0,0]"  # the first maximizer
-    assert str(star_discrepancy([F(1, 2)]).witness) == "[0,1/2)"  # [0, y) wins a tie at y
+    star = discrepancy.discrepancy(vdc4, mode="star")
+    assert star.value == F(1, 4)
+    assert str(star.witness) == "[0,0]"  # the first maximizer
+    assert str(half.witness) == "[0,1/2)"  # [0, y) wins a tie at y
     # a single point close to 1 pushes the anchored deviation toward 1
-    assert star_discrepancy([F(63, 64)]).value == F(63, 64)
+    assert discrepancy.discrepancy([F(63, 64)], mode="star").value == F(63, 64)
 
 
 def test_star_matches_oracle_1d():
@@ -380,7 +379,7 @@ def test_star_matches_oracle_1d():
     for _ in range(60):
         base = rng.choice([2, 3, 5])
         pts = [random_badic(rng, base) for _ in range(rng.randint(1, 10))]
-        assert star_discrepancy(pts).value == oracle_star_1d(pts)
+        assert discrepancy.discrepancy(pts, mode="star").value == oracle_star_1d(pts)
 
 
 def test_star_extreme_sandwich():
@@ -390,14 +389,14 @@ def test_star_extreme_sandwich():
             (random_badic(rng, 2), random_badic(rng, 3))
             for _ in range(rng.randint(1, 6))
         ]
-        star = star_discrepancy(pts).value
-        extreme = extreme_discrepancy_grid(pts).value
+        star = discrepancy.discrepancy(pts, mode="star").value
+        extreme = discrepancy.discrepancy(pts).value
         assert star <= extreme <= 4 * star
     # and in one dimension
     for _ in range(30):
         pts = [random_badic(rng, 2) for _ in range(rng.randint(1, 10))]
-        star = star_discrepancy(pts).value
-        extreme = extreme_discrepancy_1d(pts).value
+        star = discrepancy.discrepancy(pts, mode="star").value
+        extreme = discrepancy.discrepancy(pts).value
         assert star <= extreme <= 2 * star
 
 
@@ -405,13 +404,13 @@ def test_windowed_examples():
     v = VanDerCorput(2)
     assert windowed_uniform_discrepancy(v, None, 2, 0).value == F(1, 2)
     # degenerate window equals the plain discrepancy
-    plain = extreme_discrepancy_1d([p.coords[0] for p in points(v, 5)]).value
+    plain = discrepancy.discrepancy([p.coords[0] for p in points(v, 5)]).value
     assert windowed_uniform_discrepancy(v, None, 5, 0).value == plain
     rep = windowed_uniform_discrepancy(v, None, 3, 8)
     shifted = []
     for k in range(9):
         block = [v.point(i).coords[0] for i in range(k, k + 3)]
-        shifted.append(extreme_discrepancy_1d(block).value)
+        shifted.append(discrepancy.discrepancy(block).value)
     assert rep.value == max(shifted)
     assert shifted[rep.shift] == rep.value
 
@@ -471,7 +470,7 @@ def test_windowed_with_transform():
     for k in range(6):
         idx = [SumOfDigits(2).apply(i) for i in range(k, k + 4)]
         by_hand.append(
-            extreme_discrepancy_1d([v.point(i).coords[0] for i in idx]).value
+            discrepancy.discrepancy([v.point(i).coords[0] for i in idx]).value
         )
     assert rep.value == max(by_hand)
     assert rep.shift == by_hand.index(rep.value)  # the first maximizing shift
@@ -480,7 +479,7 @@ def test_windowed_with_transform():
 def test_windowed_star_mode_2d():
     h = Halton((2, 3))
     rep = windowed_uniform_discrepancy(h, None, 4, 3, mode="star")
-    per_shift = [star_discrepancy(points(h, 4, start=k)) for k in range(4)]
+    per_shift = [discrepancy.discrepancy(points(h, 4, start=k), mode="star") for k in range(4)]
     values = [r.value for r in per_shift]
     assert rep.value == max(values)
     assert rep.shift == values.index(rep.value)
@@ -488,28 +487,32 @@ def test_windowed_star_mode_2d():
     assert rep.method == "windowed-star"
 
 
+def oracle_1d(oracle):
+    """A 1D oracle on points weighted by counts, each repeated that often."""
+    return lambda pts, counts: oracle([p for p, c in zip(pts, counts) for _ in range(c)])
+
+
 @pytest.mark.parametrize("weighted", [False, True])
 @pytest.mark.parametrize(
-    "spec,mode,direct",
+    "spec,mode,method,oracle",
     [
-        (VanDerCorput(3), "extreme", extreme_discrepancy_1d),
-        (VanDerCorput(3), "star", star_discrepancy),
-        (Halton((2, 3)), "extreme", extreme_discrepancy_grid),
-        (Halton((2, 3)), "star", star_discrepancy),
+        (VanDerCorput(3), "extreme", "exact-1d", oracle_1d(oracle_extreme_1d)),
+        (VanDerCorput(3), "star", "star-1d", oracle_1d(oracle_star_1d)),
+        (Halton((2, 3)), "extreme", "exact-grid", oracle_extreme_grid_flagged),
+        (Halton((2, 3)), "star", "star-grid", lambda *case: oracle_star_enumeration(*case)[0]),
     ],
     ids=["1d-extreme", "1d-star", "2d-extreme", "2d-star"],
 )
-def test_dispatch_matches_direct_evaluator(spec, mode, direct, weighted):
+def test_dispatch_matches_direct_evaluator(spec, mode, method, oracle, weighted):
+    # the dispatcher against the brute-force oracles, and its witness recounted
     pts = points(spec, 11, start=3)
     counts = [1 + i % 3 for i in range(len(pts))] if weighted else None
     rep = discrepancy.discrepancy(pts, counts, mode)
-    arg = [p.coords[0] for p in pts] if spec.dimension == 1 else pts
-    want = direct(arg, counts)
-    assert (rep.value, str(rep.witness), rep.method) == (
-        want.value,
-        str(want.witness),
-        want.method,
-    )
+    rows = [p.as_fractions() for p in pts]
+    assert rep.method == method
+    assert rep.value == oracle([x for (x,) in rows] if spec.dimension == 1 else rows,
+                               counts or [1] * len(pts))
+    assert recount(pts, rep.witness, counts) == rep.value
 
 
 def test_dispatch_rejects_unknown_mode():
@@ -542,21 +545,15 @@ def axis_batches(draw):
 
 
 def assert_integer_input_matches_fractions(batch, counts=None):
-    """Every evaluator gives the same report for the batch and its Fractions."""
+    """Both modes give the same report for the batch and its Fractions, and
+    recount checks the witness from the batch."""
     pts = as_fraction_rows(batch)
-    calls = [
-        lambda p: discrepancy.discrepancy(p, counts),
-        lambda p: discrepancy.discrepancy(p, counts, mode="star"),
-        lambda p: extreme_discrepancy_grid(p, counts),
-        lambda p: star_discrepancy(p, counts),
-    ]
-    if len(batch) == 1:
-        calls.append(lambda p: extreme_discrepancy_1d(p, counts))
-    for call in calls:
-        got, want = call(batch), call(pts)
+    for mode in ("extreme", "star"):
+        got, want = (discrepancy.discrepancy(p, counts, mode) for p in (batch, pts))
         assert (got.n, got.value, str(got.witness), got.method) == (
             want.n, want.value, str(want.witness), want.method
         )
+        assert recount(batch, got.witness, counts) == got.value
 
 
 @settings(max_examples=200, deadline=None)
@@ -603,12 +600,41 @@ def test_huge_multiplicities_stay_exact(counts):
     # numpy reads a list that mixes small ints with ints in [2**63, 2**64) as
     # floats; digit-sum multiplicities reach that range at N = 5**29
     pts = [(F(0),), (F(1, 4),), (F(1, 2),)]
-    value, witness = oracle_grid_enumeration(pts, counts)
-    got = extreme_discrepancy_grid(pts, counts)
-    assert (got.value, str(got.witness)) == (value, str(witness))
-    closed_form = extreme_discrepancy_1d(pts, counts)
+    value, _ = oracle_grid_enumeration(pts, counts)
+    closed_form = discrepancy.discrepancy(pts, counts)
     assert recount(pts, closed_form.witness, counts) == closed_form.value == value
-    star = star_discrepancy(pts, counts)
+    star = discrepancy.discrepancy(pts, counts, mode="star")
     star_value, _ = oracle_star_enumeration(pts, counts)
     assert recount(pts, star.witness, counts) == star.value == star_value
+    # the s >= 2 scan on the same weights
+    rows = [(x, x) for (x,) in pts]
+    value, witness = oracle_grid_enumeration(rows, counts)
+    got = discrepancy.discrepancy(rows, counts)
+    assert (got.value, str(got.witness)) == (value, str(witness))
     assert_integer_input_matches_fractions((Axis(2, 2, np.array([0, 1, 2])),), counts)
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("mode", ["extreme", "star"])
+@pytest.mark.parametrize("spec", ["vdc:3", "halton:2,3", "halton:2,3,5"])
+def test_every_input_form_gives_one_report(spec, mode, weighted):
+    # one multiset, with a repeated index and a zero weight, given as Fraction
+    # rows, Points, BRational scalars (1D), and array or list batches
+    spec = parse_spec(spec)
+    indices = [4, 0, 7, 4, 2, 9]
+    counts = [2, 1, 0, 1, 3, 1] if weighted else None
+    pts = [spec.point(i) for i in indices]
+    forms = {
+        "rows": [p.as_fractions() for p in pts],
+        "points": pts,
+        "arrays": coordinates(spec, indices),
+        "lists": int_coordinates(spec, indices),
+    }
+    if spec.dimension == 1:
+        forms["scalars"] = [p.coords[0] for p in pts]
+    reports = {}
+    for name, form in forms.items():
+        rep = discrepancy.discrepancy(form, counts, mode)
+        reports[name] = (rep.value, str(rep.witness), rep.method)
+        assert recount(form, rep.witness, counts) == rep.value, name
+    assert len(set(reports.values())) == 1, reports

@@ -12,7 +12,6 @@ from lowdisc import (
     BRational,
     SumOfDigits,
     VanDerCorput,
-    extreme_discrepancy_1d,
     gamma_k,
     hellekalek_bound,
     hellekalek_resolution,
@@ -22,11 +21,11 @@ from lowdisc import (
     product_identity_check,
     radical_inverse,
     rho_weight,
-    star_discrepancy,
     value_counts_below,
     weyl_sum,
 )
 from lowdisc import expsums
+from lowdisc.discrepancy import discrepancy
 from lowdisc.expsums import DEFAULT_DIRECT_BUDGET, _phase
 from oracles import oracle_weyl_direct
 
@@ -220,9 +219,11 @@ def test_rho_weights():
 
 def test_hellekalek_bounds_need_one_multiplicity_per_point():
     pts = [radical_inverse(n, 2) for n in range(4)]
+    cases = [([1], "one multiplicity per point"), ([1] * 5, "one multiplicity per point"),
+             ([2, -1, 1, 1], "multiplicities must be non-negative")]
     for bound in (hellekalek_star_bound, hellekalek_bound):
-        for counts in ([1], [1] * 5):
-            with pytest.raises(ValueError, match="one multiplicity per point"):
+        for counts, message in cases:
+            with pytest.raises(ValueError, match=message):
                 bound(2, 2, pts, counts)
 
 
@@ -231,7 +232,7 @@ def test_hellekalek_constant_sequence():
     # the display value of the character sum: 1/2 + rho_2(1) * 1
     assert hellekalek_star_bound(2, 1, pts) == pytest.approx(1.5)
     assert hellekalek_bound(2, 1, pts) == pytest.approx(3.0)
-    assert extreme_discrepancy_1d([p.as_fraction() for p in pts]).value == 1
+    assert discrepancy([p.as_fraction() for p in pts]).value == 1
 
 
 def test_hellekalek_star_display_not_extreme_safe():
@@ -243,8 +244,8 @@ def test_hellekalek_star_display_not_extreme_safe():
         BRational(7, 2, 3),
     ]
     display = hellekalek_star_bound(2, 1, pts)
-    assert extreme_discrepancy_1d(pts).value == Fraction(3, 4) > display
-    assert star_discrepancy(pts).value == Fraction(1, 2) <= display
+    assert discrepancy(pts).value == Fraction(3, 4) > display
+    assert discrepancy(pts, mode="star").value == Fraction(1, 2) <= display
 
 
 def test_hellekalek_dominates_discrepancies():
@@ -254,8 +255,8 @@ def test_hellekalek_dominates_discrepancies():
         n = rng.randint(1, 64)
         prec = rng.randint(0, 4)
         pts = [BRational(rng.randrange(b**prec), b, prec) for _ in range(n)]
-        extreme = float(extreme_discrepancy_1d(pts).value)
-        star = float(star_discrepancy(pts).value)
+        extreme = float(discrepancy(pts).value)
+        star = float(discrepancy(pts, mode="star").value)
         for g in (1, 2, 3):
             assert hellekalek_star_bound(b, g, pts) >= star - 1e-12
             assert hellekalek_bound(b, g, pts) >= extreme - 1e-12
@@ -291,6 +292,6 @@ def test_hellekalek_on_digit_sum_indexed_sequence():
             mult = value_counts_below(SumOfDigits(q), n)
             pts = [spec.point(k).coords[0] for k in mult]
             counts = list(mult.values())
-            exact = extreme_discrepancy_1d(pts, counts).value
+            exact = discrepancy(pts, counts).value
             g = hellekalek_resolution(2, n)
             assert hellekalek_bound(2, g, pts, counts) >= float(exact) - 1e-12

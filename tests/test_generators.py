@@ -31,7 +31,10 @@ from lowdisc.generators import (
     to_points,
     write_points_csv,
 )
-from oracles import oracle_digital_point, oracle_net_violation, oracle_points_csv, read_points_csv
+from oracles import (
+    oracle_digital_point, oracle_net_violation, oracle_pascal_matrices, oracle_points_csv,
+    read_points_csv,
+)
 
 
 def identity_matrices(p, s, size):
@@ -73,6 +76,14 @@ def test_pascal_matrices_examples():
     assert mats[1].rows == ((1, 1), (0, 1))
     # third matrix is the square of the Pascal matrix mod 5
     assert pascal_matrices(5, 3, 2)[2].rows == ((1, 2), (0, 1))
+
+
+@pytest.mark.parametrize("precision", [1, 12, 32, 60])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_pascal_closed_form_matches_repeated_products(p, precision):
+    want = oracle_pascal_matrices(p, p, precision)
+    for s in range(1, p + 1):
+        assert [m.rows for m in pascal_matrices(p, s, precision)] == want[:s]
 
 
 def test_pascal_requires_s_at_most_p():
