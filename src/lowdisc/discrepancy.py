@@ -14,18 +14,20 @@ last axis each row's best side comes from a running minimum, the
 maximum-subarray scan: the work is rows times (distinct last coordinates +
 1) scan cells.  The form and the scan are written twice over the same
 integers: on numpy arrays (``_integer_form``, ``_BoxKernel``) and on Python
-ints (``_int_form``, ``_IntKernel``, ``_scalar_1d``) for multisets too small
-to repay importing numpy.  ``discrepancy`` is the one entry to both: a batch
-whose numerators are lists, from ``int_coordinates``, goes to the Python
-ints, any other input to the arrays.  For points given by a spec,
-``_on_python_ints`` picks the coordinate kernel from the number of points
-alone; ``transformed_discrepancy`` gives it an index-transformed prefix as
-its distinct indices and their multiplicities.  Only the winning box is
-turned back into Fractions.
+ints (``_int_form``, ``_IntKernel``, ``_scalar_1d``, and ``_scalar_window_1d``
+for 1D windows) for multisets too small to repay importing numpy.
+``discrepancy`` is the one entry to both: a batch whose numerators are
+lists, from ``int_coordinates``, goes to the Python ints, any other input to
+the arrays.  For points given by a spec, ``_on_python_ints`` picks the
+coordinate kernel from the number of points alone; ``transformed_discrepancy``
+gives it an index-transformed prefix as its distinct indices and their
+multiplicities, and ``windowed_uniform_discrepancy`` all its shifts.  Only
+the winning box is turned back into Fractions.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import operator
@@ -47,9 +49,11 @@ DEFAULT_CELL_BUDGET = 1 << 25
 
 # Points given by a spec and their indices are evaluated on Python ints up
 # to SCALAR_1D_CUT indices in 1D and, for s >= 2, up to SCALAR_CELL_CUT scan
-# cells.  2^18 cells take 0.1-0.16 s there on a 2-core VM, what importing
-# numpy costs a fresh process: `disc --spec halton:2,3` at N = 63, the last
-# N under the cut, runs 0.28 s end to end either way.
+# cells; a window of n points and shifts 0..k_max counts (k_max + 1) * n
+# points, or (k_max + 1) times one shift's cells.  2^18 cells take 0.1-0.16 s
+# there on a 2-core VM, what importing numpy costs a fresh process: `disc
+# --spec halton:2,3` at N = 63, the last N under the cut, runs 0.28 s end to
+# end either way.
 SCALAR_1D_CUT = 1 << 14
 SCALAR_CELL_CUT = 1 << 18
 
@@ -672,10 +676,15 @@ def transformed_discrepancy(
 def _window_1d(axis: Axis, n: int, k_max: int, mode: str) -> tuple[int, Fraction]:
     """First shift with the largest block discrepancy, and that discrepancy.
 
-    The window's numerators over their least common denominator are one
-    integer table; each block is a sorted slice of it, whose i-th smallest
-    value has i - 1 points below it and i up to it.
+    Each block is a sorted run of the window's numerators, whose i-th
+    smallest value has i - 1 points below it and i up to it.  On numpy
+    arrays the numerators over their least common denominator are one
+    integer table, and each chunk of shifts sorts its slices at once; list
+    numerators keep one sorted block of n * y values, one point leaving and
+    one entering it per shift.
     """
+    if isinstance(axis.nums, list):
+        return _scalar_window_1d(axis, n, k_max, mode)
     import numpy as np
     from numpy.lib.stride_tricks import sliding_window_view
     den, table = _reduced(axis.base**axis.width, axis.nums)
@@ -695,6 +704,29 @@ def _window_1d(axis: Axis, n: int, k_max: int, mode: str) -> tuple[int, Fraction
     return best_k, Fraction(best, n * den)
 
 
+def _scalar_window_1d(axis: Axis, n: int, k_max: int, mode: str) -> tuple[int, Fraction]:
+    """``_window_1d`` on Python ints, from an Axis with list numerators."""
+    den = axis.base**axis.width
+    scaled = list(map(n.__mul__, axis.nums))
+    below = range(0, n * den, den)
+    block = sorted(scaled[:n])
+    best = best_k = None
+    for k in range(k_max + 1):
+        if k:
+            del block[bisect.bisect_left(block, scaled[k - 1])]
+            bisect.insort(block, scaled[k + n - 1])
+        # D- at the i-th smallest value is minus[i] and D+ is den - minus[i]:
+        # the integers of _deviations_1d
+        minus = list(map(operator.sub, block, below))
+        low, high = min(minus), max(minus)
+        value = max(high, den - low) if mode == "star" else high - low + den
+        if best is None or value > best:
+            best, best_k = value, k
+            if best == n * den:  # no discrepancy exceeds 1
+                break
+    return best_k, Fraction(best, n * den)
+
+
 def windowed_uniform_discrepancy(
     spec: SequenceSpec,
     transform: IndexTransform | None,
@@ -706,16 +738,17 @@ def windowed_uniform_discrepancy(
 
     This is a certified LOWER estimate of the uniform discrepancy (the true
     sup ranges over all shifts); the first arg-max shift is reported.  The
-    (transformed) indices' coordinates come from one kernel call.  A 1D
-    sequence has every shift evaluated by the 1D closed form on the arrays
-    and its witness from ``discrepancy`` on the winning block, which must
-    agree on the value.  For s >= 2 each shift is evaluated on its own, on
-    Python ints while ``_on_python_ints`` says all of them are cheap enough.
+    (transformed) indices' coordinates come from one kernel call, on Python
+    ints while ``_on_python_ints`` says all the shifts are cheap enough.  A
+    1D sequence has every shift evaluated by the 1D closed form
+    (``_window_1d``) and its witness from ``discrepancy`` on the winning
+    block, which must agree on the value.  For s >= 2 each shift is
+    evaluated on its own.
     """
     if n < 1 or k_max < 0:
         raise ValueError("need n >= 1 and k_max >= 0")
     indices = range(k_max + n)
-    on_ints = spec.dimension > 1 and _on_python_ints(n, spec.dimension, mode, k_max + 1)
+    on_ints = _on_python_ints(n, spec.dimension, mode, k_max + 1)
     if transform is not None:
         if not on_ints:  # a window past memory fails here, as it does untransformed
             indices = _index_array(indices).tolist()

@@ -310,26 +310,33 @@ def _reversed_digits(indices: list[int], base: int, width: int) -> list[int]:
 
     The digits are reversed a block of `chunk` at a time through a table of
     the b**chunk <= 1024 block values, so an index costs a few divisions, not
-    one per digit, and each step maps over every index at once.  A block of
-    one digit is its own reversal and needs no table, so any base works.
+    one per digit, and each step maps over every index at once.  The blocks
+    are as even as their count allows, which keeps the table and the padding
+    small.  A block of one digit is its own reversal and needs no table, so
+    any base works.
     """
+    if width == 0:
+        return [0] * len(indices)
     chunk = 1
     while chunk < width and base ** (chunk + 1) <= 1 << 10:
         chunk += 1
+    blocks = -(-width // chunk)
+    chunk = -(-width // blocks)
     size, high = base**chunk, base ** (chunk - 1)
     table = None
     if chunk > 1:
         table = [0] * size
         for x in range(1, size):  # x's last digit goes first, then x // b's digits
             table[x] = x % base * high + table[x // base] // base
-    blocks = -(-width // chunk)
-    nums, rest = [0] * len(indices), indices
-    for _ in range(blocks):  # one block of digits of every index at a time
-        digits = map(size.__rmod__, rest)
-        if table is not None:
-            digits = map(table.__getitem__, digits)
-        nums = list(map(operator.add, map(size.__mul__, nums), digits))
+
+    def reversed_block(values):  # each value's lowest `chunk` digits, mirrored
+        digits = map(size.__rmod__, values)
+        return digits if table is None else map(table.__getitem__, digits)
+
+    nums, rest = list(reversed_block(indices)), indices
+    for _ in range(blocks - 1):  # one block of digits of every index at a time
         rest = list(map(size.__rfloordiv__, rest))
+        nums = list(map(operator.add, map(size.__mul__, nums), reversed_block(rest)))
     pad = base ** (blocks * chunk - width)  # the zero digits above the width end up last
     return nums if pad == 1 else list(map(pad.__rfloordiv__, nums))
 

@@ -224,6 +224,12 @@ def test_general_sandwich_small():
         assert float(rep.measured) <= rep.upper
 
 
+def test_general_sandwich_rejects_other_transforms():
+    with pytest.raises(ValueError) as err:
+        general_sandwich(VanDerCorput(2), FloorPower(1, 2), d_max=2)
+    assert str(err.value) == "the sandwich driver currently covers the digit-sum transform"
+
+
 def test_monotone_lower_examples():
     t = FloorPower(1, 2)
     assert monotone_lower(t, 10) == Fraction(5, 10)  # f(10)=3, F(2)=5

@@ -458,8 +458,13 @@ def test_cli_start_up_loads_only_the_commands_modules():
         # 2**14 distinct points on Python ints, one more through the arrays
         ([["disc", "--spec", "vdc:2", "--N", "16384"], ["disc", "--spec", "vdc:2", "--N", "16385"]],
          "False True"),
-        # the sandwich measures its envelope with 1D windows, which stay on arrays
-        ([["genbound", "--spec", "vdc:2", "--q", "2", "--dmax", "3"]], "True"),
+        # a 1D window counts its (kmax + 1) * N points: 2**14, then 2**14 + 128
+        ([["udisc", "--spec", "vdc:2", "--N", "128", "--kmax", k] for k in ("127", "128")],
+         "False True"),
+        # the benchmark's sweep jobs: the envelope's 1D windows, 9,653 points
+        # at most, run on Python ints
+        ([["genbound", "--spec", "vdc:2", "--q", q, "--dmax", "12"] for q in ("2", "3", "5")],
+         "False False False"),
         # the benchmark's grid jobs, on every Halton pair it draws
         ([job for pair in ("2,3", "3,2", "2,5", "5,2") for job in (
             ["disc", "--spec", f"halton:{pair}", "--N", "18"],
@@ -473,14 +478,14 @@ def test_cli_start_up_loads_only_the_commands_modules():
         ([["disc", "--spec", "vdc:1000000007", "--N", "3"],
           ["disc", "--spec", "halton:2,1000003", "--N", "20", "--mode", "star"]], "False False"),
     ],
-    ids=["disc-cut", "genbound", "grid-jobs", "grid-cut", "large-base"],
+    ids=["disc-cut", "window-cut", "genbound", "grid-jobs", "grid-cut", "large-base"],
 )
 def test_cli_loads_numpy_only_past_the_cut_and_for_windows(jobs, loaded):
     # a job that does not load numpy loads none of LEAN either; nor does
-    # `disc` or `udisc` load the bound checks
-    watched = (*LEAN, "lowdisc.bounds")
+    # `disc` or `udisc` load the bound checks, which `genbound` runs
     code = "import os, sys\nimport lowdisc.cli as cli\nseen, lean = [], set()\n"
     for job in jobs:
+        watched = (*LEAN, "lowdisc.bounds") if job[0] in ("disc", "udisc") else LEAN
         code += f"assert cli.main({job!r} + ['--out', os.devnull]) == 0\n"
         code += "seen.append('numpy' in sys.modules)\n"
         code += f"lean |= set() if seen[-1] else {{m for m in {watched!r} if m in sys.modules}}\n"

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import random
 from fractions import Fraction
@@ -400,34 +401,50 @@ def test_star_extreme_sandwich():
         assert star <= extreme <= 2 * star
 
 
+@contextlib.contextmanager
+def window_backend(on_ints: bool):
+    """Sends 1D windows under SCALAR_1D_CUT, as all of these tests' are, to
+    the Python ints or, with a cut of 0, to the arrays; and checks they went."""
+    spy = mock.Mock(wraps=discrepancy._scalar_window_1d)
+    cut = discrepancy.SCALAR_1D_CUT if on_ints else 0
+    with mock.patch.object(discrepancy, "SCALAR_1D_CUT", cut), \
+            mock.patch.object(discrepancy, "_scalar_window_1d", spy):
+        yield
+    assert spy.called == on_ints
+
+
 def test_windowed_examples():
     v = VanDerCorput(2)
-    assert windowed_uniform_discrepancy(v, None, 2, 0).value == F(1, 2)
     # degenerate window equals the plain discrepancy
     plain = discrepancy.discrepancy([p.coords[0] for p in points(v, 5)]).value
-    assert windowed_uniform_discrepancy(v, None, 5, 0).value == plain
-    rep = windowed_uniform_discrepancy(v, None, 3, 8)
     shifted = []
     for k in range(9):
         block = [v.point(i).coords[0] for i in range(k, k + 3)]
         shifted.append(discrepancy.discrepancy(block).value)
-    assert rep.value == max(shifted)
-    assert shifted[rep.shift] == rep.value
+    for on_ints in (True, False):
+        with window_backend(on_ints):
+            assert windowed_uniform_discrepancy(v, None, 2, 0).value == F(1, 2)
+            assert windowed_uniform_discrepancy(v, None, 5, 0).value == plain
+            rep = windowed_uniform_discrepancy(v, None, 3, 8)
+        assert rep.value == max(shifted)
+        assert shifted[rep.shift] == rep.value
 
 
 def _assert_window_matches_per_shift(spec, transform, n, k_max, mode):
-    """The window against every shift evaluated on its own."""
+    """The window, on both backends, against every shift evaluated on its own."""
     apply = transform.apply if transform else (lambda i: i)
     per_shift = [
         discrepancy.discrepancy([spec.point(apply(i)) for i in range(k, k + n)], mode=mode)
         for k in range(k_max + 1)
     ]
-    rep = windowed_uniform_discrepancy(spec, transform, n, k_max, mode)
     values = [r.value for r in per_shift]
-    assert rep.value == max(values)
-    assert rep.shift == values.index(rep.value)  # the first maximizing shift
-    assert str(rep.witness) == str(per_shift[rep.shift].witness)
-    assert rep.method == f"windowed-{mode}"
+    for on_ints in (True, False):
+        with window_backend(on_ints):
+            rep = windowed_uniform_discrepancy(spec, transform, n, k_max, mode)
+        assert rep.value == max(values), on_ints
+        assert rep.shift == values.index(rep.value), on_ints  # the first maximizing shift
+        assert str(rep.witness) == str(per_shift[rep.shift].witness), on_ints
+        assert rep.method == f"windowed-{mode}"
 
 
 @pytest.mark.parametrize("mode", ["extreme", "star"])
@@ -435,7 +452,7 @@ def _assert_window_matches_per_shift(spec, transform, n, k_max, mode):
 @pytest.mark.parametrize("spec", ["vdc:2", "vdc:3", "halton:5", "pascal:3,1,6"])
 def test_windowed_1d_matches_per_shift(spec, transform, mode):
     # every 1D spec, transformed or not, takes the integer closed form; with
-    # 4 cells a chunk holds at most a few shifts, so the scan crosses chunks
+    # 4 cells an array chunk holds at most a few shifts, so the scan crosses chunks
     spec = parse_spec(spec)
     transform = parse_transform(transform) if transform else None
     for cells in (discrepancy._CHUNK_CELLS, 4):
@@ -445,14 +462,18 @@ def test_windowed_1d_matches_per_shift(spec, transform, mode):
                     _assert_window_matches_per_shift(spec, transform, n, k_max, mode)
 
 
+def dense_3_40():
+    """A dense 40-digit matrix over F_3: coordinates over 3^40, so n * den
+    passes 2^62 and the array window holds exact Python ints."""
+    rng = random.Random(40)
+    rows = tuple(tuple(rng.randrange(3) for _ in range(40)) for _ in range(40))
+    return DigitalSequence(3, (GeneratorMatrix(3, rows),), 40)
+
+
 @pytest.mark.parametrize("mode", ["extreme", "star"])
 @pytest.mark.parametrize("transform", [None, "sod:2"])
 def test_windowed_1d_exact_int_branch(transform, mode):
-    # a dense 40-digit matrix over F_3 gives coordinates over 3^40, so
-    # n * den passes 2^62 and the table holds exact Python ints
-    rng = random.Random(40)
-    rows = tuple(tuple(rng.randrange(3) for _ in range(40)) for _ in range(40))
-    spec = DigitalSequence(3, (GeneratorMatrix(3, rows),), 40)
+    spec = dense_3_40()
     transform = parse_transform(transform) if transform else None
     window = [transform.apply(i) if transform else i for i in range(6 + 4)]
     den = math.lcm(*(spec.point(i).coords[0].as_fraction().denominator for i in window))
@@ -465,15 +486,56 @@ def test_windowed_with_transform():
     from lowdisc import SumOfDigits
 
     v = VanDerCorput(2)
-    rep = windowed_uniform_discrepancy(v, SumOfDigits(2), 4, 5)
     by_hand = []
     for k in range(6):
         idx = [SumOfDigits(2).apply(i) for i in range(k, k + 4)]
         by_hand.append(
             discrepancy.discrepancy([v.point(i).coords[0] for i in idx]).value
         )
-    assert rep.value == max(by_hand)
-    assert rep.shift == by_hand.index(rep.value)  # the first maximizing shift
+    for on_ints in (True, False):
+        with window_backend(on_ints):
+            rep = windowed_uniform_discrepancy(v, SumOfDigits(2), 4, 5)
+        assert rep.value == max(by_hand)
+        assert rep.shift == by_hand.index(rep.value)  # the first maximizing shift
+
+
+WINDOW_SPECS = {name: parse_spec(name) for name in
+                ("vdc:2", "vdc:3", "vdc:5", "halton:5", "pascal:3,1,6")}
+WINDOW_SPECS["dense-3^40"] = dense_3_40()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(sorted(WINDOW_SPECS)),
+    st.sampled_from([None, "sod:2", "sod:3", "pow:1/2", "pow:2/3"]),
+    st.sampled_from(["extreme", "star"]),
+    st.integers(1, 12),
+    st.integers(0, 40),
+)
+@example("vdc:2", None, "extreme", 1, 0)
+@example("vdc:3", "pow:2/3", "star", 1, 40)
+@example("dense-3^40", "sod:3", "extreme", 12, 0)
+def test_python_int_window_matches_array_window(name, transform, mode, n, k_max):
+    # the two branches of _window_1d on one window: value and first
+    # maximizing shift, then the whole report, witness included, on each
+    # route; floor powers repeat indices, so blocks hold ties
+    spec = WINDOW_SPECS[name]
+    transform = parse_transform(transform) if transform else None
+    indices = [transform.apply(i) if transform else i for i in range(k_max + n)]
+    lists, = int_coordinates(spec, indices)
+    arrays, = coordinates(spec, indices)
+    shift, value = discrepancy._window_1d(lists, n, k_max, mode)
+    assert (shift, value) == discrepancy._window_1d(arrays, n, k_max, mode)
+    reports = []
+    for on_ints in (True, False):
+        with window_backend(on_ints):
+            reports.append(windowed_uniform_discrepancy(spec, transform, n, k_max, mode))
+    rep = reports[0]
+    assert reports[1] == rep
+    assert (rep.shift, rep.value) == (shift, value)
+    block = [Fraction(x, lists.base**lists.width) for x in lists.nums[shift : shift + n]]
+    assert (oracle_extreme_1d if mode == "extreme" else oracle_star_1d)(block) == value
+    assert recount(block, rep.witness) == value
 
 
 def test_windowed_star_mode_2d():
