@@ -21,10 +21,10 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-from ._util import UnimodalityError, Value
+from ._util import UnimodalityError, Value, _on_python_ints
 from .digitsum_dist import distribution, max_count
 from .discrepancy import discrepancy, transformed_discrepancy, windowed_uniform_discrepancy
-from .generators import SequenceSpec, coordinates
+from .generators import SequenceSpec, coordinates, int_coordinates
 from .transforms import FloorPower, IndexTransform, SumOfDigits, is_unimodal, multiplicity_F
 
 UPPER_SLACK = 1e-9  # float-comparison slack for fitted upper bounds
@@ -363,11 +363,17 @@ def uniform_bound_ts(b: int, t: int, n: int, delta_table: Mapping[int, float]) -
 def measured_delta_table(
     spec: SequenceSpec, b: int, t: int, m_max: int, blocks: int = 8
 ) -> dict[int, float]:
-    """Delta(m) = max over the first aligned blocks of b^m * (exact block D)."""
+    """Delta(m) = max over the first aligned blocks of b^m * (exact block D).
+
+    The points come from one kernel call, on Python ints while
+    ``_on_python_ints`` finds the largest level's blocks cheap enough.
+    """
     _check_base_and_t(b, t)
     if blocks < 1:
         raise ValueError(f"need blocks >= 1 to measure Delta, got {blocks}")
-    batch = coordinates(spec, range(blocks * b**m_max))
+    largest = b**m_max
+    on_ints = _on_python_ints(largest, spec.dimension, "extreme", blocks)
+    batch = (int_coordinates if on_ints else coordinates)(spec, range(blocks * largest))
     table = {}
     for m in range(t, m_max + 1):
         size = b**m

@@ -24,11 +24,14 @@ import lowdisc as ld
 from ._util import BudgetExceededError, as_fraction
 
 # Library names resolve through `ld`, the lazy package, when a command runs,
-# so a job loads only the modules it uses: `dist`, `transform`, `expsum` and
-# `hkbound` never import numpy, nor do `disc`, `sodcheck`, `monocheck` and
-# s >= 2 `udisc` on multisets that discrepancy._on_python_ints finds small
-# (2^14 distinct indices in 1D, 63 for the 2D extreme grid): their points
-# come from generators.int_coordinates and discrepancy() scans them as lists.
+# so a job loads only the modules it uses: `dist`, `transform`, `expsum`,
+# `hkbound` and `gen` never import numpy, nor does 1D `udisc`, whose window
+# slides on Python ints at any size.  `disc`, `sodcheck`, `monocheck`,
+# `genbound`, s >= 2 `udisc`, `netcheck` and `ubound` import none on inputs
+# that _util._on_python_ints finds small (2^14 distinct indices in 1D, or
+# points per level of a net check, 63 for the 2D extreme grid): their points
+# come from generators.int_coordinates, and discrepancy() and the net count
+# read them as lists.
 # Records are NamedTuples or plain classes on _util.Value, which keeps
 # inspect out of a job without numpy; json loads only to write a failure
 # record or a report, and `disc` and `udisc` never load the bound checks.
@@ -109,9 +112,9 @@ def cmd_gen(args) -> int:
     spec = ld.parse_spec(args.spec)
     indices = range(args.start, args.start + args.count)
     if indices:  # the extreme indices: fail before any row is written
-        ld.generators.coordinates(spec, [indices[0], indices[-1]])
+        ld.generators.int_coordinates(spec, [indices[0], indices[-1]])
     chunks = (
-        ld.generators.coordinates(spec, indices[i : i + GEN_CHUNK])
+        ld.generators.int_coordinates(spec, indices[i : i + GEN_CHUNK])
         for i in range(0, len(indices), GEN_CHUNK)
     )
     with _output(args.out) as fh:

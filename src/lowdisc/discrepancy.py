@@ -14,15 +14,16 @@ last axis each row's best side comes from a running minimum, the
 maximum-subarray scan: the work is rows times (distinct last coordinates +
 1) scan cells.  The form and the scan are written twice over the same
 integers: on numpy arrays (``_integer_form``, ``_BoxKernel``) and on Python
-ints (``_int_form``, ``_IntKernel``, ``_scalar_1d``, and ``_scalar_window_1d``
-for 1D windows) for multisets too small to repay importing numpy.
-``discrepancy`` is the one entry to both: a batch whose numerators are
-lists, from ``int_coordinates``, goes to the Python ints, any other input to
-the arrays.  For points given by a spec, ``_on_python_ints`` picks the
-coordinate kernel from the number of points alone; ``transformed_discrepancy``
-gives it an index-transformed prefix as its distinct indices and their
-multiplicities, and ``windowed_uniform_discrepancy`` all its shifts.  Only
-the winning box is turned back into Fractions.
+ints (``_int_form``, ``_IntKernel``, ``_scalar_1d``) for multisets too small
+to repay importing numpy.  ``discrepancy`` is the one entry to both: a batch
+whose numerators are lists, from ``int_coordinates``, goes to the Python
+ints, any other input to the arrays.  For points given by a spec,
+``_util._on_python_ints`` picks the coordinate kernel from the number of
+points alone; ``transformed_discrepancy`` gives it an index-transformed
+prefix as its distinct indices and their multiplicities, and an s >= 2
+``windowed_uniform_discrepancy`` all its shifts.  A 1D window slides one
+sorted block over Python ints at every size (``_window_1d``).  Only the
+winning box is turned back into Fractions.
 """
 
 from __future__ import annotations
@@ -34,9 +35,11 @@ import operator
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from ._util import BudgetExceededError, as_fraction, multiplicities
+from ._util import (
+    BudgetExceededError, _grid_cells, _on_python_ints, as_fraction, multiplicities,
+)
 from .generators import (
-    Axis, Point, SequenceSpec, _index_array, _int_dtype, coordinates, int_coordinates,
+    Axis, Point, SequenceSpec, _int_dtype, coordinates, int_coordinates,
 )
 from .transforms import IndexTransform, value_counts_below
 
@@ -46,16 +49,6 @@ if TYPE_CHECKING:
 # Scan cells one s >= 2 evaluation may take: `disc --spec halton:2,3 --N 300`
 # scans 27.2 million.
 DEFAULT_CELL_BUDGET = 1 << 25
-
-# Points given by a spec and their indices are evaluated on Python ints up
-# to SCALAR_1D_CUT indices in 1D and, for s >= 2, up to SCALAR_CELL_CUT scan
-# cells; a window of n points and shifts 0..k_max counts (k_max + 1) * n
-# points, or (k_max + 1) times one shift's cells.  2^18 cells take 0.1-0.16 s
-# there on a 2-core VM, what importing numpy costs a fresh process: `disc
-# --spec halton:2,3` at N = 63, the last N under the cut, runs 0.28 s end to
-# end either way.
-SCALAR_1D_CUT = 1 << 14
-SCALAR_CELL_CUT = 1 << 18
 
 
 class BoxSide(NamedTuple):
@@ -218,20 +211,6 @@ def _corner_sides(den: int, ints: list[int], closed: bool) -> list[tuple]:
     sides = [(0, j + 1 if closed else j, v, (0, v)) for j, v in enumerate(ints)]
     sides.append((0, len(ints), den, (0, den)))
     return sides
-
-
-def _grid_cells(sizes: Sequence[int], at_zero: Sequence[bool]) -> int:
-    """Scan cells of the extreme grid: its rows, the closed and the open
-    products of leading-axis sides, times the last axis's distinct values
-    plus one, the entries each row's scan reads.
-
-    sizes are the distinct coordinates per axis, and at_zero tells whether an
-    axis's smallest one is 0, whose wall is then no new open side.
-    """
-    *lead, last = sizes
-    closed = math.prod(u * (u + 1) // 2 for u in lead)
-    opened = math.prod(u * (u + 3) // 2 + 1 - z for u, z in zip(lead, at_zero))
-    return (closed + opened) * (last + 1)
 
 
 _CHUNK_CELLS = 1 << 13
@@ -467,16 +446,10 @@ class _IntKernel:
         return best, where
 
 
-def _first_max(chunks) -> tuple[int, int]:
-    """Largest entry over chunks in order and its flat index (first one wins)."""
-    best = where = None
-    offset = 0
-    for chunk in chunks:
-        i = int(chunk.argmax())
-        if best is None or chunk.flat[i] > best:
-            best, where = int(chunk.flat[i]), offset + i
-        offset += chunk.size
-    return best, where
+def _first_max(values) -> tuple[int, int]:
+    """Largest entry of an array and its index (the first one wins)."""
+    i = int(values.argmax())
+    return int(values[i]), i
 
 
 def _side(den: int, lower, upper, closed_lower: bool, closed_upper: bool) -> BoxSide:
@@ -593,7 +566,7 @@ def _closed_form_1d(axes, counts, n, mode: str) -> DiscrepancyReport:
     cum = kernel.prefix  # cum[i + 1] is the weight up to the i-th axis value
     scaled = values.astype(kernel.dtype, copy=False)
     minus, plus = _deviations_1d(scaled, cum[:-1], cum[1:], den, n)
-    return _report_1d(n, den, values, _first_max([minus]), _first_max([plus]), mode)
+    return _report_1d(n, den, values, _first_max(minus), _first_max(plus), mode)
 
 
 def _scalar_1d(axis: Axis, counts, mode: str) -> DiscrepancyReport:
@@ -639,19 +612,6 @@ def discrepancy(points, counts=None, mode: str = "extreme") -> DiscrepancyReport
     return (_star if mode == "star" else _extreme_grid)(kernel, *form)
 
 
-def _on_python_ints(size: int, s: int, mode: str, blocks: int = 1) -> bool:
-    """Whether `blocks` multisets of `size` points in dimension s are cheaper
-    on Python ints than numpy's import; for s >= 2 the work is counted in
-    scan cells for `size` distinct values per axis, an upper bound."""
-    if s == 1:
-        return blocks * size <= SCALAR_1D_CUT
-    if mode == "star":
-        cells = (size + 1) ** s
-    else:
-        cells = _grid_cells([size] * s, [False] * s)
-    return blocks * cells <= SCALAR_CELL_CUT
-
-
 def transformed_discrepancy(
     spec: SequenceSpec,
     transform: IndexTransform | None,
@@ -674,51 +634,90 @@ def transformed_discrepancy(
 
 
 def _window_1d(axis: Axis, n: int, k_max: int, mode: str) -> tuple[int, Fraction]:
-    """First shift with the largest block discrepancy, and that discrepancy.
+    """First shift with the largest block discrepancy, and that discrepancy,
+    from an Axis with list numerators.
 
-    Each block is a sorted run of the window's numerators, whose i-th
-    smallest value has i - 1 points below it and i up to it.  On numpy
-    arrays the numerators over their least common denominator are one
-    integer table, and each chunk of shifts sorts its slices at once; list
-    numerators keep one sorted block of n * y values, one point leaving and
-    one entering it per shift.
+    With y_(i) the block's i-th smallest value (from 0), D- is the largest
+    minus(i) = n * y_(i) - i * den and D+ is den - the smallest, the integers
+    of ``_deviations_1d``.  The sorted block of n * y values is kept in runs
+    of `load` = max(32, isqrt(n)) to 2 * load values, with each run's largest
+    and smallest minus(i) at its ranks.  A shift inserts one value into a run
+    and deletes one from a run, which moves the ranks of the runs between the
+    two by one: their extremes move by den, and the two runs are recounted.
+    A run past 2 * load values splits in two and an emptied run is dropped,
+    so a shift costs the length of two runs plus the number of runs, about
+    sqrt(n) each, where the sorted block costs n.
     """
-    if isinstance(axis.nums, list):
-        return _scalar_window_1d(axis, n, k_max, mode)
-    import numpy as np
-    from numpy.lib.stride_tricks import sliding_window_view
-    den, table = _reduced(axis.base**axis.width, axis.nums)
-    dtype = _int_dtype(n * den)
-    table = table.astype(dtype, copy=False)
-    at = np.arange(1, n + 1).astype(dtype)
-    step = max(1, _CHUNK_CELLS // n)
-
-    def block_values(start: int) -> np.ndarray:
-        rows = sliding_window_view(table[start : start + step + n - 1], n)
-        minus, plus = _deviations_1d(np.sort(rows, axis=1), at - 1, at, den, n)
-        if mode == "star":
-            return np.maximum(minus, plus).max(axis=1)
-        return minus.max(axis=1) + plus.max(axis=1)
-
-    best, best_k = _first_max(block_values(k) for k in range(0, k_max + 1, step))
-    return best_k, Fraction(best, n * den)
-
-
-def _scalar_window_1d(axis: Axis, n: int, k_max: int, mode: str) -> tuple[int, Fraction]:
-    """``_window_1d`` on Python ints, from an Axis with list numerators."""
     den = axis.base**axis.width
     scaled = list(map(n.__mul__, axis.nums))
-    below = range(0, n * den, den)
-    block = sorted(scaled[:n])
+    load = max(32, math.isqrt(n))
+    sub = operator.sub
+    ramp = range(0, (2 * load + 1) * den, den)  # j * den for each place j in a run
+    block, parts = sorted(scaled[:n]), max(1, n // load)
+    starts = [i * n // parts for i in range(parts)]  # each run's rank of its first value
+    runs = [block[i:j] for i, j in zip(starts, starts[1:] + [n])]
+    maxes = [run[-1] for run in runs]
+    his, los = [0] * parts, [0] * parts
+
+    def count(i: int) -> None:  # run i's extremes of minus at its ranks
+        minus = list(map(sub, runs[i], ramp))
+        first = starts[i] * den
+        his[i], los[i] = max(minus) - first, min(minus) - first
+
+    def move(lo: int, hi: int, step: int) -> None:  # runs lo..hi - 1 gain step ranks
+        starts[lo:hi] = map(step.__add__, starts[lo:hi])
+        shift = -step * den
+        his[lo:hi] = map(shift.__add__, his[lo:hi])
+        los[lo:hi] = map(shift.__add__, los[lo:hi])
+
+    def slide(a: int, b: int, y: int) -> None:  # y leaves run a after a value entered run b
+        run = runs[a]
+        del run[bisect.bisect_left(run, y)]
+        if a < b:
+            move(a + 1, b + 1, -1)
+        else:
+            move(b + 1, a + 1, 1)
+        count(b)
+        if run:
+            maxes[a] = run[-1]
+            count(a)
+        else:
+            for column in (runs, maxes, starts, his, los):
+                del column[a]
+            b -= a < b
+        if len(runs[b]) > 2 * load:  # split in two
+            half = runs[b][load:]
+            del runs[b][load:]
+            for column, value in zip((runs, maxes, starts, his, los),
+                                     (half, half[-1], starts[b] + load, 0, 0)):
+                column.insert(b + 1, value)
+            maxes[b] = runs[b][-1]
+            count(b)
+            count(b + 1)
+
+    for i in range(len(runs)):
+        count(i)
+    bisect_left, insort = bisect.bisect_left, bisect.insort
     best = best_k = None
     for k in range(k_max + 1):
-        if k:
-            del block[bisect.bisect_left(block, scaled[k - 1])]
-            bisect.insort(block, scaled[k + n - 1])
-        # D- at the i-th smallest value is minus[i] and D+ is den - minus[i]:
-        # the integers of _deviations_1d
-        minus = list(map(operator.sub, block, below))
-        low, high = min(minus), max(minus)
+        if k:  # insert first, so no block is ever empty
+            x, y = scaled[k + n - 1], scaled[k - 1]
+            b = bisect_left(maxes, x)
+            if b == len(runs):
+                b -= 1
+                maxes[b] = x
+            run = runs[b]
+            insort(run, x)
+            a = bisect_left(maxes, y)
+            if a == b:  # one run changes, and no rank outside it
+                del run[bisect_left(run, y)]
+                maxes[b] = run[-1]
+                minus = list(map(sub, run, ramp))
+                first = starts[b] * den
+                his[b], los[b] = max(minus) - first, min(minus) - first
+            else:
+                slide(a, b, y)
+        high, low = max(his), min(los)
         value = max(high, den - low) if mode == "star" else high - low + den
         if best is None or value > best:
             best, best_k = value, k
@@ -738,21 +737,19 @@ def windowed_uniform_discrepancy(
 
     This is a certified LOWER estimate of the uniform discrepancy (the true
     sup ranges over all shifts); the first arg-max shift is reported.  The
-    (transformed) indices' coordinates come from one kernel call, on Python
-    ints while ``_on_python_ints`` says all the shifts are cheap enough.  A
-    1D sequence has every shift evaluated by the 1D closed form
-    (``_window_1d``) and its witness from ``discrepancy`` on the winning
-    block, which must agree on the value.  For s >= 2 each shift is
-    evaluated on its own.
+    (transformed) indices' coordinates come from one kernel call.  A 1D
+    sequence takes them from ``int_coordinates`` at every size and has every
+    shift evaluated by the sliding 1D closed form (``_window_1d``), and its
+    witness from ``discrepancy`` on the winning block, which must agree on
+    the value.  For s >= 2 each shift is evaluated on its own, on Python ints
+    while ``_on_python_ints`` says all the shifts are cheap enough.
     """
     if n < 1 or k_max < 0:
         raise ValueError("need n >= 1 and k_max >= 0")
     indices = range(k_max + n)
-    on_ints = _on_python_ints(n, spec.dimension, mode, k_max + 1)
-    if transform is not None:
-        if not on_ints:  # a window past memory fails here, as it does untransformed
-            indices = _index_array(indices).tolist()
-        indices = [transform.apply(i) for i in indices]
+    on_ints = spec.dimension == 1 or _on_python_ints(n, spec.dimension, mode, k_max + 1)
+    if transform is not None:  # all indices first: a window past memory fails at once
+        indices = list(map(transform.apply, list(indices)))
     window = (int_coordinates if on_ints else coordinates)(spec, indices)
 
     def block(k: int) -> DiscrepancyReport:

@@ -1,23 +1,29 @@
 """Point sequences: van der Corput, Halton, and digital sequences over F_p.
 
-Every point comes from one integer kernel, :func:`coordinates`, which turns a
-batch of indices into exact numerator arrays over a common power of each
-axis's base.  Exact BRational points are built from them only at the API and
-CSV boundaries.  numpy is imported inside the kernels, so parsing a spec
-loads none, and :func:`int_coordinates` gives the same Axis batch with its
-numerators as Python lists, for batches too small to repay that import.
-The module also certifies (t,m,s)-net properties by counting points in every
-elementary interval and checks the generator-matrix rank condition over F_p.
+Every point comes from one integer kernel in two forms: :func:`coordinates`
+turns a batch of indices into exact numerator arrays over a common power of
+each axis's base, and :func:`int_coordinates` gives the same Axis batch with
+its numerators as Python lists.  numpy is imported inside the array kernels
+only, so parsing a spec loads none.  The list form reverses digits through
+tables of digit blocks, and applies a generator matrix through tables of
+packed output digits; it serves one point (``spec.point``), `gen`'s streamed
+chunks, 1D windows and every batch that ``_util._on_python_ints`` finds too
+small to repay importing numpy.  Exact BRational points are built from either
+form only at the API and CSV boundaries.  The module also certifies
+(t,m,s)-net properties by counting points in every elementary interval, on
+either form, and checks the generator-matrix rank condition over F_p.
 """
 
 from __future__ import annotations
 
+import collections
+import functools
 import itertools
 import math
 import operator
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
-from ._util import Value
+from ._util import Value, _on_python_ints
 from .digits import BRational
 
 if TYPE_CHECKING:
@@ -75,7 +81,7 @@ class VanDerCorput(Value):
         return 1
 
     def point(self, n: int) -> Point:
-        return to_points(coordinates(self, [n]))[0]
+        return to_points(int_coordinates(self, [n]))[0]
 
 
 class Halton(Value):
@@ -102,7 +108,7 @@ class Halton(Value):
         return len(self.bases)
 
     def point(self, n: int) -> Point:
-        return to_points(coordinates(self, [n]))[0]
+        return to_points(int_coordinates(self, [n]))[0]
 
 
 class GeneratorMatrix(Value):
@@ -155,7 +161,7 @@ class DigitalSequence(Value):
         return len(self.matrices)
 
     def point(self, n: int) -> Point:
-        return to_points(coordinates(self, [n]))[0]
+        return to_points(int_coordinates(self, [n]))[0]
 
 
 SequenceSpec = VanDerCorput | Halton | DigitalSequence
@@ -180,14 +186,17 @@ class Axis(NamedTuple):
     def normalized(self) -> tuple[list[int], list[int]]:
         """Numerators and precisions with trailing zero digits dropped (0 is 0/b^0)."""
         if isinstance(self.nums, list):
-            nums, precs = [], []
-            for num in self.nums:
-                prec = self.width if num else 0
-                while num and num % self.base == 0:
-                    num //= self.base
-                    prec -= 1
-                nums.append(num)
-                precs.append(prec)
+            # b**2**j divides a numerator with z < 2**(j+1) trailing zeros
+            # iff z >= 2**j, so the powers from the largest down strip z's
+            # binary digits, in any base: O(log width) divisions, not z
+            nums, precs = list(self.nums), [self.width if num else 0 for num in self.nums]
+            step = 1 << max(self.width.bit_length() - 1, 0)
+            while step:
+                power = self.base**step
+                for i, num in enumerate(nums):
+                    if num and not num % power:
+                        nums[i], precs[i] = num // power, precs[i] - step
+                step >>= 1
             return nums, precs
         import numpy as np
         nums = self.nums.copy()
@@ -341,11 +350,115 @@ def _reversed_digits(indices: list[int], base: int, width: int) -> list[int]:
     return nums if pad == 1 else list(map(pad.__rfloordiv__, nums))
 
 
+_TABLE_BITS = 10  # an index-digit table holds at most 2**10 entries
+_GROUP_BITS = 12  # a table of output-digit fields, at most 2**12
+
+
+def _reduce_fields(bits: int, count: int, p: int):
+    """x -> x with each of its `count` bits-wide fields below 2p reduced mod p.
+
+    Adding 2**(bits-1) - p to a field x <= 2p - 2 sets its top bit exactly
+    when x >= p and carries into no other field, given 2**(bits-1) >= p; the
+    fields so marked lose p each.
+    """
+    ones = sum(1 << bits * f for f in range(count))
+    bias, top = ((1 << bits - 1) - p) * ones, ones << bits - 1
+    return lambda x: x - ((x + bias & top) >> bits - 1) * p
+
+
+@functools.lru_cache(maxsize=64)
+def _field_digits(p: int, bits: int, group: int) -> list[int]:
+    """u -> sum_i (field i of u mod p) * p**i over `group` bits-wide fields."""
+    table, mask = [0], (1 << bits) - 1
+    for u in range(1, 1 << bits * group):
+        table.append((u & mask) % p + p * table[u >> bits])
+    return table
+
+
+@functools.lru_cache(maxsize=64)
+def _digital_kernel(mat: GeneratorMatrix, used: int):
+    """The numerators over p**width of mat applied to index lists below p**used.
+
+    Output digit v of index n is sum_r rows[v][r] * digit_r(n) mod p, weight
+    p**(width-1-v).  The digits are packed into one integer, digit v in the
+    bits-wide field last - v, for the rows from the first to the last one
+    that the used columns reach.  The index digits are read in blocks as even
+    as their count allows, each through a table of its p**chunk values'
+    packed digits, reduced mod p; the blocks' entries are summed, and each
+    group of fields is reduced mod p and read as base-p digits by one shared
+    table.  A base too large for a table takes one digit per block, times its
+    packed column, and reduces each field with one division.  Built once per
+    matrix and digit count.
+    """
+    p, width = mat.p, mat.size
+    live = [v for v in range(width) if any(mat.rows[v][:used])]
+    if not live:
+        return lambda idx: [0] * len(idx)
+    first, last = live[0], live[-1]
+    fields = last - first + 1
+    chunk = 1
+    while chunk < used and p ** (chunk + 1) <= 1 << _TABLE_BITS:
+        chunk += 1
+    blocks = -(-used // chunk)
+    chunk = -(-used // blocks)
+    tabulated = p**chunk <= 1 << _TABLE_BITS
+    if tabulated:  # summed fields stay below blocks * p, and reduction needs 2**(bits-1) >= p
+        bits = max((blocks * (p - 1)).bit_length(), p.bit_length() + 1)
+        reduce = _reduce_fields(bits, fields, p)
+    else:  # unreduced sums of used products below p**2
+        bits = (used * (p - 1) ** 2).bit_length()
+
+    def column(r: int) -> int:
+        return sum(mat.rows[v][r] << bits * (last - v) for v in range(first, last + 1))
+
+    lookups = []  # per block of index digits, from the lowest: its size and entry
+    for start in range(0, used, chunk):
+        digits = range(start, min(start + chunk, used))
+        if not tabulated:
+            lookups.append((p, column(start).__mul__))
+            continue
+        table = [0]
+        for r in digits:  # entry e * p**j + t adds e times column r to entry t
+            col, multiples = column(r), [0]
+            for _ in range(p - 1):
+                multiples.append(reduce(multiples[-1] + col))
+            table = [reduce(t + m) for m in multiples for t in table]
+        lookups.append((p ** len(digits), table.__getitem__))
+    group = _GROUP_BITS // bits
+    convert = _field_digits(p, bits, group).__getitem__ if group else p.__rmod__
+    group = max(group, 1)
+    groups = [  # shift, mask (0 for the top group) and place value of each group
+        (bits * f, (1 << bits * group) - 1 if f + group < fields else 0,
+         p ** (width - 1 - last + f))
+        for f in range(0, fields, group)
+    ]
+
+    def numerators(idx: list[int]) -> list[int]:
+        packed, rest = None, idx
+        for i, (size, entry) in enumerate(lookups):
+            digits = rest
+            if i + 1 < len(lookups):
+                digits, rest = map(size.__rmod__, rest), list(map(size.__rfloordiv__, rest))
+            entries = map(entry, digits)
+            packed = list(entries) if packed is None else list(map(operator.add, packed, entries))
+        nums = None
+        for shift, mask, place in groups:
+            values = map(shift.__rrshift__, packed) if shift else packed
+            values = map(convert, map(mask.__and__, values) if mask else values)
+            if place != 1:
+                values = map(place.__mul__, values)
+            nums = list(values) if nums is None else list(map(operator.add, nums, values))
+        return nums
+
+    return numerators
+
+
 def int_coordinates(spec: SequenceSpec, indices) -> tuple[Axis, ...]:
     """:func:`coordinates` on Python ints: the same Axis batch with its
     numerators as lists, and the same errors.
 
-    For multisets too small to repay importing numpy.
+    For multisets too small to repay importing numpy, for one point, and
+    for streams and windows, which take a bounded batch at a time.
     """
     idx = _checked_indices(indices)
     top = max(idx, default=0)
@@ -356,22 +469,7 @@ def int_coordinates(spec: SequenceSpec, indices) -> tuple[Axis, ...]:
                 f"index {top} needs more than {width} base-{p} digits; raise the precision"
             )
         used = _digits_used(p, top)
-        digits = []
-        for n in idx:
-            row = []
-            for _ in range(used):
-                n, d = divmod(n, p)
-                row.append(d)
-            digits.append(row)
-        columns = []
-        for mat in spec.matrices:
-            # digit v of x_n has weight p**-(v+1); rows zero on the used columns add nothing
-            live = [(p ** (width - 1 - v), row[:used]) for v, row in enumerate(mat.rows)
-                    if any(row[:used])]
-            nums = [sum(w * (sum(map(operator.mul, row, d)) % p) for w, row in live)
-                    for d in digits]
-            columns.append(Axis(p, width, nums))
-        return tuple(columns)
+        return tuple(Axis(p, width, _digital_kernel(mat, used)(idx)) for mat in spec.matrices)
     bases = spec.bases if isinstance(spec, Halton) else (spec.base,)
     widths = [_digits_used(b, top) for b in bases]
     return tuple(Axis(b, w, _reversed_digits(idx, b, w)) for b, w in zip(bases, widths))
@@ -490,9 +588,8 @@ def check_net(points: list[Point], b: int, t: int) -> NetCheck:
     m comes from the point count b**m and s from the points' dimension.
     Every elementary interval of volume b**(t-m) must contain exactly b**t of
     the points.  Returns the first violating interval on failure (shapes and
-    cells in lexicographic order).
+    cells in lexicographic order).  The points are counted on Python ints.
     """
-    import numpy as np
     if b < 2 or not points:
         raise ValueError(f"need a base b >= 2 and at least one point, got b={b}")
     m = next(m for m in itertools.count() if b**m >= len(points))
@@ -508,31 +605,53 @@ def check_net(points: list[Point], b: int, t: int) -> NetCheck:
         if any(c.base != base for c in coords):
             raise ValueError("the points of a net need one base per axis")
         nums = [c.num * base ** (width - c.prec) for c in coords]
-        axes.append(Axis(base, width, np.array(nums, dtype=_int_dtype(base**width))))
+        axes.append(Axis(base, width, nums))
     return _net_check(tuple(axes), b, t, m)
 
 
-def _net_check(batch: tuple[Axis, ...], b: int, t: int, m: int) -> NetCheck:
-    """Count the batch's points per elementary interval, one shape at a time.
+def _first_wrong_cell(batch: tuple[Axis, ...], scales: list[int], expected: int):
+    """The first cell, in lexicographic order, that does not hold `expected`
+    of the batch's points, as (flat index, count); None if every cell does.
 
     A point's interval along an axis of resolution b**d is floor(x * b**d),
-    an integer division of its numerator; the cells of a shape are numbered
-    in lexicographic order, so the first wrong count is the first violation.
+    an integer division of its numerator.  A batch with list numerators is
+    counted on Python ints, any other on numpy arrays.
     """
+    if isinstance(batch[0].nums, list):
+        cells = None
+        for axis, scale in zip(batch, scales):
+            den = axis.base**axis.width
+            along = map(den.__rfloordiv__, map(scale.__mul__, axis.nums))
+            cells = list(along) if cells is None else list(
+                map(operator.add, map(scale.__mul__, cells), along))
+        counts = collections.Counter(cells)
+        wrong = next((i for i in range(math.prod(scales)) if counts[i] != expected), None)
+        return None if wrong is None else (wrong, counts[wrong])
     import numpy as np
+    cells = np.zeros(len(batch[0].nums), dtype=np.int64)
+    for axis, scale in zip(batch, scales):
+        den = axis.base**axis.width
+        nums = axis.nums.astype(_int_dtype(den * scale))
+        cells = cells * scale + (nums * scale // den).astype(np.int64)
+    counts = np.bincount(cells, minlength=math.prod(scales))
+    wrong = np.flatnonzero(counts != expected)
+    return (int(wrong[0]), int(counts[wrong[0]])) if len(wrong) else None
+
+
+def _net_check(batch: tuple[Axis, ...], b: int, t: int, m: int) -> NetCheck:
+    """Count the batch's points per elementary interval, one shape at a time;
+    the first wrong count is the first violation."""
     expected = b**t
     for shape in _compositions(m - t, len(batch)):
         scales = [b**d for d in shape]
-        cells = np.zeros(len(batch[0].nums), dtype=np.int64)
-        for axis, scale in zip(batch, scales):
-            den = axis.base**axis.width
-            nums = axis.nums.astype(_int_dtype(den * scale))
-            cells = cells * scale + (nums * scale // den).astype(np.int64)
-        counts = np.bincount(cells, minlength=b ** (m - t))
-        wrong = np.flatnonzero(counts != expected)
-        if len(wrong):
-            cell = tuple(int(i) for i in np.unravel_index(wrong[0], scales))
-            return NetCheck(False, NetViolation(shape, cell, int(counts[wrong[0]]), expected))
+        wrong = _first_wrong_cell(batch, scales, expected)
+        if wrong is not None:
+            flat, count = wrong
+            cell = []
+            for scale in reversed(scales):
+                flat, i = divmod(flat, scale)
+                cell.append(i)
+            return NetCheck(False, NetViolation(shape, tuple(reversed(cell)), count, expected))
     return NetCheck(True, None)
 
 
@@ -549,7 +668,11 @@ class SequencePropertyCheck(NamedTuple):
 def check_sequence_property(
     spec: SequenceSpec, b: int, t: int, k_max: int, m_max: int
 ) -> SequencePropertyCheck:
-    """Check that every aligned block (x_n) for k*b^m <= n < (k+1)*b^m is a net."""
+    """Check that every aligned block (x_n) for k*b^m <= n < (k+1)*b^m is a net.
+
+    The blocks of a level are counted on Python ints while
+    ``_on_python_ints`` finds their points, counted as in 1D, cheap enough.
+    """
     if t < 0:
         raise ValueError("need t >= 0")
     if b < 2 or k_max < 0 or m_max < t:  # nothing, or only one-point blocks, to check
@@ -559,8 +682,9 @@ def check_sequence_property(
         )
     for m in range(t, m_max + 1):
         size = b**m
+        kernel = int_coordinates if _on_python_ints(size, 1, "extreme", k_max + 1) else coordinates
         for k in range(k_max + 1):
-            res = _net_check(coordinates(spec, range(k * size, (k + 1) * size)), b, t, m)
+            res = _net_check(kernel(spec, range(k * size, (k + 1) * size)), b, t, m)
             if not res.ok:
                 return SequencePropertyCheck(False, m, k, res.violation)
     return SequencePropertyCheck(True, None, None, None)

@@ -128,6 +128,27 @@ def oracle_star_1d(values) -> Fraction:
     return best
 
 
+def oracle_window_1d(nums, den: int, n: int, k_max: int, mode: str) -> tuple[int, Fraction]:
+    """First shift k <= k_max with the largest discrepancy of the block
+    nums[k:k + n] / den, and that discrepancy.
+
+    Every block is sorted on its own, all at once by numpy; the i-th smallest
+    value y (from 0) gives the deviations y - i/n and (i+1)/n - y of the
+    sorted-points closed form (Niederreiter 1992, §2.1), scaled by n * den.
+    """
+    dtype = np.int64 if n * den < 2**62 else object
+    blocks = np.lib.stride_tricks.sliding_window_view(np.array(nums, dtype=dtype), n)
+    rows = np.sort(blocks[: k_max + 1], axis=1)
+    ranks = np.arange(n).astype(dtype)
+    minus, plus = n * rows - ranks * den, (ranks + 1) * den - n * rows
+    if mode == "star":
+        values = np.maximum(minus, plus).max(axis=1)
+    else:
+        values = minus.max(axis=1) + plus.max(axis=1)
+    k = int(values.argmax())
+    return k, Fraction(int(values[k]), n * den)
+
+
 def oracle_digital_point(p: int, matrices, precision: int, n: int) -> tuple:
     """Normalized (num, prec) per axis of point n of a digital sequence.
 

@@ -452,15 +452,34 @@ def test_cli_start_up_loads_only_the_commands_modules():
         {"N": 4, "check": "monocheck"}, {"N": 8, "check": "monocheck"}]}
 
 
+def test_one_point_loads_no_numpy():
+    # spec.point(n) is int_coordinates on one index, for every kind of spec,
+    # and gives the array kernel's point
+    from lowdisc import parse_spec
+    from lowdisc.generators import coordinates, to_points
+
+    specs = ("vdc:3", "halton:2,3,5", "pascal:3,2", "pascal:2,1,62")
+    code = (
+        "import sys\n"
+        "from lowdisc import parse_spec\n"
+        f"for text in {specs!r}:\n"
+        "    print(parse_spec(text).point(12345))\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    want = [str(to_points(coordinates(parse_spec(text), [12345]))[0]) for text in specs]
+    assert run_python(code).splitlines() == want + ["False"]
+
+
 @pytest.mark.parametrize(
     "jobs, loaded",
     [
         # 2**14 distinct points on Python ints, one more through the arrays
         ([["disc", "--spec", "vdc:2", "--N", "16384"], ["disc", "--spec", "vdc:2", "--N", "16385"]],
          "False True"),
-        # a 1D window counts its (kmax + 1) * N points: 2**14, then 2**14 + 128
+        # a 1D window has no cut: (kmax + 1) * N points are 2**14, then 2**14 + 128,
+        # and both slide on Python ints
         ([["udisc", "--spec", "vdc:2", "--N", "128", "--kmax", k] for k in ("127", "128")],
-         "False True"),
+         "False False"),
         # the benchmark's sweep jobs: the envelope's 1D windows, 9,653 points
         # at most, run on Python ints
         ([["genbound", "--spec", "vdc:2", "--q", q, "--dmax", "12"] for q in ("2", "3", "5")],
@@ -474,11 +493,26 @@ def test_cli_start_up_loads_only_the_commands_modules():
         )], " ".join(["False"] * 16)),
         # 63 distinct points are 2^18 scan cells on Python ints, 64 go to the arrays
         ([["disc", "--spec", "halton:2,3", "--N", n] for n in ("63", "64")], "False True"),
+        # the benchmark's points jobs, on every --start it draws; `ubound` runs
+        # last, since it loads the bound checks that `udisc` must not
+        ([job for start in ("0", "1024", "2048", "3072") for job in (
+            ["gen", "--spec", "pascal:3,2", "--count", "20000", "--start", start],
+            ["gen", "--spec", "vdc:2", "--count", "100000", "--start", start],
+            ["netcheck", "--spec", "pascal:3,2", "--base", "3", "--mmax", "5", "--kmax", "8"],
+            ["udisc", "--spec", "vdc:2", "--N", "1024", "--kmax", "4096"],
+            ["udisc", "--spec", "vdc:2", "--transform", "sod:2", "--N", "256", "--kmax", "1024"],
+        )] + [["ubound", "--spec", "vdc:2", "--b", "2", "--dmax", "10", "--kmax", "2048"]] * 4,
+         " ".join(["False"] * 24)),
+        # a net check counts a level's blocks on Python ints up to 2**14 points:
+        # at --kmax 1 the 2**14-point level has 2**15
+        ([["netcheck", "--spec", "vdc:2", "--base", "2", "--mmax", "14", "--kmax", k]
+          for k in ("0", "1")], "False True"),
         # a base far past the digit-reversal table's 1024 entries costs nothing extra
         ([["disc", "--spec", "vdc:1000000007", "--N", "3"],
           ["disc", "--spec", "halton:2,1000003", "--N", "20", "--mode", "star"]], "False False"),
     ],
-    ids=["disc-cut", "window-cut", "genbound", "grid-jobs", "grid-cut", "large-base"],
+    ids=["disc-cut", "window-cut", "genbound", "grid-jobs", "grid-cut", "points-jobs",
+         "netcheck-cut", "large-base"],
 )
 def test_cli_loads_numpy_only_past_the_cut_and_for_windows(jobs, loaded):
     # a job that does not load numpy loads none of LEAN either; nor does

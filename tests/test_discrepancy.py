@@ -1,4 +1,3 @@
-import contextlib
 import math
 import random
 from fractions import Fraction
@@ -31,6 +30,7 @@ from oracles import (
     oracle_grid_enumeration,
     oracle_star_1d,
     oracle_star_enumeration,
+    oracle_window_1d,
 )
 
 F = Fraction
@@ -401,18 +401,6 @@ def test_star_extreme_sandwich():
         assert star <= extreme <= 2 * star
 
 
-@contextlib.contextmanager
-def window_backend(on_ints: bool):
-    """Sends 1D windows under SCALAR_1D_CUT, as all of these tests' are, to
-    the Python ints or, with a cut of 0, to the arrays; and checks they went."""
-    spy = mock.Mock(wraps=discrepancy._scalar_window_1d)
-    cut = discrepancy.SCALAR_1D_CUT if on_ints else 0
-    with mock.patch.object(discrepancy, "SCALAR_1D_CUT", cut), \
-            mock.patch.object(discrepancy, "_scalar_window_1d", spy):
-        yield
-    assert spy.called == on_ints
-
-
 def test_windowed_examples():
     v = VanDerCorput(2)
     # degenerate window equals the plain discrepancy
@@ -421,50 +409,43 @@ def test_windowed_examples():
     for k in range(9):
         block = [v.point(i).coords[0] for i in range(k, k + 3)]
         shifted.append(discrepancy.discrepancy(block).value)
-    for on_ints in (True, False):
-        with window_backend(on_ints):
-            assert windowed_uniform_discrepancy(v, None, 2, 0).value == F(1, 2)
-            assert windowed_uniform_discrepancy(v, None, 5, 0).value == plain
-            rep = windowed_uniform_discrepancy(v, None, 3, 8)
-        assert rep.value == max(shifted)
-        assert shifted[rep.shift] == rep.value
+    assert windowed_uniform_discrepancy(v, None, 2, 0).value == F(1, 2)
+    assert windowed_uniform_discrepancy(v, None, 5, 0).value == plain
+    rep = windowed_uniform_discrepancy(v, None, 3, 8)
+    assert rep.value == max(shifted)
+    assert shifted[rep.shift] == rep.value
 
 
 def _assert_window_matches_per_shift(spec, transform, n, k_max, mode):
-    """The window, on both backends, against every shift evaluated on its own."""
+    """The window against every shift evaluated on its own."""
     apply = transform.apply if transform else (lambda i: i)
     per_shift = [
         discrepancy.discrepancy([spec.point(apply(i)) for i in range(k, k + n)], mode=mode)
         for k in range(k_max + 1)
     ]
     values = [r.value for r in per_shift]
-    for on_ints in (True, False):
-        with window_backend(on_ints):
-            rep = windowed_uniform_discrepancy(spec, transform, n, k_max, mode)
-        assert rep.value == max(values), on_ints
-        assert rep.shift == values.index(rep.value), on_ints  # the first maximizing shift
-        assert str(rep.witness) == str(per_shift[rep.shift].witness), on_ints
-        assert rep.method == f"windowed-{mode}"
+    rep = windowed_uniform_discrepancy(spec, transform, n, k_max, mode)
+    assert rep.value == max(values)
+    assert rep.shift == values.index(rep.value)  # the first maximizing shift
+    assert str(rep.witness) == str(per_shift[rep.shift].witness)
+    assert rep.method == f"windowed-{mode}"
 
 
 @pytest.mark.parametrize("mode", ["extreme", "star"])
 @pytest.mark.parametrize("transform", [None, "sod:2", "pow:1/2"])
 @pytest.mark.parametrize("spec", ["vdc:2", "vdc:3", "halton:5", "pascal:3,1,6"])
 def test_windowed_1d_matches_per_shift(spec, transform, mode):
-    # every 1D spec, transformed or not, takes the integer closed form; with
-    # 4 cells an array chunk holds at most a few shifts, so the scan crosses chunks
+    # every 1D spec, transformed or not, takes the sliding closed form
     spec = parse_spec(spec)
     transform = parse_transform(transform) if transform else None
-    for cells in (discrepancy._CHUNK_CELLS, 4):
-        with mock.patch.object(discrepancy, "_CHUNK_CELLS", cells):
-            for n in (1, 2, 5, 9):
-                for k_max in (0, 3, 17):
-                    _assert_window_matches_per_shift(spec, transform, n, k_max, mode)
+    for n in (1, 2, 5, 9):
+        for k_max in (0, 3, 17):
+            _assert_window_matches_per_shift(spec, transform, n, k_max, mode)
 
 
 def dense_3_40():
     """A dense 40-digit matrix over F_3: coordinates over 3^40, so n * den
-    passes 2^62 and the array window holds exact Python ints."""
+    passes 2^62."""
     rng = random.Random(40)
     rows = tuple(tuple(rng.randrange(3) for _ in range(40)) for _ in range(40))
     return DigitalSequence(3, (GeneratorMatrix(3, rows),), 40)
@@ -492,11 +473,9 @@ def test_windowed_with_transform():
         by_hand.append(
             discrepancy.discrepancy([v.point(i).coords[0] for i in idx]).value
         )
-    for on_ints in (True, False):
-        with window_backend(on_ints):
-            rep = windowed_uniform_discrepancy(v, SumOfDigits(2), 4, 5)
-        assert rep.value == max(by_hand)
-        assert rep.shift == by_hand.index(rep.value)  # the first maximizing shift
+    rep = windowed_uniform_discrepancy(v, SumOfDigits(2), 4, 5)
+    assert rep.value == max(by_hand)
+    assert rep.shift == by_hand.index(rep.value)  # the first maximizing shift
 
 
 WINDOW_SPECS = {name: parse_spec(name) for name in
@@ -509,33 +488,42 @@ WINDOW_SPECS["dense-3^40"] = dense_3_40()
     st.sampled_from(sorted(WINDOW_SPECS)),
     st.sampled_from([None, "sod:2", "sod:3", "pow:1/2", "pow:2/3"]),
     st.sampled_from(["extreme", "star"]),
-    st.integers(1, 12),
-    st.integers(0, 40),
+    st.integers(1, 300),
+    st.integers(0, 600),
 )
 @example("vdc:2", None, "extreme", 1, 0)
 @example("vdc:3", "pow:2/3", "star", 1, 40)
 @example("dense-3^40", "sod:3", "extreme", 12, 0)
+# runs of 32 to 64 values: sod and floor powers repeat indices, so values
+# tie, runs fill up and split, whole runs empty, and a full run's last value
+# holds the block's extreme
+@example("vdc:2", None, "extreme", 300, 600)
+@example("vdc:5", "sod:2", "star", 289, 600)
+@example("vdc:3", "pow:2/3", "extreme", 300, 600)
+@example("halton:5", "pow:1/2", "star", 64, 600)
+@example("vdc:5", "pow:1/2", "extreme", 64, 342)
+@example("halton:5", "sod:2", "star", 99, 419)
 def test_python_int_window_matches_array_window(name, transform, mode, n, k_max):
-    # the two branches of _window_1d on one window: value and first
-    # maximizing shift, then the whole report, witness included, on each
-    # route; floor powers repeat indices, so blocks hold ties
+    # the run window against the array window's per-block sort, kept as a
+    # reference in the oracles: value and first maximizing shift; then the
+    # whole report, witness included, and the winning block against the
+    # interval oracles while they are cheap
     spec = WINDOW_SPECS[name]
     transform = parse_transform(transform) if transform else None
+    if name == "pascal:3,1,6" and transform is None:
+        k_max = max(0, min(k_max, 3**6 - n))
+        n = min(n, 3**6)
     indices = [transform.apply(i) if transform else i for i in range(k_max + n)]
-    lists, = int_coordinates(spec, indices)
-    arrays, = coordinates(spec, indices)
-    shift, value = discrepancy._window_1d(lists, n, k_max, mode)
-    assert (shift, value) == discrepancy._window_1d(arrays, n, k_max, mode)
-    reports = []
-    for on_ints in (True, False):
-        with window_backend(on_ints):
-            reports.append(windowed_uniform_discrepancy(spec, transform, n, k_max, mode))
-    rep = reports[0]
-    assert reports[1] == rep
+    axis, = int_coordinates(spec, indices)
+    den = axis.base**axis.width
+    shift, value = discrepancy._window_1d(axis, n, k_max, mode)
+    assert (shift, value) == oracle_window_1d(axis.nums, den, n, k_max, mode)
+    rep = windowed_uniform_discrepancy(spec, transform, n, k_max, mode)
     assert (rep.shift, rep.value) == (shift, value)
-    block = [Fraction(x, lists.base**lists.width) for x in lists.nums[shift : shift + n]]
-    assert (oracle_extreme_1d if mode == "extreme" else oracle_star_1d)(block) == value
+    block = [Fraction(x, den) for x in axis.nums[shift : shift + n]]
     assert recount(block, rep.witness) == value
+    if n <= 24:
+        assert (oracle_extreme_1d if mode == "extreme" else oracle_star_1d)(block) == value
 
 
 def test_windowed_star_mode_2d():

@@ -1,4 +1,5 @@
 import io
+import random
 import re
 from functools import lru_cache
 
@@ -26,6 +27,7 @@ from lowdisc import (
 from lowdisc.cli import main
 from lowdisc import generators
 from lowdisc.generators import (
+    Axis,
     coordinates,
     int_coordinates,
     to_points,
@@ -434,6 +436,59 @@ def test_int_coordinates_large_bases(spec, indices):
         assert [Fraction(num, base**width) for num in nums] == [point[a][1] for point in want]
 
 
+@st.composite
+def digital_table_cases(draw):
+    # Pascal matrices, random dense ones and sparse ones with zero rows, whose
+    # live rows start and end anywhere; indices at p**k - 1 and p**k, where a
+    # block of index digits opens, and at p**width - 1
+    if draw(st.integers(0, 9)) == 0:
+        rng = random.Random(40)
+        rows = tuple(tuple(rng.randrange(3) for _ in range(40)) for _ in range(40))
+        spec = DigitalSequence(3, (GeneratorMatrix(3, rows),), 40)
+    else:
+        p, width = draw(st.sampled_from([2, 3, 5, 7])), draw(st.integers(1, 32))
+        kind = draw(st.sampled_from(["pascal", "dense", "sparse"]))
+        if kind == "pascal":
+            spec = pascal(p, draw(st.integers(1, min(p, 3))), width)
+        else:
+            rng = random.Random(draw(st.integers(0, 2**32)))
+            zero = 0.0 if kind == "dense" else 0.7
+            rows = tuple(tuple(0 if rng.random() < zero else rng.randrange(p)
+                               for _ in range(width)) for _ in range(width))
+            spec = DigitalSequence(p, (GeneratorMatrix(p, rows),), width)
+    p, width = spec.p, spec.precision
+    edges = [n for k in range(width + 1) for n in (p**k - 1, p**k) if n < p**width]
+    if draw(st.booleans()):
+        return spec, []
+    indices = draw(st.lists(st.sampled_from(edges) | st.integers(0, p**width - 1), max_size=12))
+    return spec, indices + draw(st.sampled_from([[], [p**width - 1]]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(digital_table_cases())
+@example((pascal(3, 2, 32), list(range(3**10 - 3, 3**10 + 3))))
+@example((DigitalSequence(BIG_P, (GeneratorMatrix(BIG_P, ((BIG_P - 1,),)),), 1), [BIG_P - 1, 1]))
+# a base past the tables: one digit per block, whose sums of 3 products
+# p - 1 times p - 1 need their own field width
+@example((DigitalSequence(1031, (GeneratorMatrix(1031, ((1030,) * 3,) * 3),), 3),
+          [1031**3 - 1, 1031**2, 5]))
+def test_digital_tables_match_the_kernel_and_the_oracles(case):
+    # the tables of index-digit blocks and of output fields against the
+    # array kernel and the per-point construction; past p**width both raise
+    spec, indices = case
+    p, width = spec.p, spec.precision
+    columns = int_coordinates(spec, indices)
+    assert columns == tuple(a._replace(nums=a.nums.tolist()) for a in coordinates(spec, indices))
+    want = [oracle_digital_point(p, [m.rows for m in spec.matrices], width, n) for n in indices]
+    normalized = [axis.normalized() for axis in columns]
+    assert [tuple((nums[i], precs[i]) for nums, precs in normalized)
+            for i in range(len(indices))] == want
+    with pytest.raises(ValueError) as err:
+        coordinates(spec, indices + [p**width])
+    with pytest.raises(ValueError, match=re.escape(str(err.value)) + "$"):
+        int_coordinates(spec, indices + [p**width])
+
+
 @pytest.mark.parametrize(
     "indices",
     [range(10), range(7, 0, -2), range(3, 3), range(2**62 - 2, 2**62 + 2),
@@ -518,3 +573,44 @@ def test_check_net_matches_interval_scan(case):
     assert res.ok == (want is None)
     if want is not None:
         assert tuple(res.violation) == want
+
+
+@pytest.mark.parametrize(
+    "spec,indices,b,t,m,ok",
+    [
+        (pascal(3, 2, 32), range(27, 54), 3, 0, 3, True),
+        # a 2D Halton block is no (0,3,2)-net in base 2
+        (Halton((2, 3)), range(8), 2, 0, 3, False),
+        # a repeated point leaves one interval empty
+        (VanDerCorput(2), [0, 2, 1, 1], 2, 0, 2, False),
+    ],
+    ids=["pascal-passes", "halton-fails", "duplicate-fails"],
+)
+def test_net_check_on_lists_matches_the_arrays(spec, indices, b, t, m, ok):
+    lists = generators._net_check(int_coordinates(spec, indices), b, t, m)
+    arrays = generators._net_check(coordinates(spec, indices), b, t, m)
+    assert lists == arrays and lists.ok == ok
+    if not ok:
+        want = oracle_net_violation(to_points(int_coordinates(spec, indices)), b, t, m)
+        assert tuple(lists.violation) == want
+
+
+@pytest.mark.parametrize("base,width", [(2, 0), (2, 1), (2, 40), (3, 7), (3, 41), (10, 16), (10, 25)])
+def test_normalized_lists_strip_what_the_arrays_strip(base, width):
+    # numerators with every count of trailing zero digits from 0 to width - 1,
+    # and 0; in base 10 the leading digit may be even or 5, so b**e divides a
+    # numerator only as far as its zero digits go
+    rng = random.Random(base * 100 + width)
+    nums = [0]
+    for zeros in range(width):
+        for _ in range(3):
+            head = rng.randrange(1, base ** (width - zeros))
+            while head % base == 0:
+                head = rng.randrange(1, base ** (width - zeros))
+            nums.append(head * base**zeros)
+    array = np.array(nums, dtype=generators._int_dtype(base**width))
+    assert Axis(base, width, nums).normalized() == Axis(base, width, array).normalized()
+    assert Axis(base, width, nums).normalized()[1] == [
+        0 if num == 0 else width - next(z for z in range(width) if num % base ** (z + 1))
+        for num in nums
+    ]
