@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 # Points given by a spec and their indices are evaluated on Python ints up
 # to SCALAR_1D_CUT indices in 1D and, for s >= 2, up to SCALAR_CELL_CUT scan
@@ -20,6 +20,14 @@ from typing import Sequence
 # cut, runs 0.28 s end to end either way.
 SCALAR_1D_CUT = 1 << 14
 SCALAR_CELL_CUT = 1 << 18
+# A net check takes a block's coordinates once and counts its points once per
+# shape along each axis, so its work is size * (1 + shapes * s).  On Python
+# ints that costs 0.3-0.55 us a unit on the same VM, on arrays 0.13-0.15 us
+# after numpy's 0.07 s import: they break even near 200,000 units.  One
+# `pascal:3,2` block of 3^9 points is 413,343 of them (0.23 s on lists
+# against 0.12 s), one of 3^8 is 124,659 (0.05 s against 0.08 s).  A check
+# of many levels picks one backend for all of them, by their summed work.
+NET_CUT = 200_000
 
 
 class BudgetExceededError(RuntimeError):
@@ -127,9 +135,7 @@ def _grid_cells(sizes: Sequence[int], at_zero: Sequence[bool]) -> int:
 def _on_python_ints(size: int, s: int, mode: str, blocks: int = 1) -> bool:
     """Whether `blocks` multisets of `size` points in dimension s are cheaper
     on Python ints than numpy's import; for s >= 2 the work is counted in
-    scan cells for `size` distinct values per axis, an upper bound.  A net
-    check counts points per elementary interval, which costs per point what
-    a 1D evaluation does, so it asks with s = 1."""
+    scan cells for `size` distinct values per axis, an upper bound."""
     if s == 1:
         return blocks * size <= SCALAR_1D_CUT
     if mode == "star":
@@ -137,3 +143,17 @@ def _on_python_ints(size: int, s: int, mode: str, blocks: int = 1) -> bool:
     else:
         cells = _grid_cells([size] * s, [False] * s)
     return blocks * cells <= SCALAR_CELL_CUT
+
+
+def _net_on_python_ints(s: int, levels: Iterable[tuple[int, int]], blocks: int = 1) -> bool:
+    """Whether net checks in dimension s of `blocks` blocks at each level,
+    given as (points, depth) pairs, are cheaper on Python ints than numpy's
+    import.  The elementary intervals of volume b^-depth come in one shape
+    per composition of depth into s parts.  Levels are read only until the
+    work passes NET_CUT."""
+    work = 0
+    for size, depth in levels:
+        work += blocks * size * (1 + math.comb(depth + s - 1, s - 1) * s)
+        if work > NET_CUT:
+            return False
+    return True

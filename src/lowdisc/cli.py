@@ -28,10 +28,10 @@ from ._util import BudgetExceededError, as_fraction
 # `hkbound` and `gen` never import numpy, nor does 1D `udisc`, whose window
 # slides on Python ints at any size.  `disc`, `sodcheck`, `monocheck`,
 # `genbound`, s >= 2 `udisc`, `netcheck` and `ubound` import none on inputs
-# that _util._on_python_ints finds small (2^14 distinct indices in 1D, or
-# points per level of a net check, 63 for the 2D extreme grid): their points
-# come from generators.int_coordinates, and discrepancy() and the net count
-# read them as lists.
+# that _util._on_python_ints finds small (2^14 distinct indices in 1D, 63
+# for the 2D extreme grid), or _util._net_on_python_ints for a net check's
+# level: their points come from generators.int_coordinates, and
+# discrepancy() and the net count read them as lists.
 # Records are NamedTuples or plain classes on _util.Value, which keeps
 # inspect out of a job without numpy; json loads only to write a failure
 # record or a report, and `disc` and `udisc` never load the bound checks.

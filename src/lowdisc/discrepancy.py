@@ -712,9 +712,7 @@ def _window_1d(axis: Axis, n: int, k_max: int, mode: str) -> tuple[int, Fraction
             if a == b:  # one run changes, and no rank outside it
                 del run[bisect_left(run, y)]
                 maxes[b] = run[-1]
-                minus = list(map(sub, run, ramp))
-                first = starts[b] * den
-                his[b], los[b] = max(minus) - first, min(minus) - first
+                count(b)
             else:
                 slide(a, b, y)
         high, low = max(his), min(los)

@@ -7,9 +7,10 @@ its numerators as Python lists.  numpy is imported inside the array kernels
 only, so parsing a spec loads none.  The list form reverses digits through
 tables of digit blocks, and applies a generator matrix through tables of
 packed output digits; it serves one point (``spec.point``), `gen`'s streamed
-chunks, 1D windows and every batch that ``_util._on_python_ints`` finds too
-small to repay importing numpy.  Exact BRational points are built from either
-form only at the API and CSV boundaries.  The module also certifies
+chunks, 1D windows and every batch that ``_util._on_python_ints`` (for a
+net check ``_util._net_on_python_ints``) finds too small to repay importing
+numpy.  Exact BRational points are built from either form only at the API
+and CSV boundaries.  The module also certifies
 (t,m,s)-net properties by counting points in every elementary interval, on
 either form, and checks the generator-matrix rank condition over F_p.
 """
@@ -23,7 +24,7 @@ import math
 import operator
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
-from ._util import Value, _on_python_ints
+from ._util import Value, _net_on_python_ints
 from .digits import BRational
 
 if TYPE_CHECKING:
@@ -588,7 +589,8 @@ def check_net(points: list[Point], b: int, t: int) -> NetCheck:
     m comes from the point count b**m and s from the points' dimension.
     Every elementary interval of volume b**(t-m) must contain exactly b**t of
     the points.  Returns the first violating interval on failure (shapes and
-    cells in lexicographic order).  The points are counted on Python ints.
+    cells in lexicographic order).  The points are counted on Python ints
+    while ``_net_on_python_ints`` finds them cheap enough, else on arrays.
     """
     if b < 2 or not points:
         raise ValueError(f"need a base b >= 2 and at least one point, got b={b}")
@@ -599,12 +601,17 @@ def check_net(points: list[Point], b: int, t: int) -> NetCheck:
         raise ValueError("need 0 <= t <= m")
     if any(pt.dimension != points[0].dimension for pt in points):
         raise ValueError("the points of a net need one dimension")
+    on_ints = _net_on_python_ints(points[0].dimension, [(len(points), m - t)])
+    if not on_ints:
+        import numpy as np
     axes = []
     for coords in zip(*(pt.coords for pt in points)):
         base, width = coords[0].base, max(c.prec for c in coords)
         if any(c.base != base for c in coords):
             raise ValueError("the points of a net need one base per axis")
         nums = [c.num * base ** (width - c.prec) for c in coords]
+        if not on_ints:
+            nums = np.array(nums, dtype=_int_dtype(base**width))
         axes.append(Axis(base, width, nums))
     return _net_check(tuple(axes), b, t, m)
 
@@ -670,8 +677,8 @@ def check_sequence_property(
 ) -> SequencePropertyCheck:
     """Check that every aligned block (x_n) for k*b^m <= n < (k+1)*b^m is a net.
 
-    The blocks of a level are counted on Python ints while
-    ``_on_python_ints`` finds their points, counted as in 1D, cheap enough.
+    The blocks of every level are counted on Python ints if
+    ``_net_on_python_ints`` finds them all cheap enough, else on arrays.
     """
     if t < 0:
         raise ValueError("need t >= 0")
@@ -680,9 +687,11 @@ def check_sequence_property(
             f"need base >= 2, k_max >= 0 and m_max >= t; got base {b}, k_max {k_max}, "
             f"m_max {m_max}, t {t}"
         )
+    levels = ((b**m, m - t) for m in range(t, m_max + 1))
+    on_ints = _net_on_python_ints(spec.dimension, levels, k_max + 1)
+    kernel = int_coordinates if on_ints else coordinates
     for m in range(t, m_max + 1):
         size = b**m
-        kernel = int_coordinates if _on_python_ints(size, 1, "extreme", k_max + 1) else coordinates
         for k in range(k_max + 1):
             res = _net_check(kernel(spec, range(k * size, (k + 1) * size)), b, t, m)
             if not res.ok:

@@ -503,16 +503,22 @@ def test_one_point_loads_no_numpy():
             ["udisc", "--spec", "vdc:2", "--transform", "sod:2", "--N", "256", "--kmax", "1024"],
         )] + [["ubound", "--spec", "vdc:2", "--b", "2", "--dmax", "10", "--kmax", "2048"]] * 4,
          " ".join(["False"] * 24)),
-        # a net check counts a level's blocks on Python ints up to 2**14 points:
-        # at --kmax 1 the 2**14-point level has 2**15
-        ([["netcheck", "--spec", "vdc:2", "--base", "2", "--mmax", "14", "--kmax", k]
+        # a net check counts its blocks on Python ints while their points times
+        # (1 + shapes * s), summed over the levels, stay within NET_CUT =
+        # 200,000: one 1D block a level up to 2**15 points is 131,068, two are
+        # past it
+        ([["netcheck", "--spec", "vdc:2", "--base", "2", "--mmax", "15", "--kmax", k]
+          for k in ("0", "1")], "False True"),
+        # one 2D block a level up to 3**8 points (9 shapes) is 177,147; two are
+        # past it
+        ([["netcheck", "--spec", "pascal:3,2", "--base", "3", "--mmax", "8", "--kmax", k]
           for k in ("0", "1")], "False True"),
         # a base far past the digit-reversal table's 1024 entries costs nothing extra
         ([["disc", "--spec", "vdc:1000000007", "--N", "3"],
           ["disc", "--spec", "halton:2,1000003", "--N", "20", "--mode", "star"]], "False False"),
     ],
     ids=["disc-cut", "window-cut", "genbound", "grid-jobs", "grid-cut", "points-jobs",
-         "netcheck-cut", "large-base"],
+         "netcheck-cut", "netcheck-cut-2d", "large-base"],
 )
 def test_cli_loads_numpy_only_past_the_cut_and_for_windows(jobs, loaded):
     # a job that does not load numpy loads none of LEAN either; nor does

@@ -25,7 +25,7 @@ from lowdisc import (
     radical_inverse,
 )
 from lowdisc.cli import main
-from lowdisc import generators
+from lowdisc import _util, generators
 from lowdisc.generators import (
     Axis,
     coordinates,
@@ -573,6 +573,17 @@ def test_check_net_matches_interval_scan(case):
     assert res.ok == (want is None)
     if want is not None:
         assert tuple(res.violation) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(net_candidates())
+def test_check_net_on_arrays_matches_the_lists(case):
+    # check_net counts past NET_CUT on arrays; with the cut at 0 every set goes there
+    pts, b, t, m = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_util, "NET_CUT", 0)
+        arrays = check_net(pts, b, t)
+    assert arrays == check_net(pts, b, t)
 
 
 @pytest.mark.parametrize(
