@@ -19,7 +19,7 @@ from lowdisc import (
     pascal_matrices,
     points,
 )
-from lowdisc.generators import write_points_csv
+from lowdisc.generators import int_coordinates, write_points_csv
 
 # --- van der Corput in base 2: digit reversal across the radix point -------
 vdc = VanDerCorput(2)
@@ -53,6 +53,6 @@ print("digital (0,2)-sequence block checks:", "all pass" if res.ok else "FAIL")
 
 # --- exact point serialization ----------------------------------------------
 buf = io.StringIO()
-write_points_csv(buf, points(halton, 4))
+write_points_csv(buf, [int_coordinates(halton, range(4))])
 print("\nexact CSV (float column advisory only):")
 print(buf.getvalue())

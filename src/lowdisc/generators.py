@@ -1,16 +1,19 @@
 """Point sequences: van der Corput, Halton, and digital sequences over F_p.
 
-Every point comes from one integer kernel in two forms: :func:`coordinates`
-turns a batch of indices into exact numerator arrays over a common power of
-each axis's base, and :func:`int_coordinates` gives the same Axis batch with
-its numerators as Python lists.  numpy is imported inside the array kernels
-only, so parsing a spec loads none.  The list form reverses digits through
-tables of digit blocks, and applies a generator matrix through tables of
-packed output digits; it serves one point (``spec.point``), `gen`'s streamed
-chunks, 1D windows and every batch that ``_util._on_python_ints`` (for a
-net check ``_util._net_on_python_ints``) finds too small to repay importing
-numpy.  Exact BRational points are built from either form only at the API
-and CSV boundaries.  The module also certifies
+A batch of points is one Axis per coordinate: exact numerators over a
+common power of the axis's base, in two forms.  :func:`int_coordinates`
+gives them as Python lists; it reverses digits through tables of digit
+blocks, and applies a generator matrix through tables of packed output
+digits.  :func:`coordinates` gives them as numpy arrays, for the batches
+that ``_util._on_python_ints`` (for a net check
+``_util._net_on_python_ints``) finds large enough to repay importing numpy:
+van der Corput and Halton axes reverse the digits of an index array, and a
+digital sequence converts the tables' lists, so one kernel applies the
+generator matrices on every route.  numpy is imported there only, so
+parsing a spec, one point (``spec.point``), :func:`points`, `gen`'s
+streamed chunks and 1D windows load none.  Exact BRational points and CSV
+rows are read from the numerators as lists, at the API and CSV
+boundaries.  The module also certifies
 (t,m,s)-net properties by counting points in every elementary interval, on
 either form, and checks the generator-matrix rank condition over F_p.
 """
@@ -186,30 +189,19 @@ class Axis(NamedTuple):
 
     def normalized(self) -> tuple[list[int], list[int]]:
         """Numerators and precisions with trailing zero digits dropped (0 is 0/b^0)."""
-        if isinstance(self.nums, list):
-            # b**2**j divides a numerator with z < 2**(j+1) trailing zeros
-            # iff z >= 2**j, so the powers from the largest down strip z's
-            # binary digits, in any base: O(log width) divisions, not z
-            nums, precs = list(self.nums), [self.width if num else 0 for num in self.nums]
-            step = 1 << max(self.width.bit_length() - 1, 0)
-            while step:
-                power = self.base**step
-                for i, num in enumerate(nums):
-                    if num and not num % power:
-                        nums[i], precs[i] = num // power, precs[i] - step
-                step >>= 1
-            return nums, precs
-        import numpy as np
-        nums = self.nums.copy()
-        precs = np.full(len(nums), self.width, dtype=np.int64)
-        live = nums != 0
-        precs[~live] = 0
-        while True:
-            strip = live & (nums % self.base == 0)
-            if not strip.any():
-                return nums.tolist(), precs.tolist()
-            nums[strip] //= self.base
-            precs[strip] -= 1
+        # b**2**j divides a numerator with z < 2**(j+1) trailing zeros iff
+        # z >= 2**j, so the powers from the largest down strip z's binary
+        # digits, in any base: O(log width) divisions, not z
+        nums = list(self.nums) if isinstance(self.nums, list) else self.nums.tolist()
+        precs = [self.width if num else 0 for num in nums]
+        step = 1 << max(self.width.bit_length() - 1, 0)
+        while step:
+            power = self.base**step
+            for i, num in enumerate(nums):
+                if num and not num % power:
+                    nums[i], precs[i] = num // power, precs[i] - step
+            step >>= 1
+        return nums, precs
 
     def brationals(self) -> list[BRational]:
         nums, precs = self.normalized()
@@ -217,11 +209,8 @@ class Axis(NamedTuple):
 
     def floats(self) -> list[float]:
         """Each value correctly rounded, as float(Fraction) rounds it."""
-        den, nums = self.base**self.width, self.nums
-        if not isinstance(nums, list):
-            if den <= 1 << 53:  # numerators and denominator are exact doubles: one rounding
-                return (nums.astype(float) / den).tolist()
-            nums = nums.tolist()
+        den = self.base**self.width
+        nums = self.nums if isinstance(self.nums, list) else self.nums.tolist()
         return [num / den for num in nums]  # int true division rounds once
 
 
@@ -263,49 +252,20 @@ def _radical_inverses(idx: np.ndarray, base: int) -> Axis:
     return Axis(base, width, nums)
 
 
-def _digital_axes(spec: DigitalSequence, idx: np.ndarray) -> tuple[Axis, ...]:
-    """Digit vectors times each generator matrix over F_p, read as base-p digits."""
-    import numpy as np
-    p, width = spec.p, spec.precision
-    top = int(idx.max(initial=0))
-    if top >= p**width:
-        raise ValueError(
-            f"index {top} needs more than {width} base-{p} digits; raise the precision"
-        )
-    # Each entry of the product sums width terms c*d with c, d < p, so it is
-    # below width*(p-1)**2.  With p**width < 2**62 and width >= 2 that is below
-    # 2**63, as (p-1)**2 < p**2 <= 2**62 / p**(width-2) <= 2**(64-width) and
-    # width * 2**(64-width) <= 2**63; width == 1 has no such bound, so the
-    # sums get their own check.  The numerators are below p**width.  Only the
-    # `used` digits of the largest index can be nonzero, and sums of
-    # used <= width terms obey the same bound.
-    sums = np.int64 if width * (p - 1) ** 2 < 1 << 63 else object
-    used = _digits_used(p, top)
-    rem = idx.copy()
-    digits = np.empty((len(idx), used), dtype=sums)
-    for r in range(used):
-        digits[:, r] = rem % p
-        rem //= p
-    nums = _int_dtype(p**width)
-    place = np.array([p**e for e in range(width - 1, -1, -1)], dtype=nums)
-    axes = []
-    for mat in spec.matrices:
-        matrix = np.array(mat.rows, dtype=sums).reshape(width, width)  # (0, 0) at precision 0
-        axes.append(Axis(p, width, (digits @ matrix[:, :used].T % p).astype(nums) @ place))
-    return tuple(axes)
-
-
 def coordinates(spec: SequenceSpec, indices) -> tuple[Axis, ...]:
     """The points x_n for n in indices, one integer Axis per coordinate.
 
     Van der Corput and Halton axes are radical inverses (digit reversal of
-    the index array); a digital sequence multiplies each index's digit vector
-    by its generator matrices mod p.  The arithmetic is int64 while the
-    common denominator base**width is below 2**62 and exact beyond.
+    the index array); a digital sequence's numerators are those of
+    :func:`int_coordinates`, with its errors, converted axis by axis.  The
+    arrays are int64 while the common denominator base**width is below 2**62
+    and exact Python ints beyond.
     """
-    idx = _index_array(indices)
     if isinstance(spec, DigitalSequence):
-        return _digital_axes(spec, idx)
+        import numpy as np
+        return tuple(Axis(a.base, a.width, np.array(a.nums, dtype=_int_dtype(a.base**a.width)))
+                     for a in int_coordinates(spec, indices))
+    idx = _index_array(indices)
     bases = spec.bases if isinstance(spec, Halton) else (spec.base,)
     return tuple(_radical_inverses(idx, b) for b in bases)
 
@@ -458,8 +418,9 @@ def int_coordinates(spec: SequenceSpec, indices) -> tuple[Axis, ...]:
     """:func:`coordinates` on Python ints: the same Axis batch with its
     numerators as lists, and the same errors.
 
-    For multisets too small to repay importing numpy, for one point, and
-    for streams and windows, which take a bounded batch at a time.
+    For multisets too small to repay importing numpy, for one point, for
+    :func:`points`, and for streams and windows, which take a bounded batch
+    at a time.  A digital sequence's arrays are converted from these lists.
     """
     idx = _checked_indices(indices)
     top = max(idx, default=0)
@@ -482,7 +443,7 @@ def to_points(batch: tuple[Axis, ...]) -> list[Point]:
 
 
 def points(spec: SequenceSpec, count: int, start: int = 0) -> list[Point]:
-    return to_points(coordinates(spec, range(start, start + count)))
+    return to_points(int_coordinates(spec, range(start, start + count)))
 
 
 def pascal_matrices(
@@ -727,35 +688,26 @@ def csv_header(dimension: int) -> list[str]:
     return cols
 
 
-def _columns(item) -> tuple[list[int], list[list]]:
-    """The bases, and the prec, num and float columns per axis, of a Point
-    (one row, as stored) or of a batch of coordinates (normalized)."""
-    if isinstance(item, Point):
-        cols = [[v] for c in item.coords for v in (c.prec, c.num, float(c))]
-        return [c.base for c in item.coords], cols
-    cols = []
-    for axis in item:
-        nums, precs = axis.normalized()
-        cols += [precs, nums, axis.floats()]
-    return [axis.base for axis in item], cols
-
-
-def write_points_csv(fh, pts: Iterable, start_index: int = 0) -> None:
+def write_points_csv(fh, batches: Iterable[tuple[Axis, ...]], start_index: int = 0) -> None:
     """Write points in the exact CSV format as they arrive; float columns are advisory.
 
-    pts yields Points, or batches of coordinates (as from :func:`coordinates`),
-    which are written a whole batch at a time, as one string formatted from
-    one row template.  Every field is a number, which a CSV writer never
-    quotes, so the bytes are those of ``csv.writer`` with "\\n" line endings;
-    the float columns hold Python floats, whose %r is their repr.
+    batches yields batches of coordinates (as from :func:`int_coordinates`),
+    each written normalized, a whole batch at a time, as one string
+    formatted from one row template.  Every field is a number, which a CSV
+    writer never quotes, so the bytes are those of ``csv.writer`` with
+    "\\n" line endings; the float columns hold Python floats, whose %r is
+    their repr.
     """
     n = start_index
-    for item in pts:
-        bases, cols = _columns(item)
+    for batch in batches:
+        cols = []
+        for axis in batch:
+            nums, precs = axis.normalized()
+            cols += [precs, nums, axis.floats()]
         count = len(cols[0])
         if count and n == start_index:
-            fh.write(",".join(csv_header(len(bases))) + "\n")
-        line = f"%d,{len(bases)}" + "".join(f",{b},%d,%d,%r" for b in bases) + "\n"
+            fh.write(",".join(csv_header(len(batch))) + "\n")
+        line = f"%d,{len(batch)}" + "".join(f",{axis.base},%d,%d,%r" for axis in batch) + "\n"
         fh.write("".join(map(line.__mod__, zip(range(n, n + count), *cols))))
         n += count
     if n == start_index:

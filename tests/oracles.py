@@ -203,21 +203,18 @@ def oracle_pascal_matrices(p: int, s: int, precision: int) -> list[tuple]:
 def oracle_points_csv(items, start_index: int = 0) -> str:
     """The point CSV as ``csv.writer`` writes it, one row at a time.
 
-    items are Points, written as stored, or batches of coordinates (one
-    Axis per coordinate), written normalized; each float is rounded as
-    float(Fraction) rounds it.
+    items are batches of coordinates (one Axis per coordinate, its
+    numerators a list or an array), written normalized; each float is
+    rounded as float(Fraction) rounds it.
     """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     n = start_index
     for item in items:
-        if hasattr(item, "coords"):  # a Point
-            rows = [[(c.base, c.prec, c.num, float(c.as_fraction())) for c in item.coords]]
-        else:
-            rows = list(zip(*(
-                [_oracle_csv_fields(axis.base, axis.width, num) for num in axis.nums.tolist()]
-                for axis in item
-            )))
+        rows = list(zip(*(
+            [_oracle_csv_fields(axis.base, axis.width, int(num)) for num in axis.nums]
+            for axis in item
+        )))
         if rows and n == start_index:
             names = ("base", "prec", "num", "float")
             writer.writerow(["n", "dim"] + [f"{k}_{i}" for i in range(1, len(rows[0]) + 1)

@@ -453,20 +453,29 @@ def test_cli_start_up_loads_only_the_commands_modules():
 
 
 def test_one_point_loads_no_numpy():
-    # spec.point(n) is int_coordinates on one index, for every kind of spec,
-    # and gives the array kernel's point
+    # spec.point(n) and points() are int_coordinates, for every kind of
+    # spec, and give the arrays' points; a small net check counts them on
+    # Python ints
     from lowdisc import parse_spec
     from lowdisc.generators import coordinates, to_points
 
     specs = ("vdc:3", "halton:2,3,5", "pascal:3,2", "pascal:2,1,62")
     code = (
         "import sys\n"
-        "from lowdisc import parse_spec\n"
+        "import lowdisc as ld\n"
         f"for text in {specs!r}:\n"
-        "    print(parse_spec(text).point(12345))\n"
+        "    spec = ld.parse_spec(text)\n"
+        "    print(spec.point(12345))\n"
+        "    print(ld.points(spec, 50))\n"
+        "print(ld.check_net(ld.points(ld.VanDerCorput(2), 8), 2, 0))\n"
         "print('numpy' in sys.modules)\n"
     )
-    want = [str(to_points(coordinates(parse_spec(text), [12345]))[0]) for text in specs]
+    want = []
+    for text in specs:
+        spec = parse_spec(text)
+        want += [str(to_points(coordinates(spec, [12345]))[0]),
+                 str(to_points(coordinates(spec, range(50))))]
+    want.append("NetCheck(ok=True, violation=None)")
     assert run_python(code).splitlines() == want + ["False"]
 
 

@@ -170,9 +170,10 @@ def test_halton_projection_is_vdc():
 
 
 def test_point_csv_roundtrip_bit_exact():
-    pts = points(Halton((2, 3)), 20)
+    spec = Halton((2, 3))
+    pts = points(spec, 20)
     buf = io.StringIO()
-    write_points_csv(buf, pts)
+    write_points_csv(buf, [int_coordinates(spec, range(20))])
     buf.seek(0)
     back = read_points_csv(buf)
     assert len(back) == 20
@@ -182,15 +183,16 @@ def test_point_csv_roundtrip_bit_exact():
 
 
 def test_points_csv_streams_from_any_iterable():
-    pts = points(Halton((2, 3)), 7, start=5)
-    from_list, from_generator = io.StringIO(), io.StringIO()
-    write_points_csv(from_list, pts, 5)
-    write_points_csv(from_generator, (p for p in pts), 5)
-    assert from_generator.getvalue() == from_list.getvalue()
-    from_batches = io.StringIO()  # kernel batches write the same rows as their Points
     spec = Halton((2, 3))
-    write_points_csv(from_batches, (coordinates(spec, r) for r in (range(5, 9), range(9, 12))), 5)
-    assert from_batches.getvalue() == from_list.getvalue()
+    batches = [int_coordinates(spec, r) for r in (range(5, 9), range(9, 12))]
+    from_list, from_generator, whole = io.StringIO(), io.StringIO(), io.StringIO()
+    write_points_csv(from_list, batches, 5)
+    write_points_csv(from_generator, (batch for batch in batches), 5)
+    write_points_csv(whole, [coordinates(spec, range(5, 12))], 5)
+    assert from_generator.getvalue() == from_list.getvalue() == whole.getvalue()
+    # the rows hold the exact points 5 to 11
+    back = read_points_csv(io.StringIO(from_list.getvalue()))
+    assert back == list(zip(range(5, 12), points(spec, 7, start=5)))
     with pytest.raises(ValueError, match="no points"):
         write_points_csv(io.StringIO(), iter([]))
 
@@ -208,22 +210,22 @@ def parse_spec_cached(text):
 
 @st.composite
 def point_streams(draw):
-    """A spec's points from a start index, as a stream that mixes Points
-    (some stored with a trailing zero digit) and kernel batches."""
+    """A spec's points from a start index, as a stream of batches that mixes
+    array and list numerators, some lists over one more digit than needed."""
     spec = parse_spec_cached(draw(st.sampled_from(WRITER_SPECS)))
     limit = spec.p**spec.precision if isinstance(spec, DigitalSequence) else 2**64
     starts = (0, 5, 2**53 - 6, 2**62 - 7, limit - 16)
     start = draw(st.sampled_from([s for s in starts if s <= limit - 16]))
     items, n = [], start
     for size in draw(st.lists(st.integers(0, 4), min_size=1, max_size=4)):
-        batch = coordinates(spec, range(n, n + size))
-        if draw(st.booleans()):
-            items.append(batch)
+        indices = range(n, n + size)
+        form = draw(st.sampled_from(["arrays", "lists", "padded"]))
+        if form == "arrays":
+            items.append(coordinates(spec, indices))
         else:
-            for pt in to_points(batch):
-                pad = draw(st.booleans())
-                coords = (BRational(c.num * c.base**pad, c.base, c.prec + pad) for c in pt.coords)
-                items.append(Point(tuple(coords)))
+            pad = int(form == "padded")
+            items.append(tuple(Axis(a.base, a.width + pad, [num * a.base**pad for num in a.nums])
+                               for a in int_coordinates(spec, indices)))
         n += size
     return items, start, n - start
 
@@ -327,7 +329,7 @@ BIG_P = 3037000507  # a prime with BIG_P < 2**62 but (BIG_P - 1)**2 > 2**63
         (parse_spec("pascal:5,1"), [5**32 - 1, 0, 5**31, 5**32 - 2, 12345, 1], True),
         (parse_spec("pascal:2,2,61"), [2**61 - 1, 0, 2**60, 2**61 - 2, 12345, 1], False),
         (parse_spec("pascal:2,2,62"), [2**62 - 1, 0, 2**61, 2**62 - 2, 12345, 1], True),
-        # precision 1: int64 numerators, but the products need exact ints
+        # precision 1 and a base too large for the tables: int64 numerators
         (DigitalSequence(BIG_P, (GeneratorMatrix(BIG_P, ((BIG_P - 1,),)),), 1),
          [BIG_P - 1, BIG_P - 2, 1, 0], False),
         # indices below 2**62 whose mirrored numerators pass 2**63
@@ -341,6 +343,7 @@ BIG_P = 3037000507  # a prime with BIG_P < 2**62 but (BIG_P - 1)**2 > 2**63
          "precision-1-big-p", "vdc-3-numerators", "halton-across-2-62", "precision-0"],
 )
 def test_kernel_int64_or_exact_boundary(spec, indices, exact):
+    # the dtypes the arrays take: a digital sequence's are converted from lists
     assert all((axis.nums.dtype == object) == exact for axis in coordinates(spec, indices))
     assert kernel_coords(spec, indices) == [oracle_coords(spec, n) for n in indices]
 
@@ -352,7 +355,7 @@ def test_kernel_int64_or_exact_boundary(spec, indices, exact):
     ids=["pascal-3-2", "pascal-5-2-4", "precision-0", "pascal-2-2-62", "precision-1-big-p"],
 )
 def test_digital_kernel_at_digit_count_boundaries(spec):
-    # the largest index sets how many digits the product spans: 0, p**k - 1
+    # the largest index sets how many digits the tables read: 0, p**k - 1
     # and p**k for every k the precision allows
     p, width = spec.p, spec.precision
     tops = sorted({0} | {p**k - 1 for k in range(1, width + 1)} | {p**k for k in range(width)})
@@ -361,7 +364,7 @@ def test_digital_kernel_at_digit_count_boundaries(spec):
         assert kernel_coords(spec, indices) == [oracle_coords(spec, n) for n in indices]
 
 
-# indices at and next to 2**62 and 2**63, where the array kernel's dtypes change
+# indices at and next to 2**62 and 2**63, where the arrays' dtypes change
 NEAR_INT64 = [c + d for c in (2**62, 2**63) for d in (-2, -1, 0, 1)]
 
 
@@ -379,10 +382,14 @@ def int_coordinate_cases(draw):
 @given(int_coordinate_cases())
 def test_int_coordinates_match_the_kernel_and_the_oracles(case):
     # the Python-int coordinates of the small discrepancy jobs, which the
-    # golden CLI test's per-point path does not replace
+    # golden CLI test's per-point path does not replace; a digital
+    # sequence's arrays are converted from these lists, so only the radical
+    # inverses have a second kernel to match
     spec, indices = case
     columns = int_coordinates(spec, indices)
-    assert columns == tuple(a._replace(nums=a.nums.tolist()) for a in coordinates(spec, indices))
+    if not isinstance(spec, DigitalSequence):
+        arrays = coordinates(spec, indices)
+        assert columns == tuple(a._replace(nums=a.nums.tolist()) for a in arrays)
     want = [oracle_coords(spec, n) for n in indices]
     for a, (base, width, nums) in enumerate(columns):
         assert [Fraction(num, base**width) for num in nums] == [point[a][1] for point in want]
@@ -409,16 +416,19 @@ def test_int_coordinates_give_the_kernels_points_and_csv(case):
 
 
 @pytest.mark.parametrize(
-    "spec,indices",
-    [(pascal(3, 1, 2), [0, 9, 3]), (pascal(2, 2, 62), [2**62]), (VanDerCorput(2), [3, -1, -2]),
-     (Halton((2, 3)), [1, 2.5]), (VanDerCorput(2), [0, np.int64(3)])],
+    "spec,indices,message",
+    [(pascal(3, 1, 2), [0, 9, 3], "index 9 needs more than 2 base-3 digits; raise the precision"),
+     (pascal(2, 2, 62), [2**62],
+      f"index {2**62} needs more than 62 base-2 digits; raise the precision"),
+     (VanDerCorput(2), [3, -1, -2], "expected a non-negative integer, got -1"),
+     (Halton((2, 3)), [1, 2.5], "expected a non-negative integer, got 2.5"),
+     (VanDerCorput(2), [0, np.int64(3)], f"expected a non-negative integer, got {np.int64(3)!r}")],
     ids=["needs-more-digits", "needs-more-digits-2-62", "negative", "float", "numpy-int"],
 )
-def test_int_coordinates_raise_what_the_kernel_raises(spec, indices):
-    with pytest.raises(ValueError) as want:
-        coordinates(spec, indices)
-    with pytest.raises(ValueError, match=re.escape(str(want.value)) + "$"):
-        int_coordinates(spec, indices)
+def test_int_coordinates_raise_what_the_kernel_raises(spec, indices, message):
+    for kernel in (coordinates, int_coordinates):
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            kernel(spec, indices)
 
 
 @pytest.mark.parametrize(
@@ -474,19 +484,19 @@ def digital_table_cases(draw):
           [1031**3 - 1, 1031**2, 5]))
 def test_digital_tables_match_the_kernel_and_the_oracles(case):
     # the tables of index-digit blocks and of output fields against the
-    # array kernel and the per-point construction; past p**width both raise
+    # per-point construction; past p**width both forms raise
     spec, indices = case
     p, width = spec.p, spec.precision
     columns = int_coordinates(spec, indices)
-    assert columns == tuple(a._replace(nums=a.nums.tolist()) for a in coordinates(spec, indices))
+    assert all(axis.width == width for axis in columns)
     want = [oracle_digital_point(p, [m.rows for m in spec.matrices], width, n) for n in indices]
     normalized = [axis.normalized() for axis in columns]
     assert [tuple((nums[i], precs[i]) for nums, precs in normalized)
             for i in range(len(indices))] == want
-    with pytest.raises(ValueError) as err:
-        coordinates(spec, indices + [p**width])
-    with pytest.raises(ValueError, match=re.escape(str(err.value)) + "$"):
-        int_coordinates(spec, indices + [p**width])
+    message = f"index {p**width} needs more than {width} base-{p} digits; raise the precision"
+    for kernel in (coordinates, int_coordinates):
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            kernel(spec, indices + [p**width])
 
 
 @pytest.mark.parametrize(
