@@ -1,14 +1,12 @@
 """Shared plumbing with no third-party import: the scan-budget and
 unimodality errors, the base of the validating value types, integer roots,
-exact-value coercion, the multiset check and the size rule that sends small
-inputs to Python ints.  Every command loads this module, so it stays free
-of numpy."""
+the multiset check and the size rule that sends small inputs to Python
+ints.  Every command loads this module, so it stays free of numpy."""
 
 from __future__ import annotations
 
 import math
 import operator
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 # Points given by a spec and their indices are evaluated on Python ints up
@@ -81,6 +79,8 @@ def int_nth_root(x: int, r: int) -> int:
         raise ValueError("r must be >= 1")
     if r == 1 or x < 2:
         return x
+    if x.bit_length() <= r:  # x < 2**r: the root is 1, and g**(r-1) below would be huge
+        return 1
     g = 1 << -(-x.bit_length() // r)  # >= true root
     while True:
         ng = ((r - 1) * g + x // g ** (r - 1)) // r
@@ -92,16 +92,6 @@ def int_nth_root(x: int, r: int) -> int:
     while (g + 1) ** r <= x:
         g += 1
     return g
-
-
-def as_fraction(x) -> Fraction:
-    """Coerce Fraction / int / BRational-like values to Fraction."""
-    if isinstance(x, Fraction):
-        return x
-    if hasattr(x, "as_fraction"):
-        return x.as_fraction()
-    return Fraction(x)
-
 
 
 def multiplicities(counts, size: int) -> tuple[list[int] | None, int]:

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import lowdisc as ld
 
-from ._util import BudgetExceededError, as_fraction
+from ._util import BudgetExceededError
 
 # Library names resolve through `ld`, the lazy package, when a command runs,
 # so a job loads only the modules it uses: `dist`, `transform`, `expsum`,
@@ -99,8 +99,7 @@ def _need_level(name: str, value: int, least: int = 0) -> None:
 
 
 def _frac_cols(x) -> list:
-    f = as_fraction(x)
-    return [f.numerator, f.denominator]
+    return [x.numerator, x.denominator]
 
 
 # Rows stream to the output in batches this long, so the peak memory of
@@ -466,7 +465,7 @@ def main(argv=None) -> int:
     except (ValueError, BudgetExceededError, OSError) as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 2
-    except MemoryError as exc:  # a request larger than the memory there is, such as a huge --kmax
+    except (MemoryError, OverflowError) as exc:  # past the memory there is, or the float range
         sys.stderr.write(f"usage error: {str(exc) or 'out of memory'}\n")
         return 2
 

@@ -4,9 +4,11 @@ All values are exact rationals.  Suprema over half-open boxes are realized
 symbolically: every candidate wall carries a closed/open attainment flag
 standing for a one-sided limit, so no numeric epsilon ever appears.  Witness
 boxes are reported so each value can be re-checked independently: ``recount``
-takes every input that ``discrepancy``, the only evaluator, takes.
+takes every input that ``discrepancy``, the only evaluator, takes: a batch
+of coordinates, Points, rows of exact coordinates or 1D scalars, all read
+and checked by ``generators._as_batch``, as ``check_net``'s points are.
 
-The evaluator reads one integer form of its input: per axis a denominator
+The evaluator reads one integer form of the batch: per axis a denominator
 D, the sorted distinct coordinates times D and each point's rank among them,
 plus the weights.  For s >= 2 the weighted ranks fill one prefix-count array.
 The sides of the leading s - 1 axes are enumerated as rows, and along the
@@ -17,13 +19,13 @@ integers: on numpy arrays (``_integer_form``, ``_BoxKernel``) and on Python
 ints (``_int_form``, ``_IntKernel``, ``_scalar_1d``) for multisets too small
 to repay importing numpy.  ``discrepancy`` is the one entry to both: a batch
 whose numerators are lists, from ``int_coordinates``, goes to the Python
-ints, any other input to the arrays.  For points given by a spec,
-``_util._on_python_ints`` picks the coordinate kernel from the number of
-points alone; ``transformed_discrepancy`` gives it an index-transformed
-prefix as its distinct indices and their multiplicities, and an s >= 2
-``windowed_uniform_discrepancy`` all its shifts.  A 1D window slides one
-sorted block over Python ints at every size (``_window_1d``).  Only the
-winning box is turned back into Fractions.
+ints, an array batch and every converted input to the arrays.  For points
+given by a spec, ``_util._on_python_ints`` picks the coordinate kernel from
+the number of points alone; ``transformed_discrepancy`` gives it an
+index-transformed prefix as its distinct indices and their multiplicities,
+and an s >= 2 ``windowed_uniform_discrepancy`` all its shifts.  A 1D window
+slides one sorted block over Python ints at every size (``_window_1d``).
+Only the winning box is turned back into Fractions.
 """
 
 from __future__ import annotations
@@ -35,11 +37,9 @@ import operator
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from ._util import (
-    BudgetExceededError, _grid_cells, _on_python_ints, as_fraction, multiplicities,
-)
+from ._util import BudgetExceededError, _grid_cells, _on_python_ints, multiplicities
 from .generators import (
-    Axis, Point, SequenceSpec, _int_dtype, coordinates, int_coordinates,
+    Axis, SequenceSpec, _as_arrays, _as_batch, _int_dtype, coordinates, int_coordinates,
 )
 from .transforms import IndexTransform, value_counts_below
 
@@ -97,74 +97,38 @@ class DiscrepancyReport(NamedTuple):
         return float(self.value)
 
 
-def _coerce_points(points) -> list[tuple[Fraction, ...]]:
-    if _is_batch(points):
-        return list(zip(*([Fraction(int(x), a.base**a.width) for x in a.nums] for a in points)))
-    out = []
-    for pt in points:
-        if isinstance(pt, Point):
-            out.append(pt.as_fractions())
-        elif isinstance(pt, (tuple, list)):
-            out.append(tuple(as_fraction(c) for c in pt))
-        else:
-            out.append((as_fraction(pt),))
-    return out
-
-
 def recount(points, box: Box, counts=None) -> Fraction:
     """|A(box)/N - vol(box)| recomputed from scratch (witness verification),
     from any points that ``discrepancy`` takes."""
-    pts = _coerce_points(points)
-    counts, n = multiplicities(counts, len(pts))
+    batch = _as_batch(points)
+    counts, n = multiplicities(counts, len(batch[0].nums))
     weights = itertools.repeat(1) if counts is None else counts
-    inside = sum(c for pt, c in zip(pts, weights) if box.contains(pt))
+    columns = ([Fraction(int(x), axis.base**axis.width) for x in axis.nums] for axis in batch)
+    inside = sum(c for pt, c in zip(zip(*columns), weights) if box.contains(pt))
     return abs(Fraction(inside, n) - box.volume())
 
 
-def _is_batch(points) -> bool:
-    """Whether points is a batch of coordinates, one Axis per dimension."""
-    return isinstance(points, tuple) and bool(points) and isinstance(points[0], Axis)
-
-
-def _reduced(den: int, nums: np.ndarray) -> tuple[int, np.ndarray]:
-    """nums / den over their least common denominator, den / gcd(den, *nums)."""
-    import numpy as np
-    common = math.gcd(den, int(np.gcd.reduce(nums)))
-    if common > 1:
-        den, nums = den // common, nums // common
-    return den, nums.astype(_int_dtype(den), copy=False)
-
-
-def _integer_form(points, counts):
-    """Per axis (D, values, ranks), then the multiplicities and their total.
+def _integer_form(batch, counts):
+    """Per axis of an array batch (D, values, ranks), then the multiplicities and their total.
 
     values are the axis's sorted distinct coordinates times D, the least
     common denominator of the axis, and values[ranks[i]] is point i's.
     Zero-weight points stay on the axes as walls.
     """
     import numpy as np
-    batch = _is_batch(points)
-    pts = None if batch else _coerce_points(points)
-    size = len(points[0].nums) if batch else len(pts)
+    size = len(batch[0].nums)
     counts, n = multiplicities(counts, size)
     if counts is None:
         counts = np.broadcast_to(np.int64(1), (size,))
     else:
         counts = np.array(counts, dtype=object)  # np.asarray may read ints >= 2**63 as floats
-    if batch:
-        columns = [(axis.base**axis.width, axis.nums) for axis in points]
-    else:
-        for pt in pts:
-            if not all(0 <= x < 1 for x in pt):
-                raise ValueError(f"point {pt} outside [0, 1)^s")
-        columns = []
-        for col in zip(*pts):
-            den = math.lcm(*{x.denominator for x in col})
-            nums = [x.numerator * (den // x.denominator) for x in col]
-            columns.append((den, np.array(nums, dtype=_int_dtype(den))))
     axes = []
-    for den, nums in columns:
-        den, nums = _reduced(den, nums)
+    for axis in batch:  # over the least common denominator, den / gcd(den, *nums)
+        den, nums = axis.base**axis.width, axis.nums
+        common = math.gcd(den, int(np.gcd.reduce(nums)))
+        if common > 1:
+            den, nums = den // common, nums // common
+        nums = nums.astype(_int_dtype(den), copy=False)
         axes.append((den, *np.unique(nums, return_inverse=True)))
     return axes, counts, n
 
@@ -446,12 +410,6 @@ class _IntKernel:
         return best, where
 
 
-def _first_max(values) -> tuple[int, int]:
-    """Largest entry of an array and its index (the first one wins)."""
-    i = int(values.argmax())
-    return int(values[i]), i
-
-
 def _side(den: int, lower, upper, closed_lower: bool, closed_upper: bool) -> BoxSide:
     """A witness side from integer walls over den: the only Fractions built."""
     return BoxSide(Fraction(int(lower), den), Fraction(int(upper), den), closed_lower, closed_upper)
@@ -566,7 +524,8 @@ def _closed_form_1d(axes, counts, n, mode: str) -> DiscrepancyReport:
     cum = kernel.prefix  # cum[i + 1] is the weight up to the i-th axis value
     scaled = values.astype(kernel.dtype, copy=False)
     minus, plus = _deviations_1d(scaled, cum[:-1], cum[1:], den, n)
-    return _report_1d(n, den, values, _first_max(minus), _first_max(plus), mode)
+    first_max = [(int(d.max()), int(d.argmax())) for d in (minus, plus)]  # the first one wins
+    return _report_1d(n, den, values, *first_max, mode)
 
 
 def _scalar_1d(axis: Axis, counts, mode: str) -> DiscrepancyReport:
@@ -589,24 +548,29 @@ def _scalar_1d(axis: Axis, counts, mode: str) -> DiscrepancyReport:
 def discrepancy(points, counts=None, mode: str = "extreme") -> DiscrepancyReport:
     """Exact "extreme" or "star" discrepancy of a (weighted) point multiset.
 
-    points are rows of coordinates, ``Point``s, 1D scalars (Fractions or
-    BRationals) or a batch of ``Axis`` coordinates; counts are their
-    multiplicities.  "extreme" is the sup over half-open boxes of |A/N -
-    vol|, "star" the sup over anchored boxes [0, b), and star <= extreme <=
-    2^s * star.  1D points take the closed form, the rest the star corners
-    or the running-minimum scan of the extreme grid, up to
+    points are a batch of ``Axis`` coordinates, ``Point``s, rows of exact
+    coordinates or 1D scalars (Fractions or BRationals); counts are their
+    multiplicities.  Every form is read by ``generators._as_batch``, which
+    rejects points outside [0, 1)^s, rows of unequal or zero dimension and
+    axes of unequal length.  "extreme" is the sup over half-open boxes of
+    |A/N - vol|, "star" the sup over anchored boxes [0, b), and star <=
+    extreme <= 2^s * star.  1D points take the closed form, the rest the
+    star corners or the running-minimum scan of the extreme grid, up to
     DEFAULT_CELL_BUDGET cells.  A batch with list numerators, from
     ``int_coordinates``, is evaluated on Python ints, any other input on
     numpy arrays, to the same report.
     """
     if mode not in ("extreme", "star"):
         raise ValueError(f"unknown mode {mode!r}")
-    if _is_batch(points) and isinstance(points[0].nums, list):
-        if len(points) == 1:
-            return _scalar_1d(points[0], counts, mode)
-        kernel, form = _IntKernel, _int_form(points, counts)
+    batch = _as_batch(points)
+    if batch is not points:  # converted points are evaluated on arrays
+        batch = _as_arrays(batch)
+    if isinstance(batch[0].nums, list):
+        if len(batch) == 1:
+            return _scalar_1d(batch[0], counts, mode)
+        kernel, form = _IntKernel, _int_form(batch, counts)
     else:
-        kernel, form = _BoxKernel, _integer_form(points, counts)
+        kernel, form = _BoxKernel, _integer_form(batch, counts)
         if len(form[0]) == 1:
             return _closed_form_1d(*form, mode)
     return (_star if mode == "star" else _extreme_grid)(kernel, *form)

@@ -1,21 +1,20 @@
 """Point sequences: van der Corput, Halton, and digital sequences over F_p.
 
 A batch of points is one Axis per coordinate: exact numerators over a
-common power of the axis's base, in two forms.  :func:`int_coordinates`
-gives them as Python lists; it reverses digits through tables of digit
-blocks, and applies a generator matrix through tables of packed output
-digits.  :func:`coordinates` gives them as numpy arrays, for the batches
-that ``_util._on_python_ints`` (for a net check
-``_util._net_on_python_ints``) finds large enough to repay importing numpy:
-van der Corput and Halton axes reverse the digits of an index array, and a
-digital sequence converts the tables' lists, so one kernel applies the
-generator matrices on every route.  numpy is imported there only, so
-parsing a spec, one point (``spec.point``), :func:`points`, `gen`'s
-streamed chunks and 1D windows load none.  Exact BRational points and CSV
-rows are read from the numerators as lists, at the API and CSV
-boundaries.  The module also certifies
-(t,m,s)-net properties by counting points in every elementary interval, on
-either form, and checks the generator-matrix rank condition over F_p.
+common power of the axis's base, as Python lists from :func:`int_coordinates`
+(which reverses digits, and applies generator matrices, through tables) or as
+numpy arrays from :func:`coordinates`, for the batches that
+``_util._on_python_ints`` (for a net check ``_net_on_python_ints``) finds
+large enough to repay importing numpy.  A digital sequence's arrays are the
+tables' lists, so one kernel applies the generator matrices on every route;
+``_as_arrays`` is the one conversion of list numerators to arrays.  numpy is
+imported there only, so parsing a spec, one point, :func:`points`, `gen`'s
+chunks and 1D windows load none.  BRational points and CSV rows are read
+from the lists.  ``_as_batch`` reads every form of points (a batch, Points,
+rows of exact coordinates, 1D scalars) as one checked batch, for
+``discrepancy``, ``recount`` and :func:`check_net`, which certifies
+(t,m,s)-net properties by counting points in every elementary interval.
+The module also checks the generator-matrix rank condition over F_p.
 """
 
 from __future__ import annotations
@@ -25,6 +24,7 @@ import functools
 import itertools
 import math
 import operator
+from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from ._util import Value, _net_on_python_ints
@@ -50,10 +50,6 @@ class Point(NamedTuple):
     """A point of [0,1)^s with exact coordinates (bases may differ per axis)."""
 
     coords: tuple[BRational, ...]
-
-    @property
-    def dimension(self) -> int:
-        return len(self.coords)
 
     def as_fractions(self):
         return tuple(c.as_fraction() for c in self.coords)
@@ -176,7 +172,9 @@ class Axis(NamedTuple):
 
     From :func:`coordinates`, nums is an int64 array while base**width < 2**62
     and an object array of exact Python ints beyond; from
-    :func:`int_coordinates` it is a list of Python ints.
+    :func:`int_coordinates` it is a list of Python ints.  Exact coordinates
+    read by ``_as_batch`` are nums / D with D their least common denominator,
+    as base D and width 1.
     """
 
     base: int
@@ -212,6 +210,56 @@ class Axis(NamedTuple):
         den = self.base**self.width
         nums = self.nums if isinstance(self.nums, list) else self.nums.tolist()
         return [num / den for num in nums]  # int true division rounds once
+
+
+def _as_batch(points) -> tuple[Axis, ...]:
+    """Any form of points as one checked batch of coordinates.
+
+    A batch (a tuple of Axis) comes back as it is.  Points, rows of exact
+    coordinates and 1D scalars become list numerators, each axis over the
+    least common denominator D of its values, as Axis(D, 1, nums).  Every
+    axis must hold one numerator per point, every axis of one form (lists
+    or arrays), and each numerator must lie in [0, base**width).
+    """
+    batch = points
+    if not (isinstance(points, tuple) and points and isinstance(points[0], Axis)):
+        rows = [pt.coords if isinstance(pt, Point) else pt for pt in points]
+        if not any(isinstance(row, (tuple, list)) for row in rows):
+            rows = [(x,) for x in rows]
+        dims = {len(row) if isinstance(row, (tuple, list)) else "scalar" for row in rows}
+        if len(dims) > 1 or 0 in dims:
+            raise ValueError(f"the points need one dimension of at least 1, got "
+                             f"{sorted(dims, key=str)}")
+        columns = [[x.as_fraction() if isinstance(x, BRational) else Fraction(x) for x in column]
+                   for column in zip(*rows)]
+        dens = [math.lcm(*(x.denominator for x in column)) for column in columns]
+        batch = tuple(Axis(den, 1, [x.numerator * (den // x.denominator) for x in column])
+                      for den, column in zip(dens, columns))
+    size = len(batch[0].nums) if batch else 0
+    if not size:
+        raise ValueError("empty point multiset")
+    if len({isinstance(axis.nums, list) for axis in batch}) > 1:
+        raise ValueError("a batch needs lists on every axis or arrays on every axis")
+    for axis in batch:
+        nums, den = axis.nums, axis.base**axis.width
+        if len(nums) != size:
+            raise ValueError(f"every axis needs one numerator per point, got {size}, {len(nums)}")
+        low, high = (min(nums), max(nums)) if isinstance(nums, list) else (nums.min(), nums.max())
+        if low < 0 or high >= den:
+            bad = Fraction(int(low if low < 0 else high), den)
+            raise ValueError(f"a coordinate {bad} lies outside [0, 1)")
+    return batch
+
+
+def _as_arrays(batch: tuple[Axis, ...]) -> tuple[Axis, ...]:
+    """The batch with each list axis as an array: int64 while base**width < 2**62,
+    exact Python ints (object) beyond."""
+    import numpy as np
+    return tuple(
+        Axis(axis.base, axis.width, np.array(axis.nums, dtype=_int_dtype(axis.base**axis.width)))
+        if isinstance(axis.nums, list) else axis
+        for axis in batch
+    )
 
 
 def _checked_indices(indices) -> list[int]:
@@ -262,9 +310,7 @@ def coordinates(spec: SequenceSpec, indices) -> tuple[Axis, ...]:
     and exact Python ints beyond.
     """
     if isinstance(spec, DigitalSequence):
-        import numpy as np
-        return tuple(Axis(a.base, a.width, np.array(a.nums, dtype=_int_dtype(a.base**a.width)))
-                     for a in int_coordinates(spec, indices))
+        return _as_arrays(int_coordinates(spec, indices))
     idx = _index_array(indices)
     bases = spec.bases if isinstance(spec, Halton) else (spec.base,)
     return tuple(_radical_inverses(idx, b) for b in bases)
@@ -544,37 +590,30 @@ class NetCheck(NamedTuple):
         return self.ok
 
 
-def check_net(points: list[Point], b: int, t: int) -> NetCheck:
+def check_net(points, b: int, t: int) -> NetCheck:
     """Exhaustively verify the (t,m,s)-net property in base b.
 
-    m comes from the point count b**m and s from the points' dimension.
-    Every elementary interval of volume b**(t-m) must contain exactly b**t of
-    the points.  Returns the first violating interval on failure (shapes and
-    cells in lexicographic order).  The points are counted on Python ints
+    points take any form that ``discrepancy`` takes: a batch of coordinates,
+    Points, rows of exact coordinates or 1D scalars.  m comes from the point
+    count b**m and s from the points' dimension.  Every elementary interval
+    of volume b**(t-m) must contain exactly b**t of the points.  Returns the
+    first violating interval on failure (shapes and cells in lexicographic
+    order).  A point's interval is counted from its exact value, whatever
+    the base of its coordinates.  The points are counted on Python ints
     while ``_net_on_python_ints`` finds them cheap enough, else on arrays.
     """
-    if b < 2 or not points:
+    batch = _as_batch(points)
+    size = len(batch[0].nums)
+    if b < 2:
         raise ValueError(f"need a base b >= 2 and at least one point, got b={b}")
-    m = next(m for m in itertools.count() if b**m >= len(points))
-    if len(points) != b**m:
-        raise ValueError(f"a net in base {b} needs b**m points, got {len(points)}")
+    m = next(m for m in itertools.count() if b**m >= size)
+    if size != b**m:
+        raise ValueError(f"a net in base {b} needs b**m points, got {size}")
     if not 0 <= t <= m:
         raise ValueError("need 0 <= t <= m")
-    if any(pt.dimension != points[0].dimension for pt in points):
-        raise ValueError("the points of a net need one dimension")
-    on_ints = _net_on_python_ints(points[0].dimension, [(len(points), m - t)])
-    if not on_ints:
-        import numpy as np
-    axes = []
-    for coords in zip(*(pt.coords for pt in points)):
-        base, width = coords[0].base, max(c.prec for c in coords)
-        if any(c.base != base for c in coords):
-            raise ValueError("the points of a net need one base per axis")
-        nums = [c.num * base ** (width - c.prec) for c in coords]
-        if not on_ints:
-            nums = np.array(nums, dtype=_int_dtype(base**width))
-        axes.append(Axis(base, width, nums))
-    return _net_check(tuple(axes), b, t, m)
+    if not _net_on_python_ints(len(batch), [(size, m - t)]):
+        batch = _as_arrays(batch)
+    return _net_check(batch, b, t, m)
 
 
 def _first_wrong_cell(batch: tuple[Axis, ...], scales: list[int], expected: int):

@@ -134,10 +134,11 @@ def value_counts_below(transform: IndexTransform, n: int) -> dict[int, int]:
         counts = digit_sum_counts_below(transform.q, n)
         return {k: c for k, c in enumerate(counts) if c}
     if isinstance(transform, FloorPower):
+        # inverse_ceil(k + 1) < n below the top value; at the top it may be too large to form
         out = {}
-        lo = 0  # inverse_ceil(0)
-        for k in range(transform.apply(n - 1) + 1):
-            hi = min(transform.inverse_ceil(k + 1), n)
+        lo, top = 0, transform.apply(n - 1)  # lo = inverse_ceil(0)
+        for k in range(top + 1):
+            hi = n if k == top else transform.inverse_ceil(k + 1)
             if hi > lo:
                 out[k] = hi - lo
             lo = hi
@@ -157,17 +158,22 @@ def parse_transform(text: str) -> IndexTransform:
 
         cfg = json.loads(text)
         kind = cfg.get("kind")
-        try:
-            if kind == "sod":
-                return SumOfDigits(int(cfg["q"]))
-            if kind == "pow":
-                return FloorPower(int(cfg["u"]), int(cfg["v"]))
-            if kind == "table":
-                with open(cfg["path"]) as fh:
-                    values = tuple(int(line) for line in fh if line.strip())
-                return TableTransform(values)
-        except KeyError as exc:
-            raise ValueError(f"transform {kind!r} needs the key {exc.args[0]!r}") from None
+
+        def field(key: str, kind_of: type = int):  # a JSON integer (not a bool), or a string
+            value = cfg.get(key)  # None if missing
+            if type(value) is not kind_of:
+                raise ValueError(f"transform {kind!r} needs the key {key!r} as "
+                                 f"{'an integer' if kind_of is int else 'a string'}, got {value!r}")
+            return value
+
+        if kind == "sod":
+            return SumOfDigits(field("q"))
+        if kind == "pow":
+            return FloorPower(field("u"), field("v"))
+        if kind == "table":
+            with open(field("path", str)) as fh:
+                values = tuple(int(line) for line in fh if line.strip())
+            return TableTransform(values)
         raise ValueError(f"unknown transform kind {kind!r}")
     kind, _, rest = text.partition(":")
     kind = kind.lower()

@@ -164,6 +164,9 @@ def test_bad_value_exit_two(tmp_path):
          "need a base b >= 2 and t >= 0, got b=-2, t=0"),
         (["ubound", "--spec", "vdc:2", "--b", "2", "--t", "-1", "--dmax", "2", "--kmax", "3"],
          "F.csv", "need a base b >= 2 and t >= 0, got b=2, t=-1"),
+        # the upper bound's float product passes the float range
+        (["monocheck", "--spec", "vdc:2", "--u", "1", "--v", "1000", "--dmax", "3"], "F.csv",
+         "too large to convert to float"),
     ],
     ids=["disc-budget", "expsum-N0", "table-missing-path", "sod-missing-q", "out-dir-missing",
          "sodcheck-no-c3-level", "gen-count-0", "gen-index-out-of-range", "gen-start-negative",
@@ -173,7 +176,8 @@ def test_bad_value_exit_two(tmp_path):
          "netcheck-base-1", "netcheck-kmax-negative", "netcheck-mmax-below-t",
          "monocheck-cal-dmax-0", "monocheck-cal-dmax-negative", "ubound-blocks-0",
          "transform-count-0", "expsum-kmax-below-kmin", "hkbound-g-0", "hkbound-N0",
-         "ubound-base-1", "ubound-base-0", "ubound-base-negative", "ubound-t-negative"],
+         "ubound-base-1", "ubound-base-0", "ubound-base-negative", "ubound-t-negative",
+         "monocheck-float-overflow"],
 )
 def test_usage_error_leaves_no_output(tmp_path, capsys, args, out_name, message):
     out = tmp_path / out_name
@@ -393,6 +397,27 @@ def test_window_past_memory_is_a_usage_error(args, tmp_path):
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("usage error: ") and proc.stderr.count("\n") == 1, proc.stderr
     assert list(tmp_path.iterdir()) == []
+
+
+def test_floor_power_with_a_huge_root_runs_at_once(tmp_path):
+    # floor(n^(1/10^20)) is 1 for every n >= 1: neither the root nor the
+    # value counts may form 2^(10^20 - 1) or 2^(10^20) on the way; the
+    # address-space limit bounds what a run that does so can take
+    pow_ = f"pow:1/{10**20}"
+    runs = [(["transform", "--transform", pow_, "--count", "4"], "n,fn\n0,0\n1,1\n2,1\n3,1\n"),
+            (["disc", "--spec", "vdc:2", "--transform", pow_, "--N", "4"],
+             'N,value_num,value_den,method,witness\n4,3,4,exact-1d,"[1/2,1/2]"\n')]
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from lowdisc.cli import main\n"
+        f"sys.exit(max(main(args) for args in {[args for args, _ in runs]!r}))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=20)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "".join(out for _, out in runs)
 
 
 def run_python(code: str) -> str:

@@ -30,7 +30,9 @@ from lowdisc.cli import main
 SPECS = (["vdc:2", "vdc:3", "halton:2,3", "halton:3", "pascal:3,2", "pascal:2,1,4"],
          ["vdc:1", "halton:2,4", "pascal:4,2", "nope:2"])
 TRANSFORMS = (["sod:2", "sod:3", "pow:1/2", "pow:2/3", "TABLE"],
-              ["sod:1", "pow:3/2", "pow:2/4", "MISSING", "bogus"])
+              ["sod:1", "pow:3/2", "pow:2/4", "MISSING", "bogus", '{"kind":"sod","q":null}',
+               '{"kind":"sod","q":[2]}', '{"kind":"sod","q":1e400}', '{"kind":"sod","q":2.9}',
+               '{"kind":"pow","u":true,"v":3}', '{"kind":"table","path":null}'])
 OPTIONAL_TRANSFORMS = ([None] + TRANSFORMS[0], TRANSFORMS[1])
 MODES = ([None, "extreme", "star"], [None])  # argparse itself rejects other modes
 LEVELS = ([0, 1, 2, 3], [-1])
@@ -55,7 +57,8 @@ COMMANDS = {
     "genbound": [("--spec", SPECS), ("--q", BASES), ("--dmax", LEVELS)],
     "sodcheck": [("--spec", SPECS), ("--q", BASES), ("--dmax", ([2, 4], [-1, 0, 1])),
                  ("--cal", ([None, 2, 3], [-1, 0, 1])), ("--mode", MODES)],
-    "monocheck": [("--spec", SPECS), ("--u", ([1, 2], [0, 3, -1])), ("--v", ([3], [0, 1, 2, -1])),
+    "monocheck": [("--spec", SPECS), ("--u", ([1, 2], [0, 3, -1])),
+                  ("--v", ([3], [0, 1, 2, -1, 1000])),
                   ("--dmax", ([1, 2, 3], [0, -1])), ("--cal-dmax", ([None, 1, 2], [0, -1])),
                   ("--mode", MODES)],
     "ubound": [("--spec", SPECS), ("--b", BASES), ("--t", T_VALUES),

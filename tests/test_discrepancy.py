@@ -22,7 +22,9 @@ from lowdisc import (
     windowed_uniform_discrepancy,
 )
 from lowdisc import discrepancy
-from lowdisc.generators import Axis, _int_dtype, coordinates, int_coordinates
+from lowdisc.generators import (
+    Axis, _as_arrays, _as_batch, _int_dtype, check_net, coordinates, int_coordinates,
+)
 from oracles import (
     oracle_extreme_1d,
     oracle_extreme_grid,
@@ -305,6 +307,41 @@ def test_one_multiplicity_per_point_on_every_route(counts):
     ]
     for call in calls:
         with pytest.raises(ValueError, match="one multiplicity per point"):
+            call()
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        [(F(1, 2), F(1, 3)), (F(1, 4),)],  # ragged rows
+        [(F(1, 2),), F(1, 4)],  # a row and a scalar
+        [()],
+        [F(1, 2), F(-1, 2)],
+        [(F(1, 2), F(1))],
+        (Axis(2, 2, [1, 2]), Axis(2, 2, [1])),
+        (Axis(2, 2, np.array([1, 2])), Axis(2, 2, np.array([1]))),
+        (Axis(2, 1, [0, 2]),),
+        (Axis(2, 1, np.array([0, 2])),),
+        (Axis(2, 1, [-1, 0]),),
+        (Axis(2, 1, np.array([-1, 0])),),
+        (Axis(2, 1, [0, 1]), Axis(2, 1, np.array([1, 0]))),  # lists and arrays in one batch
+    ],
+    ids=["ragged", "row-and-scalar", "no-coordinate", "negative-fraction", "fraction-1",
+         "short-axis-lists", "short-axis-arrays", "num-at-den-list", "num-at-den-array",
+         "negative-list", "negative-array", "mixed-forms"],
+)
+def test_one_point_check_on_every_route(points):
+    # every reader of points rejects what lies outside [0, 1)^s or has no
+    # one dimension, as every route reads them through one check
+    box = discrepancy.Box((discrepancy.BoxSide(F(0), F(1), True, False),) * 2)
+    calls = [
+        lambda: discrepancy.discrepancy(points),
+        lambda: discrepancy.discrepancy(points, mode="star"),
+        lambda: recount(points, box),
+        lambda: check_net(points, 2, 0),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError):
             call()
 
 
@@ -636,7 +673,8 @@ def test_integer_input_reduces_its_denominator():
     # it does on the same points given as Fractions
     batch = coordinates(parse_spec("pascal:3,1,40"), range(81))
     assert batch[0].nums.dtype == object
-    for points in (batch, as_fraction_rows(batch)):
+    converted = _as_arrays(_as_batch(as_fraction_rows(batch)))  # what discrepancy() evaluates
+    for points in (batch, converted):
         form = discrepancy._integer_form(points, None)
         assert form[0][0][0] == 3**4
         assert discrepancy._BoxKernel(*form).dtype is np.int64

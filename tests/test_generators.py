@@ -130,12 +130,25 @@ def test_check_net_wrong_count_rejected():
 
 def test_check_net_needs_a_base_points_and_one_dimension():
     # m is read off the count b**m, which base 1 (or no point) leaves undefined
-    for pts, b in ((points(VanDerCorput(2), 1), 1), (points(VanDerCorput(2), 1), 0), ([], 2)):
+    for pts, b in ((points(VanDerCorput(2), 1), 1), (points(VanDerCorput(2), 1), 0)):
         with pytest.raises(ValueError, match="need a base b >= 2 and at least one point"):
             check_net(pts, b, t=0)
+    with pytest.raises(ValueError, match="empty point multiset"):  # the check of every route
+        check_net([], 2, t=0)
     mixed = points(VanDerCorput(2), 1) + points(Halton((2, 3)), 1, start=1)
     with pytest.raises(ValueError, match="one dimension"):
         check_net(mixed, b=2, t=0)
+
+
+def test_check_net_takes_every_point_form():
+    # an interval index floor(x * b**d) is exact for any rational x, so an
+    # axis may mix bases; 0 in base 3 and 1/2 in base 2 are a net in base 2
+    mixed = [Point((BRational(0, 3, 1),)), Point((BRational(1, 2, 1),))]
+    forms = [mixed, [Fraction(0), Fraction(1, 2)], [(Fraction(1, 2),), (Fraction(0),)],
+             (Axis(2, 1, [0, 1]),), (Axis(2, 1, np.array([1, 0])),)]
+    for pts in forms:
+        assert check_net(pts, 2, 0).ok
+    assert not check_net([Fraction(1, 4), Fraction(1, 3)], 2, 0).ok
 
 
 def test_vdc_is_01_sequence():

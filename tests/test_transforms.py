@@ -202,6 +202,20 @@ def test_parse_transform(tmp_path):
         parse_transform("weird:1")
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [('{"kind":"sod","q":null}', "q"), ('{"kind":"sod","q":[2]}', "q"),
+     ('{"kind":"sod","q":1e400}', "q"), ('{"kind":"sod","q":2.9}', "q"),
+     ('{"kind":"sod","q":"3"}', "q"), ('{"kind":"pow","u":true,"v":3}', "u"),
+     ('{"kind":"pow","u":1,"v":3.0}', "v"), ('{"kind":"table","path":null}', "path"),
+     ('{"kind":"table","path":["t.txt"]}', "path")],
+)
+def test_json_transform_takes_integers_and_a_string_path(text, key):
+    # a float is not truncated nor a bool read as 0 or 1; each names its key
+    with pytest.raises(ValueError, match=f"needs the key '{key}' as an? (integer|string), got "):
+        parse_transform(text)
+
+
 def test_floor_power_validation():
     with pytest.raises(ValueError):
         FloorPower(2, 4)  # not reduced
