@@ -22,7 +22,7 @@ from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from ._util import UnimodalityError, Value, _on_python_ints
-from .digitsum_dist import distribution, max_count
+from .digitsum_dist import _block_levels, max_count
 from .discrepancy import discrepancy, transformed_discrepancy, windowed_uniform_discrepancy
 from .generators import SequenceSpec, coordinates, int_coordinates
 from .transforms import FloorPower, IndexTransform, SumOfDigits, is_unimodal, multiplicity_F
@@ -106,13 +106,13 @@ def general_upper(transform: SumOfDigits, envelope: Envelope, d: int) -> General
 
     Every block profile G_{A,j} of the digit sum is the block-0 profile
     distribution(q, j).counts shifted by s_q(A), so G_j is its largest count
-    and v_j = j(q-1)+1 its length, and one profile per level is exact.
-    Raises UnimodalityError on the first non-unimodal profile.
+    and v_j = j(q-1)+1 its length, and one profile per level is exact.  The
+    levels are walked upward once.  Raises UnimodalityError on the first
+    non-unimodal profile.
     """
     q = transform.q
     per_j = []
-    for j in range(d + 1):
-        profile = distribution(q, j).counts
+    for j, profile in enumerate(_block_levels(q, d)):
         if not is_unimodal(profile):
             raise UnimodalityError(j)
         g_j, v_j = max(profile), len(profile)

@@ -88,13 +88,7 @@ def expand(n: int, base: int) -> tuple[int, ...]:
 
 def sum_of_digits(n: int, q: int) -> int:
     """Sum of the base-q digits of n."""
-    _check_nonneg(n)
-    _check_base(q)
-    s = 0
-    while n:
-        n, d = divmod(n, q)
-        s += d
-    return s
+    return sum(expand(n, q))
 
 
 def radical_inverse(n: int, base: int) -> BRational:

@@ -19,9 +19,9 @@ integers: on numpy arrays (``_integer_form``, ``_BoxKernel``) and on Python
 ints (``_int_form``, ``_IntKernel``, ``_scalar_1d``) for multisets too small
 to repay importing numpy.  ``discrepancy`` is the one entry to both: a batch
 whose numerators are lists, from ``int_coordinates``, goes to the Python
-ints, an array batch and every converted input to the arrays.  For points
-given by a spec, ``_util._on_python_ints`` picks the coordinate kernel from
-the number of points alone; ``transformed_discrepancy`` gives it an
+ints and an array batch to the arrays.  ``_util._on_python_ints`` picks the
+route from the number of points alone for converted input (Points, rows,
+scalars) and for points given by a spec; ``transformed_discrepancy`` gives it an
 index-transformed prefix as its distinct indices and their multiplicities,
 and an s >= 2 ``windowed_uniform_discrepancy`` all its shifts.  A 1D window
 slides one sorted block over Python ints at every size (``_window_1d``).
@@ -557,13 +557,14 @@ def discrepancy(points, counts=None, mode: str = "extreme") -> DiscrepancyReport
     extreme <= 2^s * star.  1D points take the closed form, the rest the
     star corners or the running-minimum scan of the extreme grid, up to
     DEFAULT_CELL_BUDGET cells.  A batch with list numerators, from
-    ``int_coordinates``, is evaluated on Python ints, any other input on
-    numpy arrays, to the same report.
+    ``int_coordinates``, is evaluated on Python ints, an array batch on numpy
+    arrays, and converted input where ``_on_python_ints`` sends its number of
+    points, all to the same report.
     """
     if mode not in ("extreme", "star"):
         raise ValueError(f"unknown mode {mode!r}")
     batch = _as_batch(points)
-    if batch is not points:  # converted points are evaluated on arrays
+    if batch is not points and not _on_python_ints(len(batch[0].nums), len(batch), mode):
         batch = _as_arrays(batch)
     if isinstance(batch[0].nums, list):
         if len(batch) == 1:

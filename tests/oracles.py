@@ -8,6 +8,7 @@ for one-sided limits), and counting statistics are recomputed by raw scans.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import math
@@ -272,6 +273,40 @@ def brute_digit_sum_counts(q: int, n: int) -> dict[int, int]:
             t //= q
         out[s] = out.get(s, 0) + 1
     return out
+
+
+@functools.cache
+def convolution_counts(q: int, j: int) -> tuple[int, ...]:
+    """#{n < q**j : s_q(n) = k}: the coefficients of (1 + ... + x^(q-1))**j,
+    convolved in one digit at a time."""
+    counts = [1]
+    for _ in range(j):
+        nxt = [0] * (len(counts) + q - 1)
+        for k, c in enumerate(counts):
+            for d in range(q):
+                nxt[k + d] += c
+        counts = nxt
+    return tuple(counts)
+
+
+def digit_walk_counts(q: int, n: int) -> list[int]:
+    """#{m < n : s_q(m) = k} from the most significant digit of n down: each
+    digit a_r adds the block counts of level r shifted by the digit sum above
+    it plus a, for every a < a_r; the last entry is nonzero."""
+    digits = []
+    while n:
+        n, a = divmod(n, q)
+        digits.append(a)
+    counts = [0] * (len(digits) * (q - 1) + 1)
+    above = 0
+    for r in range(len(digits) - 1, -1, -1):
+        for a in range(digits[r]):
+            for k, c in enumerate(convolution_counts(q, r)):
+                counts[above + a + k] += c
+        above += digits[r]
+    while counts and counts[-1] == 0:
+        counts.pop()
+    return counts
 
 
 def oracle_digit_sums(q: int, n: int) -> np.ndarray:

@@ -33,7 +33,6 @@ from lowdisc import (
     windowed_uniform_discrepancy,
 )
 from lowdisc import bounds, value_counts_below
-from lowdisc.digitsum_dist import DigitSumDistribution
 from lowdisc.discrepancy import discrepancy
 from lowdisc.generators import Axis, coordinates
 from oracles import oracle_digit_sums, oracle_extreme_1d, oracle_star_1d
@@ -99,9 +98,12 @@ def test_general_upper_d0_case():
 
 def test_general_upper_refuses_non_unimodal_blocks(monkeypatch):
     # a bimodal profile at level 1 stands in for a digit-sum distribution
-    real = bounds.distribution
-    fake = DigitSumDistribution(2, 1, (2, 1, 3, 2))
-    monkeypatch.setattr(bounds, "distribution", lambda q, j: fake if j == 1 else real(q, j))
+    real = bounds._block_levels
+    fake = [2, 1, 3, 2]
+    monkeypatch.setattr(
+        bounds, "_block_levels",
+        lambda q, d: (fake if j == 1 else level for j, level in enumerate(real(q, d))),
+    )
     with pytest.raises(UnimodalityError) as err:
         general_upper(SumOfDigits(2), Envelope.constant(1.0), d=2)
     assert err.value.level == 1

@@ -1,4 +1,7 @@
+import csv
+import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -6,7 +9,10 @@ from pathlib import Path
 
 import pytest
 
+from lowdisc import VanDerCorput
 from lowdisc.cli import main
+from lowdisc.discrepancy import discrepancy
+from lowdisc.generators import int_coordinates
 
 
 def run_cli(args, tmp_path, name="out.csv"):
@@ -374,32 +380,51 @@ def test_import_keeps_one_blas_thread_unless_set(preset, expected):
     assert out == expected + "\n"
 
 
-@pytest.mark.parametrize(
-    "args",
-    [["udisc", "--spec", "vdc:2", "--N", "2", "--kmax", "1000000000000"],
-     ["ubound", "--spec", "vdc:2", "--b", "2", "--dmax", "3", "--kmax", "1000000000000"],
-     # the transformed window allocates its indices before it maps any of them
-     ["udisc", "--spec", "vdc:2", "--transform", "sod:2", "--N", "2", "--kmax", "1000000000000"]],
-    ids=["udisc", "ubound", "udisc-transform"],
-)
-def test_window_past_memory_is_a_usage_error(args, tmp_path):
-    # a 2 GiB address space keeps the failed allocation from taking real memory
-    out = tmp_path / "out.csv"
+def run_bounded(args, memory: int = 1 << 30, seconds: float = 10) -> subprocess.CompletedProcess:
+    """main(args) in a child under an address-space limit and a timeout, so a
+    run that allocates past the limit fails at once, and one that hangs fails
+    the test within `seconds` instead of stalling the suite."""
     code = (
         "import resource, sys\n"
-        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({memory}, {memory}))\n"
         "from lowdisc.cli import main\n"
-        f"sys.exit(main({args + ['--out', str(out)]!r}))\n"
+        f"sys.exit(main({args!r}))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                          timeout=60)
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=seconds)
+
+
+@pytest.mark.parametrize(
+    "args, says",
+    [(["udisc", "--spec", "vdc:2", "--N", "2", "--kmax", "1000000000000"], ""),
+     (["ubound", "--spec", "vdc:2", "--b", "2", "--dmax", "3", "--kmax", "1000000000000"], ""),
+     # the transformed window allocates its indices before it maps any of them
+     (["udisc", "--spec", "vdc:2", "--transform", "sod:2", "--N", "2", "--kmax",
+       "1000000000000"], ""),
+     # digit-sum counts past the budget are refused before the first level,
+     # whether the levels are many or one level is wide
+     (["dist", "--q", "5", "--j", "1000000"], "past the budget"),
+     (["dist", "--q", "100000000", "--j", "1"], "past the budget"),
+     (["disc", "--spec", "vdc:2", "--transform", "sod:100000000", "--N", str(10**18)],
+      "past the budget"),
+     # floor(n^(1/10^20)) is 1 for n >= 1, so the count of f(n) = 2 is 3^(10^20) - 2^(10^20)
+     (["monocheck", "--spec", "vdc:2", "--u", "1", "--v", str(10**20), "--dmax", "3"],
+      "has more than")],
+    ids=["udisc", "ubound", "udisc-transform", "dist-levels", "dist-base", "disc-sod-base",
+         "monocheck-root"],
+)
+def test_window_past_memory_is_a_usage_error(args, says, tmp_path):
+    # a 2 GiB address space keeps a failed allocation from taking real memory;
+    # a refusal made before any allocation says why
+    proc = run_bounded(args + ["--out", str(tmp_path / "out.csv")], memory=2 << 30)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("usage error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert says in proc.stderr
     assert list(tmp_path.iterdir()) == []
 
 
-def test_floor_power_with_a_huge_root_runs_at_once(tmp_path):
+def test_floor_power_with_a_huge_root_runs_at_once():
     # floor(n^(1/10^20)) is 1 for every n >= 1: neither the root nor the
     # value counts may form 2^(10^20 - 1) or 2^(10^20) on the way; the
     # address-space limit bounds what a run that does so can take
@@ -407,17 +432,26 @@ def test_floor_power_with_a_huge_root_runs_at_once(tmp_path):
     runs = [(["transform", "--transform", pow_, "--count", "4"], "n,fn\n0,0\n1,1\n2,1\n3,1\n"),
             (["disc", "--spec", "vdc:2", "--transform", pow_, "--N", "4"],
              'N,value_num,value_den,method,witness\n4,3,4,exact-1d,"[1/2,1/2]"\n')]
-    code = (
-        "import resource, sys\n"
-        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
-        "from lowdisc.cli import main\n"
-        f"sys.exit(max(main(args) for args in {[args for args, _ in runs]!r}))\n"
-    )
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                          timeout=20)
+    for args, want in runs:
+        proc = run_bounded(args)
+        assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", want)
+
+
+def test_digit_sum_counts_at_scale():
+    # below 2^1000 - 1 every digit sum k < 1000 is taken C(1000, k) times
+    n = 2**1000 - 1
+    proc = run_bounded(["disc", "--spec", "vdc:2", "--transform", "sod:2", "--N", str(n)])
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout == "".join(out for _, out in runs)
+    rep = discrepancy(int_coordinates(VanDerCorput(2), range(1000)),
+                      [math.comb(1000, k) for k in range(1000)])
+    row = [str(n), str(rep.value.numerator), str(rep.value.denominator), "exact-1d",
+           str(rep.witness)]
+    assert list(csv.reader(proc.stdout.splitlines()))[1:] == [row]
+    # one digit below a huge base writes 1000 counts, not q: the parent's bytes
+    proc = run_bounded(["hkbound", "--b", "2", "--q", "100000000", "--N", "1000"])
+    assert proc.returncode == 0
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
+        "dd4a4ecaebfd09fe30632460f1ee69480cbe0da694b5f2e0068d5bd3833f84dc")
 
 
 def run_python(code: str) -> str:
@@ -501,6 +535,36 @@ def test_one_point_loads_no_numpy():
         want += [str(to_points(coordinates(spec, [12345]))[0]),
                  str(to_points(coordinates(spec, range(50))))]
     want.append("NetCheck(ok=True, violation=None)")
+    assert run_python(code).splitlines() == want + ["False"]
+
+
+def test_small_converted_input_loads_no_numpy():
+    # Points, Fraction rows and scalars go to Python ints by the size rule of
+    # points given by a spec, and give the array route's report
+    from fractions import Fraction
+
+    from lowdisc import Halton, points
+    from lowdisc.generators import _as_arrays, _as_batch
+
+    inputs = {
+        "points(VanDerCorput(2), 8)": points(VanDerCorput(2), 8),
+        "[Fraction(1, 4), Fraction(1, 2)]": [Fraction(1, 4), Fraction(1, 2)],
+        "points(Halton((2, 3)), 10)": points(Halton((2, 3)), 10),
+        "[(Fraction(1, 3), Fraction(1, 2)), (Fraction(0), Fraction(3, 4))]":
+            [(Fraction(1, 3), Fraction(1, 2)), (Fraction(0), Fraction(3, 4))],
+    }
+    code = (
+        "import sys\n"
+        "from fractions import Fraction\n"
+        "from lowdisc import Halton, VanDerCorput, points\n"
+        "from lowdisc.discrepancy import discrepancy\n"
+        "for mode in ('extreme', 'star'):\n"
+        f"    for text in {list(inputs)!r}:\n"
+        "        print(repr(discrepancy(eval(text), mode=mode)))\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    want = [repr(discrepancy(_as_arrays(_as_batch(pts)), mode=mode))
+            for mode in ("extreme", "star") for pts in inputs.values()]
     assert run_python(code).splitlines() == want + ["False"]
 
 

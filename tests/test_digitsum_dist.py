@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lowdisc import (
     BudgetExceededError,
@@ -12,7 +14,9 @@ from lowdisc import (
     max_count,
     unimodality_onset,
 )
-from oracles import brute_digit_sum_counts, oracle_digit_sums
+from oracles import (
+    brute_digit_sum_counts, convolution_counts, digit_walk_counts, oracle_digit_sums,
+)
 
 
 @pytest.mark.parametrize(
@@ -28,10 +32,52 @@ def test_distribution_examples(q, j, counts):
 
 
 def test_distribution_budget(monkeypatch):
-    monkeypatch.setattr(digitsum_dist, "DEFAULT_J_BUDGET", 5)
+    # levels 1..5 in base 2 return 2 + 3 + 4 + 5 + 6 = 20 counts, level 6 adds 7
+    monkeypatch.setattr(digitsum_dist, "COUNT_BUDGET", 20)
     distribution(2, 5)
+    unimodality_onset(2, 5)
     with pytest.raises(BudgetExceededError):
-        distribution(2, 10)
+        distribution(2, 6)
+    with pytest.raises(BudgetExceededError):
+        unimodality_onset(2, 6)
+    # below 2^4: C_1..C_4 (14 counts) and one B of 5; below 2^5 + 2^4, C_1..C_5
+    # (20) and two B (5 and 6)
+    assert sum(digit_sum_counts_below(2, 16)) == 16
+    with pytest.raises(BudgetExceededError):
+        digit_sum_counts_below(2, 48)
+
+
+def test_budget_counts_what_a_call_writes():
+    # a huge base is refused before its first level, whatever j is ...
+    for q, j in ((10**8, 1), (5, 10**6)):
+        with pytest.raises(BudgetExceededError):
+            distribution(q, j)
+    with pytest.raises(BudgetExceededError):
+        digit_sum_counts_below(10**8, 10**18)
+    # ... but a walk below N builds no level past N's top digit
+    assert digit_sum_counts_below(10**8, 1000) == [1] * 1000
+    assert distribution(10**8, 0).counts == (1,)
+    assert sum(digit_sum_counts_below(2, 2**1000 - 1)) == 2**1000 - 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 7), st.integers(0, 40))
+def test_distribution_matches_the_convolution(q, j):
+    assert distribution(q, j).counts == convolution_counts(q, j)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 7), st.integers(0, 1999))
+def test_counts_below_match_a_scan(q, n):
+    got = digit_sum_counts_below(q, n)
+    assert dict((k, c) for k, c in enumerate(got) if c) == brute_digit_sum_counts(q, n)
+    assert not got or got[-1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 7), st.integers(1, 30), st.integers(-1, 1))
+def test_counts_below_a_power_match_the_digit_walk(q, j, step):
+    assert digit_sum_counts_below(q, q**j + step) == digit_walk_counts(q, q**j + step)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])

@@ -107,6 +107,9 @@ GOLDEN = {
         (0, "bb5e0f2a32dbf4b303a29308c143bfa0399014f06ca045ad7f0c45de8d84435d"),
     "disc --spec vdc:3 --transform pow:2/3 --N 1000000":
         (0, "714e716ae9956d156fa43885419291b8104294a317c96fbac2e2269a98f528e7"),
+    # recorded with the per-level convolution, which took 5 s to count below this N
+    f"disc --spec vdc:3 --transform sod:5 --N {5**256 - 1}":
+        (0, "cfbbaf3bd10f9cf9a306833a98b666ef98205486b4402f8d1d40a48092b62053"),
     "hkbound --b 2 --q 2 --N 100000":
         (0, "5aed4aabd75970d46fe0ede89abeb0b429fa7e5bee602b2765690a6240161e7e"),
     "hkbound --b 3 --q 2 --N 5000":
