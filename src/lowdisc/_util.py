@@ -79,6 +79,8 @@ def int_nth_root(x: int, r: int) -> int:
         raise ValueError("r must be >= 1")
     if r == 1 or x < 2:
         return x
+    if r == 2:
+        return math.isqrt(x)
     if x.bit_length() <= r:  # x < 2**r: the root is 1, and g**(r-1) below would be huge
         return 1
     g = 1 << -(-x.bit_length() // r)  # >= true root

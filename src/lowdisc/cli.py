@@ -158,30 +158,30 @@ def cmd_udisc(args) -> int:
 WEYL_HEADER = "b,q,k,N,re,im,abs,bound"
 
 
-def _weyl_rows(b: int, q: int, ks, n: int) -> list:
-    """One row per Weyl sum, with an empty bound column."""
-    rows = []
-    for k in ks:
-        ws = ld.weyl_sum(b, q, k, n)
-        rows.append([b, q, k, n, repr(ws.value.real), repr(ws.value.imag), repr(ws.abs), ""])
-    return rows
+def _weyl_rows(b: int, q: int, ks, n: int) -> tuple[list, list[int]]:
+    """One row per Weyl sum, with an empty bound column, and the digit-sum
+    counts below N that the sums read, taken once for all of them."""
+    sums, counts = ld.expsums.weyl_sums(b, q, ks, n)
+    rows = [[b, q, ws.k, n, repr(ws.value.real), repr(ws.value.imag), repr(ws.abs), ""]
+            for ws in sums]
+    return rows, counts
 
 
 def cmd_expsum(args) -> int:
     _need_level("kmax", args.kmax, args.kmin)
-    rows = _weyl_rows(args.b, args.q, range(args.kmin, args.kmax + 1), args.N)
+    rows, _ = _weyl_rows(args.b, args.q, range(args.kmin, args.kmax + 1), args.N)
     return _table(args, WEYL_HEADER, rows)
 
 
 def cmd_hkbound(args) -> int:
     b, q, n = args.b, args.q, args.N
-    if n < 1:
-        raise ValueError("need N >= 1")
     g = ld.hellekalek_resolution(b, n) if args.g is None else args.g
-    multiplicity = ld.value_counts_below(ld.SumOfDigits(q), n)
+    # weyl_sums checks N >= 1 first, and hellekalek_bound refuses g < 1
+    rows, counts = _weyl_rows(b, q, range(1, b ** max(g, 0)), n)
+    multiplicity = {k: c for k, c in enumerate(counts) if c}
     points = [ld.radical_inverse(k, b) for k in multiplicity]
     bound = ld.hellekalek_bound(b, g, points, list(multiplicity.values()))
-    rows = _weyl_rows(b, q, range(1, b**g), n) + [[b, q, "total", n, "", "", "", repr(bound)]]
+    rows.append([b, q, "total", n, "", "", "", repr(bound)])
     return _table(args, WEYL_HEADER, rows)
 
 
@@ -350,110 +350,50 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=ld.__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen", help="emit sequence points as exact CSV")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--count", type=int, required=True)
-    p.add_argument("--start", type=int, default=0)
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_gen)
-
-    p = sub.add_parser("transform", help="evaluate an index transform")
-    p.add_argument("--transform", required=True)
-    p.add_argument("--count", type=int, required=True)
-    p.add_argument("--start", type=int, default=0)
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_transform)
-
-    p = sub.add_parser("dist", help="digit-sum distribution on a block")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--j", type=int, required=True)
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_dist)
-
-    p = sub.add_parser("disc", help="exact discrepancy of the first N points")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--transform")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--mode", choices=["extreme", "star"], default="extreme")
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_disc)
-
-    p = sub.add_parser("udisc", help="windowed uniform discrepancy (lower estimate)")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--transform")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--kmax", type=int, required=True)
-    p.add_argument("--mode", choices=["extreme", "star"], default="extreme")
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_udisc)
-
-    p = sub.add_parser("expsum", help="Weyl sums over the digit-sum sequence")
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--kmin", type=int, default=0)
-    p.add_argument("--kmax", type=int, required=True)
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_expsum)
-
-    p = sub.add_parser("hkbound", help="character-sum discrepancy bound")
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--g", type=int, default=None)
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_hkbound)
-
-    p = sub.add_parser("genbound", help="general sandwich along the q-adic chain")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--dmax", type=int, required=True)
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_genbound)
-
-    p = sub.add_parser("sodcheck", help="sqrt(log N) envelope fit and verification")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--dmax", type=int, required=True)
-    p.add_argument("--cal", type=int, default=None)
-    p.add_argument("--mode", choices=["extreme", "star"], default="extreme")
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_sodcheck)
-
-    p = sub.add_parser("monocheck", help="floor-power transform bounds")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--u", type=int, required=True)
-    p.add_argument("--v", type=int, required=True)
-    p.add_argument("--dmax", type=int, required=True)
-    p.add_argument("--cal-dmax", type=int, default=6)
-    p.add_argument("--mode", choices=["extreme", "star"], default="extreme")
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_monocheck)
-
-    p = sub.add_parser("ubound", help="uniform-discrepancy bound for (t,s)-sequences")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--t", type=int, default=0)
-    p.add_argument("--dmax", type=int, required=True)
-    p.add_argument("--kmax", type=int, required=True)
-    p.add_argument("--blocks", type=int, default=8)
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_ubound)
-
-    p = sub.add_parser("netcheck", help="verify the (t,s)-sequence block-net property")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--base", type=int, required=True)
-    p.add_argument("--t", type=int, default=0)
-    p.add_argument("--mmax", type=int, required=True)
-    p.add_argument("--kmax", type=int, required=True)
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_netcheck)
-
-    p = sub.add_parser("report", help="emit plot-data files from a config")
-    p.add_argument("--config", required=True)
-    p.set_defaults(fn=cmd_report)
-
+    # Each option is a flag and its add_argument keywords; every command but
+    # report then takes --out.
+    need = {"type": int, "required": True}
+    zero = {"type": int, "default": 0}
+    spec = ("--spec", {"required": True})
+    transform = ("--transform", {})
+    mode = ("--mode", {"choices": ["extreme", "star"], "default": "extreme"})
+    commands = {
+        "gen": (cmd_gen, "emit sequence points as exact CSV",
+                [spec, ("--count", need), ("--start", zero)]),
+        "transform": (cmd_transform, "evaluate an index transform",
+                      [("--transform", {"required": True}), ("--count", need), ("--start", zero)]),
+        "dist": (cmd_dist, "digit-sum distribution on a block", [("--q", need), ("--j", need)]),
+        "disc": (cmd_disc, "exact discrepancy of the first N points",
+                 [spec, transform, ("--N", need), mode]),
+        "udisc": (cmd_udisc, "windowed uniform discrepancy (lower estimate)",
+                  [spec, transform, ("--N", need), ("--kmax", need), mode]),
+        "expsum": (cmd_expsum, "Weyl sums over the digit-sum sequence",
+                   [("--b", need), ("--q", need), ("--kmin", zero), ("--kmax", need),
+                    ("--N", need)]),
+        "hkbound": (cmd_hkbound, "character-sum discrepancy bound",
+                    [("--b", need), ("--q", need), ("--N", need), ("--g", {"type": int})]),
+        "genbound": (cmd_genbound, "general sandwich along the q-adic chain",
+                     [spec, ("--q", need), ("--dmax", need)]),
+        "sodcheck": (cmd_sodcheck, "sqrt(log N) envelope fit and verification",
+                     [spec, ("--q", need), ("--dmax", need), ("--cal", {"type": int}), mode]),
+        "monocheck": (cmd_monocheck, "floor-power transform bounds",
+                      [spec, ("--u", need), ("--v", need), ("--dmax", need),
+                       ("--cal-dmax", {"type": int, "default": 6}), mode]),
+        "ubound": (cmd_ubound, "uniform-discrepancy bound for (t,s)-sequences",
+                   [spec, ("--b", need), ("--t", zero), ("--dmax", need), ("--kmax", need),
+                    ("--blocks", {"type": int, "default": 8})]),
+        "netcheck": (cmd_netcheck, "verify the (t,s)-sequence block-net property",
+                     [spec, ("--base", need), ("--t", zero), ("--mmax", need), ("--kmax", need)]),
+        "report": (cmd_report, "emit plot-data files from a config",
+                   [("--config", {"required": True})]),
+    }
+    for name, (fn, help_text, options) in commands.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, keywords in options:
+            p.add_argument(flag, **keywords)
+        if fn is not cmd_report:
+            p.add_argument("--out")
+        p.set_defaults(fn=fn)
     return parser
 
 

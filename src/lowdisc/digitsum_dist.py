@@ -81,13 +81,19 @@ def gaussian_main_term(q: int, j: int, k: int) -> float:
     standardized coordinate x = (k - j(q-1)/2) / (sigma_q sqrt(j)).  The
     polynomial correction terms of the sharper expansion are out of scope.
     """
+    if q < 2:
+        raise ValueError("q must be >= 2")
     if j < 1:
         raise ValueError("the main term needs j >= 1")
     sigma = math.sqrt((q * q - 1) / 12.0)
     x = (k - j * (q - 1) / 2.0) / (sigma * math.sqrt(j))
     # log-space keeps q**j out of overflow range for large j
     log_val = j * math.log(q) - math.log(math.sqrt(2 * math.pi * j) * sigma) - x * x / 2.0
-    return math.exp(log_val)
+    try:
+        return math.exp(log_val)
+    except OverflowError:
+        raise OverflowError(f"the Gaussian main term at q={q}, j={j}, k={k} is larger than "
+                            "the float range") from None
 
 
 def unimodality_onset(q: int, j_max: int) -> int:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from ._util import multiplicities
 from .digits import BRational, expand, monna_plus, radical_inverse
@@ -94,12 +94,23 @@ def weyl_sum(b: int, q: int, k: int, n: int) -> WeylSum:
     over all N terms rounds it, and then divided by N ("direct"); beyond it
     each weight c_j/N is rounded first ("grouped").
     """
+    (ws,), _ = weyl_sums(b, q, [k], n)
+    return ws
+
+
+def weyl_sums(b: int, q: int, ks: Iterable[int], n: int) -> tuple[list[WeylSum], list[int]]:
+    """weyl_sum(b, q, k, n) for each k in ks, and the digit-sum counts below N
+    that every sum reads, taken once."""
     if n < 1:
         raise ValueError("need N >= 1")
+    counts = digit_sum_counts_below(q, n)
+    return [_weyl_sum(b, q, k, n, counts) for k in ks], counts
+
+
+def _weyl_sum(b: int, q: int, k: int, n: int, counts: list[int]) -> WeylSum:
     num, den = phi_fraction(b, k)
     if num == 0:
         return WeylSum(b, q, k, n, complex(1.0, 0.0), "trivial")
-    counts = digit_sum_counts_below(q, n)
     terms = [_phase(j * num % den, den) for j in range(len(counts))]
     if n <= DEFAULT_DIRECT_BUDGET:
         value = complex(

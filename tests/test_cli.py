@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import json
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from lowdisc import VanDerCorput
-from lowdisc.cli import main
+from lowdisc.cli import build_parser, main
 from lowdisc.discrepancy import discrepancy
 from lowdisc.generators import int_coordinates
 
@@ -102,6 +103,52 @@ def test_netcheck_pass(tmp_path):
     assert code == 0
 
 
+# Each subcommand's options in --help order: (flag, required, default, type,
+# choices).  Every command but report also ends with ("--out", False, None, None, None).
+SPEC = ("--spec", True, None, None, None)
+TRANSFORM = ("--transform", False, None, None, None)
+MODE = ("--mode", False, "extreme", None, ["extreme", "star"])
+
+
+def need(flag):
+    return (flag, True, None, int, None)
+
+
+OPTION_SURFACE = {
+    "gen": [SPEC, need("--count"), ("--start", False, 0, int, None)],
+    "transform": [("--transform", True, None, None, None), need("--count"),
+                  ("--start", False, 0, int, None)],
+    "dist": [need("--q"), need("--j")],
+    "disc": [SPEC, TRANSFORM, need("--N"), MODE],
+    "udisc": [SPEC, TRANSFORM, need("--N"), need("--kmax"), MODE],
+    "expsum": [need("--b"), need("--q"), ("--kmin", False, 0, int, None), need("--kmax"),
+               need("--N")],
+    "hkbound": [need("--b"), need("--q"), need("--N"), ("--g", False, None, int, None)],
+    "genbound": [SPEC, need("--q"), need("--dmax")],
+    "sodcheck": [SPEC, need("--q"), need("--dmax"), ("--cal", False, None, int, None), MODE],
+    "monocheck": [SPEC, need("--u"), need("--v"), need("--dmax"),
+                  ("--cal-dmax", False, 6, int, None), MODE],
+    "ubound": [SPEC, need("--b"), ("--t", False, 0, int, None), need("--dmax"), need("--kmax"),
+               ("--blocks", False, 8, int, None)],
+    "netcheck": [SPEC, need("--base"), ("--t", False, 0, int, None), need("--mmax"),
+                 need("--kmax")],
+    "report": [("--config", True, None, None, None)],
+}
+
+
+def test_option_surface():
+    # every subcommand keeps its options, their order, defaults, types and choices
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(commands.choices) == list(OPTION_SURFACE)
+    for name, sub in commands.choices.items():
+        got = [(a.option_strings[0], a.required, a.default, a.type, a.choices)
+               for a in sub._actions if not isinstance(a, argparse._HelpAction)]
+        out = [] if name == "report" else [("--out", False, None, None, None)]
+        assert got == OPTION_SURFACE[name] + out, name
+        assert sub.get_default("fn").__name__ == "cmd_" + name
+
+
 def test_usage_error_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["disc", "--N", "4"])  # missing --spec
@@ -173,6 +220,9 @@ def test_bad_value_exit_two(tmp_path):
         # the upper bound's float product passes the float range
         (["monocheck", "--spec", "vdc:2", "--u", "1", "--v", "1000", "--dmax", "3"], "F.csv",
          "too large to convert to float"),
+        # the counts are exact at any level, the Gaussian column is a float
+        (["dist", "--q", "2", "--j", "1030"], "F.csv",
+         "the Gaussian main term at q=2, j=1030, k=500 is larger than the float range"),
     ],
     ids=["disc-budget", "expsum-N0", "table-missing-path", "sod-missing-q", "out-dir-missing",
          "sodcheck-no-c3-level", "gen-count-0", "gen-index-out-of-range", "gen-start-negative",
@@ -183,7 +233,7 @@ def test_bad_value_exit_two(tmp_path):
          "monocheck-cal-dmax-0", "monocheck-cal-dmax-negative", "ubound-blocks-0",
          "transform-count-0", "expsum-kmax-below-kmin", "hkbound-g-0", "hkbound-N0",
          "ubound-base-1", "ubound-base-0", "ubound-base-negative", "ubound-t-negative",
-         "monocheck-float-overflow"],
+         "monocheck-float-overflow", "dist-float-overflow"],
 )
 def test_usage_error_leaves_no_output(tmp_path, capsys, args, out_name, message):
     out = tmp_path / out_name
@@ -275,6 +325,30 @@ def test_monocheck_measures_each_level_once(monkeypatch, capsys):
     monkeypatch.setattr(lowdisc, "transformed_discrepancy", counted)
     assert main(["monocheck", "--spec", "vdc:2", "--u", "1", "--v", "2", "--dmax", "16"]) == 0
     assert sorted(calls) == [2**d for d in range(1, 17)]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["expsum", "--b", "2", "--q", "3", "--kmax", "7", "--N", "100000"],
+     ["hkbound", "--b", "3", "--q", "2", "--N", "100000", "--g", "2"]],
+    ids=["expsum", "hkbound"],
+)
+def test_weyl_rows_count_the_digit_sums_once(args, monkeypatch, capsys):
+    # every Weyl row, and hkbound's multiplicities, read one count list
+    from lowdisc import digitsum_dist, expsums
+
+    count = digitsum_dist.digit_sum_counts_below
+    calls = []
+
+    def counted(q, n):
+        calls.append((q, n))
+        return count(q, n)
+
+    monkeypatch.setattr(digitsum_dist, "digit_sum_counts_below", counted)
+    monkeypatch.setattr(expsums, "digit_sum_counts_below", counted)
+    assert main(args) == 0
+    assert len(calls) == 1
+    assert len(capsys.readouterr().out.splitlines()) == 9 + (args[0] == "hkbound")  # + total
 
 
 def test_failed_check_still_writes_its_rows(tmp_path, capsys):

@@ -140,6 +140,20 @@ def test_gaussian_requires_positive_j():
         gaussian_main_term(2, 0, 0)
 
 
+@pytest.mark.parametrize("q", [1, 0, -3])
+def test_gaussian_requires_a_base(q):
+    # sigma_q is 0 at q = 1, and log q is undefined below it
+    with pytest.raises(ValueError, match="q must be >= 2"):
+        gaussian_main_term(q, 3, 0)
+
+
+def test_gaussian_past_the_float_range_says_so():
+    # 2^1030 is past the largest double: the centre of the profile overflows
+    assert gaussian_main_term(2, 1030, 0) > 0
+    with pytest.raises(OverflowError, match="larger than the float range"):
+        gaussian_main_term(2, 1030, 515)
+
+
 @pytest.mark.parametrize("q,j_max,expected", [(2, 64, 0), (3, 64, 0)])
 def test_unimodality_onset_binary_ternary(q, j_max, expected):
     assert unimodality_onset(q, j_max) == expected

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from lowdisc import (
     parse_transform,
     value_counts_below,
 )
+from lowdisc._util import int_nth_root
 from oracles import brute_floor_power, brute_multiplicity
 
 
@@ -221,3 +224,22 @@ def test_floor_power_validation():
         FloorPower(2, 4)  # not reduced
     with pytest.raises(ValueError):
         FloorPower(3, 2)  # alpha >= 1
+
+
+@given(st.one_of(st.integers(0, 10**6), st.integers(0, 2**300)), st.sampled_from([2, 3]))
+def test_int_nth_root_brackets(x, r):
+    g = int_nth_root(x, r)
+    assert g**r <= x < (g + 1) ** r
+    if x >= 1:  # and at the perfect powers around it
+        assert int_nth_root(g**r, r) == g
+        assert int_nth_root((g + 1) ** r - 1, r) == g
+
+
+def test_square_root_of_a_huge_integer_is_quick():
+    # square roots go to math.isqrt: the Newton loop took 9 s on this
+    # integer of about 2^20 bits
+    x = 3 ** 661_400
+    start = time.perf_counter()
+    g = int_nth_root(x, 2)
+    assert time.perf_counter() - start < 2.0
+    assert g * g <= x < (g + 1) ** 2
