@@ -132,10 +132,11 @@ def cmd_transform(args) -> int:
 
 def cmd_dist(args) -> int:
     q, j = args.q, args.j
-    rows = [
-        [q, j, k, c, repr(ld.gaussian_main_term(q, j, k)) if j >= 1 else ""]
-        for k, c in enumerate(ld.distribution(q, j).counts)
-    ]
+    ld.digitsum_dist._block_levels(q, j)  # refuses past the budget before any count
+    # the float column first: a main term past the float range stops the run before the counts
+    mains = [repr(ld.gaussian_main_term(q, j, k)) if j else "" for k in range(j * (q - 1) + 1)]
+    rows = [[q, j, k, c, main]
+            for k, (c, main) in enumerate(zip(ld.distribution(q, j).counts, mains))]
     return _table(args, "q,j,k,count,gaussian_main", rows)
 
 

@@ -15,11 +15,11 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import NamedTuple, Sequence
 
-from ._util import multiplicities
+from ._util import BudgetExceededError, multiplicities
 from .digits import BRational, expand, monna_plus, radical_inverse
-from .digitsum_dist import digit_sum_counts_below
+from .digitsum_dist import COUNT_BUDGET, digit_sum_counts_below
 
 # Up to this N a Weyl sum is the correctly rounded exact sum of its N terms
 # ("direct"); beyond it each class weight c/N is rounded first ("grouped").
@@ -98,12 +98,18 @@ def weyl_sum(b: int, q: int, k: int, n: int) -> WeylSum:
     return ws
 
 
-def weyl_sums(b: int, q: int, ks: Iterable[int], n: int) -> tuple[list[WeylSum], list[int]]:
+def weyl_sums(b: int, q: int, ks: Sequence[int], n: int) -> tuple[list[WeylSum], list[int]]:
     """weyl_sum(b, q, k, n) for each k in ks, and the digit-sum counts below N
-    that every sum reads, taken once."""
+    that every sum reads, taken once.  Each sum costs one term per digit-sum
+    class; past COUNT_BUDGET terms in all, BudgetExceededError comes before
+    the first sum."""
     if n < 1:
         raise ValueError("need N >= 1")
     counts = digit_sum_counts_below(q, n)
+    most = COUNT_BUDGET // len(counts)
+    if len(ks[: most + 1]) > most:  # a slice: len() of a huge range would overflow
+        raise BudgetExceededError(f"more than {most} Weyl sums of {len(counts)} digit-sum "
+                                  f"classes each are past the budget {COUNT_BUDGET}")
     return [_weyl_sum(b, q, k, n, counts) for k in ks], counts
 
 
@@ -118,16 +124,11 @@ def _weyl_sum(b: int, q: int, k: int, n: int, counts: list[int]) -> WeylSum:
             _exact_dot(counts, [z.imag for z in terms]) / n,
         )
         return WeylSum(b, q, k, n, value, "direct")
-    small = 1 << 53  # ints below this are exact as floats
-    re = []
-    im = []
-    for c, z in zip(counts, terms):
-        if not c:
-            continue
-        w = c / n if (c < small and n < small) else float(Fraction(c, n))
-        re.append(w * z.real)
-        im.append(w * z.imag)
-    return WeylSum(b, q, k, n, complex(math.fsum(re), math.fsum(im)), "grouped")
+    # int true division rounds each weight once, as float(Fraction(c, n)) does, at any size
+    pairs = [(c / n, z) for c, z in zip(counts, terms) if c]
+    value = complex(math.fsum(w * z.real for w, z in pairs),
+                    math.fsum(w * z.imag for w, z in pairs))
+    return WeylSum(b, q, k, n, value, "grouped")
 
 
 def product_identity_check(b: int, q: int, k: int, m: int) -> bool:
@@ -211,17 +212,13 @@ def hellekalek_star_bound(b: int, g: int, points, counts=None) -> float:
         if x.base != b:
             raise ValueError(f"point base {x.base} differs from bound base {b}")
         zs.append(monna_plus(x))
+    weights = [c / n for c in counts]  # each rounded once, as float(Fraction(c, n)) rounds it
     terms = []
     for k in range(1, b**g):
         num, den = phi_fraction(b, k)
-        re = []
-        im = []
-        for z, c in zip(zs, counts):
-            w = float(Fraction(c, n))
-            val = e_frac(num * z, den)
-            re.append(w * val.real)
-            im.append(w * val.imag)
-        mean = complex(math.fsum(re), math.fsum(im))
+        vals = [(w, e_frac(num * z, den)) for z, w in zip(zs, weights)]
+        mean = complex(math.fsum(w * v.real for w, v in vals),
+                       math.fsum(w * v.imag for w, v in vals))
         terms.append(rho_weight(b, k) * abs(mean))
     return 1.0 / b**g + math.fsum(terms)
 

@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from ._util import Value, _net_on_python_ints
-from .digits import BRational
+from .digits import BRational, expand
 
 if TYPE_CHECKING:
     import numpy as np
@@ -285,80 +285,88 @@ def _index_array(indices) -> np.ndarray:
     return np.array(values, dtype=_int_dtype(max(values, default=0) + 1))
 
 
-def _radical_inverses(idx: np.ndarray, base: int) -> Axis:
-    """The digits of each index mirrored across the radix point, over as many
-    digits as the largest index has."""
-    import numpy as np
-    top = int(idx.max(initial=0))
-    width = _digits_used(base, top)
-    rem = idx.copy()
-    nums = np.zeros(len(idx), dtype=_int_dtype(base**width))
-    for _ in range(width):  # in place: one temporary array at a time
-        nums *= base
-        nums += rem % base
-        rem //= base
-    return Axis(base, width, nums)
-
-
 def coordinates(spec: SequenceSpec, indices) -> tuple[Axis, ...]:
     """The points x_n for n in indices, one integer Axis per coordinate.
 
-    Van der Corput and Halton axes are radical inverses (digit reversal of
-    the index array); a digital sequence's numerators are those of
-    :func:`int_coordinates`, with its errors, converted axis by axis.  The
-    arrays are int64 while the common denominator base**width is below 2**62
-    and exact Python ints beyond.
+    Van der Corput and Halton axes are radical inverses, through the tables of
+    :func:`int_coordinates`; a digital sequence's are the lists it gives,
+    with its errors, converted.  The arrays are int64 while the common
+    denominator base**width is below 2**62 and exact Python ints beyond.
     """
     if isinstance(spec, DigitalSequence):
         return _as_arrays(int_coordinates(spec, indices))
     idx = _index_array(indices)
     bases = spec.bases if isinstance(spec, Halton) else (spec.base,)
-    return tuple(_radical_inverses(idx, b) for b in bases)
+    widths = [len(expand(int(idx.max(initial=0)), b)) for b in bases]
+    return tuple(Axis(b, w, _radical_inverses(idx, b, w)) for b, w in zip(bases, widths))
 
 
-def _digits_used(base: int, top: int) -> int:
-    """The number of base-b digits of top (0 for top 0)."""
-    return next(w for w in itertools.count() if base**w > top)
+_TABLE_BITS = 10  # a table of index-digit blocks holds at most 2**10 entries
+_GROUP_BITS = 12  # a table of output-digit fields, at most 2**12
+
+
+def _fits(base: int, length: int) -> bool:
+    """Whether the base**length values of a block of digits fit in one table."""
+    return base**length <= 1 << _TABLE_BITS
+
+
+def _digit_blocks(base: int, used: int) -> list[int]:
+    """The lengths, from the lowest digits up, of the fewest blocks of `used`
+    base-b digits whose values fit in tables (one digit each where two do
+    not), as even as their count allows; no digits are one empty block."""
+    chunk = 1
+    while chunk < used and _fits(base, chunk + 1):
+        chunk += 1
+    blocks = max(-(-used // chunk), 1)
+    chunk = -(-used // blocks)
+    return [min(chunk, used - chunk * i) for i in range(blocks)]
+
+
+@functools.lru_cache(maxsize=None)
+def _mirror_table(base: int, length: int) -> list[int]:
+    """Each of the base**length values of a block with its `length` digits mirrored."""
+    table, high = [0], base ** (length - 1)
+    for x in range(1, base**length):  # x's last digit goes first, then x // b's digits
+        table.append(x % base * high + table[x // base] // base)
+    return table
 
 
 def _reversed_digits(indices: list[int], base: int, width: int) -> list[int]:
     """Each index's `width` base-b digits mirrored: its radical inverse times b**width.
 
-    The digits are reversed a block of `chunk` at a time through a table of
-    the b**chunk <= 1024 block values, so an index costs a few divisions, not
-    one per digit, and each step maps over every index at once.  The blocks
-    are as even as their count allows, which keeps the table and the padding
-    small.  A block of one digit is its own reversal and needs no table, so
-    any base works.
+    The blocks of :func:`_digit_blocks`, from the lowest, each mirrored
+    through its table (a one-digit block is its own mirror, in any base),
+    are joined by Horner steps of b**length, a block of every index at a time.
     """
-    if width == 0:
-        return [0] * len(indices)
-    chunk = 1
-    while chunk < width and base ** (chunk + 1) <= 1 << 10:
-        chunk += 1
-    blocks = -(-width // chunk)
-    chunk = -(-width // blocks)
-    size, high = base**chunk, base ** (chunk - 1)
-    table = None
-    if chunk > 1:
-        table = [0] * size
-        for x in range(1, size):  # x's last digit goes first, then x // b's digits
-            table[x] = x % base * high + table[x // base] // base
-
-    def reversed_block(values):  # each value's lowest `chunk` digits, mirrored
-        digits = map(size.__rmod__, values)
-        return digits if table is None else map(table.__getitem__, digits)
-
-    nums, rest = list(reversed_block(indices)), indices
-    for _ in range(blocks - 1):  # one block of digits of every index at a time
-        rest = list(map(size.__rfloordiv__, rest))
-        nums = list(map(operator.add, map(size.__mul__, nums), reversed_block(rest)))
-    pad = base ** (blocks * chunk - width)  # the zero digits above the width end up last
-    return nums if pad == 1 else list(map(pad.__rfloordiv__, nums))
+    nums, rest = None, indices
+    lengths = _digit_blocks(base, width)
+    for i, length in enumerate(lengths):
+        size = base**length
+        digits = rest  # the last block is what the ones below leave
+        if i + 1 < len(lengths):
+            digits, rest = map(size.__rmod__, rest), list(map(size.__rfloordiv__, rest))
+        if length > 1:
+            digits = map(_mirror_table(base, length).__getitem__, digits)
+        nums = list(digits) if nums is None else list(
+            map(operator.add, map(size.__mul__, nums), digits))
+    return nums
 
 
-_TABLE_BITS = 10  # an index-digit table holds at most 2**10 entries
-_GROUP_BITS = 12  # a table of output-digit fields, at most 2**12
+def _radical_inverses(idx: np.ndarray, base: int, width: int) -> np.ndarray:
+    """:func:`_reversed_digits` on an index array, with the same blocks and
+    tables: int64 numerators while b**width < 2**62, exact Python ints beyond."""
+    import numpy as np
+    nums, rest = None, idx
+    lengths = _digit_blocks(base, width)
+    for i, length in enumerate(lengths):
+        size = base**length
+        digits = rest
+        if i + 1 < len(lengths):
+            digits, rest = rest % size, rest // size
+        if length > 1:
+            digits = np.take(_mirror_table(base, length), digits.astype(np.int64, copy=False))
+        nums = digits.astype(_int_dtype(base**width)) if nums is None else nums * size + digits
+    return nums
 
 
 def _reduce_fields(bits: int, count: int, p: int):
@@ -389,9 +397,9 @@ def _digital_kernel(mat: GeneratorMatrix, used: int):
     Output digit v of index n is sum_r rows[v][r] * digit_r(n) mod p, weight
     p**(width-1-v).  The digits are packed into one integer, digit v in the
     bits-wide field last - v, for the rows from the first to the last one
-    that the used columns reach.  The index digits are read in blocks as even
-    as their count allows, each through a table of its p**chunk values'
-    packed digits, reduced mod p; the blocks' entries are summed, and each
+    that the used columns reach.  The index digits are read in the blocks of
+    :func:`_digit_blocks`, each through a table of its values' packed
+    digits, reduced mod p; the blocks' entries are summed, and each
     group of fields is reduced mod p and read as base-p digits by one shared
     table.  A base too large for a table takes one digit per block, times its
     packed column, and reduces each field with one division.  Built once per
@@ -403,14 +411,10 @@ def _digital_kernel(mat: GeneratorMatrix, used: int):
         return lambda idx: [0] * len(idx)
     first, last = live[0], live[-1]
     fields = last - first + 1
-    chunk = 1
-    while chunk < used and p ** (chunk + 1) <= 1 << _TABLE_BITS:
-        chunk += 1
-    blocks = -(-used // chunk)
-    chunk = -(-used // blocks)
-    tabulated = p**chunk <= 1 << _TABLE_BITS
+    lengths = _digit_blocks(p, used)
+    tabulated = _fits(p, lengths[0])
     if tabulated:  # summed fields stay below blocks * p, and reduction needs 2**(bits-1) >= p
-        bits = max((blocks * (p - 1)).bit_length(), p.bit_length() + 1)
+        bits = max((len(lengths) * (p - 1)).bit_length(), p.bit_length() + 1)
         reduce = _reduce_fields(bits, fields, p)
     else:  # unreduced sums of used products below p**2
         bits = (used * (p - 1) ** 2).bit_length()
@@ -419,18 +423,17 @@ def _digital_kernel(mat: GeneratorMatrix, used: int):
         return sum(mat.rows[v][r] << bits * (last - v) for v in range(first, last + 1))
 
     lookups = []  # per block of index digits, from the lowest: its size and entry
-    for start in range(0, used, chunk):
-        digits = range(start, min(start + chunk, used))
+    for start, length in zip(itertools.accumulate(lengths, initial=0), lengths):
         if not tabulated:
             lookups.append((p, column(start).__mul__))
             continue
         table = [0]
-        for r in digits:  # entry e * p**j + t adds e times column r to entry t
+        for r in range(start, start + length):  # entry e * p**j + t adds e times column r to t
             col, multiples = column(r), [0]
             for _ in range(p - 1):
                 multiples.append(reduce(multiples[-1] + col))
             table = [reduce(t + m) for m in multiples for t in table]
-        lookups.append((p ** len(digits), table.__getitem__))
+        lookups.append((p**length, table.__getitem__))
     group = _GROUP_BITS // bits
     convert = _field_digits(p, bits, group).__getitem__ if group else p.__rmod__
     group = max(group, 1)
@@ -473,13 +476,12 @@ def int_coordinates(spec: SequenceSpec, indices) -> tuple[Axis, ...]:
     if isinstance(spec, DigitalSequence):
         p, width = spec.p, spec.precision
         if top >= p**width:
-            raise ValueError(
-                f"index {top} needs more than {width} base-{p} digits; raise the precision"
-            )
-        used = _digits_used(p, top)
+            raise ValueError(f"index {top} needs more than {width} base-{p} digits; "
+                             "raise the precision")
+        used = len(expand(top, p))
         return tuple(Axis(p, width, _digital_kernel(mat, used)(idx)) for mat in spec.matrices)
     bases = spec.bases if isinstance(spec, Halton) else (spec.base,)
-    widths = [_digits_used(b, top) for b in bases]
+    widths = [len(expand(top, b)) for b in bases]
     return tuple(Axis(b, w, _reversed_digits(idx, b, w)) for b, w in zip(bases, widths))
 
 
@@ -709,13 +711,9 @@ def parse_spec(text: str) -> SequenceSpec:
         return Halton(tuple(int(b) for b in rest.split(",")))
     if kind == "pascal":
         parts = [int(x) for x in rest.split(",")]
-        if len(parts) == 2:
-            p, s = parts
-            precision = DEFAULT_DIGITAL_PRECISION
-        elif len(parts) == 3:
-            p, s, precision = parts
-        else:
+        if len(parts) not in (2, 3):
             raise ValueError(f"cannot parse digital spec {text!r}")
+        p, s, precision = (*parts, DEFAULT_DIGITAL_PRECISION)[:3]
         return DigitalSequence(p, tuple(pascal_matrices(p, s, precision)), precision)
     raise ValueError(f"unknown sequence spec {text!r}")
 

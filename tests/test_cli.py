@@ -351,6 +351,17 @@ def test_weyl_rows_count_the_digit_sums_once(args, monkeypatch, capsys):
     assert len(capsys.readouterr().out.splitlines()) == 9 + (args[0] == "hkbound")  # + total
 
 
+def test_dist_past_the_float_range_builds_no_counts(monkeypatch, capsys):
+    # the Gaussian column comes from q, j and k alone, so it overflows before
+    # any count is built, with the message of its first overflowing row
+    import lowdisc
+
+    monkeypatch.setattr(lowdisc, "distribution", lambda q, j: pytest.fail("counted first"))
+    assert main(["dist", "--q", "2", "--j", "2894"]) == 2
+    assert capsys.readouterr().err == ("usage error: the Gaussian main term at q=2, j=2894, "
+                                       "k=80 is larger than the float range\n")
+
+
 def test_failed_check_still_writes_its_rows(tmp_path, capsys):
     out = tmp_path / "F.csv"
     out.write_text("stale\n")
@@ -484,9 +495,15 @@ def run_bounded(args, memory: int = 1 << 30, seconds: float = 10) -> subprocess.
       "past the budget"),
      # floor(n^(1/10^20)) is 1 for n >= 1, so the count of f(n) = 2 is 3^(10^20) - 2^(10^20)
      (["monocheck", "--spec", "vdc:2", "--u", "1", "--v", str(10**20), "--dmax", "3"],
-      "has more than")],
+      "has more than"),
+     # Weyl rows times digit-sum classes past the budget are refused before
+     # the first row, however many rows (2^100 - 1 has no len())
+     (["hkbound", "--b", "2", "--q", "2", "--N", "10", "--g", "40"], "past the budget"),
+     (["hkbound", "--b", "2", "--q", "2", "--N", "10", "--g", "100"], "past the budget"),
+     (["expsum", "--b", "2", "--q", "2", "--kmax", "100000000", "--N", "10"],
+      "past the budget")],
     ids=["udisc", "ubound", "udisc-transform", "dist-levels", "dist-base", "disc-sod-base",
-         "monocheck-root"],
+         "monocheck-root", "hkbound-g-40", "hkbound-g-100", "expsum-rows"],
 )
 def test_window_past_memory_is_a_usage_error(args, says, tmp_path):
     # a 2 GiB address space keeps a failed allocation from taking real memory;

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from lowdisc import (
     BRational,
+    BudgetExceededError,
     SumOfDigits,
     VanDerCorput,
     gamma_k,
@@ -79,6 +80,21 @@ def test_weyl_grouped_matches_direct(monkeypatch):
                 grouped = weyl_sum(b, q, k, n)
             assert direct.method == "direct" and grouped.method == "grouped"
             assert abs(direct.value - grouped.value) < 1e-12
+
+
+def test_weyl_rows_past_the_budget_are_refused_first(monkeypatch):
+    # below N = 10 the base-2 digit sums take 4 values: a budget of 40 terms
+    # allows 10 sums, and more are refused before the first, however many
+    monkeypatch.setattr(expsums, "COUNT_BUDGET", 40)
+    sums, counts = expsums.weyl_sums(2, 2, range(10), 10)
+    assert counts == [1, 4, 4, 1] and [ws.k for ws in sums] == list(range(10))
+    made = []
+    monkeypatch.setattr(expsums, "_weyl_sum", lambda *args: made.append(args))
+    for ks in (range(11), list(range(11)), range(1, 2**100)):
+        with pytest.raises(BudgetExceededError, match="more than 10 Weyl sums of 4 digit-sum "
+                                                      "classes each are past the budget 40$"):
+            expsums.weyl_sums(2, 2, ks, 10)
+    assert made == []
 
 
 @st.composite

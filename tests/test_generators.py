@@ -278,12 +278,13 @@ def pascal(p, s, precision):
     return DigitalSequence(p, tuple(pascal_matrices(p, s, precision)), precision)
 
 
-def kernel_coords(spec, indices):
+def kernel_coords(spec, indices, kernel=coordinates):
     """Per index, ((num, prec), value, float) per axis from one kernel call."""
     per_axis = []
-    for axis in coordinates(spec, indices):
+    for axis in kernel(spec, indices):
         nums, precs = axis.normalized()
-        values = [Fraction(num, axis.base**axis.width) for num in axis.nums.tolist()]
+        listed = axis.nums if isinstance(axis.nums, list) else axis.nums.tolist()
+        values = [Fraction(num, axis.base**axis.width) for num in listed]
         per_axis.append(list(zip(zip(nums, precs), values, axis.floats())))
     return list(zip(*per_axis))
 
@@ -395,9 +396,9 @@ def int_coordinate_cases(draw):
 @given(int_coordinate_cases())
 def test_int_coordinates_match_the_kernel_and_the_oracles(case):
     # the Python-int coordinates of the small discrepancy jobs, which the
-    # golden CLI test's per-point path does not replace; a digital
-    # sequence's arrays are converted from these lists, so only the radical
-    # inverses have a second kernel to match
+    # golden CLI test's per-point path does not replace; the arrays read the
+    # same tables (a digital sequence's are converted from these lists), so
+    # matching them checks the conversion, and the oracle the values
     spec, indices = case
     columns = int_coordinates(spec, indices)
     if not isinstance(spec, DigitalSequence):
@@ -428,6 +429,58 @@ def test_int_coordinates_give_the_kernels_points_and_csv(case):
     assert got.getvalue() == want.getvalue()
 
 
+# the most digits whose block values fit in one table (b**chunk <= 2**10),
+# and one digit, with no table, where two do not fit
+CHUNKS = {2: 10, 3: 6, 5: 4, 32: 2, 33: 1, 1031: 1, 10**9 + 7: 1}
+# next to 2**62, where the arrays turn from int64 to exact ints, and past 2**64
+FAR = [2**62 - 1, 2**62, 2**62 + 1, 2**64 - 1, 2**64, 2**64 + 1]
+
+
+@st.composite
+def radical_inverse_cases(draw):
+    # the largest index has k * chunk - 1, k * chunk or k * chunk + 1 digits:
+    # one block more or less, or a last block of one digit
+    base = draw(st.sampled_from(sorted(CHUNKS)))
+    width = max(draw(st.integers(1, 4)) * CHUNKS[base] + draw(st.sampled_from([-1, 0, 1])), 0)
+    top = draw(st.integers(base ** (width - 1), base**width - 1)) if width else 0
+    indices = draw(st.lists(st.integers(0, top), max_size=12)) + [top]
+    if draw(st.booleans()):
+        indices += draw(st.lists(st.sampled_from(FAR), min_size=1, max_size=3))
+    spec = VanDerCorput(base) if draw(st.booleans()) else Halton((base, 3 if base % 3 else 2))
+    return spec, draw(st.permutations(indices))
+
+
+@settings(max_examples=300, deadline=None)
+@given(radical_inverse_cases())
+@example((VanDerCorput(2), []))
+@example((Halton((1031, 10**9 + 7)), []))
+@example((VanDerCorput(2), [2**10000, 0, 1]))
+@example((Halton((3, 10**9 + 7)), [2**10000, 5]))
+def test_radical_inverse_kernels_match_the_oracle(case):
+    # the lists and the arrays read the same blocks and tables, so each kernel
+    # answers to the per-point radical inverse on its own
+    spec, indices = case
+    want = [oracle_coords(spec, n) for n in indices]
+    assert kernel_coords(spec, indices, int_coordinates) == want
+    assert kernel_coords(spec, indices) == want
+    for axis in coordinates(spec, indices):
+        assert len(axis.nums) == len(indices)
+        assert (axis.nums.dtype == object) == (axis.base**axis.width >= 2**62)
+
+
+@pytest.mark.parametrize("base", sorted(CHUNKS))
+def test_digit_blocks_fit_the_tables(base):
+    # the fewest blocks of at most `chunk` digits, all but the last of one
+    # length, so no table passes 2**10 entries whatever the width
+    for used in range(200):
+        lengths = generators._digit_blocks(base, used)
+        assert sum(lengths) == used and min(lengths) >= (used > 0)
+        assert len(lengths) == max(-(-used // CHUNKS[base]), 1)
+        assert len(set(lengths[:-1])) <= 1 and lengths[-1] <= lengths[0] <= CHUNKS[base]
+    tables = [generators._mirror_table(base, n) for n in range(2, CHUNKS[base] + 1)]
+    assert all(len(table) == base**n <= 1 << 10 for n, table in enumerate(tables, 2))
+
+
 @pytest.mark.parametrize(
     "spec,indices,message",
     [(pascal(3, 1, 2), [0, 9, 3], "index 9 needs more than 2 base-3 digits; raise the precision"),
@@ -451,12 +504,10 @@ def test_int_coordinates_raise_what_the_kernel_raises(spec, indices, message):
     ids=["vdc-1e9+7", "vdc-1031", "halton-2-1e6+3", "halton-1e9+7-3"],
 )
 def test_int_coordinates_large_bases(spec, indices):
-    # bases past 32 reverse one digit at a time, with no table of base entries
+    # bases past 32 read one digit per block, its own mirror, with no table
     want = [oracle_coords(spec, n) for n in indices]
-    columns = int_coordinates(spec, indices)
-    assert columns == tuple(a._replace(nums=a.nums.tolist()) for a in coordinates(spec, indices))
-    for a, (base, width, nums) in enumerate(columns):
-        assert [Fraction(num, base**width) for num in nums] == [point[a][1] for point in want]
+    assert kernel_coords(spec, indices, int_coordinates) == want
+    assert kernel_coords(spec, indices) == want
 
 
 @st.composite
