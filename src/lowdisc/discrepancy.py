@@ -31,6 +31,7 @@ Only the winning box is turned back into Fractions.
 from __future__ import annotations
 
 import bisect
+import collections
 import itertools
 import math
 import operator
@@ -530,17 +531,21 @@ def _closed_form_1d(axes, counts, n, mode: str) -> DiscrepancyReport:
 
 def _scalar_1d(axis: Axis, counts, mode: str) -> DiscrepancyReport:
     """The 1D closed form on Python ints, from an Axis with list numerators:
-    the integers and witness of ``_closed_form_1d``."""
+    the integers and witness of ``_closed_form_1d``, with the weights up to
+    each value accumulated and D- and D+ formed by maps over them."""
     nums, den = axis.nums, axis.base**axis.width
     counts, n = multiplicities(counts, len(nums))
-    weights = dict.fromkeys(nums, 0)
-    for num, count in zip(nums, itertools.repeat(1) if counts is None else counts):
-        weights[num] += count
-    values, devs, below = sorted(weights), [], 0
-    for y in values:
-        devs.append(_deviations_1d(y, below, below + weights[y], den, n))
-        below += weights[y]
-    minus, plus = zip(*devs)
+    if counts is None:
+        weights = collections.Counter(nums)
+    else:
+        weights = dict.fromkeys(nums, 0)
+        for num, count in zip(nums, counts):
+            weights[num] += count
+    values = sorted(weights)
+    at = list(itertools.accumulate(map(weights.__getitem__, values)))
+    scaled = list(map(n.__mul__, values))
+    minus = list(map(operator.sub, scaled, map(den.__mul__, itertools.chain((0,), at))))
+    plus = list(map(operator.sub, map(den.__mul__, at), scaled))
     first_max = [(max(d), d.index(max(d))) for d in (minus, plus)]
     return _report_1d(n, den, values, *first_max, mode)
 
@@ -598,27 +603,68 @@ def transformed_discrepancy(
     return discrepancy(kernel(spec, indices), counts, mode)
 
 
+# The fewest values a run of the 1D window keeps (see _window_1d).  In
+# process on a 2-core VM, over 4,096 shifts of van der Corput blocks: below
+# 2 * 8 values one sorted block takes 0.8-1.7 us a shift against 1.3-2.3 us
+# for one run, and at n = 32-128 runs of 8 take 2.2-2.7 us against 3.4-5.1
+# us for runs of at least 32; from n = 1024 on, isqrt(n) sets the length.
+_MIN_RUN = 8
+
+
 def _window_1d(axis: Axis, n: int, k_max: int, mode: str) -> tuple[int, Fraction]:
     """First shift with the largest block discrepancy, and that discrepancy,
     from an Axis with list numerators.
 
     With y_(i) the block's i-th smallest value (from 0), D- is the largest
     minus(i) = n * y_(i) - i * den and D+ is den - the smallest, the integers
-    of ``_deviations_1d``.  The sorted block of n * y values is kept in runs
-    of `load` = max(32, isqrt(n)) to 2 * load values, with each run's largest
-    and smallest minus(i) at its ranks.  A shift inserts one value into a run
-    and deletes one from a run, which moves the ranks of the runs between the
-    two by one: their extremes move by den, and the two runs are recounted.
-    A run past 2 * load values splits in two and an emptied run is dropped,
-    so a shift costs the length of two runs plus the number of runs, about
-    sqrt(n) each, where the sorted block costs n.
+    of ``_deviations_1d``.  Each shift's extremes of minus come from
+    ``_block_extremes`` while n is below 2 * load, load = max(8, isqrt(n)),
+    and from ``_run_extremes`` beyond.
     """
     den = axis.base**axis.width
     scaled = list(map(n.__mul__, axis.nums))
-    load = max(32, math.isqrt(n))
+    load = max(_MIN_RUN, math.isqrt(n))
+    if n < 2 * load:
+        extremes = _block_extremes(scaled, n, k_max, den)
+    else:
+        extremes = _run_extremes(scaled, n, k_max, den, load)
+    best = best_k = None
+    for k, (high, low) in enumerate(extremes):
+        value = max(high, den - low) if mode == "star" else high - low + den
+        if best is None or value > best:
+            best, best_k = value, k
+            if best == n * den:  # no discrepancy exceeds 1
+                break
+    return best_k, Fraction(best, n * den)
+
+
+def _block_extremes(scaled: list[int], n: int, k_max: int, den: int):
+    """The largest and smallest minus(i) of each shift's block, from one
+    sorted list of its n * y values, recounted whole at every shift."""
+    block, ramp = sorted(scaled[:n]), range(0, n * den, den)
+    bisect_left, insort, sub = bisect.bisect_left, bisect.insort, operator.sub
+    for k in range(k_max + 1):
+        if k:  # insert first, so the block is never empty
+            insort(block, scaled[k + n - 1])
+            del block[bisect_left(block, scaled[k - 1])]
+        minus = list(map(sub, block, ramp))
+        yield max(minus), min(minus)
+
+
+def _run_extremes(scaled: list[int], n: int, k_max: int, den: int, load: int):
+    """``_block_extremes`` with the sorted block kept in runs of `load` to
+    2 * load values, each with the largest and smallest minus(i) at its ranks.
+
+    A shift inserts one value into a run and deletes one from a run, which
+    moves the ranks of the runs between the two by one: their extremes move
+    by den, and the two runs are recounted.  A run past 2 * load values
+    splits in two and an emptied run is dropped, so a shift costs the length
+    of two runs plus the number of runs, about sqrt(n) each, where the
+    sorted block costs n.
+    """
     sub = operator.sub
     ramp = range(0, (2 * load + 1) * den, den)  # j * den for each place j in a run
-    block, parts = sorted(scaled[:n]), max(1, n // load)
+    block, parts = sorted(scaled[:n]), n // load
     starts = [i * n // parts for i in range(parts)]  # each run's rank of its first value
     runs = [block[i:j] for i, j in zip(starts, starts[1:] + [n])]
     maxes = [run[-1] for run in runs]
@@ -663,7 +709,6 @@ def _window_1d(axis: Axis, n: int, k_max: int, mode: str) -> tuple[int, Fraction
     for i in range(len(runs)):
         count(i)
     bisect_left, insort = bisect.bisect_left, bisect.insort
-    best = best_k = None
     for k in range(k_max + 1):
         if k:  # insert first, so no block is ever empty
             x, y = scaled[k + n - 1], scaled[k - 1]
@@ -680,13 +725,7 @@ def _window_1d(axis: Axis, n: int, k_max: int, mode: str) -> tuple[int, Fraction
                 count(b)
             else:
                 slide(a, b, y)
-        high, low = max(his), min(los)
-        value = max(high, den - low) if mode == "star" else high - low + den
-        if best is None or value > best:
-            best, best_k = value, k
-            if best == n * den:  # no discrepancy exceeds 1
-                break
-    return best_k, Fraction(best, n * den)
+        yield max(his), min(los)
 
 
 def windowed_uniform_discrepancy(

@@ -186,19 +186,23 @@ class Axis(NamedTuple):
         return Axis(self.base, self.width, self.nums[rows])
 
     def normalized(self) -> tuple[list[int], list[int]]:
-        """Numerators and precisions with trailing zero digits dropped (0 is 0/b^0)."""
-        # b**2**j divides a numerator with z < 2**(j+1) trailing zeros iff
-        # z >= 2**j, so the powers from the largest down strip z's binary
-        # digits, in any base: O(log width) divisions, not z
+        """Numerators and precisions with trailing zero digits dropped (0 is 0/b^0).
+
+        Only a numerator whose last digit is 0 has digits to drop.  Since
+        b**z divides b**width for z <= width, it has as many trailing zeros
+        as gcd(num, b**width), in any base, so each distinct gcd is stripped
+        once (0's gcd is b**width itself, width zeros).
+        """
         nums = list(self.nums) if isinstance(self.nums, list) else self.nums.tolist()
-        precs = [self.width if num else 0 for num in nums]
-        step = 1 << max(self.width.bit_length() - 1, 0)
-        while step:
-            power = self.base**step
-            for i, num in enumerate(nums):
-                if num and not num % power:
-                    nums[i], precs[i] = num // power, precs[i] - step
-            step >>= 1
+        base, width = self.base, self.width
+        den, precs, strips = base**width, [width] * len(nums), {}
+        ending_in_zero = map(operator.not_, map(base.__rmod__, nums))
+        for i in itertools.compress(range(len(nums)), ending_in_zero):
+            common = math.gcd(nums[i], den)
+            strip = strips.get(common)
+            if strip is None:
+                strip = strips[common] = _trailing_zeros(common, base, width)
+            nums[i], precs[i] = nums[i] // strip[0], width - strip[1]
         return nums, precs
 
     def brationals(self) -> list[BRational]:
@@ -210,6 +214,19 @@ class Axis(NamedTuple):
         den = self.base**self.width
         nums = self.nums if isinstance(self.nums, list) else self.nums.tolist()
         return [num / den for num in nums]  # int true division rounds once
+
+
+def _trailing_zeros(num: int, base: int, width: int) -> tuple[int, int]:
+    """(b**z, z) for the z <= width trailing zero digits of num in base b."""
+    # b**2**j divides a numerator with z < 2**(j+1) trailing zeros iff
+    # z >= 2**j, so the powers from the largest down strip z's binary
+    # digits, in any base: O(log width) divisions, not z
+    zeros, step = 0, 1 << max(width.bit_length() - 1, 0)
+    while step:
+        if not num % base**step:
+            num, zeros = num // base**step, zeros + step
+        step >>= 1
+    return base**zeros, zeros
 
 
 def _as_batch(points) -> tuple[Axis, ...]:
@@ -262,8 +279,14 @@ def _as_arrays(batch: tuple[Axis, ...]) -> tuple[Axis, ...]:
     )
 
 
-def _checked_indices(indices) -> list[int]:
-    """The indices as a list, each a non-negative int."""
+def _checked_indices(indices) -> list[int] | range:
+    """The indices as a list, each a non-negative int; a range, being monotone,
+    is checked at its two ends and kept."""
+    if isinstance(indices, range):
+        if indices and min(indices[0], indices[-1]) < 0:  # the first negative one
+            first = 0 if indices[0] < 0 else indices[0] // -indices.step + 1
+            raise ValueError(f"expected a non-negative integer, got {indices[first]!r}")
+        return indices
     values = list(indices)
     if not all(map(isinstance, values, itertools.repeat(int))) or min(values, default=0) < 0:
         bad = next(v for v in values if not isinstance(v, int) or v < 0)
@@ -271,18 +294,21 @@ def _checked_indices(indices) -> list[int]:
     return values
 
 
+def _top(idx) -> int:
+    """The largest of some checked indices, 0 for none: a range's is at an end."""
+    if isinstance(idx, range):
+        return max(idx[0], idx[-1]) if idx else 0
+    return max(idx, default=0) if isinstance(idx, list) else int(idx.max(initial=0))
+
+
 def _index_array(indices) -> np.ndarray:
     """Non-negative integer indices: int64 below 2**62, exact Python ints beyond."""
     import numpy as np
-    if isinstance(indices, range):  # built in place: no list of 10**7 ints
-        ends = (indices[0], indices[-1]) if indices else (0, 0)  # a range is monotone
-        if min(ends) < 0:
-            bad = next(v for v in indices if v < 0)
-            raise ValueError(f"expected a non-negative integer, got {bad!r}")
-        dtype = _int_dtype(max(ends) + 1)
-        return np.arange(indices.start, indices.stop, indices.step, dtype=dtype)
-    values = _checked_indices(indices)
-    return np.array(values, dtype=_int_dtype(max(values, default=0) + 1))
+    idx = _checked_indices(indices)
+    dtype = _int_dtype(_top(idx) + 1)
+    if isinstance(idx, range):  # built in place: no list of 10**7 ints
+        return np.arange(idx.start, idx.stop, idx.step, dtype=dtype)
+    return np.array(idx, dtype=dtype)
 
 
 def coordinates(spec: SequenceSpec, indices) -> tuple[Axis, ...]:
@@ -295,9 +321,11 @@ def coordinates(spec: SequenceSpec, indices) -> tuple[Axis, ...]:
     """
     if isinstance(spec, DigitalSequence):
         return _as_arrays(int_coordinates(spec, indices))
-    idx = _index_array(indices)
+    # a step-1 range stays one, for the runs of _radical_inverses
+    step_1 = isinstance(indices, range) and indices.step == 1
+    idx = _checked_indices(indices) if step_1 else _index_array(indices)
     bases = spec.bases if isinstance(spec, Halton) else (spec.base,)
-    widths = [len(expand(int(idx.max(initial=0)), b)) for b in bases]
+    widths = [len(expand(_top(idx), b)) for b in bases]
     return tuple(Axis(b, w, _radical_inverses(idx, b, w)) for b, w in zip(bases, widths))
 
 
@@ -310,7 +338,8 @@ def _fits(base: int, length: int) -> bool:
     return base**length <= 1 << _TABLE_BITS
 
 
-def _digit_blocks(base: int, used: int) -> list[int]:
+@functools.lru_cache(maxsize=256)
+def _digit_blocks(base: int, used: int) -> tuple[int, ...]:
     """The lengths, from the lowest digits up, of the fewest blocks of `used`
     base-b digits whose values fit in tables (one digit each where two do
     not), as even as their count allows; no digits are one empty block."""
@@ -319,7 +348,7 @@ def _digit_blocks(base: int, used: int) -> list[int]:
         chunk += 1
     blocks = max(-(-used // chunk), 1)
     chunk = -(-used // blocks)
-    return [min(chunk, used - chunk * i) for i in range(blocks)]
+    return tuple(min(chunk, used - chunk * i) for i in range(blocks))
 
 
 @functools.lru_cache(maxsize=None)
@@ -331,13 +360,45 @@ def _mirror_table(base: int, length: int) -> list[int]:
     return table
 
 
-def _reversed_digits(indices: list[int], base: int, width: int) -> list[int]:
+def _runs(indices, base: int, width: int) -> tuple[int, range] | None:
+    """A step-1 range of at least b**L indices, L the length of the lowest of
+    the blocks of :func:`_digit_blocks`, read by runs: L and the range of the
+    indices' high parts n // b**L.  The b**L indices of a run share their
+    high part, and the high parts are fewer than half as many as the indices,
+    so the runs of runs end after O(log) steps.  None for any other batch, and
+    for indices of one block, which one table mirrors whole.
+    """
+    length = _digit_blocks(base, width)[0]
+    size = base**length
+    if not (isinstance(indices, range) and indices.step == 1
+            and len(indices) >= size and width > length):
+        return None
+    return length, range(indices.start // size, (indices.stop - 1) // size + 1)
+
+
+def _reversed_digits(indices, base: int, width: int) -> list[int]:
     """Each index's `width` base-b digits mirrored: its radical inverse times b**width.
 
     The blocks of :func:`_digit_blocks`, from the lowest, each mirrored
     through its table (a one-digit block is its own mirror, in any base),
     are joined by Horner steps of b**length, a block of every index at a time.
+    A range taken by :func:`_runs` is one slice of the lowest block's table
+    per run, times b**(width - L), plus the mirror of the run's high part,
+    which this function gives on the range of high parts.
     """
+    runs = _runs(indices, base, width)
+    if runs:
+        length, highs = runs
+        shift, size = width - length, base**length
+        scale, start, stop = base**shift, indices.start, indices.stop
+        nums = []
+        for high, mirrored in zip(highs, _reversed_digits(highs, base, shift)):
+            lo, hi = max(start - high * size, 0), min(stop - high * size, size)
+            if length > 1:
+                nums += map(mirrored.__add__, _scaled_mirror(base, length, shift)[lo:hi])
+            else:
+                nums += range(mirrored + lo * scale, mirrored + hi * scale, scale)
+        return nums
     nums, rest = None, indices
     lengths = _digit_blocks(base, width)
     for i, length in enumerate(lengths):
@@ -352,11 +413,29 @@ def _reversed_digits(indices: list[int], base: int, width: int) -> list[int]:
     return nums
 
 
-def _radical_inverses(idx: np.ndarray, base: int, width: int) -> np.ndarray:
-    """:func:`_reversed_digits` on an index array, with the same blocks and
-    tables: int64 numerators while b**width < 2**62, exact Python ints beyond."""
+@functools.lru_cache(maxsize=16)
+def _scaled_mirror(base: int, length: int, shift: int) -> list[int]:
+    """The mirror table of `length` digits times b**shift: the share of the
+    lowest block's digits in a radical inverse over length + shift digits."""
+    return list(map((base**shift).__mul__, _mirror_table(base, length)))
+
+
+def _radical_inverses(idx, base: int, width: int) -> np.ndarray:
+    """:func:`_reversed_digits` on an index array or a step-1 range, with the
+    same blocks, tables and runs: int64 numerators while b**width < 2**62,
+    exact Python ints beyond.  The runs of a range are the rows of one outer
+    sum, ravelled and sliced to the range."""
     import numpy as np
-    nums, rest = None, idx
+    dtype = _int_dtype(base**width)
+    runs = _runs(idx, base, width)
+    if runs:
+        length, highs = runs
+        low = _mirror_table(base, length) if length > 1 else range(base)
+        low = np.array(low, dtype=dtype) * base ** (width - length)
+        nums = np.add.outer(_radical_inverses(highs, base, width - length), low).ravel()
+        first = idx.start - highs.start * base**length
+        return nums[first : first + len(idx)]
+    nums, rest = None, _index_array(idx) if isinstance(idx, range) else idx
     lengths = _digit_blocks(base, width)
     for i, length in enumerate(lengths):
         size = base**length
@@ -365,7 +444,7 @@ def _radical_inverses(idx: np.ndarray, base: int, width: int) -> np.ndarray:
             digits, rest = rest % size, rest // size
         if length > 1:
             digits = np.take(_mirror_table(base, length), digits.astype(np.int64, copy=False))
-        nums = digits.astype(_int_dtype(base**width)) if nums is None else nums * size + digits
+        nums = digits.astype(dtype) if nums is None else nums * size + digits
     return nums
 
 
@@ -472,7 +551,7 @@ def int_coordinates(spec: SequenceSpec, indices) -> tuple[Axis, ...]:
     at a time.  A digital sequence's arrays are converted from these lists.
     """
     idx = _checked_indices(indices)
-    top = max(idx, default=0)
+    top = _top(idx)
     if isinstance(spec, DigitalSequence):
         p, width = spec.p, spec.precision
         if top >= p**width:
@@ -729,8 +808,9 @@ def write_points_csv(fh, batches: Iterable[tuple[Axis, ...]], start_index: int =
     """Write points in the exact CSV format as they arrive; float columns are advisory.
 
     batches yields batches of coordinates (as from :func:`int_coordinates`),
-    each written normalized, a whole batch at a time, as one string
-    formatted from one row template.  Every field is a number, which a CSV
+    each written normalized, a whole batch at a time, as one string: the
+    row template repeated once per point, formatted by one ``%`` over the
+    batch's fields, row by row.  Every field is a number, which a CSV
     writer never quotes, so the bytes are those of ``csv.writer`` with
     "\\n" line endings; the float columns hold Python floats, whose %r is
     their repr.
@@ -745,7 +825,8 @@ def write_points_csv(fh, batches: Iterable[tuple[Axis, ...]], start_index: int =
         if count and n == start_index:
             fh.write(",".join(csv_header(len(batch))) + "\n")
         line = f"%d,{len(batch)}" + "".join(f",{axis.base},%d,%d,%r" for axis in batch) + "\n"
-        fh.write("".join(map(line.__mod__, zip(range(n, n + count), *cols))))
+        fields = itertools.chain.from_iterable(zip(range(n, n + count), *cols))
+        fh.write(line * count % tuple(fields))
         n += count
     if n == start_index:
         raise ValueError("no points to write")
