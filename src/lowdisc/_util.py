@@ -15,8 +15,12 @@ from typing import Iterable, Sequence
 # shift's cells, and 1D windows slide on Python ints at every size.  2^18
 # cells take 0.1-0.16 s there on a 2-core VM, what importing numpy costs a
 # fresh process: `disc --spec halton:2,3` at N = 63, the last N under the
-# cut, runs 0.28 s end to end either way.
-SCALAR_1D_CUT = 1 << 14
+# cut, runs 0.28 s end to end either way.  In 1D, Python ints won every one
+# of 8 alternating fresh-process runs per case up to 2^15 indices (`disc`
+# on vdc:2 and vdc:3, star mode, pascal:3,1 and 2^15 weighted pow:1/2
+# values: 0.09-0.13 s against 0.13-0.16 s on arrays); at 2^16 the weighted,
+# star and digital cases lost some runs, and at 2^17 arrays win.
+SCALAR_1D_CUT = 1 << 15
 SCALAR_CELL_CUT = 1 << 18
 # A net check takes a block's coordinates once and counts its points once per
 # shape along each axis, so its work is size * (1 + shapes * s).  On Python

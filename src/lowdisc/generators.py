@@ -188,13 +188,18 @@ class Axis(NamedTuple):
     def normalized(self) -> tuple[list[int], list[int]]:
         """Numerators and precisions with trailing zero digits dropped (0 is 0/b^0).
 
-        Only a numerator whose last digit is 0 has digits to drop.  Since
-        b**z divides b**width for z <= width, it has as many trailing zeros
-        as gcd(num, b**width), in any base, so each distinct gcd is stripped
-        once (0's gcd is b**width itself, width zeros).
+        Since b**z divides b**width for z <= width, a numerator has as many
+        trailing zeros as gcd(num, b**width), in any base (0's gcd is b**width
+        itself, width zeros).  The zeros that every numerator has, those of
+        gcd(b**width, *nums), are dropped from all at once; after them only a
+        numerator whose last digit is 0 has digits to drop, and each distinct
+        gcd is stripped once.
         """
         nums = list(self.nums) if isinstance(self.nums, list) else self.nums.tolist()
         base, width = self.base, self.width
+        power, shared = _trailing_zeros(math.gcd(base**width, *nums), base, width)
+        if shared:
+            nums, width = list(map(power.__rfloordiv__, nums)), width - shared
         den, precs, strips = base**width, [width] * len(nums), {}
         ending_in_zero = map(operator.not_, map(base.__rmod__, nums))
         for i in itertools.compress(range(len(nums)), ending_in_zero):
@@ -360,20 +365,21 @@ def _mirror_table(base: int, length: int) -> list[int]:
     return table
 
 
-def _runs(indices, base: int, width: int) -> tuple[int, range] | None:
-    """A step-1 range of at least b**L indices, L the length of the lowest of
-    the blocks of :func:`_digit_blocks`, read by runs: L and the range of the
-    indices' high parts n // b**L.  The b**L indices of a run share their
-    high part, and the high parts are fewer than half as many as the indices,
-    so the runs of runs end after O(log) steps.  None for any other batch, and
-    for indices of one block, which one table mirrors whole.
+def _runs(indices, size: int) -> range | None:
+    """The high parts n // size of a step-1 range of at least `size` indices,
+    read by runs of `size` consecutive indices, which share their high part;
+    None for any other batch.  The kernels take size = b**L, L the length of
+    the lowest of several blocks, so size >= 3 and the high parts are fewer
+    than half as many as the indices: runs of runs end after O(log) steps.
     """
-    length = _digit_blocks(base, width)[0]
-    size = base**length
-    if not (isinstance(indices, range) and indices.step == 1
-            and len(indices) >= size and width > length):
+    if not (isinstance(indices, range) and indices.step == 1 and len(indices) >= size):
         return None
-    return length, range(indices.start // size, (indices.stop - 1) // size + 1)
+    return range(indices.start // size, (indices.stop - 1) // size + 1)
+
+
+def _run_bounds(indices: range, high: int, size: int) -> tuple[int, int]:
+    """The low parts lo..hi - 1 of the indices in the run of `high`."""
+    return max(indices.start - high * size, 0), min(indices.stop - high * size, size)
 
 
 def _reversed_digits(indices, base: int, width: int) -> list[int]:
@@ -382,25 +388,24 @@ def _reversed_digits(indices, base: int, width: int) -> list[int]:
     The blocks of :func:`_digit_blocks`, from the lowest, each mirrored
     through its table (a one-digit block is its own mirror, in any base),
     are joined by Horner steps of b**length, a block of every index at a time.
-    A range taken by :func:`_runs` is one slice of the lowest block's table
-    per run, times b**(width - L), plus the mirror of the run's high part,
-    which this function gives on the range of high parts.
+    A range taken by :func:`_runs` in runs of b**L indices, L the lowest
+    block's length, is one slice of that block's table per run, times
+    b**(width - L), plus the mirror of the run's high part, which this
+    function gives on the range of high parts.
     """
-    runs = _runs(indices, base, width)
-    if runs:
-        length, highs = runs
-        shift, size = width - length, base**length
-        scale, start, stop = base**shift, indices.start, indices.stop
-        nums = []
+    lengths = _digit_blocks(base, width)
+    low, shift = lengths[0], width - lengths[0]
+    highs = _runs(indices, base**low) if shift else None
+    if highs:
+        nums, scale = [], base**shift
         for high, mirrored in zip(highs, _reversed_digits(highs, base, shift)):
-            lo, hi = max(start - high * size, 0), min(stop - high * size, size)
-            if length > 1:
-                nums += map(mirrored.__add__, _scaled_mirror(base, length, shift)[lo:hi])
+            lo, hi = _run_bounds(indices, high, base**low)
+            if low > 1:
+                nums += map(mirrored.__add__, _scaled_mirror(base, low, shift)[lo:hi])
             else:
                 nums += range(mirrored + lo * scale, mirrored + hi * scale, scale)
         return nums
     nums, rest = None, indices
-    lengths = _digit_blocks(base, width)
     for i, length in enumerate(lengths):
         size = base**length
         digits = rest  # the last block is what the ones below leave
@@ -427,16 +432,15 @@ def _radical_inverses(idx, base: int, width: int) -> np.ndarray:
     sum, ravelled and sliced to the range."""
     import numpy as np
     dtype = _int_dtype(base**width)
-    runs = _runs(idx, base, width)
-    if runs:
-        length, highs = runs
-        low = _mirror_table(base, length) if length > 1 else range(base)
-        low = np.array(low, dtype=dtype) * base ** (width - length)
-        nums = np.add.outer(_radical_inverses(highs, base, width - length), low).ravel()
-        first = idx.start - highs.start * base**length
+    lengths = _digit_blocks(base, width)
+    low, shift = lengths[0], width - lengths[0]
+    highs = _runs(idx, base**low) if shift else None
+    if highs:
+        table = np.array(_mirror_table(base, low) if low > 1 else range(base), dtype=dtype)
+        nums = np.add.outer(_radical_inverses(highs, base, shift), table * base**shift).ravel()
+        first = idx.start - highs.start * base**low
         return nums[first : first + len(idx)]
     nums, rest = None, _index_array(idx) if isinstance(idx, range) else idx
-    lengths = _digit_blocks(base, width)
     for i, length in enumerate(lengths):
         size = base**length
         digits = rest
@@ -501,10 +505,10 @@ def _digital_kernel(mat: GeneratorMatrix, used: int):
     def column(r: int) -> int:
         return sum(mat.rows[v][r] << bits * (last - v) for v in range(first, last + 1))
 
-    lookups = []  # per block of index digits, from the lowest: its size and entry
+    lookups = []  # per block of index digits, from the lowest: its size and table
     for start, length in zip(itertools.accumulate(lengths, initial=0), lengths):
-        if not tabulated:
-            lookups.append((p, column(start).__mul__))
+        if not tabulated:  # entry e is e times the packed column
+            lookups.append((p, column(start)))
             continue
         table = [0]
         for r in range(start, start + length):  # entry e * p**j + t adds e times column r to t
@@ -512,7 +516,7 @@ def _digital_kernel(mat: GeneratorMatrix, used: int):
             for _ in range(p - 1):
                 multiples.append(reduce(multiples[-1] + col))
             table = [reduce(t + m) for m in multiples for t in table]
-        lookups.append((p**length, table.__getitem__))
+        lookups.append((p**length, table))
     group = _GROUP_BITS // bits
     convert = _field_digits(p, bits, group).__getitem__ if group else p.__rmod__
     group = max(group, 1)
@@ -522,15 +526,34 @@ def _digital_kernel(mat: GeneratorMatrix, used: int):
         for f in range(0, fields, group)
     ]
 
-    def numerators(idx: list[int]) -> list[int]:
+    def packed_sums(idx, blocks) -> list[int]:
+        """Each index's entries summed over `blocks`, the lookups from its
+        lowest digits up.  A range that :func:`_runs` takes is one slice of
+        the lowest block's entries per run plus the sum of the run's high
+        part's entries over the blocks above, which this function gives on
+        the range of high parts."""
+        (size, low), above = blocks[0], blocks[1:]
+        highs = _runs(idx, size) if above else None
+        if highs:
+            packed = []
+            for high, shared in zip(highs, packed_sums(highs, above)):
+                lo, hi = _run_bounds(idx, high, size)
+                if tabulated:
+                    packed += map(shared.__add__, low[lo:hi])
+                else:
+                    packed += range(shared + lo * low, shared + hi * low, low)
+            return packed
         packed, rest = None, idx
-        for i, (size, entry) in enumerate(lookups):
+        for i, (size, low) in enumerate(blocks):
             digits = rest
-            if i + 1 < len(lookups):
+            if i + 1 < len(blocks):
                 digits, rest = map(size.__rmod__, rest), list(map(size.__rfloordiv__, rest))
-            entries = map(entry, digits)
+            entries = map(low.__getitem__ if tabulated else low.__mul__, digits)
             packed = list(entries) if packed is None else list(map(operator.add, packed, entries))
-        nums = None
+        return packed
+
+    def numerators(idx) -> list[int]:
+        packed, nums = packed_sums(idx, lookups), None
         for shift, mask, place in groups:
             values = map(shift.__rrshift__, packed) if shift else packed
             values = map(convert, map(mask.__and__, values) if mask else values)

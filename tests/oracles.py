@@ -150,6 +150,17 @@ def oracle_window_1d(nums, den: int, n: int, k_max: int, mode: str) -> tuple[int
     return k, Fraction(int(values[k]), n * den)
 
 
+def oracle_normalized(base: int, width: int, nums) -> tuple[list[int], list[int]]:
+    """Each num / base**width in lowest b-adic terms: the numerator over the
+    least power base**prec that the Fraction's denominator divides, and prec."""
+    pairs = []
+    for num in nums:
+        x = Fraction(num, base**width)
+        prec = next(p for p in itertools.count() if base**p % x.denominator == 0)
+        pairs.append((x.numerator * (base**prec // x.denominator), prec))
+    return [num for num, _ in pairs], [prec for _, prec in pairs]
+
+
 def oracle_digital_point(p: int, matrices, precision: int, n: int) -> tuple:
     """Normalized (num, prec) per axis of point n of a digital sequence.
 

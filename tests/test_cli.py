@@ -662,12 +662,12 @@ def test_small_converted_input_loads_no_numpy():
 @pytest.mark.parametrize(
     "jobs, loaded",
     [
-        # 2**14 distinct points on Python ints, one more through the arrays
-        ([["disc", "--spec", "vdc:2", "--N", "16384"], ["disc", "--spec", "vdc:2", "--N", "16385"]],
+        # 2**15 distinct points on Python ints, one more through the arrays
+        ([["disc", "--spec", "vdc:2", "--N", "32768"], ["disc", "--spec", "vdc:2", "--N", "32769"]],
          "False True"),
-        # a 1D window has no cut: (kmax + 1) * N points are 2**14, then 2**14 + 128,
+        # a 1D window has no cut: (kmax + 1) * N points are 2**15, then 2**15 + 128,
         # and both slide on Python ints
-        ([["udisc", "--spec", "vdc:2", "--N", "128", "--kmax", k] for k in ("127", "128")],
+        ([["udisc", "--spec", "vdc:2", "--N", "128", "--kmax", k] for k in ("255", "256")],
          "False False"),
         # the benchmark's sweep jobs: the envelope's 1D windows, 9,653 points
         # at most, run on Python ints

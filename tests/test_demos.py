@@ -41,3 +41,55 @@ def test_readme_tour_runs():
     blocks = text.split("```python\n")[1:]
     assert len(blocks) == 1
     exec(compile(blocks[0].split("```")[0], "README.md", "exec"), {})
+
+
+# A meta-path hook that refuses every numpy import, loaded by `site` as
+# sitecustomize from the first PYTHONPATH entry.
+BLOCK_NUMPY = '''
+import sys
+
+
+class BlockNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" or name.startswith("numpy."):
+            raise ImportError(f"{name} is blocked")
+
+
+sys.meta_path.insert(0, BlockNumpy())
+'''
+
+# the benchmark's `points` commands at small sizes: `gen` reads its chunks
+# as runs of indices, and the windows, the Delta table and the net blocks
+# take theirs from ranges too
+POINTS_JOBS = [
+    ["gen", "--spec", "pascal:3,2", "--count", "500", "--start", "1024"],
+    ["gen", "--spec", "vdc:2", "--count", "5000", "--start", "3072"],
+    ["netcheck", "--spec", "pascal:3,2", "--base", "3", "--mmax", "4", "--kmax", "3"],
+    ["udisc", "--spec", "vdc:2", "--N", "128", "--kmax", "512"],
+    ["udisc", "--spec", "vdc:2", "--transform", "sod:2", "--N", "32", "--kmax", "128"],
+    ["ubound", "--spec", "vdc:2", "--b", "2", "--dmax", "6", "--kmax", "256"],
+]
+
+
+def test_demos_and_points_jobs_run_without_numpy(tmp_path, capsys):
+    # every demo prints its pinned bytes, and every `points` command the
+    # bytes it prints with numpy, while any numpy import fails
+    from lowdisc.cli import main
+
+    (tmp_path / "sitecustomize.py").write_text(BLOCK_NUMPY)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(tmp_path), str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    blocked = subprocess.run([sys.executable, "-c", "import numpy"], env=env, capture_output=True)
+    assert blocked.returncode == 1 and b"numpy is blocked" in blocked.stderr
+    for demo in sorted(DEMO_STDOUT):
+        proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], env=env, cwd=ROOT,
+                              capture_output=True, timeout=120)
+        assert proc.returncode == 0, (demo, proc.stderr.decode())
+        assert hashlib.sha256(proc.stdout).hexdigest() == DEMO_STDOUT[demo], demo
+    for job in POINTS_JOBS:
+        assert main(job) == 0
+        want = capsys.readouterr().out
+        proc = subprocess.run([sys.executable, "-m", "lowdisc.cli", *job], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, (job, proc.stderr)
+        assert proc.stdout == want, job

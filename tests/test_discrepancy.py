@@ -531,9 +531,9 @@ WINDOW_SPECS["dense-3^40"] = dense_3_40()
 @example("vdc:2", None, "extreme", 1, 0)
 @example("vdc:3", "pow:2/3", "star", 1, 40)
 @example("dense-3^40", "sod:3", "extreme", 12, 0)
-# runs of 32 to 64 values: sod and floor powers repeat indices, so values
-# tie, runs fill up and split, whole runs empty, and a full run's last value
-# holds the block's extreme
+# runs of load to 2 * load values: sod and floor powers repeat indices, so
+# values tie, runs fill up and split, whole runs empty, and a full run's last
+# value holds the block's extreme
 @example("vdc:2", None, "extreme", 300, 600)
 @example("vdc:5", "sod:2", "star", 289, 600)
 @example("vdc:3", "pow:2/3", "extreme", 300, 600)
@@ -561,6 +561,21 @@ def test_python_int_window_matches_array_window(name, transform, mode, n, k_max)
     assert recount(block, rep.witness) == value
     if n <= 24:
         assert (oracle_extreme_1d if mode == "extreme" else oracle_star_1d)(block) == value
+
+
+# one sorted block below n = 2 * 8, runs of 8 to 16 values from there, and
+# runs of isqrt(n) from n = 81: each boundary and its two sides
+@pytest.mark.parametrize("n", [1, 2, 15, 16, 17, 31, 32, 33, 63, 64, 65, 80, 81, 82, 99, 100])
+@pytest.mark.parametrize("name, transform", [("vdc:2", None), ("vdc:3", "sod:2"), ("vdc:5", "pow:1/2")])
+def test_window_1d_at_run_length_boundaries(n, name, transform):
+    spec = parse_spec(name)
+    transform = parse_transform(transform) if transform else None
+    k_max = 3 * n + 40
+    indices = [transform.apply(i) if transform else i for i in range(k_max + n)]
+    axis, = int_coordinates(spec, indices)
+    for mode in ("extreme", "star"):
+        want = oracle_window_1d(axis.nums, axis.base**axis.width, n, k_max, mode)
+        assert discrepancy._window_1d(axis, n, k_max, mode) == want
 
 
 def test_windowed_star_mode_2d():

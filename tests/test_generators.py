@@ -1,4 +1,6 @@
 import io
+import math
+import operator
 import random
 import re
 from functools import lru_cache
@@ -25,6 +27,7 @@ from lowdisc import (
     radical_inverse,
 )
 from lowdisc.cli import main
+from lowdisc.digits import expand
 from lowdisc import _util, generators
 from lowdisc.generators import (
     Axis,
@@ -34,8 +37,8 @@ from lowdisc.generators import (
     write_points_csv,
 )
 from oracles import (
-    oracle_digital_point, oracle_net_violation, oracle_pascal_matrices, oracle_points_csv,
-    read_points_csv,
+    oracle_digital_point, oracle_net_violation, oracle_normalized, oracle_pascal_matrices,
+    oracle_points_csv, read_points_csv,
 )
 
 
@@ -579,6 +582,91 @@ def test_index_range_is_the_index_list(indices):
     got = generators._index_array(indices)
     assert got.dtype == want.dtype and got.tolist() == want.tolist()
     assert all(type(n) is int for n in got.tolist())
+
+
+PRIMES_TO_40 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+
+
+@st.composite
+def index_ranges(draw):
+    # a step-1 range, read by runs of b**L indices (L the lowest block's
+    # length), with its length from 0 to three runs and its start anywhere up
+    # to 10**40 or just below a power of the base, so that it crosses a
+    # digit-length boundary
+    kind = draw(st.sampled_from(["vdc", "halton", "pascal"]))
+    base = draw(st.sampled_from(PRIMES_TO_40 if kind == "pascal" else [*range(2, 41), 1000]))
+    if draw(st.booleans()):
+        start = draw(st.integers(0, 10**40))
+    else:
+        start = max(base ** draw(st.integers(1, 30)) - draw(st.integers(0, 3000)), 0)
+    size = base ** generators._digit_blocks(base, len(expand(start, base)) + 1)[0]
+    runs = draw(st.integers(0, 3)) * size + draw(st.integers(-size // 2, size // 2))
+    indices = range(start, start + min(max(runs, 0), 3 * size))
+    if kind == "vdc":
+        spec = VanDerCorput(base)
+    elif kind == "halton":
+        spec = Halton((base, next(b for b in (3, 5, 7, 11) if math.gcd(b, base) == 1)))
+    else:
+        used = max(len(expand(max(indices, default=0), base)), 1)
+        spec = pascal(base, draw(st.integers(1, min(base, 3))), used + draw(st.integers(0, 2)))
+    return spec, indices
+
+
+@settings(max_examples=300, deadline=None)
+@given(index_ranges())
+@example((VanDerCorput(2), range(0)))
+@example((VanDerCorput(2), range(1023, 1025)))
+@example((VanDerCorput(1000), range(10**6 - 1500, 10**6 + 1500)))
+@example((Halton((2, 3)), range(2**62 - 2000, 2**62 + 2000)))
+@example((pascal(3, 2, 12), range(3**10 - 700, 3**10 + 800)))
+def test_a_range_gives_what_its_list_gives(case):
+    # the runs of a range against the blocks of the same indices as a list,
+    # on lists and on arrays, with the arrays' int64-or-exact rule
+    spec, indices = case
+    want = int_coordinates(spec, list(indices))
+    assert int_coordinates(spec, indices) == want
+    arrays = zip(coordinates(spec, indices), coordinates(spec, list(indices)), want)
+    for axis, array, listed in arrays:
+        assert (axis.base, axis.width, axis.nums.tolist()) == listed
+        assert axis.nums.dtype == array.nums.dtype
+    if not isinstance(spec, DigitalSequence):
+        for axis in want:
+            assert generators._reversed_digits(indices, axis.base, axis.width) == axis.nums
+
+
+@pytest.mark.parametrize("indices", [range(0, 5000, 2), range(4999, -1, -1), range(3, 7000, 7)])
+def test_other_steps_take_the_list_path(indices):
+    # only a step-1 range is read by runs; any other step gives its list's numerators
+    size = 2 ** generators._digit_blocks(2, len(expand(max(indices), 2)))[0]
+    assert generators._runs(indices, size) is None
+    assert generators._runs(range(len(indices)), size) is not None
+    assert int_coordinates(VanDerCorput(2), indices) == int_coordinates(VanDerCorput(2), list(indices))
+    assert coordinates(VanDerCorput(2), indices)[0].nums.tolist() == list(
+        int_coordinates(VanDerCorput(2), indices)[0].nums)
+
+
+@st.composite
+def axes_to_normalize(draw):
+    base = draw(st.sampled_from([2, 3, 6, 10, 12]))
+    width = draw(st.integers(0, 8))
+    # numerators with trailing zero digits, as often as not, and zeros
+    num = st.builds(operator.mul, st.integers(0, base**width - 1),
+                    st.sampled_from([base**z for z in range(width + 1)]))
+    nums = draw(st.lists(num.filter(lambda x: x < base**width), max_size=12))
+    return base, width, nums + draw(st.lists(st.just(0), max_size=2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(axes_to_normalize())
+@example((6, 3, [0, 12, 36, 72, 180, 215]))
+@example((12, 0, [0, 0]))
+@example((10, 4, [0, 5000, 2500, 1000, 9999]))
+def test_normalized_matches_the_fraction_oracle(case):
+    base, width, nums = case
+    want = oracle_normalized(base, width, nums)
+    assert Axis(base, width, nums).normalized() == want
+    array = np.array(nums, dtype=generators._int_dtype(base**width))
+    assert Axis(base, width, array).normalized() == want
 
 
 @pytest.mark.parametrize("precision", [39, 40])
