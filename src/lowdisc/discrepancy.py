@@ -606,8 +606,8 @@ def transformed_discrepancy(
 # The fewest values a run of the 1D window keeps (see _window_1d).  In
 # process on a 2-core VM, over 4,096 shifts of van der Corput blocks: below
 # 2 * 8 values one sorted block takes 0.8-1.7 us a shift against 1.3-2.3 us
-# for one run, and at n = 32-128 runs of 8 take 2.2-2.7 us against 3.4-5.1
-# us for runs of at least 32; from n = 1024 on, isqrt(n) sets the length.
+# for one run, and at n = 32-128 runs of at least 8 values take 2.2-2.9 us
+# against 3.3-6.7 us for runs of at least 32.  From n = 81, isqrt(n) > 8.
 _MIN_RUN = 8
 
 

@@ -2,7 +2,8 @@
 
 A batch of points is one Axis per coordinate: exact numerators over a
 common power of the axis's base, as Python lists from :func:`int_coordinates`
-(which reverses digits, and applies generator matrices, through tables) or as
+(which reverses digits, and applies generator matrices, through tables, and
+reads a range of indices by runs that share their high digits) or as
 numpy arrays from :func:`coordinates`, for the batches that
 ``_util._on_python_ints`` (for a net check ``_net_on_python_ints``) finds
 large enough to repay importing numpy.  A digital sequence's arrays are the
