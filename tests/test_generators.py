@@ -1,6 +1,5 @@
 import io
 import math
-import operator
 import random
 import re
 from functools import lru_cache
@@ -649,10 +648,10 @@ def test_other_steps_take_the_list_path(indices):
 def axes_to_normalize(draw):
     base = draw(st.sampled_from([2, 3, 6, 10, 12]))
     width = draw(st.integers(0, 8))
-    # numerators with trailing zero digits, as often as not, and zeros
-    num = st.builds(operator.mul, st.integers(0, base**width - 1),
-                    st.sampled_from([base**z for z in range(width + 1)]))
-    nums = draw(st.lists(num.filter(lambda x: x < base**width), max_size=12))
+    # numerators below b**width with up to width trailing zero digits, and zeros
+    num = st.integers(0, width).flatmap(
+        lambda z: st.integers(0, base ** (width - z) - 1).map((base**z).__mul__))
+    nums = draw(st.lists(num, max_size=12))
     return base, width, nums + draw(st.lists(st.just(0), max_size=2))
 
 
