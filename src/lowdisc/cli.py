@@ -103,7 +103,7 @@ def _frac_cols(x) -> list:
 
 
 # Rows stream to the output in batches this long, so the peak memory of
-# `gen` does not grow with --count.
+# `gen` and `transform` does not grow with --count.
 GEN_CHUNK = 1024
 
 
@@ -127,7 +127,9 @@ def cmd_transform(args) -> int:
     indices = range(args.start, args.start + args.count)
     for n in (indices[0], indices[-1]):  # fail before any row is written, as gen does
         transform.apply(n)
-    return _table(args, "n,fn", ([n, transform.apply(n)] for n in indices))
+    chunks = (indices[i : i + GEN_CHUNK] for i in range(0, len(indices), GEN_CHUNK))
+    rows = (zip(chunk, ld.transforms._apply_all(transform, chunk)) for chunk in chunks)
+    return _table(args, "n,fn", (row for chunk_rows in rows for row in chunk_rows))
 
 
 def cmd_dist(args) -> int:

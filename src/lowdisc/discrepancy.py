@@ -42,7 +42,7 @@ from ._util import BudgetExceededError, _grid_cells, _on_python_ints, multiplici
 from .generators import (
     Axis, SequenceSpec, _as_arrays, _as_batch, _int_dtype, coordinates, int_coordinates,
 )
-from .transforms import IndexTransform, value_counts_below
+from .transforms import IndexTransform, _apply_all, value_counts_below
 
 if TYPE_CHECKING:
     import numpy as np
@@ -676,10 +676,11 @@ def _run_extremes(scaled: list[int], n: int, k_max: int, den: int, load: int):
         his[i], los[i] = max(minus) - first, min(minus) - first
 
     def move(lo: int, hi: int, step: int) -> None:  # runs lo..hi - 1 gain step ranks
-        starts[lo:hi] = map(step.__add__, starts[lo:hi])
         shift = -step * den
-        his[lo:hi] = map(shift.__add__, his[lo:hi])
-        los[lo:hi] = map(shift.__add__, los[lo:hi])
+        for j in range(lo, hi):  # a few runs: item by item beats three slice copies
+            starts[j] += step
+            his[j] += shift
+            los[j] += shift
 
     def slide(a: int, b: int, y: int) -> None:  # y leaves run a after a value entered run b
         run = runs[a]
@@ -751,7 +752,7 @@ def windowed_uniform_discrepancy(
     indices = range(k_max + n)
     on_ints = spec.dimension == 1 or _on_python_ints(n, spec.dimension, mode, k_max + 1)
     if transform is not None:  # all indices first: a window past memory fails at once
-        indices = list(map(transform.apply, list(indices)))
+        indices = _apply_all(transform, indices)
     window = (int_coordinates if on_ints else coordinates)(spec, indices)
 
     def block(k: int) -> DiscrepancyReport:

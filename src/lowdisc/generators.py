@@ -2,9 +2,9 @@
 
 A batch of points is one Axis per coordinate: exact numerators over a
 common power of the axis's base, as Python lists from :func:`int_coordinates`
-(which reverses digits, and applies generator matrices, through tables, and
-reads a range of indices by runs that share their high digits) or as
-numpy arrays from :func:`coordinates`, for the batches that
+(radical inverses and digital points alike as ``digits._block_sums`` of
+per-block tables of index digits, a range read by runs that share their
+high digits) or as numpy arrays from :func:`coordinates`, for the batches that
 ``_util._on_python_ints`` (for a net check ``_net_on_python_ints``) finds
 large enough to repay importing numpy.  A digital sequence's arrays are the
 tables' lists, so one kernel applies the generator matrices on every route;
@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from ._util import Value, _net_on_python_ints
-from .digits import BRational, expand
+from .digits import BRational, _block_sums, _digit_blocks, _fits, _mirror_table, _runs, _top, expand
 
 if TYPE_CHECKING:
     import numpy as np
@@ -300,13 +300,6 @@ def _checked_indices(indices) -> list[int] | range:
     return values
 
 
-def _top(idx) -> int:
-    """The largest of some checked indices, 0 for none: a range's is at an end."""
-    if isinstance(idx, range):
-        return max(idx[0], idx[-1]) if idx else 0
-    return max(idx, default=0) if isinstance(idx, list) else int(idx.max(initial=0))
-
-
 def _index_array(indices) -> np.ndarray:
     """Non-negative integer indices: int64 below 2**62, exact Python ints beyond."""
     import numpy as np
@@ -335,122 +328,50 @@ def coordinates(spec: SequenceSpec, indices) -> tuple[Axis, ...]:
     return tuple(Axis(b, w, _radical_inverses(idx, b, w)) for b, w in zip(bases, widths))
 
 
-_TABLE_BITS = 10  # a table of index-digit blocks holds at most 2**10 entries
-_GROUP_BITS = 12  # a table of output-digit fields, at most 2**12
+_GROUP_BITS = 12  # a table of output-digit fields holds at most 2**12 entries
 
 
-def _fits(base: int, length: int) -> bool:
-    """Whether the base**length values of a block of digits fit in one table."""
-    return base**length <= 1 << _TABLE_BITS
-
-
-@functools.lru_cache(maxsize=256)
-def _digit_blocks(base: int, used: int) -> tuple[int, ...]:
-    """The lengths, from the lowest digits up, of the fewest blocks of `used`
-    base-b digits whose values fit in tables (one digit each where two do
-    not), as even as their count allows; no digits are one empty block."""
-    chunk = 1
-    while chunk < used and _fits(base, chunk + 1):
-        chunk += 1
-    blocks = max(-(-used // chunk), 1)
-    chunk = -(-used // blocks)
-    return tuple(min(chunk, used - chunk * i) for i in range(blocks))
-
-
-@functools.lru_cache(maxsize=None)
-def _mirror_table(base: int, length: int) -> list[int]:
-    """Each of the base**length values of a block with its `length` digits mirrored."""
-    table, high = [0], base ** (length - 1)
-    for x in range(1, base**length):  # x's last digit goes first, then x // b's digits
-        table.append(x % base * high + table[x // base] // base)
-    return table
-
-
-def _runs(indices, size: int) -> range | None:
-    """The high parts n // size of a step-1 range of at least `size` indices,
-    read by runs of `size` consecutive indices, which share their high part;
-    None for any other batch.  The kernels take size = b**L, L the length of
-    the lowest of several blocks, so size >= 3 and the high parts are fewer
-    than half as many as the indices: runs of runs end after O(log) steps.
-    """
-    if not (isinstance(indices, range) and indices.step == 1 and len(indices) >= size):
-        return None
-    return range(indices.start // size, (indices.stop - 1) // size + 1)
-
-
-def _run_bounds(indices: range, high: int, size: int) -> tuple[int, int]:
-    """The low parts lo..hi - 1 of the indices in the run of `high`."""
-    return max(indices.start - high * size, 0), min(indices.stop - high * size, size)
-
-
-def _reversed_digits(indices, base: int, width: int) -> list[int]:
-    """Each index's `width` base-b digits mirrored: its radical inverse times b**width.
-
-    The blocks of :func:`_digit_blocks`, from the lowest, each mirrored
-    through its table (a one-digit block is its own mirror, in any base),
-    are joined by Horner steps of b**length, a block of every index at a time.
-    A range taken by :func:`_runs` in runs of b**L indices, L the lowest
-    block's length, is one slice of that block's table per run, times
-    b**(width - L), plus the mirror of the run's high part, which this
-    function gives on the range of high parts.
-    """
-    lengths = _digit_blocks(base, width)
-    low, shift = lengths[0], width - lengths[0]
-    highs = _runs(indices, base**low) if shift else None
-    if highs:
-        nums, scale = [], base**shift
-        for high, mirrored in zip(highs, _reversed_digits(highs, base, shift)):
-            lo, hi = _run_bounds(indices, high, base**low)
-            if low > 1:
-                nums += map(mirrored.__add__, _scaled_mirror(base, low, shift)[lo:hi])
-            else:
-                nums += range(mirrored + lo * scale, mirrored + hi * scale, scale)
-        return nums
-    nums, rest = None, indices
-    for i, length in enumerate(lengths):
-        size = base**length
-        digits = rest  # the last block is what the ones below leave
-        if i + 1 < len(lengths):
-            digits, rest = map(size.__rmod__, rest), list(map(size.__rfloordiv__, rest))
-        if length > 1:
-            digits = map(_mirror_table(base, length).__getitem__, digits)
-        nums = list(digits) if nums is None else list(
-            map(operator.add, map(size.__mul__, nums), digits))
-    return nums
-
-
-@functools.lru_cache(maxsize=16)
-def _scaled_mirror(base: int, length: int, shift: int) -> list[int]:
-    """The mirror table of `length` digits times b**shift: the share of the
-    lowest block's digits in a radical inverse over length + shift digits."""
-    return list(map((base**shift).__mul__, _mirror_table(base, length)))
+@functools.lru_cache(maxsize=64)
+def _mirror_lookups(base: int, width: int) -> tuple:
+    """The :func:`digits._block_sums` lookups of radical inverses times b**width:
+    each block's mirror table (none for a one-digit block in a base too large
+    for one) times b**(digits above it), stored scaled while b**width < 2**62.
+    Past that, scaled tables would grow with the square of the width."""
+    narrow, lookups, scale = base**width < _INT64_LIMIT, [], 1  # scale: b**(digits above)
+    for length in reversed(_digit_blocks(base, width)):  # from the top block down
+        table = _mirror_table(base, length) if _fits(base, length) else None
+        if table and narrow:
+            lookups.append((base**length, [x * scale for x in table], 1))
+        else:
+            lookups.append((base**length, table, scale))
+        scale *= base**length
+    return tuple(reversed(lookups))
 
 
 def _radical_inverses(idx, base: int, width: int) -> np.ndarray:
-    """:func:`_reversed_digits` on an index array or a step-1 range, with the
-    same blocks, tables and runs: int64 numerators while b**width < 2**62,
-    exact Python ints beyond.  The runs of a range are the rows of one outer
-    sum, ravelled and sliced to the range."""
+    """:func:`digits._block_sums` of :func:`_mirror_lookups` on an index array
+    or a step-1 range, with the same blocks and runs: int64 numerators while
+    b**width < 2**62, exact Python ints beyond.  A block is read by
+    ``np.take`` from its table, or is its digits, times its scale."""
     import numpy as np
     dtype = _int_dtype(base**width)
-    lengths = _digit_blocks(base, width)
-    low, shift = lengths[0], width - lengths[0]
-    highs = _runs(idx, base**low) if shift else None
-    if highs:
-        table = np.array(_mirror_table(base, low) if low > 1 else range(base), dtype=dtype)
-        nums = np.add.outer(_radical_inverses(highs, base, shift), table * base**shift).ravel()
-        first = idx.start - highs.start * base**low
-        return nums[first : first + len(idx)]
-    nums, rest = None, _index_array(idx) if isinstance(idx, range) else idx
-    for i, length in enumerate(lengths):
-        size = base**length
-        digits = rest
-        if i + 1 < len(lengths):
-            digits, rest = rest % size, rest // size
-        if length > 1:
-            digits = np.take(_mirror_table(base, length), digits.astype(np.int64, copy=False))
-        nums = digits.astype(dtype) if nums is None else nums * size + digits
-    return nums
+
+    def sums(idx, lookups):
+        (size, table, scale), above = lookups[0], lookups[1:]
+        highs = _runs(idx, size) if above else None
+        if highs:  # the runs are the rows of one outer sum, ravelled and sliced to the range
+            first, low = idx.start - highs.start * size, sums(np.arange(size), lookups[:1])
+            return np.add.outer(sums(highs, above), low).ravel()[first : first + len(idx)]
+        total, rest = 0, _index_array(idx) if isinstance(idx, range) else idx
+        for i, (size, table, scale) in enumerate(lookups):
+            digits = rest
+            if i + 1 < len(lookups):
+                digits, rest = rest % size, rest // size
+            values = np.take(table, digits.astype(np.int64, copy=False)) if table else digits
+            total = total + values.astype(dtype, copy=False) * scale
+        return total
+
+    return sums(idx, _mirror_lookups(base, width))
 
 
 def _reduce_fields(bits: int, count: int, p: int):
@@ -483,7 +404,7 @@ def _digital_kernel(mat: GeneratorMatrix, used: int):
     bits-wide field last - v, for the rows from the first to the last one
     that the used columns reach.  The index digits are read in the blocks of
     :func:`_digit_blocks`, each through a table of its values' packed
-    digits, reduced mod p; the blocks' entries are summed, and each
+    digits, reduced mod p; ``_block_sums`` sums the blocks' entries, and each
     group of fields is reduced mod p and read as base-p digits by one shared
     table.  A base too large for a table takes one digit per block, times its
     packed column, and reduces each field with one division.  Built once per
@@ -506,10 +427,10 @@ def _digital_kernel(mat: GeneratorMatrix, used: int):
     def column(r: int) -> int:
         return sum(mat.rows[v][r] << bits * (last - v) for v in range(first, last + 1))
 
-    lookups = []  # per block of index digits, from the lowest: its size and table
+    lookups = []  # per block of index digits, from the lowest: size, table, scale
     for start, length in zip(itertools.accumulate(lengths, initial=0), lengths):
         if not tabulated:  # entry e is e times the packed column
-            lookups.append((p, column(start)))
+            lookups.append((p, None, column(start)))
             continue
         table = [0]
         for r in range(start, start + length):  # entry e * p**j + t adds e times column r to t
@@ -517,7 +438,7 @@ def _digital_kernel(mat: GeneratorMatrix, used: int):
             for _ in range(p - 1):
                 multiples.append(reduce(multiples[-1] + col))
             table = [reduce(t + m) for m in multiples for t in table]
-        lookups.append((p**length, table))
+        lookups.append((p**length, table, 1))
     group = _GROUP_BITS // bits
     convert = _field_digits(p, bits, group).__getitem__ if group else p.__rmod__
     group = max(group, 1)
@@ -527,34 +448,8 @@ def _digital_kernel(mat: GeneratorMatrix, used: int):
         for f in range(0, fields, group)
     ]
 
-    def packed_sums(idx, blocks) -> list[int]:
-        """Each index's entries summed over `blocks`, the lookups from its
-        lowest digits up.  A range that :func:`_runs` takes is one slice of
-        the lowest block's entries per run plus the sum of the run's high
-        part's entries over the blocks above, which this function gives on
-        the range of high parts."""
-        (size, low), above = blocks[0], blocks[1:]
-        highs = _runs(idx, size) if above else None
-        if highs:
-            packed = []
-            for high, shared in zip(highs, packed_sums(highs, above)):
-                lo, hi = _run_bounds(idx, high, size)
-                if tabulated:
-                    packed += map(shared.__add__, low[lo:hi])
-                else:
-                    packed += range(shared + lo * low, shared + hi * low, low)
-            return packed
-        packed, rest = None, idx
-        for i, (size, low) in enumerate(blocks):
-            digits = rest
-            if i + 1 < len(blocks):
-                digits, rest = map(size.__rmod__, rest), list(map(size.__rfloordiv__, rest))
-            entries = map(low.__getitem__ if tabulated else low.__mul__, digits)
-            packed = list(entries) if packed is None else list(map(operator.add, packed, entries))
-        return packed
-
     def numerators(idx) -> list[int]:
-        packed, nums = packed_sums(idx, lookups), None
+        packed, nums = _block_sums(idx, lookups), None
         for shift, mask, place in groups:
             values = map(shift.__rrshift__, packed) if shift else packed
             values = map(convert, map(mask.__and__, values) if mask else values)
@@ -585,7 +480,7 @@ def int_coordinates(spec: SequenceSpec, indices) -> tuple[Axis, ...]:
         return tuple(Axis(p, width, _digital_kernel(mat, used)(idx)) for mat in spec.matrices)
     bases = spec.bases if isinstance(spec, Halton) else (spec.base,)
     widths = [len(expand(top, b)) for b in bases]
-    return tuple(Axis(b, w, _reversed_digits(idx, b, w)) for b, w in zip(bases, widths))
+    return tuple(Axis(b, w, _block_sums(idx, _mirror_lookups(b, w))) for b, w in zip(bases, widths))
 
 
 def to_points(batch: tuple[Axis, ...]) -> list[Point]:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from lowdisc import VanDerCorput
+from lowdisc import SumOfDigits, VanDerCorput
 from lowdisc.cli import build_parser, main
 from lowdisc.discrepancy import discrepancy
 from lowdisc.generators import int_coordinates
@@ -265,6 +265,8 @@ def test_gen_out_of_range_writes_no_rows(capsys):
         (["transform", "--transform", "pow:1/2", "--start", "-2", "--count", "3"],
          "index must be non-negative"),
         (["transform", "--transform", "TABLE", "--count", "5"], "index 4 outside table range 0..2"),
+        (["transform", "--transform", "sod:2", "--start", "-2", "--count", "3"],
+         "expected a non-negative integer, got -2"),
     ],
 )
 def test_gen_usage_errors_write_no_rows(tmp_path, capsys, args, message):
@@ -277,6 +279,17 @@ def test_gen_usage_errors_write_no_rows(tmp_path, capsys, args, message):
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("usage error: ") and err.count("\n") == 1
     assert message in err
+
+
+@pytest.mark.parametrize("q, start, count", [(2, 0, 1), (3, 5, 2100), (2, 2**70 - 1500, 3000),
+                                            (1031, 1031**2 - 7, 1100)])
+def test_transform_digit_sums_are_one_apply_per_row(tmp_path, q, start, count):
+    # the rows come from batch digit sums a chunk at a time; each is s_q(n)
+    out = tmp_path / "F.csv"
+    args = ["transform", "--transform", f"sod:{q}", "--start", str(start), "--count", str(count)]
+    assert main(args + ["--out", str(out)]) == 0
+    rows = [f"{n},{SumOfDigits(q).apply(n)}" for n in range(start, start + count)]
+    assert out.read_text() == "\n".join(["n,fn", *rows]) + "\n"
 
 
 @pytest.mark.parametrize("k", [2**40, 2**1100], ids=["2^40", "2^1100"])

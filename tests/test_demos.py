@@ -60,13 +60,17 @@ sys.meta_path.insert(0, BlockNumpy())
 
 # the benchmark's `points` commands at small sizes: `gen` reads its chunks
 # as runs of indices, and the windows, the Delta table and the net blocks
-# take theirs from ranges too
+# take theirs from ranges too; `transform` and the transformed window take
+# their digit sums from the same block sums, in runs past 2**10 indices
 POINTS_JOBS = [
     ["gen", "--spec", "pascal:3,2", "--count", "500", "--start", "1024"],
     ["gen", "--spec", "vdc:2", "--count", "5000", "--start", "3072"],
     ["netcheck", "--spec", "pascal:3,2", "--base", "3", "--mmax", "4", "--kmax", "3"],
     ["udisc", "--spec", "vdc:2", "--N", "128", "--kmax", "512"],
     ["udisc", "--spec", "vdc:2", "--transform", "sod:2", "--N", "32", "--kmax", "128"],
+    ["udisc", "--spec", "vdc:2", "--transform", "sod:2", "--N", "64", "--kmax", "3000"],
+    ["transform", "--transform", "sod:2", "--count", "3000", "--start", "1000"],
+    ["transform", "--transform", "sod:1031", "--count", "2500", "--start", "1031"],
     ["ubound", "--spec", "vdc:2", "--b", "2", "--dmax", "6", "--kmax", "256"],
 ]
 

@@ -24,10 +24,11 @@ from lowdisc import (
     pascal_matrices,
     points,
     radical_inverse,
+    sum_of_digits,
 )
 from lowdisc.cli import main
 from lowdisc.digits import expand
-from lowdisc import _util, generators
+from lowdisc import _util, digits, generators
 from lowdisc.generators import (
     Axis,
     coordinates,
@@ -630,7 +631,8 @@ def test_a_range_gives_what_its_list_gives(case):
         assert axis.nums.dtype == array.nums.dtype
     if not isinstance(spec, DigitalSequence):
         for axis in want:
-            assert generators._reversed_digits(indices, axis.base, axis.width) == axis.nums
+            lookups = generators._mirror_lookups(axis.base, axis.width)
+            assert generators._block_sums(indices, lookups) == axis.nums
 
 
 @pytest.mark.parametrize("indices", [range(0, 5000, 2), range(4999, -1, -1), range(3, 7000, 7)])
@@ -642,6 +644,71 @@ def test_other_steps_take_the_list_path(indices):
     assert int_coordinates(VanDerCorput(2), indices) == int_coordinates(VanDerCorput(2), list(indices))
     assert coordinates(VanDerCorput(2), indices)[0].nums.tolist() == list(
         int_coordinates(VanDerCorput(2), indices)[0].nums)
+
+
+# the bases of test_a_range_gives_what_its_list_gives, and two primes whose
+# one-digit blocks are read through their scale, with no table
+BLOCK_BASES = [*range(2, 41), 1000, 10**6 + 3, 10**9 + 7]
+
+
+@st.composite
+def block_sum_cases(draw):
+    # radical inverses, digit sums and digital points, each a sum of per-block
+    # entries, of lists and of step-1 ranges: empty, one run, runs of runs,
+    # starting just below a power of the base (a digit-length boundary) or
+    # anywhere up to 10**40 (past int64, where the tables keep their scale)
+    kind = draw(st.sampled_from(["mirror", "sod", "digital"]))
+    bases = [b for b in BLOCK_BASES if kind != "digital" or generators._is_prime(b)]
+    base = draw(st.sampled_from(bases + bases[-2:] * 3))
+    spec, top = VanDerCorput(base), 10**40
+    if kind == "digital":
+        width = draw(st.integers(1, 3 if base > 1024 else 24))
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        rows = tuple(tuple(rng.randrange(base) for _ in range(width)) for _ in range(width))
+        spec, top = DigitalSequence(base, (GeneratorMatrix(base, rows),), width), base**width - 1
+    if draw(st.booleans()):
+        start = draw(st.integers(0, top))
+    else:
+        edge = base ** draw(st.integers(1, len(expand(top, base))))
+        start = min(max(edge - draw(st.integers(0, 3000)), 0), top)
+    if draw(st.sampled_from(["range", "list", "range"])) == "list":
+        return spec, kind, draw(st.lists(st.integers(0, top) | st.just(start), max_size=12))
+    size = base ** generators._digit_blocks(base, len(expand(start, base)) + 1)[0]
+    length = draw(st.sampled_from([0, 1, size - 1, size]) | st.integers(size, 2 * size * size))
+    return spec, kind, range(start, min(start + length, start + 5000, top + 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(block_sum_cases())
+@example((VanDerCorput(2), "mirror", range(0)))
+@example((VanDerCorput(2), "sod", [0]))
+@example((VanDerCorput(2), "mirror", range(0, 4095)))  # blocks of 6 digits, 64 runs of 64
+@example((VanDerCorput(2), "mirror", range(2**20, 2**20 + 17000)))  # runs of runs of 2**7
+@example((VanDerCorput(34), "mirror", range(34**3 - 100, 34**3 + 1500)))  # one-digit blocks
+@example((VanDerCorput(34), "sod", range(34**3 - 100, 34**3 + 1500)))
+@example((VanDerCorput(3), "sod", range(3**9 - 4000, 3**9 + 900)))  # three blocks of 3 digits
+@example((VanDerCorput(3), "mirror", range(3**40 - 700, 3**40 + 800)))  # past 2**62
+@example((VanDerCorput(10**9 + 7), "mirror", range(0)))
+# a lowest column of zeros in a prime past the tables: a run adds the scale 0
+@example((DigitalSequence(1031, (GeneratorMatrix(1031, ((0, 1), (0, 1))),), 2), "digital",
+          range(1000, 3100)))
+def test_block_sums_match_the_oracles(case):
+    spec, kind, indices = case
+    if kind == "digital":
+        want = [oracle_digital_point(spec.p, [m.rows for m in spec.matrices], spec.precision, n)
+                for n in indices]
+        nums, precs = int_coordinates(spec, indices)[0].normalized()
+        assert [((num, prec),) for num, prec in zip(nums, precs)] == want
+        return
+    base = spec.base
+    width = len(expand(max(indices, default=0), base))
+    if kind == "sod":
+        lookups = digits._digit_sum_lookups(base, width)
+        assert digits._block_sums(indices, lookups) == [sum_of_digits(n, base) for n in indices]
+        return
+    want = [x.num * base ** (width - x.prec) for x in (radical_inverse(n, base) for n in indices)]
+    assert digits._block_sums(indices, generators._mirror_lookups(base, width)) == want
+    assert coordinates(spec, indices)[0].nums.tolist() == want
 
 
 @st.composite
