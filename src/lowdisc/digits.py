@@ -9,6 +9,7 @@ table entries over the index's base-b digit blocks, a range read by runs.
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 
 from ._util import Value
@@ -87,6 +88,14 @@ def expand(n: int, base: int) -> tuple[int, ...]:
         n, d = divmod(n, base)
         digits.append(d)
     return tuple(digits)
+
+
+def _digit_count(n: int, base: int) -> int:
+    """len(expand(n, base)), 0 for 0: counted up from below n's bit length over log2(base)."""
+    count = max(int(n.bit_length() / math.log2(base)) - 1, 0)
+    while base**count <= n:
+        count += 1
+    return count
 
 
 def sum_of_digits(n: int, q: int) -> int:

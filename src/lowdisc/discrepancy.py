@@ -3,35 +3,27 @@
 All values are exact rationals.  Suprema over half-open boxes are realized
 symbolically: every candidate wall carries a closed/open attainment flag
 standing for a one-sided limit, so no numeric epsilon ever appears.  Witness
-boxes are reported so each value can be re-checked independently: ``recount``
-takes every input that ``discrepancy``, the only evaluator, takes: a batch
-of coordinates, Points, rows of exact coordinates or 1D scalars, all read
-and checked by ``generators._as_batch``, as ``check_net``'s points are.
+boxes are reported so each value can be re-checked: ``recount`` takes every
+input that ``discrepancy``, the only evaluator, takes, all read and checked
+by ``generators._as_batch``.  Only the winning box is built as Fractions.
 
-The evaluator reads one integer form of the batch: per axis a denominator
-D, the sorted distinct coordinates times D and each point's rank among them,
-plus the weights.  For s >= 2 the weighted ranks fill one prefix-count array.
-The sides of the leading s - 1 axes are enumerated as rows, and along the
-last axis each row's best side comes from a running minimum, the
-maximum-subarray scan: the work is rows times (distinct last coordinates +
-1) scan cells.  The form and the scan are written twice over the same
-integers: on numpy arrays (``_integer_form``, ``_BoxKernel``) and on Python
-ints (``_int_form``, ``_IntKernel``, ``_scalar_1d``) for multisets too small
-to repay importing numpy.  ``discrepancy`` is the one entry to both: a batch
-whose numerators are lists, from ``int_coordinates``, goes to the Python
-ints and an array batch to the arrays.  ``_util._on_python_ints`` picks the
-route from the number of points alone for converted input (Points, rows,
-scalars) and for points given by a spec; ``transformed_discrepancy`` gives it an
-index-transformed prefix as its distinct indices and their multiplicities,
-and an s >= 2 ``windowed_uniform_discrepancy`` all its shifts.  A 1D window
-slides one sorted block over Python ints at every size (``_window_1d``).
-Only the winning box is turned back into Fractions.
+In 1D, with y_(i) the i-th smallest numerator over D, repeats kept, and
+C_(i) the weight up to it, D- is the largest n * y_(i) - D * C_(i-1) and D+
+the largest D * C_(i) - n * y_(i), over n * D: one sort and a running weight,
+on Python ints (``_scalar_1d``) or arrays (``_closed_form_1d``), and for a
+1D window over one sliding sorted block (``_window_1d``).  For s >= 2 the
+weights fill one prefix-count array over each point's ranks among the
+distinct coordinates of each axis, and rows of leading-axis sides are
+scanned with a running minimum along the last axis, on numpy arrays
+(``_integer_form``, ``_BoxKernel``) or Python ints (``_int_form``,
+``_IntKernel``).  A list batch, from ``int_coordinates``, is evaluated on
+Python ints and an array batch on arrays; ``_util._on_python_ints`` picks
+the route for converted input and for points given by a spec.
 """
 
 from __future__ import annotations
 
 import bisect
-import collections
 import itertools
 import math
 import operator
@@ -124,14 +116,19 @@ def _integer_form(batch, counts):
     else:
         counts = np.array(counts, dtype=object)  # np.asarray may read ints >= 2**63 as floats
     axes = []
-    for axis in batch:  # over the least common denominator, den / gcd(den, *nums)
-        den, nums = axis.base**axis.width, axis.nums
-        common = math.gcd(den, int(np.gcd.reduce(nums)))
-        if common > 1:
-            den, nums = den // common, nums // common
-        nums = nums.astype(_int_dtype(den), copy=False)
+    for axis in batch:
+        den, nums = _lowest_terms(axis)
         axes.append((den, *np.unique(nums, return_inverse=True)))
     return axes, counts, n
+
+
+def _lowest_terms(axis: Axis, n: int = 1):
+    """(den, nums) of an array axis in lowest terms, nums as ``_int_dtype(n * den)``."""
+    import numpy as np
+    den = axis.base**axis.width
+    common = math.gcd(den, int(np.gcd.reduce(axis.nums)))
+    den, nums = den // common, axis.nums // common if common > 1 else axis.nums
+    return den, nums.astype(_int_dtype(n * den), copy=False)
 
 
 def _int_form(batch, counts):
@@ -485,17 +482,6 @@ def _star(kernel_type, axes, counts, n) -> DiscrepancyReport:
     return DiscrepancyReport(n, Fraction(best, n * kernel.scale), box, "star-grid")
 
 
-def _deviations_1d(values, below, at, den: int, n: int):
-    """Integer D- and D+ deviations at sorted 1D values, over n * den.
-
-    values are the coordinates y times den, below and at the weights
-    strictly below and up to each of them: y - below/n and at/n - y, scaled.
-    A value repeated along the last axis has its largest D- at its first
-    copy and its largest D+ at its last, as if merged into one weighted value.
-    """
-    return n * values - below * den, at * den - n * values
-
-
 def _report_1d(n: int, den: int, values, minus, plus, mode: str) -> DiscrepancyReport:
     """The 1D report from the first maxima (d, i) of D- and D+ over sorted values."""
     (d_minus, i_minus), (d_plus, i_plus) = minus, plus
@@ -512,41 +498,50 @@ def _report_1d(n: int, den: int, values, minus, plus, mode: str) -> DiscrepancyR
     return DiscrepancyReport(n, Fraction(d_minus + d_plus, n * den), Box((side,)), "exact-1d")
 
 
-def _closed_form_1d(axes, counts, n, mode: str) -> DiscrepancyReport:
-    """The 1D closed form on the arrays of ``_integer_form``.
-
-    With C_i the weight up to the i-th smallest distinct value y_i, the sup
-    over half-open intervals [a, b) is max_i(y_i - C_{i-1}/N) +
-    max_i(C_i/N - y_i), and the star discrepancy the larger of the two; the
-    witness comes from the first maximum of each.
-    """
-    kernel = _BoxKernel(axes, counts, n)
-    den, values, _ = axes[0]
-    cum = kernel.prefix  # cum[i + 1] is the weight up to the i-th axis value
-    scaled = values.astype(kernel.dtype, copy=False)
-    minus, plus = _deviations_1d(scaled, cum[:-1], cum[1:], den, n)
-    first_max = [(int(d.max()), int(d.argmax())) for d in (minus, plus)]  # the first one wins
-    return _report_1d(n, den, values, *first_max, mode)
-
-
 def _scalar_1d(axis: Axis, counts, mode: str) -> DiscrepancyReport:
-    """The 1D closed form on Python ints, from an Axis with list numerators:
-    the integers and witness of ``_closed_form_1d``, with the weights up to
-    each value accumulated and D- and D+ formed by maps over them."""
+    """The 1D closed form on Python ints, from an Axis with list numerators.
+    A repeated value's first copy has its largest D- term and its last copy
+    its largest D+ term, so first maxima fall on the values that distinct
+    values give.  With unit weights C_(i) = i + 1: D+ is den minus the least
+    D- term, at its first minimum."""
     nums, den = axis.nums, axis.base**axis.width
     counts, n = multiplicities(counts, len(nums))
     if counts is None:
-        weights = collections.Counter(nums)
-    else:
-        weights = dict.fromkeys(nums, 0)
-        for num, count in zip(nums, counts):
-            weights[num] += count
-    values = sorted(weights)
-    at = list(itertools.accumulate(map(weights.__getitem__, values)))
+        values = sorted(nums)
+        minus = list(map(operator.sub, map(n.__mul__, values), range(0, n * den, den)))
+        top, low = max(minus), min(minus)
+        return _report_1d(n, den, values, (top, minus.index(top)),
+                          (den - low, minus.index(low)), mode)
+    values, weights = zip(*sorted(zip(nums, counts)))
+    at = list(itertools.accumulate(weights))
     scaled = list(map(n.__mul__, values))
     minus = list(map(operator.sub, scaled, map(den.__mul__, itertools.chain((0,), at))))
     plus = list(map(operator.sub, map(den.__mul__, at), scaled))
     first_max = [(max(d), d.index(max(d))) for d in (minus, plus)]
+    return _report_1d(n, den, values, *first_max, mode)
+
+
+def _closed_form_1d(axis: Axis, counts, mode: str) -> DiscrepancyReport:
+    """``_scalar_1d`` on an Axis with array numerators, over their least
+    common denominator, formed _CHUNK_CELLS sorted values at a time."""
+    import numpy as np
+    counts, n = multiplicities(counts, len(axis.nums))
+    den, nums = _lowest_terms(axis, n)
+    if counts is None:
+        values = np.sort(nums)
+    else:
+        order = np.argsort(nums)
+        values, weights = nums[order], np.array(counts, dtype=nums.dtype)[order]
+        cum = np.concatenate(([0], np.cumsum(weights)))  # cum[i] is C_(i - 1)
+    minus, plus = [], []  # each chunk's first maximum (d, i)
+    for start in range(0, len(values), _CHUNK_CELLS):
+        scaled = values[start : start + _CHUNK_CELLS] * n
+        stop = start + len(scaled)
+        at = np.arange(start, stop + 1, dtype=nums.dtype) if counts is None else cum[start : stop + 1]
+        at = at * den  # den * C_(i - 1) for i = start..stop
+        for found, dev in ((minus, scaled - at[:-1]), (plus, at[1:] - scaled)):
+            found.append((int(dev.max()), start + int(dev.argmax())))
+    first_max = [max(found, key=operator.itemgetter(0)) for found in (minus, plus)]
     return _report_1d(n, den, values, *first_max, mode)
 
 
@@ -561,25 +556,20 @@ def discrepancy(points, counts=None, mode: str = "extreme") -> DiscrepancyReport
     |A/N - vol|, "star" the sup over anchored boxes [0, b), and star <=
     extreme <= 2^s * star.  1D points take the closed form, the rest the
     star corners or the running-minimum scan of the extreme grid, up to
-    DEFAULT_CELL_BUDGET cells.  A batch with list numerators, from
-    ``int_coordinates``, is evaluated on Python ints, an array batch on numpy
-    arrays, and converted input where ``_on_python_ints`` sends its number of
-    points, all to the same report.
+    DEFAULT_CELL_BUDGET cells.  A list batch is evaluated on Python ints, an
+    array batch on arrays and converted input where ``_on_python_ints``
+    sends it, all to the same report.
     """
     if mode not in ("extreme", "star"):
         raise ValueError(f"unknown mode {mode!r}")
     batch = _as_batch(points)
     if batch is not points and not _on_python_ints(len(batch[0].nums), len(batch), mode):
         batch = _as_arrays(batch)
-    if isinstance(batch[0].nums, list):
-        if len(batch) == 1:
-            return _scalar_1d(batch[0], counts, mode)
-        kernel, form = _IntKernel, _int_form(batch, counts)
-    else:
-        kernel, form = _BoxKernel, _integer_form(batch, counts)
-        if len(form[0]) == 1:
-            return _closed_form_1d(*form, mode)
-    return (_star if mode == "star" else _extreme_grid)(kernel, *form)
+    on_lists = isinstance(batch[0].nums, list)
+    if len(batch) == 1:
+        return (_scalar_1d if on_lists else _closed_form_1d)(batch[0], counts, mode)
+    kernel, form = (_IntKernel, _int_form) if on_lists else (_BoxKernel, _integer_form)
+    return (_star if mode == "star" else _extreme_grid)(kernel, *form(batch, counts))
 
 
 def transformed_discrepancy(
@@ -613,13 +603,11 @@ _MIN_RUN = 8
 
 def _window_1d(axis: Axis, n: int, k_max: int, mode: str) -> tuple[int, Fraction]:
     """First shift with the largest block discrepancy, and that discrepancy,
-    from an Axis with list numerators.
-
-    With y_(i) the block's i-th smallest value (from 0), D- is the largest
-    minus(i) = n * y_(i) - i * den and D+ is den - the smallest, the integers
-    of ``_deviations_1d``.  Each shift's extremes of minus come from
-    ``_block_extremes`` while n is below 2 * load, load = max(8, isqrt(n)),
-    and from ``_run_extremes`` beyond.
+    from an Axis with list numerators, by ``_scalar_1d``'s unit-weight form:
+    D- is the largest minus(i) = n * y_(i) - i * den over the block's sorted
+    values and D+ is den minus the smallest.  Each shift's extremes of minus
+    come from ``_block_extremes`` while n is below 2 * load, load = max(8,
+    isqrt(n)), and from ``_run_extremes`` beyond.
     """
     den = axis.base**axis.width
     scaled = list(map(n.__mul__, axis.nums))

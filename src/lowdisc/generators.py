@@ -29,7 +29,8 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from ._util import Value, _net_on_python_ints
-from .digits import BRational, _block_sums, _digit_blocks, _fits, _mirror_table, _runs, _top, expand
+from .digits import (BRational, _block_sums, _digit_blocks, _digit_count, _fits, _mirror_table,
+                     _runs, _top)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -324,7 +325,7 @@ def coordinates(spec: SequenceSpec, indices) -> tuple[Axis, ...]:
     step_1 = isinstance(indices, range) and indices.step == 1
     idx = _checked_indices(indices) if step_1 else _index_array(indices)
     bases = spec.bases if isinstance(spec, Halton) else (spec.base,)
-    widths = [len(expand(_top(idx), b)) for b in bases]
+    widths = [_digit_count(_top(idx), b) for b in bases]
     return tuple(Axis(b, w, _radical_inverses(idx, b, w)) for b, w in zip(bases, widths))
 
 
@@ -476,10 +477,10 @@ def int_coordinates(spec: SequenceSpec, indices) -> tuple[Axis, ...]:
         if top >= p**width:
             raise ValueError(f"index {top} needs more than {width} base-{p} digits; "
                              "raise the precision")
-        used = len(expand(top, p))
+        used = _digit_count(top, p)
         return tuple(Axis(p, width, _digital_kernel(mat, used)(idx)) for mat in spec.matrices)
     bases = spec.bases if isinstance(spec, Halton) else (spec.base,)
-    widths = [len(expand(top, b)) for b in bases]
+    widths = [_digit_count(top, b) for b in bases]
     return tuple(Axis(b, w, _block_sums(idx, _mirror_lookups(b, w))) for b, w in zip(bases, widths))
 
 

@@ -14,7 +14,7 @@ import math
 from typing import Iterable, Sequence
 
 from ._util import Value, int_nth_root
-from .digits import _block_sums, _digit_sum_lookups, _top, expand, sum_of_digits
+from .digits import _block_sums, _digit_count, _digit_sum_lookups, _top, sum_of_digits
 
 # FloorPower forms n**u and k**v before it takes a root.  Cube roots set the
 # limit: one takes 0.03 s at 2^16 bits and 0.46 s at 2^18 on a 2-core VM, the
@@ -113,7 +113,7 @@ def _apply_all(transform: IndexTransform, indices) -> list[int]:
     before any value is formed)."""
     if isinstance(transform, SumOfDigits):
         q = transform.q
-        return _block_sums(indices, _digit_sum_lookups(q, len(expand(_top(indices), q))))
+        return _block_sums(indices, _digit_sum_lookups(q, _digit_count(_top(indices), q)))
     return list(map(transform.apply, list(indices)))
 
 

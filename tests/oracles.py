@@ -129,6 +129,26 @@ def oracle_star_1d(values) -> Fraction:
     return best
 
 
+def faure_vdc_discrepancy(b: int, n: int) -> Fraction:
+    """D_N = D*_N of the first n >= 1 points of van der Corput's sequence in
+    base b, from the base-b digits of n alone (H. Faure, Bull. Soc. Math.
+    France 109 (1981), 143-182).
+
+    With phi_h(x) = h (1 - x) if h <= floor(b x) and (b - h) x otherwise, and
+    psi_b(x) the largest phi_h(x) over 0 <= h < b, N D_N is the sum of
+    psi_b({N / b^j}) over j = 1..J plus N / b^J, J the digit count of N.
+    """
+    digits, rest = 0, n
+    while rest:
+        rest //= b
+        digits += 1
+    total = Fraction(n, b**digits)
+    for j in range(1, digits + 1):
+        x = Fraction(n % b**j, b**j)
+        total += max(h * (1 - x) if h <= math.floor(b * x) else (b - h) * x for h in range(b))
+    return total / n
+
+
 def oracle_window_1d(nums, den: int, n: int, k_max: int, mode: str) -> tuple[int, Fraction]:
     """First shift k <= k_max with the largest discrepancy of the block
     nums[k:k + n] / den, and that discrepancy.

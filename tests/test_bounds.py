@@ -33,9 +33,12 @@ from lowdisc import (
     windowed_uniform_discrepancy,
 )
 from lowdisc import bounds, value_counts_below
-from lowdisc.discrepancy import discrepancy
+from lowdisc.discrepancy import discrepancy, recount
 from lowdisc.generators import Axis, coordinates
-from oracles import oracle_digit_sums, oracle_extreme_1d, oracle_star_1d
+from oracles import (
+    faure_vdc_discrepancy, oracle_digit_sums, oracle_extreme_1d, oracle_grid_enumeration,
+    oracle_star_1d, oracle_star_enumeration,
+)
 
 
 def test_bound_holds_exact_sides_have_zero_tolerance():
@@ -187,21 +190,40 @@ def test_large_bases_on_python_ints_match_the_arrays(spec, transform, n, mode):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(2, 7), st.integers(0, 3), st.data())
-def test_scalar_1d_matches_the_oracles_and_weighted_arrays(b, width, data):
+@given(st.integers(2, 7), st.data())
+def test_scalar_1d_matches_the_oracles_and_weighted_arrays(b, data):
+    # widths 0-3, and around the widest den = b^width below 2^62, so that
+    # n * den falls on both sides of 2^62, the int64-or-object boundary
+    wide = next(w for w in itertools.count() if b ** (w + 1) >= 2**62)
+    width = data.draw(st.integers(0, 3) | st.sampled_from([wide - 1, wide, wide + 1]))
     den = b**width
     nums = data.draw(st.lists(st.integers(0, den - 1), min_size=1, max_size=12))
     points = [Fraction(x, den) for x in nums]
     listed = (Axis(b, width, nums),)  # evaluated by the scalar 1D form
+    dtype = data.draw(st.sampled_from([np.int64, object])) if den < 2**62 else object
+    batch = (Axis(b, width, np.array(nums, dtype=dtype)),)
     assert discrepancy(listed, None, "extreme").value == oracle_extreme_1d(points)
     assert discrepancy(listed, None, "star").value == oracle_star_1d(points)
-    # weighted, with repeated values and zero weights
-    counts = data.draw(st.lists(st.integers(0, 3), min_size=len(nums), max_size=len(nums)))
+    # weighted, with repeated values, zero weights and weights past 2^63
+    weight = st.integers(0, 3) | st.sampled_from([2**63 + 1, 10**30])
+    counts = data.draw(st.lists(weight, min_size=len(nums), max_size=len(nums)))
     counts[0] += not any(counts)
-    batch = (Axis(b, width, np.array(nums, dtype=np.int64)),)
-    for mode in ("extreme", "star"):
-        want = report_key(discrepancy(batch, counts, mode))
-        assert report_key(discrepancy(listed, counts, mode)) == want
+    rows = [(x,) for x in points]
+    for mode, oracle in (("extreme", oracle_grid_enumeration), ("star", oracle_star_enumeration)):
+        assert report_key(discrepancy(batch, None, mode)) == report_key(discrepancy(listed, None, mode))
+        want = discrepancy(batch, counts, mode)
+        assert report_key(discrepancy(listed, counts, mode)) == report_key(want)
+        assert recount(rows, want.witness, counts) == want.value == oracle(rows, counts)[0]
+
+
+@pytest.mark.parametrize("mode", ["extreme", "star"])
+def test_van_der_corput_matches_faures_formula(mode):
+    # every N <= 2^10 on Python ints, and N past SCALAR_1D_CUT on arrays
+    cases = [(b, n) for b in range(2, 8) for n in range(1, 2**10 + 1)]
+    cases += [(b, n) for b in (2, 3, 5, 7) for n in (10**5, 123457, 10**6 - 1)] + [(2, 10**7)]
+    for b, n in cases:
+        got = transformed_discrepancy(VanDerCorput(b), None, n, mode).value
+        assert got == faure_vdc_discrepancy(b, n), (b, n, mode)
 
 
 @pytest.mark.parametrize(

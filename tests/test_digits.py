@@ -10,6 +10,7 @@ from lowdisc import (
     radical_inverse,
     sum_of_digits,
 )
+from lowdisc.digits import _digit_count
 
 
 @pytest.mark.parametrize(
@@ -18,6 +19,13 @@ from lowdisc import (
 )
 def test_expand_examples(n, b, digits):
     assert expand(n, b) == digits
+
+
+@pytest.mark.parametrize("b", [2, 3, 10, 1031])
+def test_digit_count_is_the_length_of_expand(b):
+    for k in [*range(12), 100, 1000, 3000]:
+        for n in (b**k - 1, b**k, b**k + 1):
+            assert _digit_count(n, b) == len(expand(n, b)), (n, b)
 
 
 def test_expand_rejects_bad_base():

@@ -693,6 +693,8 @@ def test_integer_input_reduces_its_denominator():
         form = discrepancy._integer_form(points, None)
         assert form[0][0][0] == 3**4
         assert discrepancy._BoxKernel(*form).dtype is np.int64
+        den, nums = discrepancy._lowest_terms(points[0], 81)  # the 1D form's
+        assert den == 3**4 and nums.dtype == np.int64
     assert_integer_input_matches_fractions(batch)
 
 
