@@ -13,10 +13,10 @@ the largest D * C_(i) - n * y_(i), over n * D: one sort and a running weight,
 on Python ints (``_scalar_1d``) or arrays (``_closed_form_1d``), and for a
 1D window over one sliding sorted block (``_window_1d``).  For s >= 2 the
 weights fill one prefix-count array over each point's ranks among the
-distinct coordinates of each axis, and rows of leading-axis sides are
-scanned with a running minimum along the last axis, on numpy arrays
-(``_integer_form``, ``_BoxKernel``) or Python ints (``_int_form``,
-``_IntKernel``).  A list batch, from ``int_coordinates``, is evaluated on
+distinct coordinates of each axis (``_rank_form``, on Python ints from every
+batch), and rows of leading-axis sides are scanned with a running minimum
+along the last axis, on numpy arrays (``_BoxKernel``) or Python ints
+(``_IntKernel``).  A list batch, from ``int_coordinates``, is evaluated on
 Python ints and an array batch on arrays; ``_util._on_python_ints`` picks
 the route for converted input and for points given by a spec.
 """
@@ -101,43 +101,19 @@ def recount(points, box: Box, counts=None) -> Fraction:
     return abs(Fraction(inside, n) - box.volume())
 
 
-def _integer_form(batch, counts):
-    """Per axis of an array batch (D, values, ranks), then the multiplicities and their total.
+def _rank_form(batch, counts):
+    """Per axis (D, values, ranks), then the multiplicities and their total,
+    all Python ints, from a batch of list or array numerators.
 
     values are the axis's sorted distinct coordinates times D, the least
     common denominator of the axis, and values[ranks[i]] is point i's.
     Zero-weight points stay on the axes as walls.
     """
-    import numpy as np
-    size = len(batch[0].nums)
-    counts, n = multiplicities(counts, size)
-    if counts is None:
-        counts = np.broadcast_to(np.int64(1), (size,))
-    else:
-        counts = np.array(counts, dtype=object)  # np.asarray may read ints >= 2**63 as floats
-    axes = []
-    for axis in batch:
-        den, nums = _lowest_terms(axis)
-        axes.append((den, *np.unique(nums, return_inverse=True)))
-    return axes, counts, n
-
-
-def _lowest_terms(axis: Axis, n: int = 1):
-    """(den, nums) of an array axis in lowest terms, nums as ``_int_dtype(n * den)``."""
-    import numpy as np
-    den = axis.base**axis.width
-    common = math.gcd(den, int(np.gcd.reduce(axis.nums)))
-    den, nums = den // common, axis.nums // common if common > 1 else axis.nums
-    return den, nums.astype(_int_dtype(n * den), copy=False)
-
-
-def _int_form(batch, counts):
-    """``_integer_form`` on Python ints, from a batch with list numerators."""
     size = len(batch[0].nums)
     counts, n = multiplicities(counts, size)
     axes = []
     for axis in batch:
-        den, nums = axis.base**axis.width, axis.nums
+        den, nums = axis.base**axis.width, axis.ints()
         common = math.gcd(den, *nums)
         if common > 1:
             den, nums = den // common, [x // common for x in nums]
@@ -198,8 +174,8 @@ class _BoxKernel:
         prefix = np.zeros([len(values) + 1 for _, values, _ in axes], dtype=self.dtype)
         # a point of ranks r adds its weight at prefix[r + 1], here through a view
         cells = prefix[(slice(1, None),) * len(axes)]
-        ranks = tuple(ranks for _, _, ranks in axes)
-        np.add.at(cells, ranks, counts.astype(self.dtype, copy=False))
+        ranks = tuple(np.array(ranks, dtype=np.intp) for _, _, ranks in axes)
+        np.add.at(cells, ranks, np.array(counts, dtype=self.dtype))
         for axis in range(prefix.ndim):
             np.cumsum(prefix, axis=axis, out=prefix)
         self.prefix = prefix
@@ -423,11 +399,6 @@ def _witness(family, lead, row: int, closed_lower: bool, closed_upper: bool, las
     return Box((*reversed(sides), _side(*last, closed_lower, closed_upper)))
 
 
-def _walls(axes) -> list[tuple[int, list[int]]]:
-    """Each axis's denominator and distinct values as Python ints."""
-    return [(den, v if isinstance(v, list) else v.tolist()) for den, v, _ in axes]
-
-
 def _extreme_grid(kernel_type, axes, counts, n) -> DiscrepancyReport:
     """Exact sup over half-open boxes, s >= 2, over the critical grid.
 
@@ -444,7 +415,7 @@ def _extreme_grid(kernel_type, axes, counts, n) -> DiscrepancyReport:
     shrink-wrapped boxes first.
     """
     sizes = [len(values) for _, values, _ in axes]
-    cells = _grid_cells(sizes, [int(values[0]) == 0 for _, values, _ in axes])
+    cells = _grid_cells(sizes, [values[0] == 0 for _, values, _ in axes])
     if cells > DEFAULT_CELL_BUDGET:
         corners = math.prod(u + 1 for u in sizes)
         raise BudgetExceededError(
@@ -452,7 +423,7 @@ def _extreme_grid(kernel_type, axes, counts, n) -> DiscrepancyReport:
             f"consider the star-discrepancy proxy ({corners} corners)"
         )
     kernel = kernel_type(axes, counts, n)
-    *lead, (den, ints) = _walls(axes)
+    *lead, (den, ints) = [axis[:2] for axis in axes]
     closed = [_closed_sides(*w) for w in lead]
     best, (row, i, j) = kernel.closed(closed, ints)
     box = _witness(closed, lead, row, True, True, (den, ints[i], ints[j]))
@@ -473,7 +444,7 @@ def _star(kernel_type, axes, counts, n) -> DiscrepancyReport:
             f"{corners} star corners exceed the budget of {DEFAULT_CELL_BUDGET} cells"
         )
     kernel = kernel_type(axes, counts, n)
-    *lead, (den, ints) = _walls(axes)
+    *lead, (den, ints) = [axis[:2] for axis in axes]
     closed = [_corner_sides(*w, True) for w in lead]
     opened = [_corner_sides(*w, False) for w in lead]
     best, (row, j, limit) = kernel.star(closed, opened, den, ints)
@@ -521,6 +492,15 @@ def _scalar_1d(axis: Axis, counts, mode: str) -> DiscrepancyReport:
     return _report_1d(n, den, values, *first_max, mode)
 
 
+def _lowest_terms(axis: Axis, n: int = 1):
+    """(den, nums) of an array axis in lowest terms, nums as ``_int_dtype(n * den)``."""
+    import numpy as np
+    den = axis.base**axis.width
+    common = math.gcd(den, int(np.gcd.reduce(axis.nums)))
+    den, nums = den // common, axis.nums // common if common > 1 else axis.nums
+    return den, nums.astype(_int_dtype(n * den), copy=False)
+
+
 def _closed_form_1d(axis: Axis, counts, mode: str) -> DiscrepancyReport:
     """``_scalar_1d`` on an Axis with array numerators, over their least
     common denominator, formed _CHUNK_CELLS sorted values at a time."""
@@ -563,13 +543,15 @@ def discrepancy(points, counts=None, mode: str = "extreme") -> DiscrepancyReport
     if mode not in ("extreme", "star"):
         raise ValueError(f"unknown mode {mode!r}")
     batch = _as_batch(points)
-    if batch is not points and not _on_python_ints(len(batch[0].nums), len(batch), mode):
-        batch = _as_arrays(batch)
-    on_lists = isinstance(batch[0].nums, list)
+    on_ints = isinstance(batch[0].nums, list)
+    if batch is not points:  # converted to lists
+        on_ints = _on_python_ints(len(batch[0].nums), len(batch), mode)
     if len(batch) == 1:
-        return (_scalar_1d if on_lists else _closed_form_1d)(batch[0], counts, mode)
-    kernel, form = (_IntKernel, _int_form) if on_lists else (_BoxKernel, _integer_form)
-    return (_star if mode == "star" else _extreme_grid)(kernel, *form(batch, counts))
+        if on_ints:
+            return _scalar_1d(batch[0], counts, mode)
+        return _closed_form_1d(_as_arrays(batch)[0], counts, mode)
+    kernel = _IntKernel if on_ints else _BoxKernel
+    return (_star if mode == "star" else _extreme_grid)(kernel, *_rank_form(batch, counts))
 
 
 def transformed_discrepancy(

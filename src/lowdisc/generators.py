@@ -176,7 +176,7 @@ class Axis(NamedTuple):
     and an object array of exact Python ints beyond; from
     :func:`int_coordinates` it is a list of Python ints.  Exact coordinates
     read by ``_as_batch`` are nums / D with D their least common denominator,
-    as base D and width 1.
+    as base D and width 1 (base 2 and width 0 for D = 1).
     """
 
     base: int
@@ -186,6 +186,10 @@ class Axis(NamedTuple):
     def take(self, rows) -> Axis:
         """The points at rows: a slice, or for arrays any numpy index."""
         return Axis(self.base, self.width, self.nums[rows])
+
+    def ints(self) -> list[int]:
+        """The numerators as a list of Python ints: the list itself, or the array's."""
+        return self.nums if isinstance(self.nums, list) else self.nums.tolist()
 
     def normalized(self) -> tuple[list[int], list[int]]:
         """Numerators and precisions with trailing zero digits dropped (0 is 0/b^0).
@@ -197,7 +201,7 @@ class Axis(NamedTuple):
         numerator whose last digit is 0 has digits to drop, and each distinct
         gcd is stripped once.
         """
-        nums = list(self.nums) if isinstance(self.nums, list) else self.nums.tolist()
+        nums = list(self.ints())
         base, width = self.base, self.width
         power, shared = _trailing_zeros(math.gcd(base**width, *nums), base, width)
         if shared:
@@ -219,8 +223,7 @@ class Axis(NamedTuple):
     def floats(self) -> list[float]:
         """Each value correctly rounded, as float(Fraction) rounds it."""
         den = self.base**self.width
-        nums = self.nums if isinstance(self.nums, list) else self.nums.tolist()
-        return [num / den for num in nums]  # int true division rounds once
+        return [num / den for num in self.ints()]  # int true division rounds once
 
 
 def _trailing_zeros(num: int, base: int, width: int) -> tuple[int, int]:
@@ -241,9 +244,11 @@ def _as_batch(points) -> tuple[Axis, ...]:
 
     A batch (a tuple of Axis) comes back as it is.  Points, rows of exact
     coordinates and 1D scalars become list numerators, each axis over the
-    least common denominator D of its values, as Axis(D, 1, nums).  Every
-    axis must hold one numerator per point, every axis of one form (lists
-    or arrays), and each numerator must lie in [0, base**width).
+    least common denominator D of its values, as Axis(D, 1, nums) (or
+    Axis(2, 0, nums) for D = 1).  Every axis must have an int base >= 2 and
+    an int width >= 0 and hold one int numerator per point, every axis of
+    one form (lists, or arrays of an integer dtype or of Python ints), and
+    each numerator must lie in [0, base**width).
     """
     batch = points
     if not (isinstance(points, tuple) and points and isinstance(points[0], Axis)):
@@ -257,7 +262,9 @@ def _as_batch(points) -> tuple[Axis, ...]:
         columns = [[x.as_fraction() if isinstance(x, BRational) else Fraction(x) for x in column]
                    for column in zip(*rows)]
         dens = [math.lcm(*(x.denominator for x in column)) for column in columns]
-        batch = tuple(Axis(den, 1, [x.numerator * (den // x.denominator) for x in column])
+        # D = 1, every coordinate 0, is written 2**0: a base is at least 2
+        batch = tuple(Axis(max(den, 2), int(den > 1), [x.numerator * (den // x.denominator)
+                                                       for x in column])
                       for den, column in zip(dens, columns))
     size = len(batch[0].nums) if batch else 0
     if not size:
@@ -265,7 +272,17 @@ def _as_batch(points) -> tuple[Axis, ...]:
     if len({isinstance(axis.nums, list) for axis in batch}) > 1:
         raise ValueError("a batch needs lists on every axis or arrays on every axis")
     for axis in batch:
-        nums, den = axis.nums, axis.base**axis.width
+        nums, base, width = axis.nums, axis.base, axis.width
+        if not (isinstance(base, int) and base >= 2 and isinstance(width, int) and width >= 0):
+            raise ValueError(f"an axis needs an int base >= 2 and an int width >= 0, "
+                             f"got {base!r}, {width!r}")
+        listed = isinstance(nums, list) or nums.dtype == object
+        if listed and not all(map(isinstance, nums, itertools.repeat(int))):
+            bad = next(x for x in nums if not isinstance(x, int))
+            raise ValueError(f"numerators must be ints, got {bad!r}")
+        if not listed and nums.dtype.kind not in "iu":  # no pass over int64 arrays
+            raise ValueError(f"numerators must be ints, got an array of {nums.dtype}")
+        den = base**width
         if len(nums) != size:
             raise ValueError(f"every axis needs one numerator per point, got {size}, {len(nums)}")
         low, high = (min(nums), max(nums)) if isinstance(nums, list) else (nums.min(), nums.max())

@@ -247,23 +247,43 @@ def scan_cases(draw, low=2):
     return columns, draw(st.sampled_from([None, counts]))
 
 
+def twins(columns):
+    """A list batch of (base, width, numerators) columns, then its int64 twin
+    (object where base**width passes 2^62) and its object-array twin."""
+    return [tuple(Axis(*column) for column in columns),
+            *(tuple(Axis(base, width, np.array(nums, dtype=dtype or _int_dtype(base**width)))
+                    for base, width, nums in columns) for dtype in (None, object))]
+
+
+def one_rank_form(batches, counts):
+    """The ``_rank_form`` of each batch, asserted equal and all Python ints."""
+    form, *others = (discrepancy._rank_form(batch, counts) for batch in batches)
+    assert all(other == form for other in others)
+    axes, weights, n = form
+    ints = [n, *weights, *(x for axis in axes for x in (axis[0], *axis[1], *axis[2]))]
+    assert {type(x) for x in ints} == {int}
+    return form
+
+
 def assert_both_scans_match_the_oracles(columns, counts):
-    """The Python-int and the numpy scan, each called directly, give the
-    enumeration oracles' value and witness, grid and star."""
+    """A list batch and its array twins give one rank form, and the
+    Python-int and the numpy scan, each run from it, give the enumeration
+    oracles' value and witness, grid and star.  Returns the form."""
     pts = list(zip(*([F(num, base**width) for num in nums] for base, width, nums in columns)))
-    ints = discrepancy._int_form(tuple(Axis(*column) for column in columns), counts)
-    batch = tuple(Axis(base, width, np.array(nums, dtype=object)) for base, width, nums in columns)
-    arrays = discrepancy._integer_form(batch, counts)
+    form = one_rank_form(twins(columns), counts)
     for evaluate, oracle in [(discrepancy._extreme_grid, oracle_grid_enumeration),
                              (discrepancy._star, oracle_star_enumeration)]:
         value, witness = oracle(pts, counts)
-        for kernel, form in [(discrepancy._IntKernel, ints), (discrepancy._BoxKernel, arrays)]:
+        for kernel in (discrepancy._IntKernel, discrepancy._BoxKernel):
             got = evaluate(kernel, *form)
             assert (got.value, str(got.witness)) == (value, str(witness)), kernel
+    return form
 
 
 @settings(max_examples=200, deadline=None)
 @given(scan_cases(), st.sampled_from([None, 1]))
+# axes reduced by gcd(D, *nums) to 2^1, 3^0 and 2^29, and a zero weight
+@example(([(2, 2, [0, 2, 2]), (6, 1, [0, 0, 0]), (2, 30, [2, 0, 6])], [1, 0, 2]), None)
 def test_both_scans_match_the_enumeration_oracles(case, chunk_cells):
     # chunk_cells=1 gives the numpy scan one leading side per chunk
     with mock.patch.object(discrepancy, "_CHUNK_CELLS", chunk_cells or discrepancy._CHUNK_CELLS):
@@ -360,11 +380,12 @@ def test_both_scans_at_int64_boundary(dens, wide):
         width = round(math.log(den, base))
         columns.append((base, width, [base * rng.randrange(den // base) + 1 for _ in range(3)]))
     assert (3 * math.prod(dens) >= 2**62) == wide
-    assert discrepancy._BoxKernel(*discrepancy._integer_form(
-        tuple(Axis(b, w, np.array(nums, dtype=object)) for b, w, nums in columns), None
-    )).dtype == (object if wide else np.int64)
-    assert_both_scans_match_the_oracles(columns, None)
+    form = assert_both_scans_match_the_oracles(columns, None)
+    assert discrepancy._BoxKernel(*form).dtype == (object if wide else np.int64)
     assert_both_scans_match_the_oracles(columns, [2, 0, 1])
+    # the same points over one more digit: each axis is reduced by its base
+    widened = [(base, width + 1, [base * x for x in nums]) for base, width, nums in columns]
+    assert assert_both_scans_match_the_oracles(widened, [2, 0, 1]) == (form[0], [2, 0, 1], 3)
 
 
 def test_grid_budget_counts_scan_cells(monkeypatch):
@@ -391,6 +412,56 @@ def test_grid_budget_at_its_default():
     with pytest.raises(BudgetExceededError, match="64480800 scan cells exceed the budget of "
                        "33554432 cells; consider the star-discrepancy proxy"):
         discrepancy.discrepancy(pts)
+
+
+@pytest.mark.parametrize("form", [int_coordinates, coordinates], ids=["lists", "arrays"])
+@pytest.mark.parametrize("mode, n, match", [("extreme", 400, "64480800 scan cells"),
+                                            ("star", 5792, "33558849 star corners")],
+                         ids=["extreme", "star"])
+def test_budget_refuses_before_any_kernel_is_built(form, mode, n, match):
+    # 5793^2 corners are the first past 2^25
+    batch = form(parse_spec("halton:2,3"), range(n))
+    with mock.patch.object(discrepancy._IntKernel, "__init__", side_effect=AssertionError), \
+            mock.patch.object(discrepancy._BoxKernel, "__init__", side_effect=AssertionError):
+        with pytest.raises(BudgetExceededError, match=match):
+            discrepancy.discrepancy(batch, mode=mode)
+
+
+@pytest.mark.parametrize("mode, n, kernel", [
+    ("extreme", 63, "_IntKernel"), ("extreme", 64, "_BoxKernel"),
+    ("star", 511, "_IntKernel"), ("star", 512, "_BoxKernel"),
+])
+def test_converted_points_take_their_kernel_at_the_cut(mode, n, kernel):
+    # 63 points are 2^18 extreme-grid cells and 511 points 2^18 star corners,
+    # the most that _on_python_ints sends to Python ints
+    spies = {name: mock.patch.object(discrepancy, name, wraps=getattr(discrepancy, name))
+             for name in ("_IntKernel", "_BoxKernel")}
+    with spies["_IntKernel"] as ints, spies["_BoxKernel"] as arrays:
+        discrepancy.discrepancy(points(Halton((2, 3)), n), mode=mode)
+    assert (ints.call_count, arrays.call_count) == ((1, 0) if kernel == "_IntKernel" else (0, 1))
+
+
+@pytest.mark.parametrize("batch", [
+    (Axis(2, 3, [1.5, 3.0]),),
+    (Axis(2, 3, np.array([1.5, 3.0])),),
+    (Axis(2, 3, np.array([1, 2.5], dtype=object)),),
+    (Axis(2, 3, np.array([True, False])),),
+    (Axis(2, -1, [0]),),
+    (Axis(2, 1.0, [0]),),
+    (Axis(1, 3, [0]),),
+    (Axis(2.0, 3, [1]),),
+], ids=["float-list", "float-array", "float-in-object-array", "bool-array", "negative-width",
+        "float-width", "base-1", "float-base"])
+@pytest.mark.parametrize("reader", ["discrepancy", "recount", "check_net"])
+def test_unreadable_axes_are_refused(batch, reader):
+    # bases, widths and numerators that no evaluator reads are refused where
+    # every reader reads its points, not answered wrongly further on
+    box = discrepancy.Box((discrepancy.BoxSide(F(0), F(1), True, False),))
+    call = {"discrepancy": lambda: discrepancy.discrepancy(batch),
+            "recount": lambda: recount(batch, box),
+            "check_net": lambda: check_net(batch, 2, 0)}[reader]
+    with pytest.raises(ValueError, match="int base|must be ints"):
+        call()
 
 
 def test_grid_budget_error_mentions_star(monkeypatch):
@@ -683,18 +754,28 @@ def test_integer_input_at_int64_boundary(dens):
 
 
 def test_integer_input_reduces_its_denominator():
-    # 81 points of a 40-digit sequence are object numerators over 3^40, but
-    # they are multiples of 3^36: reduced to 3^4 the kernel runs in int64, as
-    # it does on the same points given as Fractions
-    batch = coordinates(parse_spec("pascal:3,1,40"), range(81))
+    # 81 points of a 40-digit sequence are numerators over 3^40, but they are
+    # multiples of 3^36: every form of them (lists, object arrays, and their
+    # Fractions read as lists, int64 arrays or object arrays) has one rank
+    # form over 3^4, from which both kernels scan in int64 to one report
+    spec = parse_spec("pascal:3,2,40")
+    batch = coordinates(spec, range(81))
     assert batch[0].nums.dtype == object
-    converted = _as_arrays(_as_batch(as_fraction_rows(batch)))  # what discrepancy() evaluates
-    for points in (batch, converted):
-        form = discrepancy._integer_form(points, None)
-        assert form[0][0][0] == 3**4
-        assert discrepancy._BoxKernel(*form).dtype is np.int64
-        den, nums = discrepancy._lowest_terms(points[0], 81)  # the 1D form's
+    converted = _as_batch(as_fraction_rows(batch))
+    twin = tuple(Axis(a.base, a.width, np.array(a.nums, dtype=object)) for a in converted)
+    forms = [int_coordinates(spec, range(81)), batch, converted, _as_arrays(converted), twin]
+    form = one_rank_form(forms, [k % 3 for k in range(81)])  # zero weights among them
+    assert [den for den, _, _ in form[0]] == [3**4, 3**4]
+    assert discrepancy._BoxKernel(*form).dtype is np.int64
+    for evaluate in (discrepancy._extreme_grid, discrepancy._star):
+        ints, arrays = (evaluate(kernel, *form) for kernel in (discrepancy._IntKernel,
+                                                               discrepancy._BoxKernel))
+        assert (ints.value, str(ints.witness)) == (arrays.value, str(arrays.witness))
+    # in 1D the closed form reduces its array axis alike
+    for points in (batch[:1], _as_arrays(converted[:1])):
+        den, nums = discrepancy._lowest_terms(points[0], 81)
         assert den == 3**4 and nums.dtype == np.int64
+        assert_integer_input_matches_fractions(points)
     assert_integer_input_matches_fractions(batch)
 
 
