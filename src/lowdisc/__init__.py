@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 
 # submodule -> the public names it provides
 _EXPORTS = {
-    "_util": ("BudgetExceededError", "UnimodalityError"),
+    "_util": ("BudgetExceededError", "UnimodalityError", "bound_holds"),
     "digits": (
         "BRational", "expand", "monna_plus", "radical_inverse", "sum_of_digits",
     ),
@@ -47,11 +47,10 @@ _EXPORTS = {
         "lemma_le1_bound", "lemma_le2_bound", "product_identity_check", "rho_weight", "weyl_sum",
     ),
     "bounds": (
-        "BoundReport", "Envelope", "alpha_corollary_check", "bound_holds",
-        "fit_monotone_constant", "general_lower", "general_sandwich", "general_upper",
-        "halton_uniform_main_term", "measured_delta_table", "measured_envelope",
-        "monotone_hypotheses", "monotone_lower", "monotone_upper", "sod_envelope_check",
-        "uniform_bound_ts",
+        "BoundReport", "Envelope", "alpha_corollary_check", "fit_monotone_constant",
+        "general_lower", "general_sandwich", "general_upper", "halton_uniform_main_term",
+        "measured_delta_table", "measured_envelope", "monotone_hypotheses", "monotone_lower",
+        "monotone_upper", "sod_envelope_check", "uniform_bound_ts",
     ),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}

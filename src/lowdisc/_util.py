@@ -1,7 +1,7 @@
 """Shared plumbing with no third-party import: the scan-budget and
-unimodality errors, the base of the validating value types, integer roots,
-the multiset check and the size rule that sends small inputs to Python
-ints.  Every command loads this module, so it stays free of numpy."""
+unimodality errors, the base of the validating value types, the verdict
+rule, integer roots, the multiset check and the size rule that sends small
+inputs to Python ints.  Every command loads this module, so it stays free of numpy."""
 
 from __future__ import annotations
 
@@ -29,6 +29,7 @@ SCALAR_CELL_CUT = 1 << 18
 # against 0.12 s), one of 3^8 is 124,659 (0.05 s against 0.08 s).  A check
 # of many levels picks one backend for all of them, by their summed work.
 NET_CUT = 200_000
+UPPER_SLACK = 1e-9  # relative and absolute slack of a float side of every verdict
 
 
 class BudgetExceededError(RuntimeError):
@@ -74,6 +75,24 @@ class Value:
         return f"{type(self).__qualname__}({fields})"
 
 
+def _at_most(x, y) -> bool:
+    if x is None or y is None:
+        return True
+    if not (isinstance(x, float) or isinstance(y, float)):
+        return x <= y
+    return float(x) <= float(y) * (1 + UPPER_SLACK) + UPPER_SLACK
+
+
+def bound_holds(lower, measured, upper) -> bool:
+    """lower <= measured <= upper: the one rule behind every "holds" verdict.
+
+    Exact sides (anything but a float: ints, Fractions) compare with zero
+    tolerance; a float side gets the relative and absolute slack
+    UPPER_SLACK.  A None side is not checked, and a NaN side fails.
+    """
+    return _at_most(lower, measured) and _at_most(measured, upper)
+
+
 def int_nth_root(x: int, r: int) -> int:
     """Largest integer g with g**r <= x, exact for arbitrary-precision x."""
     if x < 0:
@@ -86,17 +105,15 @@ def int_nth_root(x: int, r: int) -> int:
         return math.isqrt(x)
     if x.bit_length() <= r:  # x < 2**r: the root is 1, and g**(r-1) below would be huge
         return 1
+    # Newton's step from an integer g > y = x^(1/r) lands in [floor(y), g): it is
+    # floor(((r-1)g + x/g^(r-1))/r), >= floor(y) by AM-GM, and < g as g^r > x.
+    # So the loop stops at floor(y) (Brent, Zimmermann, Modern Computer Arithmetic, 1.5).
     g = 1 << -(-x.bit_length() // r)  # >= true root
     while True:
         ng = ((r - 1) * g + x // g ** (r - 1)) // r
         if ng >= g:
-            break
+            return g
         g = ng
-    while g**r > x:
-        g -= 1
-    while (g + 1) ** r <= x:
-        g += 1
-    return g
 
 
 def multiplicities(counts, size: int) -> tuple[list[int] | None, int]:

@@ -1,7 +1,8 @@
 """Bound formulas for index-transformed sequences and their empirical checks.
 
-Conventions: `lower` values are exact integers or rationals compared with
-zero tolerance; `upper` values are floats built from envelopes with fitted
+Conventions: every verdict is ``_util.bound_holds``.  `lower` values are
+exact integers or rationals, compared with zero tolerance; `upper` values are
+floats, given the slack UPPER_SLACK, built from envelopes with fitted
 constants (the underlying theorems leave those constants unspecified, so the
 artifact fits them on a calibration prefix and reports them).  All logs are
 natural, absorbed by the fitted constants.  Every verification records the
@@ -21,37 +22,18 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-from ._util import UnimodalityError, Value, _on_python_ints
+from ._util import UnimodalityError, Value, _on_python_ints, bound_holds
+from .digits import _digit_count
 from .digitsum_dist import _block_levels, max_count
 from .discrepancy import discrepancy, transformed_discrepancy, windowed_uniform_discrepancy
 from .generators import SequenceSpec, coordinates, int_coordinates
 from .transforms import FloorPower, IndexTransform, SumOfDigits, is_unimodal, multiplicity_F
-
-UPPER_SLACK = 1e-9  # float-comparison slack for fitted upper bounds
 
 # A measured envelope at N takes the worst of the shifts 0 <= k <= 4N.
 ENVELOPE_WINDOW_FACTOR = 4
 
 # F(k) * k^(1 - 1/alpha) is probed for boundedness on 1 <= k <= this.
 ALPHA_PROBE_K = 1000
-
-
-def _at_most(x, y) -> bool:
-    if x is None or y is None:
-        return True
-    if isinstance(x, (int, Fraction)) and isinstance(y, (int, Fraction)):
-        return x <= y
-    return float(x) <= float(y) * (1 + UPPER_SLACK) + UPPER_SLACK
-
-
-def bound_holds(lower, measured, upper) -> bool:
-    """lower <= measured <= upper: the one rule behind every "holds" verdict.
-
-    Exact sides (int or Fraction) compare with zero tolerance; a float side
-    gets the relative and absolute slack UPPER_SLACK.  A None side is not
-    checked, and a NaN side fails.
-    """
-    return _at_most(lower, measured) and _at_most(measured, upper)
 
 
 class Envelope(Value):
@@ -347,11 +329,7 @@ def uniform_bound_ts(b: int, t: int, n: int, delta_table: Mapping[int, float]) -
     _check_base_and_t(b, t)
     if n < b**t:
         return float(n)
-    m_top = 0
-    size = b
-    while size <= n:
-        m_top += 1
-        size *= b
+    m_top = _digit_count(n, b) - 1  # floor(log_b N), N >= b^t >= 1
     missing = [m for m in range(t, m_top + 1) if m not in delta_table]
     if missing:
         raise ValueError(f"delta table is missing levels {missing}")

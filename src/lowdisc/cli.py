@@ -181,9 +181,8 @@ def cmd_hkbound(args) -> int:
     g = ld.hellekalek_resolution(b, n) if args.g is None else args.g
     # weyl_sums checks N >= 1 first, and hellekalek_bound refuses g < 1
     rows, counts = _weyl_rows(b, q, range(1, b ** max(g, 0)), n)
-    multiplicity = {k: c for k, c in enumerate(counts) if c}
-    points = [ld.radical_inverse(k, b) for k in multiplicity]
-    bound = ld.hellekalek_bound(b, g, points, list(multiplicity.values()))
+    points = [ld.radical_inverse(k, b) for k in range(len(counts))]
+    bound = ld.hellekalek_bound(b, g, points, counts)
     rows.append([b, q, "total", n, "", "", "", repr(bound)])
     return _table(args, WEYL_HEADER, rows)
 

@@ -109,7 +109,8 @@ def digit_sum_counts_below(q: int, n: int) -> list[int]:
     """counts[k] = #{0 <= m < n : s_q(m) = k} for arbitrary n (exact digit recurrence).
 
     Walks the digits a_r of n from the lowest one up, keeping the block
-    counts C_r and the counts B_r below n mod q**r; the last entry is nonzero.
+    counts C_r and the counts B_r below n mod q**r.  No entry is 0: lowering a
+    nonzero digit lowers the digit sum by one, so every sum up to the largest is taken.
     """
     if n < 0:
         raise ValueError("n must be non-negative")

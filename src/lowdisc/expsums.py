@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from ._util import BudgetExceededError, multiplicities
+from ._util import BudgetExceededError, bound_holds, multiplicities
 from .digits import BRational, expand, monna_plus, radical_inverse
 from .digitsum_dist import COUNT_BUDGET, digit_sum_counts_below
 
@@ -26,9 +26,6 @@ from .digitsum_dist import COUNT_BUDGET, digit_sum_counts_below
 # Both cost one term per digit-sum class: the budget picks which rounding a
 # row keeps, and published rows pin both.
 DEFAULT_DIRECT_BUDGET = 1 << 14
-
-# Float slack of the lemma checks |T_k| <= bound.
-LEMMA_SLACK = 1e-12
 
 
 def e_frac(num: int, den: int) -> complex:
@@ -125,7 +122,7 @@ def _weyl_sum(b: int, q: int, k: int, n: int, counts: list[int]) -> WeylSum:
         )
         return WeylSum(b, q, k, n, value, "direct")
     # int true division rounds each weight once, as float(Fraction(c, n)) does, at any size
-    pairs = [(c / n, z) for c, z in zip(counts, terms) if c]
+    pairs = [(c / n, z) for c, z in zip(counts, terms)]
     value = complex(math.fsum(w * z.real for w, z in pairs),
                     math.fsum(w * z.imag for w, z in pairs))
     return WeylSum(b, q, k, n, value, "grouped")
@@ -159,7 +156,7 @@ def lemma_le1_bound(b: int, q: int, k: int, m: int) -> LemmaBound:
     if clamped:
         base = Fraction(0)
     rhs = float(base) ** (m / 2.0)
-    return LemmaBound(lhs, rhs, lhs <= rhs + LEMMA_SLACK, clamped)
+    return LemmaBound(lhs, rhs, bound_holds(None, lhs, rhs), clamped)
 
 
 def lemma_le2_bound(b: int, q: int, k: int, n: int) -> LemmaBound:
@@ -170,7 +167,7 @@ def lemma_le2_bound(b: int, q: int, k: int, n: int) -> LemmaBound:
         if a_r:
             rhs_terms.append(a_r * q**r * abs(weyl_sum(b, q, k, q**r).value))
     rhs = math.fsum(rhs_terms) / n
-    return LemmaBound(lhs, rhs, lhs <= rhs + LEMMA_SLACK)
+    return LemmaBound(lhs, rhs, bound_holds(None, lhs, rhs))
 
 
 def rho_weight(b: int, k: int) -> float:

@@ -70,7 +70,14 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-class VanDerCorput(Value):
+class _Sequence(Value):
+    """Base of the sequence specs: one point of the sequence by index."""
+
+    def point(self, n: int) -> Point:
+        return to_points(int_coordinates(self, [n]))[0]
+
+
+class VanDerCorput(_Sequence):
     """One-dimensional radical-inverse sequence in a fixed base."""
 
     def __init__(self, base: int):
@@ -82,11 +89,8 @@ class VanDerCorput(Value):
     def dimension(self) -> int:
         return 1
 
-    def point(self, n: int) -> Point:
-        return to_points(int_coordinates(self, [n]))[0]
 
-
-class Halton(Value):
+class Halton(_Sequence):
     """Coordinate-wise radical inverses in pairwise co-prime bases."""
 
     def __init__(self, bases: Iterable[int]):
@@ -108,9 +112,6 @@ class Halton(Value):
     @property
     def dimension(self) -> int:
         return len(self.bases)
-
-    def point(self, n: int) -> Point:
-        return to_points(int_coordinates(self, [n]))[0]
 
 
 class GeneratorMatrix(Value):
@@ -137,7 +138,7 @@ class GeneratorMatrix(Value):
         return len(self.rows)
 
 
-class DigitalSequence(Value):
+class DigitalSequence(_Sequence):
     """Digital sequence over F_p given by one generator matrix per axis.
 
     Indices must stay below p**precision: digits beyond the matrix width
@@ -161,9 +162,6 @@ class DigitalSequence(Value):
     @property
     def dimension(self) -> int:
         return len(self.matrices)
-
-    def point(self, n: int) -> Point:
-        return to_points(int_coordinates(self, [n]))[0]
 
 
 SequenceSpec = VanDerCorput | Halton | DigitalSequence
@@ -276,6 +274,8 @@ def _as_batch(points) -> tuple[Axis, ...]:
         if not (isinstance(base, int) and base >= 2 and isinstance(width, int) and width >= 0):
             raise ValueError(f"an axis needs an int base >= 2 and an int width >= 0, "
                              f"got {base!r}, {width!r}")
+        if not (isinstance(nums, list) or hasattr(nums, "dtype")):
+            raise ValueError(f"numerators must be a list or a numpy array, got {type(nums)}")
         listed = isinstance(nums, list) or nums.dtype == object
         if listed and not all(map(isinstance, nums, itertools.repeat(int))):
             bad = next(x for x in nums if not isinstance(x, int))
@@ -624,7 +624,7 @@ def check_net(points, b: int, t: int) -> NetCheck:
     size = len(batch[0].nums)
     if b < 2:
         raise ValueError(f"need a base b >= 2 and at least one point, got b={b}")
-    m = next(m for m in itertools.count() if b**m >= size)
+    m = _digit_count(size - 1, b)  # the least m with b**m >= size
     if size != b**m:
         raise ValueError(f"a net in base {b} needs b**m points, got {size}")
     if not 0 <= t <= m:

@@ -156,16 +156,15 @@ def value_counts_below(transform: IndexTransform, n: int) -> dict[int, int]:
     if isinstance(transform, SumOfDigits):
         from .digitsum_dist import digit_sum_counts_below
 
-        counts = digit_sum_counts_below(transform.q, n)
-        return {k: c for k, c in enumerate(counts) if c}
+        return dict(enumerate(digit_sum_counts_below(transform.q, n)))
     if isinstance(transform, FloorPower):
-        # inverse_ceil(k + 1) < n below the top value; at the top it may be too large to form
+        # f steps by at most 1 (u < v), so every k up to the top has a count; inverse_ceil(k + 1)
+        # < n below the top value, and at the top it may be too large to form
         out = {}
         lo, top = 0, transform.apply(n - 1)  # lo = inverse_ceil(0)
         for k in range(top + 1):
             hi = n if k == top else transform.inverse_ceil(k + 1)
-            if hi > lo:
-                out[k] = hi - lo
+            out[k] = hi - lo
             lo = hi
         return out
     return dict(sorted(collections.Counter(_apply_all(transform, range(n))).items()))

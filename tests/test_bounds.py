@@ -288,6 +288,23 @@ def test_monotone_hypotheses_flags():
     assert hyp23["F_monotonicity"] == "unit-jitter"
 
 
+def _past_the_check(values):
+    # TableTransform refuses a decreasing table; monotone_hypotheses checks any transform
+    table = object.__new__(TableTransform)
+    table._set(values=tuple(values))
+    return table
+
+
+@pytest.mark.parametrize("table, steps_ok, f_status", [
+    (TableTransform((0, 2, 3)), False, "unit-jitter"),  # a step of 2
+    (_past_the_check((0, 1, 0)), False, "unit-jitter"),  # a decrease
+    (TableTransform((0, 0, 0, 1, 2)), True, "violated"),  # F(0) = 3, F(1) = 1
+], ids=["step-of-2", "decrease", "F-drops-by-2"])
+def test_monotone_hypotheses_flag_bad_tables(table, steps_ok, f_status):
+    hyp = monotone_hypotheses(table, n_max=len(table.values) - 1, k_max=4)
+    assert (hyp["f_monotone_surjective"], hyp["F_monotonicity"]) == (steps_ok, f_status)
+
+
 def test_monotone_upper_shape():
     t = FloorPower(1, 2)
     # F(f(9)+1) = F(4) = 9

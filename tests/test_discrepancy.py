@@ -450,8 +450,10 @@ def test_converted_points_take_their_kernel_at_the_cut(mode, n, kernel):
     (Axis(2, 1.0, [0]),),
     (Axis(1, 3, [0]),),
     (Axis(2.0, 3, [1]),),
+    (Axis(2, 1, (0, 1)),),
+    (Axis(2, 1, range(2)),),
 ], ids=["float-list", "float-array", "float-in-object-array", "bool-array", "negative-width",
-        "float-width", "base-1", "float-base"])
+        "float-width", "base-1", "float-base", "tuple", "range"])
 @pytest.mark.parametrize("reader", ["discrepancy", "recount", "check_net"])
 def test_unreadable_axes_are_refused(batch, reader):
     # bases, widths and numerators that no evaluator reads are refused where
@@ -460,7 +462,7 @@ def test_unreadable_axes_are_refused(batch, reader):
     call = {"discrepancy": lambda: discrepancy.discrepancy(batch),
             "recount": lambda: recount(batch, box),
             "check_net": lambda: check_net(batch, 2, 0)}[reader]
-    with pytest.raises(ValueError, match="int base|must be ints"):
+    with pytest.raises(ValueError, match="int base|must be ints|must be a list or a numpy array"):
         call()
 
 

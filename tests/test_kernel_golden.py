@@ -97,6 +97,9 @@ GOLDEN = {
     # budget lifted
     "disc --spec halton:2,3 --N 300":
         (0, "b81df35b68acf890807da5b71cec647c5ab7f95a4f9fe2430a13a6da9cc3f374"),
+    # an int64 star scan on arrays: 601^2 corners, past the 2^18-cell cut
+    "disc --spec halton:2,3 --N 600 --mode star":
+        (0, "bf9a3f1253915430ca0b8df474fa11ea88160eaa3f105fb7813fd928f9bb6c80"),
     # recorded while every 1D multiset went through the numpy arrays: the two
     # sides of the Python-int cut, a one-base Halton and a sweep job
     "disc --spec vdc:2 --N 16384":

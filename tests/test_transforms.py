@@ -1,7 +1,8 @@
+import math
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lowdisc import (
@@ -226,13 +227,38 @@ def test_floor_power_validation():
         FloorPower(3, 2)  # alpha >= 1
 
 
-@given(st.one_of(st.integers(0, 10**6), st.integers(0, 2**300)), st.sampled_from([2, 3]))
-def test_int_nth_root_brackets(x, r):
+@given(st.integers(2, 9), st.one_of(st.integers(0, 10**6), st.integers(0, 2**600),
+                                    st.tuples(st.integers(2, 2**70), st.integers(-1, 1))))
+@example(3, (2, -1))
+@example(5, (3, 0))
+@example(9, (2**66 + 1, 1))
+@example(7, 2**600)
+def test_int_nth_root_brackets(r, x):
+    # FloorPower(u, v) takes v-th roots for any v; r = 2 goes to math.isqrt
+    if isinstance(x, tuple):  # b^r - 1, b^r or b^r + 1
+        b, d = x
+        x = b**r + d
     g = int_nth_root(x, r)
     assert g**r <= x < (g + 1) ** r
     if x >= 1:  # and at the perfect powers around it
         assert int_nth_root(g**r, r) == g
         assert int_nth_root((g + 1) ** r - 1, r) == g
+
+
+@given(st.integers(1, 10**40), st.integers(2, 40), st.integers(1, 10**5), st.integers(1, 3),
+       st.integers(1, 4))
+@example(1, 2, 1, 1, 1)
+@example(2**64, 2, 10**5, 3, 1)
+@example(10**40 - 1, 10, 4097, 1, 2)
+def test_no_value_count_is_zero(n_sod, q, n_pow, u, v_extra):
+    # below N digit sums take every value up to their largest (lowering a
+    # nonzero digit lowers the sum by one), and floor(n^(u/v)) with u < v
+    # steps by at most 1: every value from 0 to the largest has a count
+    assume(math.gcd(u, u + v_extra) == 1)
+    for t, n in ((SumOfDigits(q), n_sod), (FloorPower(u, u + v_extra), n_pow)):
+        counts = value_counts_below(t, n)
+        assert list(counts) == list(range(len(counts)))
+        assert min(counts.values()) >= 1 and sum(counts.values()) == n
 
 
 def test_square_root_of_a_huge_integer_is_quick():

@@ -1,6 +1,7 @@
 """Value semantics of the library's records and validating types: construction
-by position, keyword and default, the validation messages, read-only fields,
-equality and hash by type and value, and the ``Type(field=value, ...)`` repr."""
+by position, keyword and default, the validation messages (and those of the
+calls that refuse their input), read-only fields, equality and hash by type
+and value, and the ``Type(field=value, ...)`` repr."""
 
 import re
 from fractions import Fraction
@@ -10,7 +11,8 @@ import pytest
 from lowdisc import (
     BoundReport, Box, BoxSide, BRational, DigitalSequence, DigitSumDistribution,
     DiscrepancyReport, Envelope, FloorPower, GeneratorMatrix, Halton, Point, SumOfDigits,
-    TableTransform, VanDerCorput, WeylSum, pascal_matrices,
+    TableTransform, VanDerCorput, WeylSum, check_net, check_rank_condition, hellekalek_star_bound,
+    parse_spec, parse_transform, pascal_matrices,
 )
 from lowdisc.bounds import AlphaRow, EnvelopeFitRow, GeneralUpper
 from lowdisc.cli import RunConfig
@@ -134,6 +136,16 @@ def test_equality_and_hash_by_type_and_value():
         (lambda: FloorPower(2, 4), "u/v must be in lowest terms"),
         (lambda: TableTransform([]), "table must not be empty"),
         (lambda: TableTransform([0, 2, 1]), "table transform must be non-decreasing"),
+        # calls that refuse their input
+        (lambda: hellekalek_star_bound(2, 1, [Fraction(1, 2)]),
+         "character bounds need exact b-adic points (BRational)"),
+        (lambda: hellekalek_star_bound(2, 1, [BRational(1, 3, 1)]),
+         "point base 3 differs from bound base 2"),
+        (lambda: check_rank_condition(pascal_matrices(2, 2, 4), 3, 2), "need m >= t"),
+        (lambda: check_net([Fraction(0), HALF], 2, 2), "need 0 <= t <= m"),
+        (lambda: parse_spec("pascal:3"), "cannot parse digital spec 'pascal:3'"),
+        (lambda: parse_spec("pascal:3,2,10,1"), "cannot parse digital spec 'pascal:3,2,10,1'"),
+        (lambda: parse_transform('{"kind": "cube"}'), "unknown transform kind 'cube'"),
     ],
 )
 def test_validation_messages(build, message):
